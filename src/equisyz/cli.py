@@ -164,6 +164,10 @@ def _check_config(cfg: JobConfig):
         raise InputError(
             "arrangement contains the whole ambient space; its vanishing ideal is zero"
         )
+    if cfg.oracle_degree < 0:
+        raise InputError(
+            f"--oracle-check degree must be nonnegative (0 disables), got {cfg.oracle_degree}"
+        )
     needs_oracle = cfg.oracle_degree > 0 or cfg.ideal == "intersection"
     if needs_oracle and cfg.dim_v < 1:
         raise InputError("oracle-backed computations need --dim-v >= 1")

@@ -20,9 +20,8 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product as cartesian
-from math import comb
+from math import comb, gcd, lcm
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
@@ -97,44 +96,35 @@ def character_to_schur(gc: GradedCharacter, d: int) -> SchurSeries:
 
 
 class _Echelon:
-    """Incremental reduced row echelon form over sparse Fraction rows.
+    """Incremental row echelon form over sparse integer rows, fraction-free.
 
     Rows are dicts keyed by basis labels (any totally ordered hashables);
-    the pivot of a stored row is its smallest label and stored rows are
-    fully reduced against each other, so free labels yield a nullspace
-    basis directly.
+    the pivot of a row is its smallest label.  Rational entries are scaled
+    to integers on entry, and elimination cross-multiplies instead of
+    dividing, so every coefficient stays an exact ``int``: fraction-free
+    elimination as in Bareiss (Math. Comp. 22, 1968), except that each row
+    is divided by the gcd of its entries rather than by the previous pivot.
+    A stored row is primitive, with a positive pivot, and is reduced only
+    forward, against the rows of smaller pivot: ``add`` never touches the
+    rows already stored.  ``nullspace`` back-substitutes once into fully
+    reduced form before it reads off the free labels.
     """
 
     def __init__(self):
-        self.rows: dict = {}  # pivot label -> normalized row
+        self.rows: dict = {}  # pivot label -> primitive row, pivot > 0
 
     def add(self, row: dict) -> bool:
         """Reduce a row against the current basis; keep it if independent."""
         work = {k: v for k, v in row.items() if v}
+        if any(type(v) is not int for v in work.values()):
+            work = _integral(work)
         while work:
             lead = min(work)
             piv = self.rows.get(lead)
             if piv is None:
-                c = work[lead]
-                new = {k: v / c for k, v in work.items()}
-                for other in self.rows.values():
-                    f = other.get(lead)
-                    if f:
-                        for k, v in new.items():
-                            o = other.get(k, 0) - f * v
-                            if o:
-                                other[k] = o
-                            else:
-                                other.pop(k, None)
-                self.rows[lead] = new
+                self.rows[lead] = _primitive(work, lead)
                 return True
-            f = work[lead]
-            for k, v in piv.items():
-                w = work.get(k, 0) - f * v
-                if w:
-                    work[k] = w
-                else:
-                    work.pop(k, None)
+            work = _eliminate(work, piv, lead)
         return False
 
     @property
@@ -142,17 +132,75 @@ class _Echelon:
         return len(self.rows)
 
     def nullspace(self, labels) -> list[dict]:
+        """Integer basis of the vectors orthogonal to every row added.
+
+        One vector per free label, a label of ``labels`` that is not a
+        pivot; every row label must be among ``labels``.  Leaves the stored
+        rows fully reduced.
+        """
+        reduced: dict = {}
+        for p in sorted(self.rows, reverse=True):
+            prow = self.rows[p]  # replaced below, so free to consume
+            for q in [q for q in prow if q in reduced]:
+                prow = _eliminate(prow, reduced[q], q)
+            reduced[p] = _primitive(prow, p)
+        self.rows = reduced
+        pivots_with: dict = {}  # free label -> pivots whose rows carry it
+        for p, prow in reduced.items():
+            for k in prow:
+                if k != p:
+                    pivots_with.setdefault(k, []).append(p)
         out = []
         for free in labels:
-            if free in self.rows:
+            if free in reduced:
                 continue
-            vec = {free: Fraction(1)}
-            for pivot, prow in self.rows.items():
-                c = prow.get(free)
-                if c:
-                    vec[pivot] = -c
+            hits = pivots_with.get(free, ())
+            scale = lcm(*(reduced[p][p] for p in hits))
+            vec = {free: scale}
+            for p in hits:
+                prow = reduced[p]
+                vec[p] = -prow[free] * (scale // prow[p])
             out.append(vec)
         return out
+
+
+def _eliminate(work: dict, piv: dict, lead) -> dict:
+    """b*work - a*piv for the smallest b > 0 that clears ``lead``, made
+    primitive; ``piv`` has a positive entry at ``lead``.  ``work`` is
+    consumed: the result may be the same dict, updated in place."""
+    a = work[lead]
+    b = piv[lead]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    out = {k: b * v for k, v in work.items()} if b != 1 else work
+    for k, v in piv.items():
+        w = out.get(k, 0) - a * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    if b != 1 and out:
+        g = gcd(*out.values())
+        if g != 1:
+            out = {k: v // g for k, v in out.items()}
+    return out
+
+
+def _integral(row: dict) -> dict:
+    """Scale a rational row by the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {k: int(v * den) for k, v in row.items()}
+
+
+def _primitive(row: dict, lead) -> dict:
+    """Divide an integer row by the gcd of its entries, signed so that the
+    entry at ``lead`` comes out positive."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return {k: v // g for k, v in row.items()} if g != 1 else row
 
 
 # -- coordinates -----------------------------------------------------------
@@ -165,7 +213,9 @@ class CoordinateIdealBasis:
     Variable v = j*n + i stands for z[j,i] = w_j tensor v_i, in (j,i)-lex
     order.  Each form is a pair (i, {var: coeff}): the tensor of an
     annihilator vector of the k-th subspace with e_i, so it has pure
-    V-weight e_i.  Factor k contributes (m - dim Y_k) * n forms.
+    V-weight e_i.  Factor k contributes (m - dim Y_k) * n forms.  The
+    annihilator vectors are scaled to coprime integers, which leaves their
+    span alone and makes every spanning row of the oracle integral.
     """
 
     m: int
@@ -178,10 +228,10 @@ class CoordinateIdealBasis:
         for sub in arr.subspaces:
             forms = []
             for a in sub.annihilator().basis:
+                coeffs = _integral({j: c for j, c in enumerate(a) if c})
+                coeffs = _primitive(coeffs, min(coeffs))
                 for i in range(n):
-                    forms.append(
-                        (i, {j * n + i: c for j, c in enumerate(a) if c})
-                    )
+                    forms.append((i, {j * n + i: c for j, c in coeffs.items()}))
             out.append(tuple(forms))
         return CoordinateIdealBasis(arr.ambient_dim, n, tuple(out))
 
@@ -306,7 +356,7 @@ def product_ideal_character(
             for w_rest in _compositions(d - t, n):
                 w = tuple(a + b for a, b in zip(base, w_rest))
                 for mono in _weight_monomials(w_rest, m, n):
-                    poly = {mono: Fraction(1)}
+                    poly = {mono: 1}
                     for _, form in combo:
                         poly = _poly_times_form(poly, form)
                     if poly:
@@ -348,7 +398,7 @@ def intersection_ideal_character(
                         wi - 1 if idx == i else wi for idx, wi in enumerate(w)
                     )
                     for mono in _weight_monomials(w_minus, m, n):
-                        factor.add(_poly_times_form({mono: Fraction(1)}, form))
+                        factor.add(_poly_times_form({mono: 1}, form))
                 for vec in factor.nullspace(labels):
                     stack.add(vec)
                 if stack.rank == ambient:
@@ -390,7 +440,7 @@ def wedge_ideal_character(
             for w_rest in _compositions(d - t, n):
                 w = tuple(a + b for a, b in zip(base, w_rest))
                 for emono in _exterior_weight_monomials(w_rest, m, n):
-                    elem = {(): Fraction(1)}
+                    elem = {(): 1}
                     for _, form in combo:
                         elem = _ext_times_form(elem, form)
                         if not elem:

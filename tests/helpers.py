@@ -3,13 +3,17 @@
 The oracles here deliberately avoid the library's own code paths: Schur
 product coefficients are rederived from scratch by counting semistandard
 fillings and peeling weight tables, so they can certify the tableau-based
-Littlewood-Richardson implementation.
+Littlewood-Richardson implementation.  The weight tables of product, wedge
+and intersection ideals are rederived with Fraction elimination on the
+unscaled annihilator forms, and with dense vanishing conditions, so they
+can certify the fraction-free elimination of ``equisyz.oracle``.
 """
 
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from equisyz.arrangements import Arrangement
-from equisyz.linalg import Subspace
+from equisyz.linalg import Subspace, row_reduce
 
 
 # -- arrangements used throughout ------------------------------------------
@@ -174,3 +178,137 @@ def symmetric_orbit_ok(table, n) -> bool:
         if len(vals) != 1:
             return False
     return True
+
+
+# -- slow references for the brute-force oracle -----------------------------
+
+
+class FractionEchelon:
+    """Incremental echelon form over sparse Fraction rows with unit pivots,
+    the slow counterpart of the oracle's fraction-free elimination.  Only
+    its rank is read."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, row) -> bool:
+        work = {k: Fraction(v) for k, v in row.items() if v}
+        while work:
+            lead = min(work)
+            piv = self.rows.get(lead)
+            if piv is None:
+                c = work[lead]
+                self.rows[lead] = {k: v / c for k, v in work.items()}
+                return True
+            f = work[lead]
+            for k, v in piv.items():
+                w = work.get(k, 0) - f * v
+                if w:
+                    work[k] = w
+                else:
+                    work.pop(k, None)
+        return False
+
+
+def _fraction_forms(arr: Arrangement, n: int):
+    """Each factor's degree-one forms, with the annihilator's own Fraction
+    coefficients; variable j*n + i is z[j,i]."""
+    return [
+        [
+            {j * n + i: c for j, c in enumerate(a) if c}
+            for a in sub.annihilator().basis
+            for i in range(n)
+        ]
+        for sub in arr.subspaces
+    ]
+
+
+def _weight(mono, n: int) -> tuple:
+    w = [0] * n
+    for v in mono:
+        w[v % n] += 1
+    return tuple(w)
+
+
+def _times_variable(poly: dict, v: int, c, exterior: bool) -> dict:
+    """poly * c z_v; monomials are sorted variable tuples, and on the
+    exterior side z_v is wedged on the right."""
+    out: dict = {}
+    for mono, a in poly.items():
+        if exterior and v in mono:
+            continue
+        key = tuple(sorted(mono + (v,)))
+        sign = -1 if exterior and sum(u > v for u in mono) % 2 else 1
+        out[key] = out.get(key, 0) + sign * a * c
+    return {k: x for k, x in out.items() if x}
+
+
+def _times_form(poly: dict, form: dict, exterior: bool) -> dict:
+    out: dict = {}
+    for v, c in form.items():
+        for mono, a in _times_variable(poly, v, c, exterior).items():
+            out[mono] = out.get(mono, 0) + a
+    return {k: x for k, x in out.items() if x}
+
+
+def reference_span_weights(arr: Arrangement, n: int, d: int, exterior: bool) -> dict:
+    """Weight table of the degree-d piece of J_1(V)...J_t(V), or of the
+    wedge ideal when ``exterior``: one form per factor times a monomial,
+    ranked weight by weight with :class:`FractionEchelon`."""
+    nvars = arr.ambient_dim * n
+    t = len(arr.subspaces)
+    if d < t:
+        return {}
+    pick = combinations if exterior else combinations_with_replacement
+    buckets: dict = {}
+    for choice in product(*_fraction_forms(arr, n)):
+        for rest in pick(range(nvars), d - t):
+            poly = {(): Fraction(1)}
+            for form in choice:
+                poly = _times_form(poly, form, exterior)
+            for v in rest:
+                poly = _times_variable(poly, v, 1, exterior)
+            if poly:
+                w = _weight(next(iter(poly)), n)
+                buckets.setdefault(w, FractionEchelon()).add(poly)
+    return {w: len(e.rows) for w, e in buckets.items() if e.rows}
+
+
+def _substituted(mono, basis, n: int) -> dict:
+    """mono(z) at z[j,i] = sum_l s[l,i] basis[l][j], as {s-monomial: coeff}
+    with s[l,i] numbered l*n + i."""
+    poly = {(): Fraction(1)}
+    for v in mono:
+        j, i = divmod(v, n)
+        form = {l * n + i: b[j] for l, b in enumerate(basis) if b[j]}
+        poly = _times_form(poly, form, exterior=False)
+    return poly
+
+
+def reference_intersection_weights(arr: Arrangement, n: int, d: int) -> dict:
+    """Weight table of the degree-d piece of J_1(V) cap ... cap J_t(V).
+
+    A polynomial lies in J_k(V) exactly when it vanishes on Y_k tensor V,
+    that is when every coefficient of its substitution at a general point
+    of Y_k tensor V is zero.  Each weight space's dimension is its number
+    of monomials minus the dense rank of all factors' conditions stacked.
+    """
+    m = arr.ambient_dim
+    table = {}
+    for w in compositions(d, n):
+        labels = [
+            mono
+            for mono in combinations_with_replacement(range(m * n), d)
+            if _weight(mono, n) == w
+        ]
+        rows = []
+        for sub in arr.subspaces:
+            conditions: dict = {}
+            for col, mono in enumerate(labels):
+                for key, c in _substituted(mono, sub.basis, n).items():
+                    conditions.setdefault(key, [0] * len(labels))[col] += c
+            rows.extend(conditions.values())
+        dim = len(labels) - row_reduce(rows)[1]
+        if dim:
+            table[w] = dim
+    return table

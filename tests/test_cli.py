@@ -217,6 +217,15 @@ def test_main_low_truncation_is_input_error(tmp_path):
     assert main(["--input", src, "--max-degree", "2"]) == EXIT_INPUT
 
 
+def test_main_negative_oracle_check_is_input_error(tmp_path, capsys):
+    src = write_doc(tmp_path, AXES2)
+    argv = ["--input", src, "--max-degree", "3", "--oracle-check", "-2", "--dim-v", "2"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--oracle-check degree must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_main_size_cap_exit(tmp_path, monkeypatch):
     src = write_doc(tmp_path, {"ambient_dim": 5, "subspaces": [[[1, 0, 0, 0, 0]]]})
     argv = ["--input", src, "--max-degree", "2", "--oracle-check", "1", "--dim-v", "1"]

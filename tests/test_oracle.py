@@ -1,12 +1,20 @@
+import json
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, hilbert_product
+from equisyz.cli import EXIT_OK, EXIT_VALIDATION, main
 from equisyz.errors import SizeCapError
-from equisyz.linalg import subspace_from_vectors
+from equisyz.linalg import Subspace, row_reduce, subspace_from_vectors
 from equisyz.oracle import (
     DEFAULT_CAPS,
     CoordinateIdealBasis,
     OracleCaps,
+    _Echelon,
     character_to_schur,
     intersection_ideal_character,
     product_ideal_character,
@@ -19,6 +27,8 @@ from helpers import (
     origin_copies,
     worked_product_arrangements,
     plane_and_normal_line,
+    reference_intersection_weights,
+    reference_span_weights,
     symmetric_orbit_ok,
 )
 
@@ -44,6 +54,56 @@ def test_coordinate_basis_form_counts():
                 for i, form in forms:
                     assert 0 <= i < n
                     assert all(v % n == i for v in form)
+
+
+def test_coordinate_basis_forms_are_primitive_integers():
+    arr = Arrangement(3, (subspace_from_vectors([["1/2", "2/3", 1]], 3),))
+    for i, form in CoordinateIdealBasis.of(arr, 2).forms_per_factor[0]:
+        assert all(type(c) is int for c in form.values())
+        assert gcd(*form.values()) == 1
+        assert form[min(form)] > 0
+
+
+# -- fraction-free elimination ---------------------------------------------------
+
+
+def _dense(rows, labels):
+    return [[row.get(k, 0) for k in labels] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_echelon_rank_and_nullspace(data):
+    ncols = data.draw(st.integers(min_value=1, max_value=7))
+    labels = list(range(ncols))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    row = st.dictionaries(st.sampled_from(labels), entry, max_size=ncols)
+    first = data.draw(st.lists(row, max_size=8))
+    later = data.draw(st.lists(row, max_size=4))
+    ech = _Echelon()
+    offered = []
+    for batch in (first, later):
+        # rows offered after a nullspace call land on the reduced rows
+        for r in batch:
+            ech.add(r)
+        offered += batch
+        assert ech.rank == row_reduce(_dense(offered, labels))[1]
+        null = ech.nullspace(labels)
+        assert len(null) == len(labels) - ech.rank
+        for vec in null:
+            assert all(type(c) is int for c in vec.values())
+            for r in offered:
+                assert sum(c * vec.get(k, 0) for k, c in r.items()) == 0
+        assert row_reduce(_dense(null, labels))[1] == len(null)
+
+
+def test_echelon_keeps_primitive_rows_with_positive_pivots():
+    ech = _Echelon()
+    assert ech.add({0: 2, 1: 4, 2: -6})
+    assert ech.add({0: Fraction(1, 2), 1: Fraction(-1, 3)})
+    assert not ech.add({0: 3, 1: 6, 2: -9})
+    assert not ech.add({0: 0})
+    assert ech.rows == {0: {0: 1, 1: 2, 2: -3}, 1: {1: 8, 2: -9}}
 
 
 # -- product characters --------------------------------------------------------
@@ -107,6 +167,47 @@ def test_three_axes_intersection_matches_closed_form():
     char = intersection_ideal_character(arr, 4, 4)
     for d in range(1, 5):
         assert character_to_schur(char, d) == closed.graded_part(d), d
+
+
+def _pencil_and_line() -> Arrangement:
+    """Three distinct planes through the line spanned by (1,1,1), plus a
+    line inside the first of them."""
+    axis = [1, 1, 1]
+    planes = tuple(
+        Subspace.from_vectors([axis, v], 3) for v in ([1, 0, 0], [0, 1, 0], [1, 2, 3])
+    )
+    return Arrangement(3, planes + (Subspace.from_vectors([[2, 1, 1]], 3),))
+
+
+def test_no_quadric_vanishes_on_a_pencil_of_planes():
+    """A nonzero quadric is divisible by at most two distinct linear forms,
+    so it contains at most two planes: weight (2,0,0,0) is empty."""
+    arr = _pencil_and_line()
+    char = intersection_ideal_character(arr, 4, 2)
+    assert char.weights[2].get((2, 0, 0, 0), 0) == 0
+    assert char.weights[2] == reference_intersection_weights(arr, 4, 2)
+
+
+def test_intersection_job_with_rational_planes_exits_cleanly(tmp_path, capsys):
+    """Two hyperplanes, a plane and the origin of Q^4 that share spanning
+    vectors.  A nullspace read from pivot rows that are not fully reduced
+    gave this job a weight table that is no character, and a traceback."""
+    doc = {
+        "ambient_dim": 4,
+        "subspaces": [
+            [["1/2", 1, "-1/3", -1], [-1, 2, "-1/3", "-1/3"], [1, "-1/3", 1, 1]],
+            [[1, "-1/3", 1, 1], ["-1/3", -2, 0, -2], [-2, 1, -2, "-1/3"]],
+            [],
+            [[-1, 2, "-1/3", "-1/3"], [-2, 1, -2, "-1/3"]],
+        ],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--input", str(path), "--ideal", "intersection", "--max-degree", "4"]
+    code = main(argv + ["--dim-v", "4"])
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    report = json.loads(capsys.readouterr().out)
+    assert report["hilbert_series"]["terms"]
 
 
 def test_single_factor_intersection_equals_product():
@@ -228,6 +329,42 @@ def test_intersection_series_independent_of_dim_v():
 
 
 # -- cross checks --------------------------------------------------------------
+
+
+NONZERO = [Fraction(x) for x in ("1", "2", "1/2", "1/3", "2/3", "3/2")]
+
+
+@st.composite
+def pooled_arrangements(draw):
+    """Two or three planes of Q^3, each spanned by two vectors from one small
+    rational pool, so that they meet non-generically: planes through a
+    common line, equal planes."""
+    entry = st.sampled_from([Fraction(0)] + NONZERO + [-x for x in NONZERO])
+    pool = draw(
+        st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=4)
+    )
+    pair = st.lists(
+        st.sampled_from(range(len(pool))), min_size=2, max_size=2, unique=True
+    )
+    subs = draw(st.lists(pair, min_size=2, max_size=3))
+    return Arrangement(
+        3, tuple(Subspace.from_vectors([pool[i] for i in idx], 3) for idx in subs)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=pooled_arrangements(), n=st.integers(min_value=1, max_value=2))
+def test_oracles_match_slow_reference(arr, n):
+    """Fraction-free characters equal the Fraction-elimination and dense
+    vanishing-condition references."""
+    d_max = 3
+    prod = product_ideal_character(arr, n, d_max)
+    wedge = wedge_ideal_character(arr, n, d_max)
+    inter = intersection_ideal_character(arr, n, d_max)
+    for d in range(d_max + 1):
+        assert prod.weights[d] == reference_span_weights(arr, n, d, False), d
+        assert wedge.weights[d] == reference_span_weights(arr, n, d, True), d
+        assert inter.weights[d] == reference_intersection_weights(arr, n, d), d
 
 
 def test_weight_tables_are_symmetric():
