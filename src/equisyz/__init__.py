@@ -50,6 +50,7 @@ from .schur import (
     from_weight_multiplicities,
     sigma,
     sigma_power,
+    times_sigma_power,
 )
 
 __version__ = "0.1.0"
@@ -89,6 +90,7 @@ __all__ = [
     "sigma",
     "sigma_power",
     "subspace_from_vectors",
+    "times_sigma_power",
     "transpose_table",
     "weyl_dimension",
     "wedge_ideal_character",

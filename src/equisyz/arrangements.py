@@ -1,18 +1,26 @@
 """Subspace arrangements, their polymatroids, and equivariant Hilbert series.
 
 The Hilbert series of a product ideal is computed from the polymatroid
-rank function alone, through the truncated inclusion-exclusion recursion
-for the correction polynomial P and the subset recursion it feeds.  Both
-recursions are memoized by subset bitmask.
+rank function alone (Derksen, "Hilbert series of subspace arrangements",
+JPAA 2007).  The identity
+
+    sigma^(m - rk A) P(A) = sum over B in A of (-1)^|B| H(B)
+
+inverts on the Boolean lattice to H = sum over B of (-1)^|B| sigma^(m - rk B) P(B).
+Both this sum and the truncated inclusion-exclusion that defines each
+correction polynomial P(B) are bucketed by rank, so every multiplication
+is one Pieri power of sigma per rank.  Each P(B) lives at its own degree
+|B| - 1 and is memoized by subset bitmask, whatever the truncation degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import SizeCapError
 from .linalg import Subspace, intersect
-from .schur import SchurSeries, one, sigma, sigma_power
+from .schur import SchurSeries, sigma, sigma_power, times_sigma_power
 
 MAX_GROUND_SET = 16
 
@@ -63,7 +71,7 @@ class Polymatroid:
         self.ground_size = ground_size
         self._source = rank_source
         self._ranks: dict[int, int] = {0: 0}
-        self._p_cache: dict[tuple[int, int], SchurSeries] = {}
+        self._p_cache: dict[int, SchurSeries] = {}
 
     def as_mask(self, subset) -> int:
         if isinstance(subset, int):
@@ -92,9 +100,14 @@ class Polymatroid:
         return out
 
 
+@lru_cache(maxsize=4)
 def polymatroid_of(arr: Arrangement) -> Polymatroid:
     """Polymatroid of an arrangement: rank(B) = m - dim of the intersection
-    over B, with rank of the empty set 0."""
+    over B, with rank of the empty set 0.
+
+    The last few are kept, so the report and the Hilbert series of one job
+    share one polymatroid and compute each intersection once.
+    """
     m = arr.ambient_dim
     inter_cache: dict[int, Subspace] = {0: Subspace.full(m)}
 
@@ -111,7 +124,8 @@ def polymatroid_of(arr: Arrangement) -> Polymatroid:
 
 
 def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
-    """Correction polynomial P(B) of the polymatroid, memoized by bitmask.
+    """Correction polynomial P(B) of the polymatroid, in a window of degree
+    ``truncation``.
 
     P of the empty set is 1; otherwise P(B) is the degree <= |B|-1 part of
       - sum over proper subsets C of (-1)^(|B|-|C|) sigma^(rk B - rk C) P(C).
@@ -120,73 +134,74 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
         )
-    mask = pm.as_mask(subset)
-    return _p_recursive(pm, mask, truncation)
+    return SchurSeries._make(dict(_p(pm, pm.as_mask(subset)).coeffs), truncation)
 
 
-def _p_recursive(pm: Polymatroid, mask: int, D: int) -> SchurSeries:
-    if mask == 0:
-        return one(D)
-    key = (mask, D)
-    cached = pm._p_cache.get(key)
+def _add_into(acc: dict, series: SchurSeries, sign: int):
+    for lam, c in series.coeffs.items():
+        v = acc.get(lam, 0) + sign * c
+        if v:
+            acc[lam] = v
+        else:
+            del acc[lam]
+
+
+def _sum_of_sigma_powers(buckets: dict, top_rank: int, degree: int) -> dict:
+    """Coefficients of the sum over r of sigma^(top_rank - r) * buckets[r],
+    truncated at ``degree``: one Pieri power per rank."""
+    total: dict = {}
+    for r, coeffs in buckets.items():
+        term = times_sigma_power(SchurSeries._make(coeffs, degree), top_rank - r)
+        _add_into(total, term, 1)
+    return total
+
+
+def _p(pm: Polymatroid, mask: int) -> SchurSeries:
+    """P(B) at its own degree |B| - 1 (degree 0 for the empty set)."""
+    cached = pm._p_cache.get(mask)
     if cached is not None:
         return cached
-    size = mask.bit_count()
-    rank_b = pm.rank(mask)
-    total = SchurSeries({}, degree=D)
-    sub = (mask - 1) & mask
-    while True:
-        term = sigma_power(D, rank_b - pm.rank(sub)) * _p_recursive(pm, sub, D)
-        if (size - sub.bit_count()) % 2:
-            total = total + term
-        else:
-            total = total - term
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    result = total.truncate(size - 1)
-    pm._p_cache[key] = result
+    if mask == 0:
+        result = SchurSeries._make({(): 1}, 0)
+    else:
+        size = mask.bit_count()
+        buckets: dict[int, dict] = {}
+        sub = (mask - 1) & mask
+        while True:
+            # the outer minus sign of the recursion is folded in here
+            sign = 1 if (size - sub.bit_count()) % 2 else -1
+            _add_into(buckets.setdefault(pm.rank(sub), {}), _p(pm, sub), sign)
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        result = SchurSeries._make(
+            _sum_of_sigma_powers(buckets, pm.rank(mask), size - 1), size - 1
+        )
+    pm._p_cache[mask] = result
     return result
 
 
 def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
     """Equivariant Hilbert series of the product ideal of the arrangement.
 
-    Computed by the subset recursion rearranged from the identity
-      sigma^(m - rk A) P(A) = sum over B of (-1)^|B| H(B),
-    with base case H of the empty set sigma^m.  Truncated to ``truncation``,
-    which must be at least the generation degree t.
+    By Moebius inversion of sigma^(m - rk A) P(A) = sum over B of
+    (-1)^|B| H(B), H = sum over r of sigma^(m - r) Q_r, where Q_r is the sum
+    of (-1)^|B| P(B) over the subsets B of rank r.  Truncated to
+    ``truncation``, which must be at least the generation degree t.
     """
     t = len(arr.subspaces)
     if truncation < t:
         raise ValueError(
             f"truncation degree {truncation} below generation degree {t}"
         )
-    D = truncation
-    m = arr.ambient_dim
     pm = polymatroid_of(arr)
-    memo: dict[int, SchurSeries] = {}
-
-    def series(mask: int) -> SchurSeries:
-        if mask == 0:
-            return sigma_power(D, m)
-        if mask in memo:
-            return memo[mask]
-        acc = sigma_power(D, m - pm.rank(mask)) * _p_recursive(pm, mask, D)
-        sub = (mask - 1) & mask
-        while True:
-            if sub.bit_count() % 2:
-                acc = acc + series(sub)
-            else:
-                acc = acc - series(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        result = acc if mask.bit_count() % 2 == 0 else -acc
-        memo[mask] = result
-        return result
-
-    return series((1 << t) - 1)
+    buckets: dict[int, dict] = {}
+    for mask in range(1 << t):
+        sign = -1 if mask.bit_count() % 2 else 1
+        _add_into(buckets.setdefault(pm.rank(mask), {}), _p(pm, mask), sign)
+    return SchurSeries._make(
+        _sum_of_sigma_powers(buckets, arr.ambient_dim, truncation), truncation
+    )
 
 
 def lines_first_disagreement(arr: Arrangement, truncation: int) -> int | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schur import SchurSeries, sigma_power
+from .schur import SchurSeries, times_sigma_power
 
 
 class LinearityError(ValueError):
@@ -88,7 +88,7 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
     D = series.degree
     if D < t:
         raise ValueError(f"series truncation {D} below generation degree {t}")
-    reduced = series * sigma_power(D, -ambient_dim)
+    reduced = times_sigma_power(series, -ambient_dim)
     for d in range(t):
         part = reduced.graded_part(d)
         if part:
@@ -132,6 +132,6 @@ def series_from_betti(table: BettiTable, ambient_dim: int) -> SchurSeries:
     D = table.columns[0].degree
     total = SchurSeries({}, degree=D)
     for i, col in enumerate(table.columns):
-        term = sigma_power(D, ambient_dim) * col
+        term = times_sigma_power(col, ambient_dim)
         total = total - term if i % 2 else total + term
     return total

@@ -168,6 +168,10 @@ def _check_config(cfg: JobConfig):
         raise InputError(
             f"--oracle-check degree must be nonnegative (0 disables), got {cfg.oracle_degree}"
         )
+    if cfg.dim_v < 0:
+        raise InputError(
+            f"--dim-v must be nonnegative (0 means no oracle), got {cfg.dim_v}"
+        )
     needs_oracle = cfg.oracle_degree > 0 or cfg.ideal == "intersection"
     if needs_oracle and cfg.dim_v < 1:
         raise InputError("oracle-backed computations need --dim-v >= 1")
@@ -555,6 +559,9 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"size cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ValueError as exc:
+        print(f"validation failed: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     text = render_report(report, args.format)
     if args.output:

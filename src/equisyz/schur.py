@@ -3,9 +3,14 @@
 A :class:`SchurSeries` is a finite integer combination of Schur functions
 ``s_lam`` together with an explicit truncation degree D.  Every operation
 truncates its result, so a series is always an honest window (all degrees
-up to D are exact, nothing above D is stored).  Products are expanded with
-the Littlewood-Richardson rule; ``omega`` conjugates every index, which is
-the symmetric-to-exterior transpose at the level of characters.
+up to D are exact, nothing above D is stored).  The pipeline only ever
+multiplies by powers of sigma = 1 + s_1 + s_2 + ..., and does so with the
+Pieri rules (Macdonald, Symmetric Functions and Hall Polynomials, I.5):
+one factor sigma adds every horizontal strip, one factor sigma^-1 adds
+every vertical strip with sign (-1)^size.  The general product of two
+series, expanded with the Littlewood-Richardson rule, remains for the ring
+API.  ``omega`` conjugates every index, which is the symmetric-to-exterior
+transpose at the level of characters.
 
 Series are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -45,6 +50,45 @@ def _pair_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], 
         if c:
             out.append((lam, c))
     return tuple(out)
+
+
+@cache
+def _horizontal_strips(lam: Partition, budget: int) -> tuple[Partition, ...]:
+    """Every mu such that mu/lam is a horizontal strip of at most ``budget``
+    cells: lam_i <= mu_i <= lam_(i-1), with one new row at the bottom."""
+    out = []
+
+    def extend(i: int, left: int, prefix: tuple[int, ...]):
+        if i > len(lam):
+            out.append(tuple(p for p in prefix if p))
+            return
+        low = lam[i] if i < len(lam) else 0
+        high = low + left if i == 0 else min(lam[i - 1], low + left)
+        for v in range(low, high + 1):
+            extend(i + 1, left - (v - low), prefix + (v,))
+
+    extend(0, budget, ())
+    return tuple(out)
+
+
+@cache
+def _pieri_terms(
+    lam: Partition, budget: int, inverse: bool
+) -> tuple[tuple[Partition, int], ...]:
+    """Expansion of s_lam * sigma, or of s_lam * sigma^-1 when ``inverse``,
+    keeping the terms that add at most ``budget`` cells.
+
+    sigma = sum of h_j adds every horizontal strip; sigma^-1 = sum of
+    (-1)^j e_j adds every vertical strip, the conjugate of a horizontal
+    strip of the conjugate, with sign (-1)^size.
+    """
+    if not inverse:
+        return tuple((mu, 1) for mu in _horizontal_strips(lam, budget))
+    size = sum(lam)
+    return tuple(
+        (conjugate(mu), -1 if (sum(mu) - size) % 2 else 1)
+        for mu in _horizontal_strips(conjugate(lam), budget)
+    )
 
 
 class SchurSeries:
@@ -286,16 +330,24 @@ def sigma(degree: int) -> SchurSeries:
     )
 
 
+def times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
+    """series * sigma^k truncated at ``series.degree``, one Pieri factor
+    sigma (k > 0) or sigma^-1 (k < 0) at a time."""
+    D = series.degree
+    coeffs = dict(series.coeffs)
+    for _ in range(abs(k)):
+        acc: dict[Partition, int] = {}
+        for lam, c in coeffs.items():
+            for mu, sign in _pieri_terms(lam, D - sum(lam), k < 0):
+                acc[mu] = acc.get(mu, 0) + sign * c
+        coeffs = {mu: c for mu, c in acc.items() if c}
+    return SchurSeries._make(coeffs, D)
+
+
 @cache
 def sigma_power(degree: int, k: int) -> SchurSeries:
-    """Cached sigma(degree) ** k; negative k goes through the inverse."""
-    if k == 0:
-        return one(degree)
-    if k == -1:
-        return sigma(degree).invert()
-    if k < 0:
-        return sigma_power(degree, k + 1) * sigma_power(degree, -1)
-    return sigma_power(degree, k - 1) * sigma(degree)
+    """Cached sigma(degree) ** k; negative k means powers of the inverse."""
+    return times_sigma_power(one(degree), k)
 
 
 def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:

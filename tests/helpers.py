@@ -6,14 +6,22 @@ fillings and peeling weight tables, so they can certify the tableau-based
 Littlewood-Richardson implementation.  The weight tables of product, wedge
 and intersection ideals are rederived with Fraction elimination on the
 unscaled annihilator forms, and with dense vanishing conditions, so they
-can certify the fraction-free elimination of ``equisyz.oracle``.
+can certify the fraction-free elimination of ``equisyz.oracle``.  The
+formula side keeps its first implementation here too: the subset
+recursions for P and H at full truncation degree, and powers of sigma as
+chains of general Littlewood-Richardson products, to certify the Moebius
+inversion and the Pieri kernel.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from equisyz.arrangements import Arrangement
+from hypothesis import strategies as st
+
+from equisyz.arrangements import Arrangement, Polymatroid, polymatroid_of
 from equisyz.linalg import Subspace, row_reduce
+from equisyz.schur import SchurSeries, one, sigma
 
 
 # -- arrangements used throughout ------------------------------------------
@@ -44,6 +52,33 @@ def lines_in_plane(t: int) -> Arrangement:
     spans = [[1, 0], [0, 1], [1, 1], [1, -1], [1, 2], [2, 1]][:t]
     subs = tuple(Subspace.from_vectors([v], 2) for v in spans)
     return Arrangement(2, subs)
+
+
+NONZERO = [Fraction(x) for x in ("1", "2", "1/2", "1/3", "2/3", "3/2")]
+
+
+@st.composite
+def pooled_arrangements(draw, m=3, dims=(2,), min_t=2, max_t=3):
+    """Subspaces of Q^m of the given dimensions (planes of Q^3 unless told
+    otherwise), each spanned by vectors from one small rational pool, so
+    that they meet non-generically: subspaces through a common line, equal
+    subspaces, a line inside a plane."""
+    entry = st.sampled_from([Fraction(0)] + NONZERO + [-x for x in NONZERO])
+    pool = draw(
+        st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m + 1)
+    )
+
+    def span(k):
+        return st.lists(
+            st.sampled_from(range(len(pool))), min_size=k, max_size=k, unique=True
+        )
+
+    subs = draw(
+        st.lists(st.sampled_from(dims).flatmap(span), min_size=min_t, max_size=max_t)
+    )
+    return Arrangement(
+        m, tuple(Subspace.from_vectors([pool[i] for i in idx], m) for idx in subs)
+    )
 
 
 def worked_product_arrangements():
@@ -312,3 +347,79 @@ def reference_intersection_weights(arr: Arrangement, n: int, d: int) -> dict:
         if dim:
             table[w] = dim
     return table
+
+
+# -- slow references for the formula side ------------------------------------
+
+
+@cache
+def reference_sigma_power(degree: int, k: int) -> SchurSeries:
+    """sigma(degree) ** k as a chain of general Littlewood-Richardson
+    products; negative k goes through the degree-by-degree inverse."""
+    if k == 0:
+        return one(degree)
+    if k == -1:
+        return sigma(degree).invert()
+    if k < 0:
+        return reference_sigma_power(degree, k + 1) * reference_sigma_power(degree, -1)
+    return reference_sigma_power(degree, k - 1) * sigma(degree)
+
+
+def reference_p(pm: Polymatroid, mask: int, D: int, memo=None) -> SchurSeries:
+    """Correction polynomial P(B) by the subset recursion at full degree D:
+    the degree <= |B|-1 part of
+      - sum over proper subsets C of (-1)^(|B|-|C|) sigma^(rk B - rk C) P(C)."""
+    memo = {} if memo is None else memo
+    if mask == 0:
+        return one(D)
+    if mask in memo:
+        return memo[mask]
+    size = mask.bit_count()
+    rank_b = pm.rank(mask)
+    total = SchurSeries({}, degree=D)
+    sub = (mask - 1) & mask
+    while True:
+        term = reference_sigma_power(D, rank_b - pm.rank(sub)) * reference_p(
+            pm, sub, D, memo
+        )
+        if (size - sub.bit_count()) % 2:
+            total = total + term
+        else:
+            total = total - term
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
+    memo[mask] = total.truncate(size - 1)
+    return memo[mask]
+
+
+def reference_hilbert_product(arr: Arrangement, D: int) -> SchurSeries:
+    """Hilbert series of the product ideal by the memoized subset recursion
+    rearranged from sigma^(m - rk A) P(A) = sum over B of (-1)^|B| H(B),
+    with H of the empty set sigma^m."""
+    m = arr.ambient_dim
+    pm = polymatroid_of(arr)
+    p_memo: dict = {}
+    memo: dict = {}
+
+    def series(mask: int) -> SchurSeries:
+        if mask == 0:
+            return reference_sigma_power(D, m)
+        if mask in memo:
+            return memo[mask]
+        acc = reference_sigma_power(D, m - pm.rank(mask)) * reference_p(
+            pm, mask, D, p_memo
+        )
+        sub = (mask - 1) & mask
+        while True:
+            if sub.bit_count() % 2:
+                acc = acc + series(sub)
+            else:
+                acc = acc - series(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        memo[mask] = acc if mask.bit_count() % 2 == 0 else -acc
+        return memo[mask]
+
+    return series((1 << len(arr.subspaces)) - 1)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisyz.arrangements import (
     Arrangement,
@@ -21,6 +23,9 @@ from helpers import (
     origin_copies,
     worked_product_arrangements,
     plane_and_normal_line,
+    pooled_arrangements,
+    reference_hilbert_product,
+    reference_p,
 )
 
 
@@ -190,6 +195,35 @@ def test_defining_relation_on_all_subsets():
                 sub = (sub - 1) & mask
             expected = sigma_power(D, m - pm.rank(mask)) * p_polynomial(pm, mask, D)
             assert total == expected, (arr, mask)
+
+
+# -- closed forms against the subset recursions ---------------------------------
+
+
+def rational_arrangements(max_t):
+    """Subspaces of Q^2 .. Q^4 of every proper dimension, from one pool."""
+    return st.integers(min_value=2, max_value=4).flatmap(
+        lambda m: pooled_arrangements(m=m, dims=tuple(range(m)), min_t=1, max_t=max_t)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=rational_arrangements(max_t=5), extra=st.integers(min_value=0, max_value=2))
+def test_hilbert_product_matches_subset_recursion(arr, extra):
+    D = len(arr) + extra
+    assert hilbert_product(arr, D) == reference_hilbert_product(arr, D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=rational_arrangements(max_t=5), extra=st.integers(min_value=0, max_value=2))
+def test_p_polynomial_matches_subset_recursion(arr, extra):
+    D = len(arr) + extra
+    pm = polymatroid_of(arr)
+    memo = {}
+    for mask in range(1 << len(arr)):
+        got = p_polynomial(pm, mask, D)
+        assert got == reference_p(pm, mask, D, memo), mask
+        assert got.degree == D
 
 
 def test_lowest_degree_is_generation_degree():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from equisyz import cli
 from equisyz.cli import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -224,6 +225,30 @@ def test_main_negative_oracle_check_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--oracle-check degree must be nonnegative" in err
     assert "Traceback" not in err
+
+
+def test_main_negative_dim_v_is_input_error(tmp_path, capsys):
+    src = write_doc(tmp_path, AXES2)
+    assert main(["--input", src, "--max-degree", "3", "--dim-v", "-5"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--dim-v must be nonnegative" in err
+    assert "Traceback" not in err
+
+
+def test_main_value_error_below_run_job_is_validation_failure(
+    tmp_path, capsys, monkeypatch
+):
+    def broken(char, d):
+        raise ValueError("weight table is no character")
+
+    monkeypatch.setattr(cli, "character_to_schur", broken)
+    src = write_doc(tmp_path, AXES2)
+    argv = ["--input", src, "--max-degree", "3", "--oracle-check", "2", "--dim-v", "2"]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation failed: weight table is no character" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_main_size_cap_exit(tmp_path, monkeypatch):

@@ -1,0 +1,48 @@
+"""Golden reports: ``cli.main`` must reproduce each stored report byte for byte.
+
+Each case names an input document in ``tests/golden/`` and the flags of one
+job; its expected reports are ``<case>.out.json``, ``<case>.out.md`` and
+``<case>.out.tex`` next to it.  After a deliberate change to the report
+format, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from equisyz.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "five_subspaces": ["--max-degree", "7"],
+    "lines_in_plane": ["--max-degree", "6", "--side", "exterior"],
+    "plane_and_line": ["--max-degree", "4", "--oracle-check", "3", "--dim-v", "3"],
+    "three_axes": ["--max-degree", "3", "--ideal", "intersection", "--dim-v", "3"],
+}
+
+FORMATS = {"json": "json", "markdown": "md", "latex": "tex"}
+
+
+def _run(case: str, fmt: str, out: Path) -> int:
+    argv = ["--input", str(GOLDEN / f"{case}.json"), *CASES[case]]
+    return main(argv + ["--format", fmt, "--output", str(out)])
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, fmt, tmp_path):
+    out = tmp_path / "report"
+    assert _run(case, fmt, out) == EXIT_OK
+    expected = GOLDEN / f"{case}.out.{FORMATS[fmt]}"
+    assert out.read_bytes() == expected.read_bytes()
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        for fmt, ext in FORMATS.items():
+            code = _run(case, fmt, GOLDEN / f"{case}.out.{ext}")
+            print(f"{case} {fmt}: exit {code}", file=sys.stderr)

@@ -27,6 +27,7 @@ from helpers import (
     origin_copies,
     worked_product_arrangements,
     plane_and_normal_line,
+    pooled_arrangements,
     reference_intersection_weights,
     reference_span_weights,
     symmetric_orbit_ok,
@@ -329,27 +330,6 @@ def test_intersection_series_independent_of_dim_v():
 
 
 # -- cross checks --------------------------------------------------------------
-
-
-NONZERO = [Fraction(x) for x in ("1", "2", "1/2", "1/3", "2/3", "3/2")]
-
-
-@st.composite
-def pooled_arrangements(draw):
-    """Two or three planes of Q^3, each spanned by two vectors from one small
-    rational pool, so that they meet non-generically: planes through a
-    common line, equal planes."""
-    entry = st.sampled_from([Fraction(0)] + NONZERO + [-x for x in NONZERO])
-    pool = draw(
-        st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=4)
-    )
-    pair = st.lists(
-        st.sampled_from(range(len(pool))), min_size=2, max_size=2, unique=True
-    )
-    subs = draw(st.lists(pair, min_size=2, max_size=3))
-    return Arrangement(
-        3, tuple(Subspace.from_vectors([pool[i] for i in idx], 3) for idx in subs)
-    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,10 +9,11 @@ from equisyz.schur import (
     one,
     sigma,
     sigma_power,
+    times_sigma_power,
     zero,
 )
 
-from helpers import compositions
+from helpers import compositions, reference_sigma_power
 
 
 def series(coeffs, degree):
@@ -100,6 +101,37 @@ def test_invert_product_rule():
 
 def test_sigma_power_negative():
     assert sigma_power(4, -2) == sigma(4).invert() ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_times_sigma_power_matches_lr_products(data):
+    D = data.draw(st.integers(min_value=0, max_value=6))
+    pool = [lam for d in range(D + 1) for lam in partitions_of(d)]
+    terms = data.draw(
+        st.dictionaries(
+            st.sampled_from(pool), st.integers(min_value=-3, max_value=3), max_size=5
+        )
+    )
+    k = data.draw(st.integers(min_value=-4, max_value=4))
+    f = series(terms, D)
+    product = times_sigma_power(f, k)
+    assert product == f * sigma(D) ** k
+    assert product.degree == D
+
+
+def test_sigma_power_matches_lr_chain():
+    for D in range(7):
+        for k in range(-4, 5):
+            assert sigma_power(D, k) == reference_sigma_power(D, k), (D, k)
+
+
+def test_times_sigma_inverse_signs_vertical_strips():
+    # s_1 * sigma^-1 = s_1 * (1 - e_1 + e_2 - ...) up to degree 3
+    got = times_sigma_power(series({(1,): 1}, 3), -1)
+    assert got == series(
+        {(1,): 1, (2,): -1, (1, 1): -1, (2, 1): 1, (1, 1, 1): 1}, 3
+    )
 
 
 def test_invert_requires_unit_constant():
