@@ -42,6 +42,7 @@ from .errors import SizeCapError
 from .linalg import Subspace
 from .oracle import (
     DEFAULT_CAPS,
+    GradedCharacter,
     OracleCaps,
     character_to_schur,
     intersection_ideal_character,
@@ -188,11 +189,7 @@ def _check_config(cfg: JobConfig):
         )
 
 
-def _intersection_series(cfg: JobConfig) -> SchurSeries:
-    D = cfg.max_degree
-    char = intersection_ideal_character(
-        cfg.arrangement, cfg.dim_v, D, caps=cfg.caps
-    )
+def _intersection_series(char: GradedCharacter, D: int) -> SchurSeries:
     coeffs = {}
     for d in range(D + 1):
         part = character_to_schur(char, d)
@@ -200,7 +197,12 @@ def _intersection_series(cfg: JobConfig) -> SchurSeries:
     return SchurSeries(coeffs, degree=D)
 
 
-def _oracle_section(cfg: JobConfig, hseries: SchurSeries, validations: dict) -> dict:
+def _oracle_section(
+    cfg: JobConfig,
+    hseries: SchurSeries,
+    intersection_char: GradedCharacter | None,
+    validations: dict,
+) -> dict:
     arr = cfg.arrangement
     n = cfg.dim_v
     d_max = cfg.oracle_degree
@@ -219,11 +221,6 @@ def _oracle_section(cfg: JobConfig, hseries: SchurSeries, validations: dict) -> 
     want_wedge = cfg.side in ("exterior", "both")
     wedge_char = (
         wedge_ideal_character(arr, n, d_max, caps=cfg.caps) if want_wedge else None
-    )
-    intersection_char = (
-        intersection_ideal_character(arr, n, d_max, caps=cfg.caps)
-        if cfg.ideal == "intersection"
-        else None
     )
 
     all_product_ok = True
@@ -280,11 +277,15 @@ def run_job(cfg: JobConfig) -> dict:
     ]
     p_series = p_polynomial(pm, (1 << t) - 1, D)
 
+    intersection_char = None
     if cfg.ideal == "product":
         hseries = hilbert_product(arr, D)
         generation_degree = t
     else:
-        hseries = _intersection_series(cfg)
+        intersection_char = intersection_ideal_character(
+            arr, cfg.dim_v, D, caps=cfg.caps
+        )
+        hseries = _intersection_series(intersection_char, D)
         lowest = hseries.min_degree()
         if lowest is None:
             raise InputError(
@@ -328,7 +329,7 @@ def run_job(cfg: JobConfig) -> dict:
     report["regularity"] = regs
 
     if cfg.oracle_degree > 0:
-        report["oracle"] = _oracle_section(cfg, hseries, validations)
+        report["oracle"] = _oracle_section(cfg, hseries, intersection_char, validations)
     else:
         report["oracle"] = None
 

@@ -10,9 +10,12 @@ can be row reduced one weight space at a time.
 
 This module spans degree-d pieces of product, intersection and wedge
 ideals by generator-times-monomial products and measures weight-space
-dimensions by exact elimination.  It shares no code path with the
-polymatroid recursion, which makes it an independent check on the series
-formulas.
+dimensions by exact elimination.  Every such ideal is GL(V)-stable, so the
+Weyl group S_n, permuting the coordinates of V, permutes its weight spaces:
+only dominant weights (partitions of d padded to length n) are eliminated,
+and each dimension is copied to every permutation of its weight.  The
+module shares no code path with the polymatroid recursion, which makes it
+an independent check on the series formulas.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product as cartesian
+from itertools import combinations, permutations, product as cartesian
 from math import comb, gcd, lcm
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
+from .partitions import partitions_of
 from .schur import SchurSeries, from_weight_multiplicities
 
 log = logging.getLogger(__name__)
@@ -236,10 +240,6 @@ class CoordinateIdealBasis:
         return CoordinateIdealBasis(arr.ambient_dim, n, tuple(out))
 
 
-def _linear_forms(arr: Arrangement, n: int):
-    return [list(forms) for forms in CoordinateIdealBasis.of(arr, n).forms_per_factor]
-
-
 def _compositions(total: int, parts: int):
     """All tuples of ``parts`` nonnegative integers summing to ``total``."""
     if total < 0:
@@ -317,15 +317,34 @@ def _weight_of_combo(combo, n: int) -> list[int]:
     return base
 
 
-def _bucket_ranks(buckets: dict) -> dict[Weight, int]:
+def _dominant_weights(d: int, n: int):
+    """Partitions of d with at most n parts, padded with zeros to length n."""
+    for lam in partitions_of(d, max_parts=n):
+        yield lam + (0,) * (n - len(lam))
+
+
+def _orbit_filled(dominant: dict[Weight, int]) -> dict[Weight, int]:
+    """Copy each dominant weight's dimension to every permutation of it."""
+    return {p: dim for w, dim in dominant.items() for p in set(permutations(w))}
+
+
+def _span_ranks(forms, n: int, d: int, rows) -> dict[Weight, int]:
+    """Weight table of the degree-d span of one form per factor times the
+    ``rows(combo, rest)`` of weight ``rest``: each dominant weight w is row
+    reduced over the combos whose weight fits under w, with rest = w minus
+    that weight, and its orbit is filled by symmetry."""
+    combos = [(combo, _weight_of_combo(combo, n)) for combo in cartesian(*forms)]
     table = {}
-    for w in sorted(buckets):
+    for w in _dominant_weights(d, n):
         ech = _Echelon()
-        for row in buckets[w]:
-            ech.add(row)
+        for combo, base in combos:
+            rest = tuple(a - b for a, b in zip(w, base))
+            if min(rest) >= 0:
+                for row in rows(combo, rest):
+                    ech.add(row)
         if ech.rank:
             table[w] = ech.rank
-    return table
+    return _orbit_filled(table)
 
 
 # -- characters --------------------------------------------------------------
@@ -337,31 +356,29 @@ def product_ideal_character(
     """Graded character of the product ideal J_1(V) ... J_t(V).
 
     Degree d is spanned by products of one basis form per factor times a
-    monomial of degree d - t; spanning vectors have pure V-weight and each
-    weight bucket is row reduced exactly.
+    monomial of degree d - t; spanning vectors have pure V-weight, each
+    dominant weight space is row reduced exactly, and the other weights
+    follow by S_n symmetry.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
-    t = len(arr.subspaces)
-    forms = _linear_forms(arr, n)
+    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
+
+    def rows(combo, rest):
+        for mono in _weight_monomials(rest, m, n):
+            poly = {mono: 1}
+            for _, form in combo:
+                poly = _poly_times_form(poly, form)
+            if poly:
+                yield poly
+
     weights: dict[int, dict[Weight, int]] = {}
     for d in range(d_max + 1):
         log.info(
             "product oracle degree %d: monomial space dimension %d",
             d, comb(m * n + d - 1, d),
         )
-        buckets: dict[Weight, list[dict]] = {}
-        for combo in cartesian(*forms):
-            base = _weight_of_combo(combo, n)
-            for w_rest in _compositions(d - t, n):
-                w = tuple(a + b for a, b in zip(base, w_rest))
-                for mono in _weight_monomials(w_rest, m, n):
-                    poly = {mono: 1}
-                    for _, form in combo:
-                        poly = _poly_times_form(poly, form)
-                    if poly:
-                        buckets.setdefault(w, []).append(poly)
-        weights[d] = _bucket_ranks(buckets)
+        weights[d] = _span_ranks(forms, n, d, rows)
     return GradedCharacter(n=n, weights=weights)
 
 
@@ -371,13 +388,13 @@ def intersection_ideal_character(
     """Graded character of the intersection ideal J_1(V) cap ... cap J_t(V).
 
     Each factor's degree-d piece is the span of its forms times degree d-1
-    monomials; the intersection is computed weight space by weight space by
-    stacking annihilators, which is exact and keeps the matrices small.
+    monomials; the intersection is computed one dominant weight space at a
+    time by stacking annihilators, which is exact and keeps the matrices
+    small, and the other weights follow by S_n symmetry.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
-    t = len(arr.subspaces)
-    forms = _linear_forms(arr, n)
+    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
     weights: dict[int, dict[Weight, int]] = {}
     for d in range(d_max + 1):
         log.info(
@@ -385,13 +402,13 @@ def intersection_ideal_character(
             d, comb(m * n + d - 1, d),
         )
         table: dict[Weight, int] = {}
-        for w in _compositions(d, n):
+        for w in _dominant_weights(d, n):
             labels = list(_weight_monomials(w, m, n))
             ambient = len(labels)
             stack = _Echelon()
-            for k in range(t):
+            for factor_forms in forms:
                 factor = _Echelon()
-                for i, form in forms[k]:
+                for i, form in factor_forms:
                     if w[i] == 0:
                         continue
                     w_minus = tuple(
@@ -406,7 +423,7 @@ def intersection_ideal_character(
             dim = ambient - stack.rank
             if dim:
                 table[w] = dim
-        weights[d] = table
+        weights[d] = _orbit_filled(table)
     return GradedCharacter(n=n, weights=weights)
 
 
@@ -416,40 +433,38 @@ def wedge_ideal_character(
     """Graded character of the wedge ideal J_1(V) ^ ... ^ J_t(V) in the
     exterior algebra on W tensor V.
 
-    Same spanning strategy as the product, inside the exterior algebra:
-    exterior monomials are sorted variable tuples in the fixed (j,i)-lex
-    variable order and every wedge tracks the sorting sign.
+    Same spanning strategy as the product, dominant weights only, inside
+    the exterior algebra: exterior monomials are sorted variable tuples in
+    the fixed (j,i)-lex variable order and every wedge tracks the sorting
+    sign.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
-    t = len(arr.subspaces)
     if d_max > m * n:
         raise ValueError(
             f"degree {d_max} exceeds the exterior top degree {m * n}"
         )
-    forms = _linear_forms(arr, n)
+    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
+
+    def rows(combo, rest):
+        for emono in _exterior_weight_monomials(rest, m, n):
+            elem = {(): 1}
+            for _, form in combo:
+                elem = _ext_times_form(elem, form)
+                if not elem:
+                    break
+            for v in emono:
+                if not elem:
+                    break
+                elem = _ext_times_form(elem, {v: 1})
+            if elem:
+                yield elem
+
     weights: dict[int, dict[Weight, int]] = {}
     for d in range(d_max + 1):
         log.info(
             "wedge oracle degree %d: exterior monomial space dimension %d",
             d, comb(m * n, d),
         )
-        buckets: dict[Weight, list[dict]] = {}
-        for combo in cartesian(*forms):
-            base = _weight_of_combo(combo, n)
-            for w_rest in _compositions(d - t, n):
-                w = tuple(a + b for a, b in zip(base, w_rest))
-                for emono in _exterior_weight_monomials(w_rest, m, n):
-                    elem = {(): 1}
-                    for _, form in combo:
-                        elem = _ext_times_form(elem, form)
-                        if not elem:
-                            break
-                    for v in emono:
-                        if not elem:
-                            break
-                        elem = _ext_times_form(elem, {v: 1})
-                    if elem:
-                        buckets.setdefault(w, []).append(elem)
-        weights[d] = _bucket_ranks(buckets)
+        weights[d] = _span_ranks(forms, n, d, rows)
     return GradedCharacter(n=n, weights=weights)

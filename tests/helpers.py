@@ -6,7 +6,9 @@ fillings and peeling weight tables, so they can certify the tableau-based
 Littlewood-Richardson implementation.  The weight tables of product, wedge
 and intersection ideals are rederived with Fraction elimination on the
 unscaled annihilator forms, and with dense vanishing conditions, so they
-can certify the fraction-free elimination of ``equisyz.oracle``.  The
+can certify the fraction-free elimination of ``equisyz.oracle``; the
+oracle's first loops, which eliminate every weight rather than one per
+permutation orbit, are kept too, to certify the orbit fill.  The
 formula side keeps its first implementation here too: the subset
 recursions for P and H at full truncation degree, and powers of sigma as
 chains of general Littlewood-Richardson products, to certify the Moebius
@@ -21,6 +23,14 @@ from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, Polymatroid, polymatroid_of
 from equisyz.linalg import Subspace, row_reduce
+from equisyz.oracle import (
+    CoordinateIdealBasis,
+    _Echelon,
+    _exterior_weight_monomials,
+    _ext_times_form,
+    _poly_times_form,
+    _weight_monomials,
+)
 from equisyz.schur import SchurSeries, one, sigma
 
 
@@ -347,6 +357,68 @@ def reference_intersection_weights(arr: Arrangement, n: int, d: int) -> dict:
         if dim:
             table[w] = dim
     return table
+
+
+def all_weights_span(arr: Arrangement, n: int, d_max: int, exterior: bool) -> dict:
+    """Weight tables by degree of the product ideal, or of the wedge ideal
+    when ``exterior``, as the oracle first computed them: every combo of
+    one form per factor times every monomial, bucketed by the weight it
+    lands in, and every bucket row reduced."""
+    m = arr.ambient_dim
+    t = len(arr.subspaces)
+    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
+    weights = {}
+    for d in range(d_max + 1):
+        buckets: dict = {}
+        for combo in product(*forms):
+            base = [0] * n
+            for i, _ in combo:
+                base[i] += 1
+            for w_rest in compositions(d - t, n):
+                w = tuple(a + b for a, b in zip(base, w_rest))
+                if exterior:
+                    for emono in _exterior_weight_monomials(w_rest, m, n):
+                        elem = {(): 1}
+                        for form in [f for _, f in combo] + [{v: 1} for v in emono]:
+                            elem = _ext_times_form(elem, form)
+                        if elem:
+                            buckets.setdefault(w, _Echelon()).add(elem)
+                else:
+                    for mono in _weight_monomials(w_rest, m, n):
+                        poly = {mono: 1}
+                        for _, form in combo:
+                            poly = _poly_times_form(poly, form)
+                        if poly:
+                            buckets.setdefault(w, _Echelon()).add(poly)
+        weights[d] = {w: e.rank for w, e in buckets.items() if e.rank}
+    return weights
+
+
+def all_weights_intersection(arr: Arrangement, n: int, d_max: int) -> dict:
+    """Weight tables by degree of the intersection ideal as the oracle
+    first computed them: every weight of every degree, each the common
+    nullspace of the factors' spans."""
+    m = arr.ambient_dim
+    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
+    weights = {}
+    for d in range(d_max + 1):
+        table = {}
+        for w in compositions(d, n):
+            labels = list(_weight_monomials(w, m, n))
+            stack = _Echelon()
+            for factor_forms in forms:
+                factor = _Echelon()
+                for i, form in factor_forms:
+                    if w[i]:
+                        w_minus = tuple(x - (k == i) for k, x in enumerate(w))
+                        for mono in _weight_monomials(w_minus, m, n):
+                            factor.add(_poly_times_form({mono: 1}, form))
+                for vec in factor.nullspace(labels):
+                    stack.add(vec)
+            if len(labels) > stack.rank:
+                table[w] = len(labels) - stack.rank
+        weights[d] = table
+    return weights
 
 
 # -- slow references for the formula side ------------------------------------

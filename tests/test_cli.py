@@ -144,6 +144,30 @@ def test_intersection_job_three_axes():
     assert report["validations"]["oracle_containment"] is True
 
 
+def test_intersection_job_computes_its_character_once(monkeypatch):
+    """The series and the oracle section share one intersection character;
+    the section reads its degrees up to --oracle-check."""
+    calls = []
+    real = cli.intersection_ideal_character
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "intersection_ideal_character", counted)
+    cfg = JobConfig(
+        parse_arrangement(AXES3),
+        max_degree=3,
+        ideal="intersection",
+        oracle_degree=2,
+        dim_v=3,
+    )
+    report = run_job(cfg)
+    assert len(calls) == 1
+    assert [e["degree"] for e in report["oracle"]["degrees"]] == [1, 2]
+    assert report["validations"]["oracle_containment"] is True
+
+
 def test_intersection_job_requires_enough_dim_v():
     cfg = JobConfig(
         parse_arrangement(AXES3), max_degree=4, ideal="intersection", dim_v=2

@@ -1,8 +1,9 @@
 """Golden reports: ``cli.main`` must reproduce each stored report byte for byte.
 
-Each case names an input document in ``tests/golden/`` and the flags of one
-job; its expected reports are ``<case>.out.json``, ``<case>.out.md`` and
-``<case>.out.tex`` next to it.  After a deliberate change to the report
+Each case names an input document in ``tests/golden/`` (``<case>.json``,
+unless ``DOCUMENTS`` names another) and the flags of one job; its expected
+reports are ``<case>.out.json``, ``<case>.out.md`` and ``<case>.out.tex``
+next to it.  After a deliberate change to the report
 format, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,13 +23,20 @@ CASES = {
     "lines_in_plane": ["--max-degree", "6", "--side", "exterior"],
     "plane_and_line": ["--max-degree", "4", "--oracle-check", "3", "--dim-v", "3"],
     "three_axes": ["--max-degree", "3", "--ideal", "intersection", "--dim-v", "3"],
+    "three_axes_oracle": [
+        "--max-degree", "3", "--ideal", "intersection", "--oracle-check", "3",
+        "--dim-v", "3",
+    ],
 }
+
+DOCUMENTS = {"three_axes_oracle": "three_axes"}
 
 FORMATS = {"json": "json", "markdown": "md", "latex": "tex"}
 
 
 def _run(case: str, fmt: str, out: Path) -> int:
-    argv = ["--input", str(GOLDEN / f"{case}.json"), *CASES[case]]
+    doc = DOCUMENTS.get(case, case)
+    argv = ["--input", str(GOLDEN / f"{doc}.json"), *CASES[case]]
     return main(argv + ["--format", fmt, "--output", str(out)])
 
 

@@ -23,6 +23,8 @@ from equisyz.oracle import (
 from equisyz.schur import SchurSeries, sigma
 
 from helpers import (
+    all_weights_intersection,
+    all_weights_span,
     axes,
     origin_copies,
     worked_product_arrangements,
@@ -333,17 +335,25 @@ def test_intersection_series_independent_of_dim_v():
 
 
 @settings(max_examples=40, deadline=None)
-@given(arr=pooled_arrangements(), n=st.integers(min_value=1, max_value=2))
+@given(arr=pooled_arrangements(), n=st.integers(min_value=1, max_value=3))
 def test_oracles_match_slow_reference(arr, n):
-    """Fraction-free characters equal the Fraction-elimination and dense
-    vanishing-condition references."""
+    """Characters filled from their dominant weights equal the oracle's
+    every-weight loops, and the Fraction-elimination and dense
+    vanishing-condition references.  At n = 3 an orbit has up to six
+    weights, more than the cyclic shifts of its dominant one."""
     d_max = 3
     prod = product_ideal_character(arr, n, d_max)
     wedge = wedge_ideal_character(arr, n, d_max)
     inter = intersection_ideal_character(arr, n, d_max)
+    every_prod = all_weights_span(arr, n, d_max, False)
+    every_wedge = all_weights_span(arr, n, d_max, True)
+    every_inter = all_weights_intersection(arr, n, d_max)
     for d in range(d_max + 1):
+        assert prod.weights[d] == every_prod[d], d
         assert prod.weights[d] == reference_span_weights(arr, n, d, False), d
+        assert wedge.weights[d] == every_wedge[d], d
         assert wedge.weights[d] == reference_span_weights(arr, n, d, True), d
+        assert inter.weights[d] == every_inter[d], d
         assert inter.weights[d] == reference_intersection_weights(arr, n, d), d
 
 
