@@ -137,7 +137,6 @@ class JobConfig:
     oracle_degree: int = 0  # 0 disables oracle checks
     dim_v: int = 0
     output_format: str = "json"  # json | markdown | latex
-    output_path: str | None = None
     caps: OracleCaps = field(default_factory=lambda: DEFAULT_CAPS)
 
 
@@ -550,7 +549,6 @@ def main(argv=None) -> int:
             oracle_degree=args.oracle_check,
             dim_v=args.dim_v,
             output_format=args.format,
-            output_path=args.output,
             caps=caps,
         )
         report = run_job(cfg)
@@ -566,8 +564,12 @@ def main(argv=None) -> int:
 
     text = render_report(report, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"input error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     if report["status"] != "ok":

@@ -8,14 +8,19 @@ k-th subspace - each such form has pure V-weight e_i, so every ideal in
 sight is graded by V-weights and both the polynomial and the exterior side
 can be row reduced one weight space at a time.
 
-This module spans degree-d pieces of product, intersection and wedge
-ideals by generator-times-monomial products and measures weight-space
-dimensions by exact elimination.  Every such ideal is GL(V)-stable, so the
-Weyl group S_n, permuting the coordinates of V, permutes its weight spaces:
-only dominant weights (partitions of d padded to length n) are eliminated,
-and each dimension is copied to every permutation of its weight.  The
-module shares no code path with the polymatroid recursion, which makes it
-an independent check on the series formulas.
+This module measures the weight-space dimensions of product, intersection
+and wedge ideals by exact elimination, and eliminates only what it cannot
+deduce.  Every such ideal is GL(V)-stable, so the Weyl group S_n permutes
+its weight spaces: only dominant weights (partitions of d padded to length
+n) are eliminated, and each dimension is copied to every permutation of its
+weight.  By Cauchy, Sym(W tensor V) is the sum of the S_lam W tensor S_lam V,
+so every S_lam(V) in a product or intersection ideal has at most m rows:
+only dominant weights with at most m parts are eliminated, and the others
+follow from Kostka numbers.  The product and wedge ideals are generated in
+degree t, so each degree above t is spanned by the variables times the
+previous degree's basis.  The module shares no code path with the
+polymatroid recursion, which makes it an independent check on the series
+formulas.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, permutations, product as cartesian
-from math import comb, gcd, lcm
+from itertools import permutations, product as cartesian
+from math import gcd, lcm
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
-from .partitions import partitions_of
+from .partitions import kostka_number, partitions_of
 from .schur import SchurSeries, from_weight_multiplicities
 
 log = logging.getLogger(__name__)
@@ -268,16 +273,6 @@ def _weight_monomials(w: Weight, m: int, n: int):
         yield tuple(exp)
 
 
-def _exterior_weight_monomials(w: Weight, m: int, n: int):
-    """Sorted variable-index tuples of the exterior monomials of weight w."""
-    if any(wi > m for wi in w):
-        return
-    per_column = [list(combinations(range(m), wi)) for wi in w]
-    for choice in cartesian(*per_column):
-        vars_ = [j * n + i for i, col in enumerate(choice) for j in col]
-        yield tuple(sorted(vars_))
-
-
 def _poly_times_form(poly: dict, form: dict) -> dict:
     out: dict = {}
     for mono, c in poly.items():
@@ -310,17 +305,53 @@ def _ext_times_form(elem: dict, form: dict) -> dict:
     return out
 
 
-def _weight_of_combo(combo, n: int) -> list[int]:
-    base = [0] * n
-    for i, _ in combo:
-        base[i] += 1
-    return base
+def _poly_renamed(poly: dict, perm) -> dict:
+    """poly with every z[j,k] renamed z[j,perm[k]]."""
+    n = len(perm)
+    src = [0] * len(next(iter(poly)))
+    for v in range(len(src)):
+        src[v - v % n + perm[v % n]] = v
+    return {tuple(mono[s] for s in src): c for mono, c in poly.items()}
 
 
-def _dominant_weights(d: int, n: int):
-    """Partitions of d with at most n parts, padded with zeros to length n."""
-    for lam in partitions_of(d, max_parts=n):
-        yield lam + (0,) * (n - len(lam))
+def _ext_renamed(elem: dict, perm) -> dict:
+    """elem with every z[j,k] renamed z[j,perm[k]]; each monomial is sorted
+    again and picks up the sign of that sorting permutation."""
+    n = len(perm)
+    out = {}
+    for mono, c in elem.items():
+        vs = [v - v % n + perm[v % n] for v in mono]
+        swaps = sum(a > b for x, a in enumerate(vs) for b in vs[x + 1:])
+        out[tuple(sorted(vs))] = -c if swaps % 2 else c
+    return out
+
+
+def _dominant_weights(d: int, n: int, parts: int) -> list[Weight]:
+    """Partitions of d with at most ``parts`` parts, padded with zeros to length n."""
+    return [lam + (0,) * (n - len(lam)) for lam in partitions_of(d, max_parts=parts)]
+
+
+def _support_filled(table: dict[Weight, int], d: int, n: int, rows: int):
+    """Complete the dominant weights of a representation whose S_lam(V)
+    have at most ``rows`` rows, from those with at most ``rows`` parts: the
+    c_lam are peeled in decreasing lex order (unitriangular, as K_{nu lam}
+    != 0 needs nu to dominate lam), and then mu gets sum c_lam K_{lam mu}."""
+    if n <= rows:
+        return table
+    coeffs: dict = {}
+    for lam in partitions_of(d, max_parts=rows):
+        c = table.get(lam + (0,) * (n - len(lam)), 0) - sum(
+            cn * kostka_number(nu, lam) for nu, cn in coeffs.items()
+        )
+        if c:
+            coeffs[lam] = c
+    out = dict(table)
+    for mu in partitions_of(d, max_parts=n):
+        if len(mu) > rows:
+            dim = sum(c * kostka_number(lam, mu) for lam, c in coeffs.items())
+            if dim:
+                out[mu + (0,) * (n - len(mu))] = dim
+    return out
 
 
 def _orbit_filled(dominant: dict[Weight, int]) -> dict[Weight, int]:
@@ -328,23 +359,61 @@ def _orbit_filled(dominant: dict[Weight, int]) -> dict[Weight, int]:
     return {p: dim for w, dim in dominant.items() for p in set(permutations(w))}
 
 
-def _span_ranks(forms, n: int, d: int, rows) -> dict[Weight, int]:
-    """Weight table of the degree-d span of one form per factor times the
-    ``rows(combo, rest)`` of weight ``rest``: each dominant weight w is row
-    reduced over the combos whose weight fits under w, with rest = w minus
-    that weight, and its orbit is filled by symmetry."""
-    combos = [(combo, _weight_of_combo(combo, n)) for combo in cartesian(*forms)]
-    table = {}
-    for w in _dominant_weights(d, n):
-        ech = _Echelon()
-        for combo, base in combos:
-            rest = tuple(a - b for a, b in zip(w, base))
-            if min(rest) >= 0:
-                for row in rows(combo, rest):
+def _log_degree(name: str, d: int, n: int, eliminated: int, offered: int, kept: int):
+    filled = len(partitions_of(d, max_parts=n)) - eliminated if eliminated else 0
+    log.info("%s oracle degree %d: %d dominant weights eliminated, %d filled by "
+             "Kostka, %d rows offered, %d kept", name, d, eliminated, filled, offered, kept)
+
+
+def _span_character(name, forms, m, n, d_max, rows, one, times, renamed):
+    """Weight tables of the ideal generated by the products of one form per
+    factor, in the algebra with unit ``one``, product by a form ``times``
+    and V-index renaming ``renamed``.  Degree t is spanned by the products
+    of weight w; above it, I_{d,w} by z[j,i] times I_{d-1,w-e_i}, the stored
+    basis of the dominant permutation of w - e_i renamed into place.  Only
+    dominant weights with at most ``rows`` parts are eliminated."""
+    t = len(forms)
+    at_t: dict = {}
+    for combo in cartesian(*forms):
+        w = tuple(sum(i == k for i, _ in combo) for k in range(n))
+        at_t.setdefault(w, []).append(combo)
+    prev: dict[Weight, list] = {}
+
+    def products(w):
+        for combo in at_t.get(w, ()):
+            elem = one
+            for _, form in combo:
+                elem = times(elem, form)
+            yield elem
+
+    def raised(w):
+        for i in range(n):
+            if w[i]:
+                u = w[:i] + (w[i] - 1,) + w[i + 1:]
+                perm = sorted(range(n), key=lambda k: -u[k])
+                p = tuple(u[k] for k in perm)
+                for row in prev.get(p, ()):
+                    moved = row if p == u else renamed(row, perm)
+                    for j in range(m):
+                        yield times(moved, {j * n + i: 1})
+
+    weights: dict[int, dict[Weight, int]] = {}
+    for d in range(d_max + 1):
+        bases, offered = {}, 0
+        dominant = _dominant_weights(d, n, rows) if d >= t else []
+        for w in dominant:
+            ech = _Echelon()
+            for row in products(w) if d == t else raised(w):
+                if row:
+                    offered += 1
                     ech.add(row)
-        if ech.rank:
-            table[w] = ech.rank
-    return _orbit_filled(table)
+            if ech.rank:
+                bases[w] = list(ech.rows.values())
+        table = {w: len(basis) for w, basis in bases.items()}
+        _log_degree(name, d, n, len(dominant), offered, sum(table.values()))
+        weights[d] = _orbit_filled(_support_filled(table, d, n, rows))
+        prev = bases
+    return weights
 
 
 # -- characters --------------------------------------------------------------
@@ -355,30 +424,20 @@ def product_ideal_character(
 ) -> GradedCharacter:
     """Graded character of the product ideal J_1(V) ... J_t(V).
 
-    Degree d is spanned by products of one basis form per factor times a
-    monomial of degree d - t; spanning vectors have pure V-weight, each
-    dominant weight space is row reduced exactly, and the other weights
-    follow by S_n symmetry.
+    Degree t is spanned by the products of one basis form per factor, and
+    each degree above t by the variables times the previous degree's basis.
+    Spanning vectors have pure V-weight and each dominant weight space with
+    at most m parts is row reduced exactly.  By Cauchy, every S_lam(V) in
+    the ideal has at most m rows, so the other dominant weights follow by
+    Kostka numbers, and the remaining weights by S_n symmetry.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
     forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
-
-    def rows(combo, rest):
-        for mono in _weight_monomials(rest, m, n):
-            poly = {mono: 1}
-            for _, form in combo:
-                poly = _poly_times_form(poly, form)
-            if poly:
-                yield poly
-
-    weights: dict[int, dict[Weight, int]] = {}
-    for d in range(d_max + 1):
-        log.info(
-            "product oracle degree %d: monomial space dimension %d",
-            d, comb(m * n + d - 1, d),
-        )
-        weights[d] = _span_ranks(forms, n, d, rows)
+    weights = _span_character(
+        "product", forms, m, n, d_max, min(n, m),
+        {(0,) * (m * n): 1}, _poly_times_form, _poly_renamed,
+    )
     return GradedCharacter(n=n, weights=weights)
 
 
@@ -390,19 +449,20 @@ def intersection_ideal_character(
     Each factor's degree-d piece is the span of its forms times degree d-1
     monomials; the intersection is computed one dominant weight space at a
     time by stacking annihilators, which is exact and keeps the matrices
-    small, and the other weights follow by S_n symmetry.
+    small.  Only dominant weights with at most m parts are eliminated: by
+    Cauchy, every S_lam(V) inside Sym(W tensor V) has at most m rows, so
+    the other dominant weights follow by Kostka numbers, and the remaining
+    weights by S_n symmetry.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
     forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
     weights: dict[int, dict[Weight, int]] = {}
     for d in range(d_max + 1):
-        log.info(
-            "intersection oracle degree %d: monomial space dimension %d",
-            d, comb(m * n + d - 1, d),
-        )
         table: dict[Weight, int] = {}
-        for w in _dominant_weights(d, n):
+        dominant = _dominant_weights(d, n, min(n, m))
+        offered = kept = 0
+        for w in dominant:
             labels = list(_weight_monomials(w, m, n))
             ambient = len(labels)
             stack = _Echelon()
@@ -411,19 +471,22 @@ def intersection_ideal_character(
                 for i, form in factor_forms:
                     if w[i] == 0:
                         continue
-                    w_minus = tuple(
-                        wi - 1 if idx == i else wi for idx, wi in enumerate(w)
-                    )
+                    w_minus = w[:i] + (w[i] - 1,) + w[i + 1:]
                     for mono in _weight_monomials(w_minus, m, n):
+                        offered += 1
                         factor.add(_poly_times_form({mono: 1}, form))
+                kept += factor.rank
                 for vec in factor.nullspace(labels):
+                    offered += 1
                     stack.add(vec)
                 if stack.rank == ambient:
                     break
+            kept += stack.rank
             dim = ambient - stack.rank
             if dim:
                 table[w] = dim
-        weights[d] = _orbit_filled(table)
+        _log_degree("intersection", d, n, len(dominant), offered, kept)
+        weights[d] = _orbit_filled(_support_filled(table, d, n, m))
     return GradedCharacter(n=n, weights=weights)
 
 
@@ -433,10 +496,11 @@ def wedge_ideal_character(
     """Graded character of the wedge ideal J_1(V) ^ ... ^ J_t(V) in the
     exterior algebra on W tensor V.
 
-    Same spanning strategy as the product, dominant weights only, inside
-    the exterior algebra: exterior monomials are sorted variable tuples in
-    the fixed (j,i)-lex variable order and every wedge tracks the sorting
-    sign.
+    Same spanning as the product, inside the exterior algebra: exterior
+    monomials are sorted variable tuples in the fixed (j,i)-lex variable
+    order, and every wedge and every renaming of V-indices tracks the
+    sorting sign.  Its S_lam'(V) can have up to d rows, so every dominant
+    weight is eliminated.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
@@ -445,26 +509,7 @@ def wedge_ideal_character(
             f"degree {d_max} exceeds the exterior top degree {m * n}"
         )
     forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
-
-    def rows(combo, rest):
-        for emono in _exterior_weight_monomials(rest, m, n):
-            elem = {(): 1}
-            for _, form in combo:
-                elem = _ext_times_form(elem, form)
-                if not elem:
-                    break
-            for v in emono:
-                if not elem:
-                    break
-                elem = _ext_times_form(elem, {v: 1})
-            if elem:
-                yield elem
-
-    weights: dict[int, dict[Weight, int]] = {}
-    for d in range(d_max + 1):
-        log.info(
-            "wedge oracle degree %d: exterior monomial space dimension %d",
-            d, comb(m * n, d),
-        )
-        weights[d] = _span_ranks(forms, n, d, rows)
+    weights = _span_character(
+        "wedge", forms, m, n, d_max, n, {(): 1}, _ext_times_form, _ext_renamed
+    )
     return GradedCharacter(n=n, weights=weights)

@@ -7,8 +7,10 @@ Littlewood-Richardson implementation.  The weight tables of product, wedge
 and intersection ideals are rederived with Fraction elimination on the
 unscaled annihilator forms, and with dense vanishing conditions, so they
 can certify the fraction-free elimination of ``equisyz.oracle``; the
-oracle's first loops, which eliminate every weight rather than one per
-permutation orbit, are kept too, to certify the orbit fill.  The
+oracle's first loops, which eliminate every weight of every degree and
+span it by every form combo times every monomial, are kept too, to
+certify the orbit fill, the Kostka fill of weights with more than m parts
+and the spanning of each degree from the previous one.  The
 formula side keeps its first implementation here too: the subset
 recursions for P and H at full truncation degree, and powers of sigma as
 chains of general Littlewood-Richardson products, to certify the Moebius
@@ -26,7 +28,6 @@ from equisyz.linalg import Subspace, row_reduce
 from equisyz.oracle import (
     CoordinateIdealBasis,
     _Echelon,
-    _exterior_weight_monomials,
     _ext_times_form,
     _poly_times_form,
     _weight_monomials,
@@ -357,6 +358,16 @@ def reference_intersection_weights(arr: Arrangement, n: int, d: int) -> dict:
         if dim:
             table[w] = dim
     return table
+
+
+def _exterior_weight_monomials(w, m: int, n: int):
+    """Sorted variable-index tuples of the exterior monomials of weight w."""
+    if any(wi > m for wi in w):
+        return
+    per_column = [list(combinations(range(m), wi)) for wi in w]
+    for choice in product(*per_column):
+        vars_ = [j * n + i for i, col in enumerate(choice) for j in col]
+        yield tuple(sorted(vars_))
 
 
 def all_weights_span(arr: Arrangement, n: int, d_max: int, exterior: bool) -> dict:

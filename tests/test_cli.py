@@ -227,6 +227,16 @@ def test_main_success_and_byte_identical_output(tmp_path):
     assert report["status"] == "ok"
 
 
+def test_main_verbose_leaves_the_report_alone(tmp_path):
+    src = write_doc(tmp_path, AXES3)
+    quiet = tmp_path / "quiet.json"
+    loud = tmp_path / "loud.json"
+    argv = ["--input", src, "--max-degree", "4", "--oracle-check", "4", "--dim-v", "4"]
+    assert main(argv + ["--output", str(quiet)]) == EXIT_OK
+    assert main(argv + ["--verbose", "--output", str(loud)]) == EXIT_OK
+    assert quiet.read_bytes() == loud.read_bytes()
+
+
 def test_main_missing_file_is_input_error(tmp_path):
     assert main(["--input", str(tmp_path / "nope.json"), "--max-degree", "3"]) == EXIT_INPUT
 
@@ -235,6 +245,17 @@ def test_main_malformed_json_is_input_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["--input", str(path), "--max-degree", "3"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("target", ["missing/dir/r.json", "."])
+def test_main_unwritable_output_is_input_error(tmp_path, capsys, target):
+    """A missing directory, or a directory in place of a file, exits 2."""
+    src = write_doc(tmp_path, AXES2)
+    out = tmp_path / target
+    assert main(["--input", src, "--max-degree", "3", "--output", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"input error: cannot write {out}: " in err
+    assert "Traceback" not in err
 
 
 def test_main_low_truncation_is_input_error(tmp_path):

@@ -27,6 +27,11 @@ CASES = {
         "--max-degree", "3", "--ideal", "intersection", "--oracle-check", "3",
         "--dim-v", "3",
     ],
+    # n = 4 > m = 3 and D = 4 > t = 3: the oracles' support fill and their
+    # spanning from the previous degree both run
+    "two_planes_and_line": [
+        "--max-degree", "4", "--side", "both", "--oracle-check", "4", "--dim-v", "4",
+    ],
 }
 
 DOCUMENTS = {"three_axes_oracle": "three_axes"}

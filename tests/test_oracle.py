@@ -1,4 +1,5 @@
 import json
+import logging
 from fractions import Fraction
 from math import gcd
 
@@ -334,14 +335,7 @@ def test_intersection_series_independent_of_dim_v():
 # -- cross checks --------------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None)
-@given(arr=pooled_arrangements(), n=st.integers(min_value=1, max_value=3))
-def test_oracles_match_slow_reference(arr, n):
-    """Characters filled from their dominant weights equal the oracle's
-    every-weight loops, and the Fraction-elimination and dense
-    vanishing-condition references.  At n = 3 an orbit has up to six
-    weights, more than the cyclic shifts of its dominant one."""
-    d_max = 3
+def _assert_oracles_match_references(arr, n, d_max):
     prod = product_ideal_character(arr, n, d_max)
     wedge = wedge_ideal_character(arr, n, d_max)
     inter = intersection_ideal_character(arr, n, d_max)
@@ -355,6 +349,40 @@ def test_oracles_match_slow_reference(arr, n):
         assert wedge.weights[d] == reference_span_weights(arr, n, d, True), d
         assert inter.weights[d] == every_inter[d], d
         assert inter.weights[d] == reference_intersection_weights(arr, n, d), d
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=pooled_arrangements(), n=st.integers(min_value=1, max_value=3))
+def test_oracles_match_slow_reference(arr, n):
+    """Characters filled from their dominant weights equal the oracle's
+    every-weight loops, and the Fraction-elimination and dense
+    vanishing-condition references.  At n = 3 an orbit has up to six
+    weights, more than the cyclic shifts of its dominant one."""
+    _assert_oracles_match_references(arr, n, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arr=pooled_arrangements(m=2, dims=(1,), min_t=1, max_t=3))
+def test_oracles_match_slow_reference_past_m_parts(arr):
+    """Lines in Q^2 at n = 3: the weight (1,1,1) has more than m = 2 parts,
+    so the product and intersection tables fill it from Kostka numbers,
+    and every degree above t is spanned from the previous degree's basis,
+    renamed from a dominant weight."""
+    _assert_oracles_match_references(arr, 3, 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(arr=pooled_arrangements())
+def test_wedge_renaming_keeps_the_sorting_sign(arr):
+    """Planes of Q^3 at n = 3, up to degree 4: (2,2,0) is spanned from the
+    basis of (2,1,0) renamed to (1,2,0), which swaps two variables of one
+    W-index, so a renamed exterior monomial must change sign.  Below
+    degree 4 no renaming reorders the variables of a monomial."""
+    every = all_weights_span(arr, 3, 4, True)
+    wedge = wedge_ideal_character(arr, 3, 4)
+    for d in range(5):
+        assert wedge.weights[d] == every[d], d
+        assert wedge.weights[d] == reference_span_weights(arr, 3, d, True), d
 
 
 def test_weight_tables_are_symmetric():
@@ -380,6 +408,34 @@ def _weyl(lam, n):
     from equisyz.partitions import weyl_dimension
 
     return weyl_dimension(lam, n)
+
+
+def test_each_oracle_logs_its_counts_per_degree(caplog):
+    """One INFO line per oracle and degree.  At m = 3 and n = 4 the product
+    and intersection oracles fill (1,1,1,1) from Kostka numbers; the wedge
+    fills nothing."""
+    caplog.set_level(logging.INFO, logger="equisyz.oracle")
+    prod = product_ideal_character(axes(3), 4, 4)
+    wedge_ideal_character(axes(3), 4, 4)
+    intersection_ideal_character(axes(3), 4, 4)
+    lines = [r.getMessage() for r in caplog.records if r.name == "equisyz.oracle"]
+    assert len(lines) == 15
+    assert lines[0] == (
+        "product oracle degree 0: 0 dominant weights eliminated, 0 filled by "
+        "Kostka, 0 rows offered, 0 kept"
+    )
+    eliminated = [(4, 0, 0, 0), (3, 1, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0)]
+    kept = sum(prod.weights[4].get(w, 0) for w in eliminated)
+    assert lines[4].startswith(
+        "product oracle degree 4: 4 dominant weights eliminated, 1 filled by Kostka, "
+    )
+    assert lines[4].endswith(f" rows offered, {kept} kept")
+    assert lines[9].startswith(
+        "wedge oracle degree 4: 5 dominant weights eliminated, 0 filled by Kostka, "
+    )
+    assert lines[14].startswith(
+        "intersection oracle degree 4: 4 dominant weights eliminated, 1 filled by "
+    )
 
 
 def test_determinism():
