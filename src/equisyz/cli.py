@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 validation failure, 2 input error, 3 size cap.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -49,7 +50,7 @@ from .oracle import (
     product_ideal_character,
     wedge_ideal_character,
 )
-from .schur import SchurSeries
+from .schur import SchurSeries, format_terms
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -340,36 +341,6 @@ def run_job(cfg: JobConfig) -> dict:
 # -- rendering ----------------------------------------------------------------
 
 
-def _pairs_pretty(pairs) -> str:
-    if not pairs:
-        return "0"
-    chunks = []
-    for lam, c in pairs:
-        term = "1" if not lam else "s[" + ",".join(map(str, lam)) + "]"
-        mag = abs(c)
-        body = term if mag == 1 and lam else (str(mag) if not lam else f"{mag}*{term}")
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(chunks)
-
-
-def _pairs_latex(pairs) -> str:
-    if not pairs:
-        return "0"
-    chunks = []
-    for lam, c in pairs:
-        term = "1" if not lam else "s_{(" + ",".join(map(str, lam)) + ")}"
-        mag = abs(c)
-        body = term if mag == 1 and lam else (str(mag) if not lam else f"{mag}\\,{term}")
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(chunks)
-
-
 def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -392,11 +363,11 @@ def render_markdown(report: dict) -> str:
     lines.append("")
     lines.append("## Correction polynomial P")
     lines.append("")
-    lines.append(f"`{_pairs_pretty(report['p_polynomial'])}`")
+    lines.append(f"`{format_terms(report['p_polynomial'])}`")
     lines.append("")
     lines.append("## Equivariant Hilbert series")
     lines.append("")
-    lines.append(f"`{_pairs_pretty(report['hilbert_series']['terms'])}`")
+    lines.append(f"`{format_terms(report['hilbert_series']['terms'])}`")
     lines.append("")
     if report.get("linearity_error"):
         lines.append(f"**Linearity validation failed:** {report['linearity_error']}")
@@ -415,7 +386,7 @@ def render_markdown(report: dict) -> str:
         lines.append("|---|---|---|")
         for col in table["columns"]:
             lines.append(
-                f"| {col['i']} | {col['degree']} | {_pairs_pretty(col['terms'])} |"
+                f"| {col['i']} | {col['degree']} | {format_terms(col['terms'])} |"
             )
         lines.append("")
     oracle = report.get("oracle")
@@ -428,11 +399,11 @@ def render_markdown(report: dict) -> str:
         for entry in oracle["degrees"]:
             lines.append(f"### Degree {entry['degree']}")
             lines.append("")
-            lines.append(f"- product character: `{_pairs_pretty(entry['product_schur'])}`")
+            lines.append(f"- product character: `{format_terms(entry['product_schur'])}`")
             if "product_matches_formula" in entry:
                 lines.append(f"- matches formula: {entry['product_matches_formula']}")
             if "wedge_schur" in entry:
-                lines.append(f"- wedge character: `{_pairs_pretty(entry['wedge_schur'])}`")
+                lines.append(f"- wedge character: `{format_terms(entry['wedge_schur'])}`")
                 lines.append(f"- matches transposed formula: {entry['wedge_matches_transpose']}")
             if "product_contained_in_intersection" in entry:
                 lines.append(
@@ -455,7 +426,7 @@ def render_latex(report: dict) -> str:
         "\\end{itemize}",
         "",
         "\\subsection*{Equivariant Hilbert series}",
-        f"$${_pairs_latex(report['hilbert_series']['terms'])}$$",
+        f"$${format_terms(report['hilbert_series']['terms'], 'latex')}$$",
         "",
     ]
     for side in ("symmetric", "exterior"):
@@ -471,7 +442,7 @@ def render_latex(report: dict) -> str:
         lines.append("$i$ & degree & decomposition \\\\ \\hline")
         for col in table["columns"]:
             lines.append(
-                f"{col['i']} & {col['degree']} & ${_pairs_latex(col['terms'])}$ \\\\"
+                f"{col['i']} & {col['degree']} & ${format_terms(col['terms'], 'latex')}$ \\\\"
             )
         lines.append("\\end{tabular}")
         lines.append("")
@@ -527,6 +498,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str):
+    """Fail before the job if ``path`` cannot be opened for writing: it is a
+    directory, or its directory is missing or not writable.  Creates
+    nothing; an error that only ``open`` finds is still reported after."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise InputError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
@@ -551,6 +538,8 @@ def main(argv=None) -> int:
             output_format=args.format,
             caps=caps,
         )
+        if args.output:
+            _check_writable(args.output)
         report = run_job(cfg)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -18,9 +18,12 @@ so every S_lam(V) in a product or intersection ideal has at most m rows:
 only dominant weights with at most m parts are eliminated, and the others
 follow from Kostka numbers.  The product and wedge ideals are generated in
 degree t, so each degree above t is spanned by the variables times the
-previous degree's basis.  The module shares no code path with the
-polymatroid recursion, which makes it an independent check on the series
-formulas.
+previous degree's basis.  The intersection ideal is not spanned at all:
+J_k(V) is the vanishing ideal of Y_k tensor V, so each weight space of the
+intersection is the common kernel of the restrictions to the Y_k tensor V,
+and its dimension is one exact rank of their stacked vanishing conditions.
+The module shares no code path with the polymatroid recursion, which makes
+it an independent check on the series formulas.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations, product as cartesian
-from math import gcd, lcm
+from itertools import chain, permutations, product as cartesian
+from math import comb, gcd, lcm, prod
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
@@ -116,7 +119,8 @@ class _Echelon:
     A stored row is primitive, with a positive pivot, and is reduced only
     forward, against the rows of smaller pivot: ``add`` never touches the
     rows already stored.  ``nullspace`` back-substitutes once into fully
-    reduced form before it reads off the free labels.
+    reduced form before it reads off the free labels; no oracle calls it,
+    the every-weight intersection reference of the tests does.
     """
 
     def __init__(self):
@@ -203,6 +207,16 @@ def _integral(row: dict) -> dict:
     return {k: int(v * den) for k, v in row.items()}
 
 
+def _integer_rows(vectors) -> list[dict]:
+    """Each rational vector as a sparse row {index: entry} of coprime
+    integers, its first entry positive; it spans the same line."""
+    out = []
+    for a in vectors:
+        coeffs = _integral({j: c for j, c in enumerate(a) if c})
+        out.append(_primitive(coeffs, min(coeffs)))
+    return out
+
+
 def _primitive(row: dict, lead) -> dict:
     """Divide an integer row by the gcd of its entries, signed so that the
     entry at ``lead`` comes out positive."""
@@ -236,9 +250,7 @@ class CoordinateIdealBasis:
         out = []
         for sub in arr.subspaces:
             forms = []
-            for a in sub.annihilator().basis:
-                coeffs = _integral({j: c for j, c in enumerate(a) if c})
-                coeffs = _primitive(coeffs, min(coeffs))
+            for coeffs in _integer_rows(sub.annihilator().basis):
                 for i in range(n):
                     forms.append((i, {j * n + i: c for j, c in coeffs.items()}))
             out.append(tuple(forms))
@@ -262,7 +274,8 @@ def _compositions(total: int, parts: int):
 
 
 def _weight_monomials(w: Weight, m: int, n: int):
-    """Exponent tuples (length m*n) of the polynomial monomials of weight w."""
+    """Exponent tuples (length m*n) of the polynomial monomials of weight w;
+    the every-weight references of the tests label their rows with these."""
     per_column = [list(_compositions(wi, m)) for wi in w]
     for choice in cartesian(*per_column):
         exp = [0] * (m * n)
@@ -324,6 +337,35 @@ def _ext_renamed(elem: dict, perm) -> dict:
         swaps = sum(a > b for x, a in enumerate(vs) for b in vs[x + 1:])
         out[tuple(sorted(vs))] = -c if swaps % 2 else c
     return out
+
+
+def _restriction_rows(basis: list[dict], m: int, e: int) -> list[dict]:
+    """Sym^e of the restriction W* -> Y*, for Y spanned by the integer
+    vectors ``basis``: z_j becomes sum_l basis[l][j] s_l.  One row per
+    monomial of degree e in the s_l, keyed by the index in
+    ``_compositions(e, m)`` of each degree-e monomial of W it reads."""
+    r = len(basis)
+    columns = [{l: b[j] for l, b in enumerate(basis) if j in b} for j in range(m)]
+    rows: dict = {}
+    for idx, alpha in enumerate(_compositions(e, m)):
+        image = {(0,) * r: 1}
+        for j, a in enumerate(alpha):
+            for _ in range(a):
+                image = _poly_times_form(image, columns[j])
+        for beta, c in image.items():
+            rows.setdefault(beta, {})[idx] = c
+    return list(rows.values())
+
+
+def _kronecker_rows(per_column: list[list[dict]], strides: list[int]):
+    """Rows of the Kronecker product of the per-column matrices, a source
+    monomial labelled by the sum over columns of its index times the
+    column's stride."""
+    for choice in cartesian(*per_column):
+        row = {0: 1}
+        for col, stride in zip(choice, strides):
+            row = {k + a * stride: c * x for k, c in row.items() for a, x in col.items()}
+        yield row
 
 
 def _dominant_weights(d: int, n: int, parts: int) -> list[Weight]:
@@ -446,45 +488,46 @@ def intersection_ideal_character(
 ) -> GradedCharacter:
     """Graded character of the intersection ideal J_1(V) cap ... cap J_t(V).
 
-    Each factor's degree-d piece is the span of its forms times degree d-1
-    monomials; the intersection is computed one dominant weight space at a
-    time by stacking annihilators, which is exact and keeps the matrices
-    small.  Only dominant weights with at most m parts are eliminated: by
-    Cauchy, every S_lam(V) inside Sym(W tensor V) has at most m rows, so
-    the other dominant weights follow by Kostka numbers, and the remaining
-    weights by S_n symmetry.
+    J_k(V) is the vanishing ideal of Y_k tensor V, so its weight-w piece is
+    the kernel of the restriction Sym(W tensor V)_w -> Sym(Y_k tensor V)_w,
+    and the intersection's is the common kernel: the number of monomials of
+    weight w minus the rank of every factor's vanishing conditions stacked
+    in one elimination.  The restriction preserves each V-column, so on
+    weight w it is the Kronecker product over i of Sym^{w_i} of the
+    restriction W* -> Y_k*, written in an integer basis of Y_k; the source
+    monomials are labelled by their mixed-radix index.  Elimination stops
+    once the rank reaches the number of monomials.  Only dominant weights
+    with at most m parts are eliminated: by Cauchy, every S_lam(V) inside
+    Sym(W tensor V) has at most m rows, so the other dominant weights
+    follow by Kostka numbers, and the remaining weights by S_n symmetry.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
-    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
+    restrictions = [
+        [_restriction_rows(_integer_rows(sub.basis), m, e) for e in range(d_max + 1)]
+        for sub in arr.subspaces
+    ]
     weights: dict[int, dict[Weight, int]] = {}
     for d in range(d_max + 1):
         table: dict[Weight, int] = {}
         dominant = _dominant_weights(d, n, min(n, m))
         offered = kept = 0
         for w in dominant:
-            labels = list(_weight_monomials(w, m, n))
-            ambient = len(labels)
+            column_sizes = [comb(wi + m - 1, m - 1) for wi in w if wi]
+            strides = [prod(column_sizes[:i]) for i in range(len(column_sizes))]
+            ambient = prod(column_sizes)
             stack = _Echelon()
-            for factor_forms in forms:
-                factor = _Echelon()
-                for i, form in factor_forms:
-                    if w[i] == 0:
-                        continue
-                    w_minus = w[:i] + (w[i] - 1,) + w[i + 1:]
-                    for mono in _weight_monomials(w_minus, m, n):
-                        offered += 1
-                        factor.add(_poly_times_form({mono: 1}, form))
-                kept += factor.rank
-                for vec in factor.nullspace(labels):
-                    offered += 1
-                    stack.add(vec)
+            for row in chain.from_iterable(
+                _kronecker_rows([sym[wi] for wi in w if wi], strides)
+                for sym in restrictions
+            ):
+                offered += 1
+                stack.add(row)
                 if stack.rank == ambient:
                     break
             kept += stack.rank
-            dim = ambient - stack.rank
-            if dim:
-                table[w] = dim
+            if ambient > stack.rank:
+                table[w] = ambient - stack.rank
         _log_degree("intersection", d, n, len(dominant), offered, kept)
         weights[d] = _orbit_filled(_support_filled(table, d, n, m))
     return GradedCharacter(n=n, weights=weights)

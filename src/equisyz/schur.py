@@ -91,6 +91,25 @@ def _pieri_terms(
     )
 
 
+_TERM_STYLES = {"plain": ("s[{}]", "*"), "latex": ("s_{{({})}}", "\\,")}
+
+
+def format_terms(pairs, style: str = "plain") -> str:
+    """(partition, coefficient) pairs as a signed sum, each Schur function
+    written s[2,1] (``"plain"``) or s_{(2,1)} (``"latex"``); "0" if empty."""
+    shape, times = _TERM_STYLES[style]
+    chunks = []
+    for lam, c in pairs:
+        term = shape.format(",".join(map(str, lam))) if lam else "1"
+        mag = abs(c)
+        body = term if mag == 1 and lam else (f"{mag}{times}{term}" if lam else str(mag))
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(chunks) or "0"
+
+
 class SchurSeries:
     """Truncated formal sum of Schur functions with exact integer coefficients."""
 
@@ -144,18 +163,7 @@ class SchurSeries:
         return [[list(lam), c] for lam, c in self.items()]
 
     def pretty(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for lam, c in self.items():
-            term = "1" if not lam else "s[" + ",".join(map(str, lam)) + "]"
-            mag = abs(c)
-            body = term if mag == 1 and lam else (str(mag) if not lam else f"{mag}*{term}")
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(chunks)
+        return format_terms(self.items())
 
     def __repr__(self) -> str:
         return f"<SchurSeries {self.pretty()} (deg <= {self.degree})>"

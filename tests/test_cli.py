@@ -258,6 +258,21 @@ def test_main_unwritable_output_is_input_error(tmp_path, capsys, target):
     assert "Traceback" not in err
 
 
+def test_main_unwritable_output_fails_before_the_job(tmp_path, capsys, monkeypatch):
+    """An oracle job whose --output directory is missing exits 2 without
+    running the job, and creates nothing."""
+    ran = []
+    monkeypatch.setattr(cli, "run_job", lambda cfg: ran.append(cfg))
+    src = write_doc(tmp_path, AXES2)
+    out = tmp_path / "nonexistent" / "dir" / "r.json"
+    argv = ["--input", src, "--max-degree", "3", "--oracle-check", "2", "--dim-v", "2"]
+    assert main(argv + ["--output", str(out)]) == EXIT_INPUT
+    assert ran == []
+    assert not (tmp_path / "nonexistent").exists()
+    err = capsys.readouterr().err
+    assert f"input error: cannot write {out}: [Errno 2] No such file or directory" in err
+
+
 def test_main_low_truncation_is_input_error(tmp_path):
     src = write_doc(tmp_path, AXES3)
     assert main(["--input", src, "--max-degree", "2"]) == EXIT_INPUT

@@ -32,6 +32,12 @@ CASES = {
     "two_planes_and_line": [
         "--max-degree", "4", "--side", "both", "--oracle-check", "4", "--dim-v", "4",
     ],
+    # an intersection job at n = 4 > m = 3: its series is the oracle's, so
+    # the Kostka fill of the intersection oracle reaches the report
+    "line_and_three_planes": [
+        "--max-degree", "4", "--ideal", "intersection", "--dim-v", "4",
+        "--oracle-check", "4", "--side", "both",
+    ],
 }
 
 DOCUMENTS = {"three_axes_oracle": "three_axes"}

@@ -371,6 +371,30 @@ def test_oracles_match_slow_reference_past_m_parts(arr):
     _assert_oracles_match_references(arr, 3, 3)
 
 
+@st.composite
+def mixed_arrangements(draw):
+    """Zero subspaces, lines and planes of Q^3 from one rational pool, and
+    now and then one member repeated."""
+    subs = draw(pooled_arrangements(dims=(0, 1, 2), min_t=1, max_t=3)).subspaces
+    if draw(st.booleans()):
+        subs += (draw(st.sampled_from(subs)),)
+    return Arrangement(3, subs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=mixed_arrangements(), n=st.integers(min_value=1, max_value=3))
+def test_intersection_oracle_matches_span_nullspace_and_dense_references(arr, n):
+    """The restriction-rank oracle equals the common nullspace of the
+    factors' spans, every weight eliminated, and the dense count of
+    vanishing conditions; a zero subspace contributes no condition above
+    degree 0, and a repeated member none that is new."""
+    inter = intersection_ideal_character(arr, n, 3)
+    every = all_weights_intersection(arr, n, 3)
+    for d in range(4):
+        assert inter.weights[d] == every[d], d
+        assert inter.weights[d] == reference_intersection_weights(arr, n, d), d
+
+
 @settings(max_examples=20, deadline=None)
 @given(arr=pooled_arrangements())
 def test_wedge_renaming_keeps_the_sorting_sign(arr):

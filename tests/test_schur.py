@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from equisyz.partitions import kostka_number, partitions_of
 from equisyz.schur import (
     SchurSeries,
+    format_terms,
     from_weight_multiplicities,
     one,
     sigma,
@@ -21,6 +22,18 @@ def series(coeffs, degree):
 
 
 # -- construction and basics ---------------------------------------------------
+
+
+def test_one_term_formatter_for_repr_and_both_report_styles():
+    s = series({(): -1, (1,): 2, (2, 1): 1, (1, 1): -3}, 3)
+    assert repr(s) == "<SchurSeries -1 + 2*s[1] - 3*s[1,1] + s[2,1] (deg <= 3)>"
+    assert repr(series({(): 2, (3,): -1}, 3)) == "<SchurSeries 2 - s[3] (deg <= 3)>"
+    assert repr(zero(2)) == "<SchurSeries 0 (deg <= 2)>"
+    assert format_terms(s.to_pairs()) == s.pretty()
+    assert format_terms(s.to_pairs(), "latex") == (
+        r"-1 + 2\,s_{(1)} - 3\,s_{(1,1)} + s_{(2,1)}"
+    )
+    assert format_terms([], "latex") == "0"
 
 
 def test_sigma_examples():
