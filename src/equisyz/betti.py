@@ -9,8 +9,6 @@ transposes tables to the exterior side by conjugating every index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .schur import SchurSeries, times_sigma_power
 
 
@@ -32,7 +30,6 @@ class GenerationDegreeError(ValueError):
     """sigma^-m times the series is nonzero below the stated generation degree."""
 
 
-@dataclass(frozen=True)
 class BettiTable:
     """Columns of Tor multiplicities for a t-linear resolution.
 
@@ -40,18 +37,24 @@ class BettiTable:
     Schur series concentrated in degree i + t.
     """
 
-    t: int
-    columns: tuple[SchurSeries, ...]
+    __slots__ = ("t", "columns")
 
-    def __post_init__(self):
-        for i, col in enumerate(self.columns):
+    def __init__(self, t: int, columns: tuple[SchurSeries, ...]):
+        for i, col in enumerate(columns):
             for lam, c in col.coeffs.items():
-                if sum(lam) != i + self.t:
+                if sum(lam) != i + t:
                     raise ValueError(
-                        f"column {i} has a term of degree {sum(lam)}, expected {i + self.t}"
+                        f"column {i} has a term of degree {sum(lam)}, expected {i + t}"
                     )
                 if c < 0:
                     raise ValueError(f"column {i} has a negative multiplicity")
+        self.t = t
+        self.columns = columns
+
+    def __eq__(self, other):
+        if not isinstance(other, BettiTable):
+            return NotImplemented
+        return self.t == other.t and self.columns == other.columns
 
     @property
     def max_index(self) -> int:

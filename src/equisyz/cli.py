@@ -20,13 +20,12 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .arrangements import (
+    MAX_DEGREE,
     Arrangement,
     hilbert_product,
     p_polynomial,
@@ -121,24 +120,36 @@ def caps_from_env(environ=None) -> OracleCaps:
             continue
         key, _, value = chunk.partition("=")
         key = key.strip()
-        if key not in fields or not value.strip().isdigit():
+        value = value.strip()
+        # isdigit alone admits digits such as "²" that int() rejects
+        if key not in fields or not (value.isascii() and value.isdigit()):
             raise InputError(
                 f"cannot parse {CAPS_ENV_VAR}={raw!r}; expected entries like m=6,n=6,d=6,t=6"
             )
         updates[fields[key]] = int(value)
-    return replace(DEFAULT_CAPS, **updates)
+    return OracleCaps(**updates)
 
 
-@dataclass
 class JobConfig:
-    arrangement: Arrangement
-    max_degree: int
-    ideal: str = "product"  # product | intersection
-    side: str = "both"  # symmetric | exterior | both
-    oracle_degree: int = 0  # 0 disables oracle checks
-    dim_v: int = 0
-    output_format: str = "json"  # json | markdown | latex
-    caps: OracleCaps = field(default_factory=lambda: DEFAULT_CAPS)
+    def __init__(
+        self,
+        arrangement: Arrangement,
+        max_degree: int,
+        ideal: str = "product",  # product | intersection
+        side: str = "both",  # symmetric | exterior | both
+        oracle_degree: int = 0,  # 0 disables oracle checks
+        dim_v: int = 0,
+        output_format: str = "json",  # json | markdown | latex
+        caps: OracleCaps = DEFAULT_CAPS,
+    ):
+        self.arrangement = arrangement
+        self.max_degree = max_degree
+        self.ideal = ideal
+        self.side = side
+        self.oracle_degree = oracle_degree
+        self.dim_v = dim_v
+        self.output_format = output_format
+        self.caps = caps
 
 
 def _subspace_doc(sub: Subspace) -> list[list[str]]:
@@ -160,6 +171,10 @@ def _check_config(cfg: JobConfig):
     if cfg.max_degree < t:
         raise InputError(
             f"truncation below generation degree: max degree {cfg.max_degree} < t = {t}"
+        )
+    if cfg.max_degree > MAX_DEGREE:
+        raise SizeCapError(
+            f"max degree {cfg.max_degree} exceeds the truncation cap {MAX_DEGREE}"
         )
     if any(s.dim == cfg.arrangement.ambient_dim for s in cfg.arrangement.subspaces):
         raise InputError(
@@ -517,6 +532,8 @@ def _check_writable(path: str):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
+        import logging  # only here: a quiet job never pays for importing it
+
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
         caps = caps_from_env()
@@ -525,7 +542,7 @@ def main(argv=None) -> int:
                 document = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8
             raise InputError(f"{args.input} is not valid JSON: {exc}") from exc
         arrangement = parse_arrangement(document)
         cfg = JobConfig(

@@ -8,7 +8,6 @@ representations and subspaces can be used as dictionary keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Vector = tuple[Fraction, ...]
@@ -69,27 +68,36 @@ def _nullspace(rref_rows, ncols: int) -> list[Vector]:
     return out
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A linear subspace of Q^m in canonical form.
 
     ``basis`` holds the RREF rows spanning the subspace (no zero rows), so
     two Subspace values compare equal exactly when they are the same
-    subspace.  Construct through :meth:`from_vectors`.
+    subspace.  Construct through :meth:`from_vectors`.  Hashed by value, so
+    never mutated.
     """
 
-    ambient_dim: int
-    basis: tuple[Vector, ...]
+    __slots__ = ("ambient_dim", "basis")
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
+        for row in basis:
+            if len(row) != ambient_dim:
                 raise ValueError("basis vector length differs from ambient dimension")
-        rref, rank = row_reduce(self.basis)
-        if rank != len(self.basis) or rref[:rank] != self.basis:
+        rref, rank = row_reduce(basis)
+        if rank != len(basis) or rref[:rank] != basis:
             raise ValueError("basis is not in reduced row echelon form")
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
 
     @staticmethod
     def from_vectors(vectors, ambient_dim: int) -> "Subspace":

@@ -28,9 +28,8 @@ it an independent check on the series formulas.
 
 from __future__ import annotations
 
-import logging
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain, permutations, product as cartesian
 from math import comb, gcd, lcm, prod
 
@@ -39,23 +38,37 @@ from .errors import SizeCapError
 from .partitions import kostka_number, partitions_of
 from .schur import SchurSeries, from_weight_multiplicities
 
-log = logging.getLogger(__name__)
-
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class OracleCaps:
     """Size limits for the brute-force computations.
 
     The weight-space matrices grow combinatorially, so every entry point
     refuses inputs beyond these bounds instead of silently hanging.
+    Hashed by value, so never mutated.
     """
 
-    ambient_dim: int = 4
-    dim_v: int = 4
-    degree: int = 4
-    subspaces: int = 4
+    __slots__ = ("ambient_dim", "dim_v", "degree", "subspaces")
+
+    def __init__(
+        self, ambient_dim: int = 4, dim_v: int = 4, degree: int = 4, subspaces: int = 4
+    ):
+        self.ambient_dim = ambient_dim
+        self.dim_v = dim_v
+        self.degree = degree
+        self.subspaces = subspaces
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return (self.ambient_dim, self.dim_v, self.degree, self.subspaces)
+
+    def __eq__(self, other):
+        if not isinstance(other, OracleCaps):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 DEFAULT_CAPS = OracleCaps()
@@ -80,7 +93,6 @@ def _check_sizes(arr: Arrangement, n: int, d_max: int, caps: OracleCaps):
             )
 
 
-@dataclass
 class GradedCharacter:
     """Per-degree weight multiplicity tables of a graded GL(V) representation.
 
@@ -88,8 +100,14 @@ class GradedCharacter:
     dimension of its weight space; zero dimensions are omitted.
     """
 
-    n: int
-    weights: dict[int, dict[Weight, int]]
+    def __init__(self, n: int, weights: dict[int, dict[Weight, int]]):
+        self.n = n
+        self.weights = weights
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedCharacter):
+            return NotImplemented
+        return self.n == other.n and self.weights == other.weights
 
     def dimension(self, d: int) -> int:
         return sum(self.weights.get(d, {}).values())
@@ -229,7 +247,6 @@ def _primitive(row: dict, lead) -> dict:
 # -- coordinates -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CoordinateIdealBasis:
     """Degree-one generators of each linear ideal in explicit coordinates.
 
@@ -241,9 +258,12 @@ class CoordinateIdealBasis:
     span alone and makes every spanning row of the oracle integral.
     """
 
-    m: int
-    n: int
-    forms_per_factor: tuple[tuple, ...]
+    __slots__ = ("m", "n", "forms_per_factor")
+
+    def __init__(self, m: int, n: int, forms_per_factor: tuple[tuple, ...]):
+        self.m = m
+        self.n = n
+        self.forms_per_factor = forms_per_factor
 
     @staticmethod
     def of(arr: Arrangement, n: int) -> "CoordinateIdealBasis":
@@ -402,9 +422,16 @@ def _orbit_filled(dominant: dict[Weight, int]) -> dict[Weight, int]:
 
 
 def _log_degree(name: str, d: int, n: int, eliminated: int, offered: int, kept: int):
+    # Until something imports logging, no handler can be listening; the CLI
+    # imports it only under --verbose, so a quiet job never loads it.
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return
     filled = len(partitions_of(d, max_parts=n)) - eliminated if eliminated else 0
-    log.info("%s oracle degree %d: %d dominant weights eliminated, %d filled by "
-             "Kostka, %d rows offered, %d kept", name, d, eliminated, filled, offered, kept)
+    logging.getLogger(__name__).info(
+        "%s oracle degree %d: %d dominant weights eliminated, %d filled by "
+        "Kostka, %d rows offered, %d kept", name, d, eliminated, filled, offered, kept
+    )
 
 
 def _span_character(name, forms, m, n, d_max, rows, one, times, renamed):

@@ -137,6 +137,8 @@ def test_transpose_is_an_involution():
     table = betti_from_series((sigma(4) - 1) ** 2, 2, 2)
     again = transpose_table(transpose_table(table))
     assert table_columns(again) == table_columns(table)
+    assert again == table
+    assert transpose_table(table) != table
 
 
 def test_transpose_preserves_column_totals():

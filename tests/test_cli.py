@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from equisyz import cli
+from equisyz.arrangements import MAX_DEGREE, polymatroid_of
 from equisyz.cli import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -65,6 +70,18 @@ def test_parse_rejects_bad_schema():
         parse_arrangement({"ambient_dim": 0, "subspaces": []})
 
 
+def test_parsed_copies_are_one_value():
+    """Arrangements compare and hash by value, so two parses of one document
+    share one cached polymatroid."""
+    a = parse_arrangement(AXES3)
+    b = parse_arrangement(json.loads(json.dumps(AXES3)))
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert polymatroid_of(a) is polymatroid_of(b)
+    assert a != parse_arrangement(AXES2)
+
+
 def test_parse_respects_ground_set_cap():
     doc = {"ambient_dim": 1, "subspaces": [[]] * 17}
     with pytest.raises(SizeCapError):
@@ -81,11 +98,15 @@ def test_caps_from_env_default():
 def test_caps_from_env_parses_entries():
     caps = caps_from_env({"EQUISYZ_CAPS": "m=6, n=5,d=6,t=5"})
     assert caps == OracleCaps(ambient_dim=6, dim_v=5, degree=6, subspaces=5)
+    assert hash(caps) == hash(OracleCaps(6, 5, 6, 5))
+    assert caps != OracleCaps(6, 5, 6, 4)
 
 
 def test_caps_from_env_rejects_garbage():
-    with pytest.raises(InputError):
-        caps_from_env({"EQUISYZ_CAPS": "zz=1"})
+    # "²" passes str.isdigit but not int()
+    for raw in ("zz=1", "m=²"):
+        with pytest.raises(InputError, match="cannot parse EQUISYZ_CAPS"):
+            caps_from_env({"EQUISYZ_CAPS": raw})
 
 
 # -- jobs ----------------------------------------------------------------------
@@ -237,14 +258,49 @@ def test_main_verbose_leaves_the_report_alone(tmp_path):
     assert quiet.read_bytes() == loud.read_bytes()
 
 
+def test_start_up_imports_and_verbose_logging(tmp_path):
+    """``import equisyz.cli`` loads none of dataclasses, inspect and logging
+    beyond a bare interpreter's modules; ``--verbose`` loads logging, writes
+    one equisyz.oracle line per oracle and degree, and leaves the report alone."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, path])))
+
+    def python(*args):
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    listing = "import sys; print(*sorted(sys.modules))"
+    bare = set(python("-c", listing).stdout.split())
+    loaded = set(python("-c", "import equisyz.cli; " + listing).stdout.split())
+    assert "equisyz.cli" in loaded
+    assert not (loaded - bare) & {"dataclasses", "inspect", "logging"}
+
+    doc = write_doc(tmp_path, AXES2)
+    argv = ["-m", "equisyz.cli", "--input", doc, "--max-degree", "4",
+            "--oracle-check", "2", "--dim-v", "2"]
+    quiet = python(*argv)
+    loud = python(*argv, "--verbose")
+    assert (quiet.returncode, loud.returncode) == (EXIT_OK, EXIT_OK)
+    assert quiet.stderr == ""
+    assert loud.stdout == quiet.stdout
+    records = [line.split(":", 2) for line in loud.stderr.splitlines()]
+    assert [(level, name) for level, name, _ in records] == [("INFO", "equisyz.oracle")] * 6
+    assert [message.split(":")[0] for _, _, message in records] == [
+        f"{oracle} oracle degree {d}" for oracle in ("product", "wedge") for d in range(3)
+    ]
+
+
 def test_main_missing_file_is_input_error(tmp_path):
     assert main(["--input", str(tmp_path / "nope.json"), "--max-degree", "3"]) == EXIT_INPUT
 
 
 def test_main_malformed_json_is_input_error(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["--input", str(path), "--max-degree", "3"]) == EXIT_INPUT
+    for content in (b"{not json", b"\xff{}"):
+        path.write_bytes(content)
+        assert main(["--input", str(path), "--max-degree", "3"]) == EXIT_INPUT
 
 
 @pytest.mark.parametrize("target", ["missing/dir/r.json", "."])
@@ -318,6 +374,16 @@ def test_main_size_cap_exit(tmp_path, monkeypatch):
     monkeypatch.setenv("EQUISYZ_CAPS", "m=5")
     out = tmp_path / "r.json"
     assert main(argv + ["--output", str(out)]) == EXIT_OK
+
+
+def test_main_degree_past_the_cap_exits_at_once(tmp_path, capsys, monkeypatch):
+    """One degree past MAX_DEGREE exits 3 before any work starts."""
+    started = []
+    monkeypatch.setattr(cli, "polymatroid_of", started.append)
+    src = write_doc(tmp_path, AXES2)
+    assert main(["--input", src, "--max-degree", str(MAX_DEGREE + 1)]) == EXIT_CAP
+    assert started == []
+    assert f"exceeds the truncation cap {MAX_DEGREE}" in capsys.readouterr().err
 
 
 def test_main_validation_failure_exit(tmp_path):

@@ -73,6 +73,8 @@ def test_equality_is_span_equality():
     b = subspace_from_vectors([[1, 2, 1], [1, 0, -1]], 3)
     assert a == b
     assert hash(a) == hash(b)
+    assert a != subspace_from_vectors([[1, 1, 0]], 3)
+    assert subspace_from_vectors([], 2) != subspace_from_vectors([], 3)
 
 
 def test_vector_length_validated():

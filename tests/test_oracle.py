@@ -463,9 +463,11 @@ def test_each_oracle_logs_its_counts_per_degree(caplog):
 
 
 def test_determinism():
-    a = product_ideal_character(generic_lines(), 3, 3).weights
-    b = product_ideal_character(generic_lines(), 3, 3).weights
+    a = product_ideal_character(generic_lines(), 3, 3)
+    b = product_ideal_character(generic_lines(), 3, 3)
+    assert a.weights == b.weights
     assert a == b
+    assert a != product_ideal_character(generic_lines(), 3, 2)
 
 
 def test_min_degree():
@@ -494,3 +496,5 @@ def test_caps_can_be_raised():
 
 def test_default_caps_values():
     assert DEFAULT_CAPS == OracleCaps(4, 4, 4, 4)
+    assert hash(DEFAULT_CAPS) == hash(OracleCaps(4, 4, 4, 4))
+    assert DEFAULT_CAPS != OracleCaps(dim_v=5)
