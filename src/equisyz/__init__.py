@@ -26,10 +26,9 @@ from .betti import (
     transpose_table,
 )
 from .errors import SizeCapError
-from .linalg import Subspace, intersect, row_reduce, subspace_from_vectors
+from .linalg import Subspace, intersect, row_reduce
 from .oracle import (
     DEFAULT_CAPS,
-    CoordinateIdealBasis,
     GradedCharacter,
     OracleCaps,
     character_to_schur,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Arrangement",
     "BettiTable",
-    "CoordinateIdealBasis",
     "DEFAULT_CAPS",
     "GenerationDegreeError",
     "GradedCharacter",
@@ -89,7 +87,6 @@ __all__ = [
     "series_from_betti",
     "sigma",
     "sigma_power",
-    "subspace_from_vectors",
     "times_sigma_power",
     "transpose_table",
     "weyl_dimension",

@@ -60,13 +60,6 @@ class BettiTable:
     def max_index(self) -> int:
         return len(self.columns) - 1
 
-    @property
-    def truncation(self) -> int:
-        return self.t + self.max_index
-
-    def column(self, i: int) -> SchurSeries:
-        return self.columns[i]
-
     def to_dict(self) -> dict:
         """JSON-ready representation with columns in homological order."""
         return {
@@ -112,15 +105,16 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
 
 
 def regularity(table: BettiTable) -> int:
-    """Largest internal degree minus homological index over nonzero columns."""
-    degrees = [
-        max(sum(lam) for lam in col.coeffs) - i
-        for i, col in enumerate(table.columns)
-        if col.coeffs
-    ]
-    if not degrees:
+    """Castelnuovo-Mumford regularity of a table with a nonzero column: t.
+
+    A BettiTable stores column i only in degree i + t, so the largest
+    internal degree minus homological index is t for every nonzero column.
+    The value restates the linear sign check of ``betti_from_series``; it
+    is not an independent verdict on linearity.
+    """
+    if not any(col.coeffs for col in table.columns):
         raise ValueError("empty Betti table has no regularity")
-    return max(degrees)
+    return table.t
 
 
 def transpose_table(table: BettiTable) -> BettiTable:

@@ -121,12 +121,16 @@ def caps_from_env(environ=None) -> OracleCaps:
         key, _, value = chunk.partition("=")
         key = key.strip()
         value = value.strip()
-        # isdigit alone admits digits such as "²" that int() rejects
-        if key not in fields or not (value.isascii() and value.isdigit()):
+        # isdigit alone admits digits such as "²" that int() rejects, and
+        # int() also rejects more digits than the interpreter converts
+        try:
+            if key not in fields or not (value.isascii() and value.isdigit()):
+                raise ValueError(value)
+            updates[fields[key]] = int(value)
+        except ValueError as exc:
             raise InputError(
                 f"cannot parse {CAPS_ENV_VAR}={raw!r}; expected entries like m=6,n=6,d=6,t=6"
-            )
-        updates[fields[key]] = int(value)
+            ) from exc
     return OracleCaps(**updates)
 
 

@@ -130,15 +130,8 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vector) -> bool:
-        vec = [Fraction(x) for x in vector]
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length differs from ambient dimension")
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x)
-            if vec[lead]:
-                f = vec[lead]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return not any(vec)
+        m = self.ambient_dim
+        return Subspace.from_vectors(self.basis + (vector,), m).dim == self.dim
 
     def annihilator(self) -> "Subspace":
         """Vectors orthogonal to the subspace; read as linear forms they
@@ -146,10 +139,6 @@ class Subspace:
         return Subspace.from_vectors(
             _nullspace(self.basis, self.ambient_dim), self.ambient_dim
         )
-
-
-def subspace_from_vectors(vectors, ambient_dim: int) -> Subspace:
-    return Subspace.from_vectors(vectors, ambient_dim)
 
 
 def intersect(subspaces) -> Subspace:

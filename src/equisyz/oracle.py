@@ -36,7 +36,7 @@ from math import comb, gcd, lcm, prod
 from .arrangements import Arrangement
 from .errors import SizeCapError
 from .partitions import kostka_number, partitions_of
-from .schur import SchurSeries, from_weight_multiplicities
+from .schur import SchurSeries, from_weight_multiplicities, kostka_peel
 
 Weight = tuple[int, ...]
 
@@ -136,9 +136,8 @@ class _Echelon:
     is divided by the gcd of its entries rather than by the previous pivot.
     A stored row is primitive, with a positive pivot, and is reduced only
     forward, against the rows of smaller pivot: ``add`` never touches the
-    rows already stored.  ``nullspace`` back-substitutes once into fully
-    reduced form before it reads off the free labels; no oracle calls it,
-    the every-weight intersection reference of the tests does.
+    rows already stored.  Only the rank is read: the oracles count
+    dimensions and never take a nullspace.
     """
 
     def __init__(self):
@@ -161,38 +160,6 @@ class _Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def nullspace(self, labels) -> list[dict]:
-        """Integer basis of the vectors orthogonal to every row added.
-
-        One vector per free label, a label of ``labels`` that is not a
-        pivot; every row label must be among ``labels``.  Leaves the stored
-        rows fully reduced.
-        """
-        reduced: dict = {}
-        for p in sorted(self.rows, reverse=True):
-            prow = self.rows[p]  # replaced below, so free to consume
-            for q in [q for q in prow if q in reduced]:
-                prow = _eliminate(prow, reduced[q], q)
-            reduced[p] = _primitive(prow, p)
-        self.rows = reduced
-        pivots_with: dict = {}  # free label -> pivots whose rows carry it
-        for p, prow in reduced.items():
-            for k in prow:
-                if k != p:
-                    pivots_with.setdefault(k, []).append(p)
-        out = []
-        for free in labels:
-            if free in reduced:
-                continue
-            hits = pivots_with.get(free, ())
-            scale = lcm(*(reduced[p][p] for p in hits))
-            vec = {free: scale}
-            for p in hits:
-                prow = reduced[p]
-                vec[p] = -prow[free] * (scale // prow[p])
-            out.append(vec)
-        return out
 
 
 def _eliminate(work: dict, piv: dict, lead) -> dict:
@@ -247,7 +214,7 @@ def _primitive(row: dict, lead) -> dict:
 # -- coordinates -----------------------------------------------------------
 
 
-class CoordinateIdealBasis:
+def _forms_per_factor(arr: Arrangement, n: int) -> tuple[tuple, ...]:
     """Degree-one generators of each linear ideal in explicit coordinates.
 
     Variable v = j*n + i stands for z[j,i] = w_j tensor v_i, in (j,i)-lex
@@ -257,24 +224,14 @@ class CoordinateIdealBasis:
     annihilator vectors are scaled to coprime integers, which leaves their
     span alone and makes every spanning row of the oracle integral.
     """
-
-    __slots__ = ("m", "n", "forms_per_factor")
-
-    def __init__(self, m: int, n: int, forms_per_factor: tuple[tuple, ...]):
-        self.m = m
-        self.n = n
-        self.forms_per_factor = forms_per_factor
-
-    @staticmethod
-    def of(arr: Arrangement, n: int) -> "CoordinateIdealBasis":
-        out = []
-        for sub in arr.subspaces:
-            forms = []
-            for coeffs in _integer_rows(sub.annihilator().basis):
-                for i in range(n):
-                    forms.append((i, {j * n + i: c for j, c in coeffs.items()}))
-            out.append(tuple(forms))
-        return CoordinateIdealBasis(arr.ambient_dim, n, tuple(out))
+    out = []
+    for sub in arr.subspaces:
+        forms = []
+        for coeffs in _integer_rows(sub.annihilator().basis):
+            for i in range(n):
+                forms.append((i, {j * n + i: c for j, c in coeffs.items()}))
+        out.append(tuple(forms))
+    return tuple(out)
 
 
 def _compositions(total: int, parts: int):
@@ -291,19 +248,6 @@ def _compositions(total: int, parts: int):
     for first in range(total, -1, -1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _weight_monomials(w: Weight, m: int, n: int):
-    """Exponent tuples (length m*n) of the polynomial monomials of weight w;
-    the every-weight references of the tests label their rows with these."""
-    per_column = [list(_compositions(wi, m)) for wi in w]
-    for choice in cartesian(*per_column):
-        exp = [0] * (m * n)
-        for i, col in enumerate(choice):
-            for j, e in enumerate(col):
-                if e:
-                    exp[j * n + i] = e
-        yield tuple(exp)
 
 
 def _poly_times_form(poly: dict, form: dict) -> dict:
@@ -396,17 +340,10 @@ def _dominant_weights(d: int, n: int, parts: int) -> list[Weight]:
 def _support_filled(table: dict[Weight, int], d: int, n: int, rows: int):
     """Complete the dominant weights of a representation whose S_lam(V)
     have at most ``rows`` rows, from those with at most ``rows`` parts: the
-    c_lam are peeled in decreasing lex order (unitriangular, as K_{nu lam}
-    != 0 needs nu to dominate lam), and then mu gets sum c_lam K_{lam mu}."""
+    c_lam are peeled by ``kostka_peel``, and then mu gets sum c_lam K_{lam mu}."""
     if n <= rows:
         return table
-    coeffs: dict = {}
-    for lam in partitions_of(d, max_parts=rows):
-        c = table.get(lam + (0,) * (n - len(lam)), 0) - sum(
-            cn * kostka_number(nu, lam) for nu, cn in coeffs.items()
-        )
-        if c:
-            coeffs[lam] = c
+    coeffs = kostka_peel(table, d, n, rows)
     out = dict(table)
     for mu in partitions_of(d, max_parts=n):
         if len(mu) > rows:
@@ -502,7 +439,7 @@ def product_ideal_character(
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
-    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
+    forms = _forms_per_factor(arr, n)
     weights = _span_character(
         "product", forms, m, n, d_max, min(n, m),
         {(0,) * (m * n): 1}, _poly_times_form, _poly_renamed,
@@ -578,7 +515,7 @@ def wedge_ideal_character(
         raise ValueError(
             f"degree {d_max} exceeds the exterior top degree {m * n}"
         )
-    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
+    forms = _forms_per_factor(arr, n)
     weights = _span_character(
         "wedge", forms, m, n, d_max, n, {(): 1}, _ext_times_form, _ext_renamed
     )

@@ -358,57 +358,56 @@ def sigma_power(degree: int, k: int) -> SchurSeries:
     return times_sigma_power(one(degree), k)
 
 
+def kostka_peel(dims, d: int, n: int, max_parts: int) -> dict[Partition, int]:
+    """Schur coefficients c_lam, for lam with at most ``max_parts`` parts, of
+    a degree-d character whose dominant weights (length n) have dimensions
+    ``dims``, missing meaning zero.  K_{nu lam} != 0 needs nu to dominate
+    lam, so Kostka is unitriangular in decreasing lex order: c_lam is
+    dims[lam] minus the c_nu K_{nu lam} of the nu peeled before it.  They
+    come back in that order, zeros omitted."""
+    coeffs: dict[Partition, int] = {}
+    for lam in partitions_of(d, max_parts=max_parts):
+        c = dims.get(lam + (0,) * (n - len(lam)), 0) - sum(
+            cn * kostka_number(nu, lam) for nu, cn in coeffs.items()
+        )
+        if c:
+            coeffs[lam] = c
+    return coeffs
+
+
 def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
     """Recover a degree-d Schur expansion from weight multiplicities in n variables.
 
     ``weights`` maps length-n compositions of d to weight-space dimensions
-    (missing keys mean zero).  Repeatedly strips the lexicographically
-    largest dominant weight and subtracts the corresponding Kostka row.
-    Requires n >= d so all partitions of d are visible.  Raises ValueError
-    when the input is not permutation-symmetric or some multiplicity comes
-    out negative - i.e. when it is not a polynomial character.
+    (missing keys mean zero).  The dominant weights are peeled by
+    :func:`kostka_peel`.  Requires n >= d so all partitions of d are
+    visible.  Raises ValueError when the input is not permutation-symmetric
+    or some coefficient comes out negative - i.e. when it is not a
+    polynomial character; the first negative one in peeling order is named.
     """
     if n < d:
         raise ValueError(f"need n >= d for a faithful expansion, got n={n}, d={d}")
-    residual: dict[tuple[int, ...], int] = {}
+    table: dict[tuple[int, ...], int] = {}
     for w, mult in weights.items():
         w = tuple(w)
         if len(w) != n or any(x < 0 for x in w) or sum(w) != d:
             raise ValueError(f"weight {w!r} is not a composition of {d} into {n} parts")
         if mult:
-            residual[w] = residual.get(w, 0) + int(mult)
+            table[w] = table.get(w, 0) + int(mult)
 
     # symmetry check over whole permutation orbits
-    for canon in {tuple(sorted(w, reverse=True)) for w in residual}:
-        vals = {residual.get(w, 0) for w in set(permutations(canon))}
+    for canon in {tuple(sorted(w, reverse=True)) for w in table}:
+        vals = {table.get(w, 0) for w in set(permutations(canon))}
         if len(vals) != 1:
             raise ValueError(
                 f"weight multiplicities are not symmetric on the orbit of {canon}"
             )
 
-    out: dict[Partition, int] = {}
-    while residual:
-        dominant = [w for w in residual if all(w[i] >= w[i + 1] for i in range(n - 1))]
-        if not dominant:
-            raise ValueError("not a polynomial character: no dominant weight left")
-        top = max(dominant)
-        mult = residual[top]
-        if mult < 0:
+    coeffs = kostka_peel(table, d, n, n)
+    for lam, c in coeffs.items():
+        if c < 0:
             raise ValueError(
-                f"not a polynomial character: multiplicity {mult} at weight {top}"
+                "not a polynomial character: multiplicity "
+                f"{c} at weight {lam + (0,) * (n - len(lam))}"
             )
-        lam = tuple(p for p in top if p)
-        out[lam] = mult
-        for mu in partitions_of(d, max_parts=n):
-            k = kostka_number(lam, mu)
-            if not k:
-                continue
-            sub = mult * k
-            padded = mu + (0,) * (n - len(mu))
-            for w in set(permutations(padded)):
-                v = residual.get(w, 0) - sub
-                if v:
-                    residual[w] = v
-                else:
-                    residual.pop(w, None)
-    return SchurSeries(out, degree=d)
+    return SchurSeries(coeffs, degree=d)

@@ -10,7 +10,10 @@ can certify the fraction-free elimination of ``equisyz.oracle``; the
 oracle's first loops, which eliminate every weight of every degree and
 span it by every form combo times every monomial, are kept too, to
 certify the orbit fill, the Kostka fill of weights with more than m parts
-and the spanning of each degree from the previous one.  The
+and the spanning of each degree from the previous one.  The first
+intersection loop takes each factor's nullspace and ranks their stack
+with ``FractionEchelon`` and the ``Fraction`` RREF of ``equisyz.linalg``,
+so it shares no elimination code with the oracle's restriction ranks.  The
 formula side keeps its first implementation here too: the subset
 recursions for P and H at full truncation degree, and powers of sigma as
 chains of general Littlewood-Richardson products, to certify the Moebius
@@ -24,13 +27,12 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, Polymatroid, polymatroid_of
-from equisyz.linalg import Subspace, row_reduce
+from equisyz.linalg import Subspace, _nullspace, row_reduce
 from equisyz.oracle import (
-    CoordinateIdealBasis,
     _Echelon,
     _ext_times_form,
+    _forms_per_factor,
     _poly_times_form,
-    _weight_monomials,
 )
 from equisyz.schur import SchurSeries, one, sigma
 
@@ -231,8 +233,8 @@ def symmetric_orbit_ok(table, n) -> bool:
 
 class FractionEchelon:
     """Incremental echelon form over sparse Fraction rows with unit pivots,
-    the slow counterpart of the oracle's fraction-free elimination.  Only
-    its rank is read."""
+    the slow counterpart of the oracle's fraction-free elimination.  Its
+    rank is read, and its rows as a row basis of what was added."""
 
     def __init__(self):
         self.rows = {}
@@ -360,6 +362,17 @@ def reference_intersection_weights(arr: Arrangement, n: int, d: int) -> dict:
     return table
 
 
+def _weight_monomials(w, m: int, n: int):
+    """Exponent tuples (length m*n) of the polynomial monomials of weight w;
+    the every-weight references label their rows with these."""
+    for choice in product(*(compositions(wi, m) for wi in w)):
+        exp = [0] * (m * n)
+        for i, col in enumerate(choice):
+            for j, e in enumerate(col):
+                exp[j * n + i] = e
+        yield tuple(exp)
+
+
 def _exterior_weight_monomials(w, m: int, n: int):
     """Sorted variable-index tuples of the exterior monomials of weight w."""
     if any(wi > m for wi in w):
@@ -377,7 +390,7 @@ def all_weights_span(arr: Arrangement, n: int, d_max: int, exterior: bool) -> di
     lands in, and every bucket row reduced."""
     m = arr.ambient_dim
     t = len(arr.subspaces)
-    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
+    forms = _forms_per_factor(arr, n)
     weights = {}
     for d in range(d_max + 1):
         buckets: dict = {}
@@ -408,26 +421,33 @@ def all_weights_span(arr: Arrangement, n: int, d_max: int, exterior: bool) -> di
 def all_weights_intersection(arr: Arrangement, n: int, d_max: int) -> dict:
     """Weight tables by degree of the intersection ideal as the oracle
     first computed them: every weight of every degree, each the common
-    nullspace of the factors' spans."""
+    nullspace of the factors' spans.  Each span's row basis comes from
+    :class:`FractionEchelon`, its nullspace from the RREF of
+    ``equisyz.linalg``, which also ranks the stacked nullspaces."""
     m = arr.ambient_dim
-    forms = CoordinateIdealBasis.of(arr, n).forms_per_factor
+    forms = _forms_per_factor(arr, n)
     weights = {}
     for d in range(d_max + 1):
         table = {}
         for w in compositions(d, n):
-            labels = list(_weight_monomials(w, m, n))
-            stack = _Echelon()
+            column = {mono: k for k, mono in enumerate(_weight_monomials(w, m, n))}
+            stack = []
             for factor_forms in forms:
-                factor = _Echelon()
+                # a row basis first, so that the dense RREF stays small
+                span = FractionEchelon()
                 for i, form in factor_forms:
                     if w[i]:
                         w_minus = tuple(x - (k == i) for k, x in enumerate(w))
                         for mono in _weight_monomials(w_minus, m, n):
-                            factor.add(_poly_times_form({mono: 1}, form))
-                for vec in factor.nullspace(labels):
-                    stack.add(vec)
-            if len(labels) > stack.rank:
-                table[w] = len(labels) - stack.rank
+                            poly = _poly_times_form({mono: 1}, form)
+                            span.add({column[key]: c for key, c in poly.items()})
+                if len(span.rows) < len(column):  # else its nullspace is zero
+                    labels = range(len(column))
+                    basis = [[r.get(k, 0) for k in labels] for r in span.rows.values()]
+                    stack += _nullspace(row_reduce(basis)[0], len(column))
+            dim = len(column) - row_reduce(stack)[1]
+            if dim:
+                table[w] = dim
         weights[d] = table
     return weights
 

@@ -16,7 +16,7 @@ from equisyz.arrangements import (
     polymatroid_of,
 )
 from equisyz.betti import betti_from_series, regularity, transpose_table
-from equisyz.linalg import subspace_from_vectors
+from equisyz.linalg import Subspace
 from equisyz.oracle import (
     character_to_schur,
     product_ideal_character,
@@ -170,10 +170,10 @@ def test_criterion_3_regularity():
         Arrangement(
             3,
             (
-                subspace_from_vectors([[1, 0, 0], [0, 1, 0]], 3),
-                subspace_from_vectors([[0, 0, 1]], 3),
-                subspace_from_vectors([[1, 1, 1]], 3),
-                subspace_from_vectors([], 3),
+                Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3),
+                Subspace.from_vectors([[0, 0, 1]], 3),
+                Subspace.from_vectors([[1, 1, 1]], 3),
+                Subspace.from_vectors([], 3),
             ),
         ),
     ]
@@ -288,7 +288,7 @@ def test_criterion_7_property_suites():
         for _ in range(t):
             k = rng.randint(0, m)
             subs.append(
-                subspace_from_vectors(
+                Subspace.from_vectors(
                     [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)], m
                 )
             )
@@ -314,7 +314,7 @@ def test_criterion_7_property_suites():
         for _ in range(t):
             k = rng.randint(0, m - 1)
             subs.append(
-                subspace_from_vectors(
+                Subspace.from_vectors(
                     [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)], m
                 )
             )

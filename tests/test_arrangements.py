@@ -14,7 +14,7 @@ from equisyz.arrangements import (
     polymatroid_of,
 )
 from equisyz.errors import SizeCapError
-from equisyz.linalg import Subspace, subspace_from_vectors
+from equisyz.linalg import Subspace
 from equisyz.schur import SchurSeries, sigma, sigma_power, zero
 
 from helpers import (
@@ -36,7 +36,7 @@ def random_arrangement(rng, max_m=5, max_t=5, proper=False):
     while len(subs) < t:
         k = rng.randint(0, m - 1 if proper else m)
         vecs = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)]
-        sub = subspace_from_vectors(vecs, m)
+        sub = Subspace.from_vectors(vecs, m)
         if proper and sub.dim == m:
             continue
         subs.append(sub)

@@ -103,8 +103,9 @@ def test_caps_from_env_parses_entries():
 
 
 def test_caps_from_env_rejects_garbage():
-    # "²" passes str.isdigit but not int()
-    for raw in ("zz=1", "m=²"):
+    # "²" passes str.isdigit but not int(), and int() refuses more digits
+    # than the interpreter's conversion limit (4300 by default)
+    for raw in ("zz=1", "m=²", "m=" + "9" * 5000):
         with pytest.raises(InputError, match="cannot parse EQUISYZ_CAPS"):
             caps_from_env({"EQUISYZ_CAPS": raw})
 

@@ -89,7 +89,7 @@ def caps_strings(draw):
         return draw(st.text(printable, max_size=8))
     value = st.sampled_from(["3", "4", "5", "99"])
     if rarely(draw):
-        value = st.sampled_from(["²", "-1", "", "x"])
+        value = st.sampled_from(["²", "-1", "", "x", "9" * 5000])
     key = st.sampled_from("mndtz" if rarely(draw) else "mndt")
     return ",".join(draw(st.lists(st.tuples(key, value).map("=".join), max_size=3)))
 

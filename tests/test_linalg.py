@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisyz.linalg import Subspace, intersect, row_reduce, subspace_from_vectors
+from equisyz.linalg import Subspace, intersect, row_reduce
 
 
 def F(x):
@@ -51,35 +51,35 @@ def test_rref_with_fractions():
 
 
 def test_span_of_standard_basis_is_full():
-    s = subspace_from_vectors([[1, 0], [0, 1]], 2)
+    s = Subspace.from_vectors([[1, 0], [0, 1]], 2)
     assert s.dim == 2
     assert s == Subspace.full(2)
 
 
 def test_empty_span_is_zero():
-    s = subspace_from_vectors([], 3)
+    s = Subspace.from_vectors([], 3)
     assert s.dim == 0
     assert s == Subspace.zero(3)
 
 
 def test_dependent_vectors_span_a_line():
-    s = subspace_from_vectors([[1, 1], [2, 2]], 2)
+    s = Subspace.from_vectors([[1, 1], [2, 2]], 2)
     assert s.dim == 1
     assert s.basis == ((F(1), F(1)),)
 
 
 def test_equality_is_span_equality():
-    a = subspace_from_vectors([[1, 1, 0], [0, 1, 1]], 3)
-    b = subspace_from_vectors([[1, 2, 1], [1, 0, -1]], 3)
+    a = Subspace.from_vectors([[1, 1, 0], [0, 1, 1]], 3)
+    b = Subspace.from_vectors([[1, 2, 1], [1, 0, -1]], 3)
     assert a == b
     assert hash(a) == hash(b)
-    assert a != subspace_from_vectors([[1, 1, 0]], 3)
-    assert subspace_from_vectors([], 2) != subspace_from_vectors([], 3)
+    assert a != Subspace.from_vectors([[1, 1, 0]], 3)
+    assert Subspace.from_vectors([], 2) != Subspace.from_vectors([], 3)
 
 
 def test_vector_length_validated():
     with pytest.raises(ValueError):
-        subspace_from_vectors([[1, 0, 0]], 2)
+        Subspace.from_vectors([[1, 0, 0]], 2)
 
 
 def test_direct_construction_requires_rref():
@@ -88,21 +88,23 @@ def test_direct_construction_requires_rref():
 
 
 def test_contains():
-    s = subspace_from_vectors([[1, 1, 0]], 3)
+    s = Subspace.from_vectors([[1, 1, 0]], 3)
     assert s.contains([2, 2, 0])
     assert not s.contains([1, 0, 0])
+    with pytest.raises(ValueError, match="differs from ambient dimension"):
+        s.contains([1, 1])
 
 
 # -- annihilators ------------------------------------------------------------
 
 
 def test_annihilator_of_x_axis():
-    s = subspace_from_vectors([[1, 0]], 2)
-    assert s.annihilator() == subspace_from_vectors([[0, 1]], 2)
+    s = Subspace.from_vectors([[1, 0]], 2)
+    assert s.annihilator() == Subspace.from_vectors([[0, 1]], 2)
 
 
 def test_annihilator_of_origin_in_k1():
-    assert Subspace.zero(1).annihilator() == subspace_from_vectors([[1]], 1)
+    assert Subspace.zero(1).annihilator() == Subspace.from_vectors([[1]], 1)
 
 
 def test_annihilator_of_full_space():
@@ -115,7 +117,7 @@ def test_double_annihilator_random():
         m = rng.randint(1, 6)
         k = rng.randint(0, m)
         vecs = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
-        s = subspace_from_vectors(vecs, m)
+        s = Subspace.from_vectors(vecs, m)
         assert s.annihilator().annihilator() == s
         assert s.annihilator().dim == m - s.dim
 
@@ -124,19 +126,19 @@ def test_double_annihilator_random():
 
 
 def test_axes_intersect_in_origin():
-    x = subspace_from_vectors([[1, 0]], 2)
-    y = subspace_from_vectors([[0, 1]], 2)
+    x = Subspace.from_vectors([[1, 0]], 2)
+    y = Subspace.from_vectors([[0, 1]], 2)
     assert intersect([x, y]) == Subspace.zero(2)
 
 
 def test_plane_meets_normal_line_in_origin():
-    plane = subspace_from_vectors([[1, 0, 0], [0, 1, 0]], 3)
-    line = subspace_from_vectors([[0, 0, 1]], 3)
+    plane = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3)
+    line = Subspace.from_vectors([[0, 0, 1]], 3)
     assert intersect([plane, line]) == Subspace.zero(3)
 
 
 def test_intersection_idempotent():
-    v = subspace_from_vectors([[1, 2, 3], [0, 1, 1]], 3)
+    v = Subspace.from_vectors([[1, 2, 3], [0, 1, 1]], 3)
     assert intersect([v, v]) == v
     assert intersect([v]) is v
 
@@ -153,9 +155,9 @@ def test_intersect_needs_matching_ambient():
 def test_dimension_formula(data):
     m = data.draw(st.integers(min_value=1, max_value=6))
     vec = st.lists(st.integers(min_value=-3, max_value=3), min_size=m, max_size=m)
-    a = subspace_from_vectors(data.draw(st.lists(vec, max_size=m)), m)
-    b = subspace_from_vectors(data.draw(st.lists(vec, max_size=m)), m)
-    joint = subspace_from_vectors(list(a.basis) + list(b.basis), m)
+    a = Subspace.from_vectors(data.draw(st.lists(vec, max_size=m)), m)
+    b = Subspace.from_vectors(data.draw(st.lists(vec, max_size=m)), m)
+    joint = Subspace.from_vectors(list(a.basis) + list(b.basis), m)
     meet = intersect([a, b])
     assert meet.dim + joint.dim == a.dim + b.dim
 
@@ -170,7 +172,7 @@ def test_intersect_order_independent():
                 [rng.randint(-2, 2) for _ in range(m)]
                 for _ in range(rng.randint(0, m))
             ]
-            subs.append(subspace_from_vectors(vecs, m))
+            subs.append(Subspace.from_vectors(vecs, m))
         expected = intersect(subs)
         shuffled = subs[:]
         rng.shuffle(shuffled)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equisyz.oracle import _support_filled
 from equisyz.partitions import kostka_number, partitions_of
 from equisyz.schur import (
     SchurSeries,
@@ -235,17 +238,41 @@ def test_from_weights_examples():
     assert from_weight_multiplicities({(1, 1): 1}, 2, 2) == series({(1, 1): 1}, 2)
 
 
+def _weight_table(coeffs, d, n):
+    """Weight table of sum c_lam s_lam in n variables, from Kostka numbers."""
+    table = {}
+    for w in compositions(d, n):
+        dim = sum(c * kostka_number(lam, w) for lam, c in coeffs.items())
+        if dim:
+            table[w] = dim
+    return table
+
+
 def test_from_weights_roundtrip():
-    """Left inverse of expanding a Schur function into weights, d <= 5."""
+    """Left inverse of expanding a Schur function into weights, d <= 5.
+
+    Then random nonnegative sums of s_lam with at most r < n rows: the
+    expansion returns their coefficients, and the support fill completes
+    every dominant weight from those with at most r parts.
+    """
     for d in range(1, 6):
         n = d
         for lam in partitions_of(d):
-            table = {}
-            for w in compositions(d, n):
-                k = kostka_number(lam, w)
-                if k:
-                    table[w] = k
+            table = _weight_table({lam: 1}, d, n)
             assert from_weight_multiplicities(table, d, n) == series({lam: 1}, d)
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        d = rng.randint(1, n)
+        r = rng.randint(1, n - 1)
+        shapes = partitions_of(d, max_parts=r)
+        picked = rng.sample(shapes, rng.randint(1, len(shapes)))
+        coeffs = {lam: rng.randint(1, 3) for lam in picked}
+        table = _weight_table(coeffs, d, n)
+        assert from_weight_multiplicities(table, d, n) == series(coeffs, d)
+        dominant = {w: c for w, c in table.items() if list(w) == sorted(w, reverse=True)}
+        few_parts = {w: c for w, c in dominant.items() if len(w) - w.count(0) <= r}
+        assert _support_filled(few_parts, d, n, r) == dominant
 
 
 def test_from_weights_rejects_asymmetric():
@@ -254,13 +281,13 @@ def test_from_weights_rejects_asymmetric():
 
 
 def test_from_weights_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"multiplicity -1 at weight \(2, 0\)$"):
         from_weight_multiplicities({(2, 0): -1, (0, 2): -1, (1, 1): -1}, 2, 2)
 
 
 def test_from_weights_rejects_late_negative():
     # symmetric, top weight fine, goes negative only after the first peel
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"multiplicity -2 at weight \(1, 1\)$"):
         from_weight_multiplicities({(2, 0): 1, (0, 2): 1, (1, 1): -1}, 2, 2)
 
 
