@@ -22,10 +22,11 @@ from .linalg import Subspace, intersect
 from .schur import SchurSeries, sigma, sigma_power, times_sigma_power
 
 MAX_GROUND_SET = 16
-# Cap on the truncation degree D.  A job's time about doubles with every
-# +2 in D (Python 3.11 on a 2-core x86-64 VM): at D = 24 a product job on
-# m = t = 4 takes 3.7 s, and one on m = 24, t = 1 takes 12 s and writes a
-# 4.6 MB report; at D = 30 the first takes 16 s.
+# Cap on the truncation degree D.  Python 3.11 on a 2-core x86-64 VM: at
+# D = 24 a product job on m = t = 4 takes 0.8 s (3.5 s at D = 30), but one
+# on m = 24, t = 1 takes 8-9 s and writes a 4.6 MB report.  Most of that
+# job is the accumulation loop of times_sigma_power over its Pieri passes,
+# one per factor of sigma^m and sigma^-m, which the cap bounds.
 MAX_DEGREE = 24
 
 

@@ -123,12 +123,12 @@ def transpose_table(table: BettiTable) -> BettiTable:
 
 
 def series_from_betti(table: BettiTable, ambient_dim: int) -> SchurSeries:
-    """Euler-characteristic reconstruction: alternating sum of sigma^m * column."""
+    """Euler-characteristic reconstruction: sigma^m times the alternating sum
+    of the columns, one product for the whole table."""
     if not table.columns:
         raise ValueError("empty Betti table")
     D = table.columns[0].degree
     total = SchurSeries({}, degree=D)
     for i, col in enumerate(table.columns):
-        term = times_sigma_power(col, ambient_dim)
-        total = total - term if i % 2 else total + term
-    return total
+        total = total - col if i % 2 else total + col
+    return times_sigma_power(total, ambient_dim)

@@ -21,6 +21,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -58,6 +59,8 @@ EXIT_CAP = 3
 
 CAPS_ENV_VAR = "EQUISYZ_CAPS"
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 class InputError(Exception):
     """Malformed document, configuration or flag combination."""
@@ -69,7 +72,11 @@ def _parse_entry(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction alone also reads decimals and exponents, and builds
+        # 10**exponent for "1e10000000" before any check can stop it
         try:
+            if not _RATIONAL.fullmatch(value):
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"entry {value!r} is not a rational number") from exc

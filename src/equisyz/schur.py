@@ -7,10 +7,11 @@ up to D are exact, nothing above D is stored).  The pipeline only ever
 multiplies by powers of sigma = 1 + s_1 + s_2 + ..., and does so with the
 Pieri rules (Macdonald, Symmetric Functions and Hall Polynomials, I.5):
 one factor sigma adds every horizontal strip, one factor sigma^-1 adds
-every vertical strip with sign (-1)^size.  The general product of two
-series, expanded with the Littlewood-Richardson rule, remains for the ring
-API.  ``omega`` conjugates every index, which is the symmetric-to-exterior
-transpose at the level of characters.
+every vertical strip with sign (-1)^size.  Both kinds of strip are built
+directly from the rows of the partition, with no conjugation.  The
+general product of two series, expanded with the Littlewood-Richardson
+rule, remains for the ring API.  ``omega`` conjugates every index, which
+is the symmetric-to-exterior transpose at the level of characters.
 
 Series are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -19,7 +20,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations
+from itertools import groupby, permutations
 
 from .partitions import (
     Partition,
@@ -53,41 +54,51 @@ def _pair_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], 
 
 
 @cache
-def _horizontal_strips(lam: Partition, budget: int) -> tuple[Partition, ...]:
-    """Every mu such that mu/lam is a horizontal strip of at most ``budget``
-    cells: lam_i <= mu_i <= lam_(i-1), with one new row at the bottom."""
-    out = []
-
-    def extend(i: int, left: int, prefix: tuple[int, ...]):
-        if i > len(lam):
-            out.append(tuple(p for p in prefix if p))
-            return
-        low = lam[i] if i < len(lam) else 0
-        high = low + left if i == 0 else min(lam[i - 1], low + left)
-        for v in range(low, high + 1):
-            extend(i + 1, left - (v - low), prefix + (v,))
-
-    extend(0, budget, ())
-    return tuple(out)
-
-
-@cache
 def _pieri_terms(
     lam: Partition, budget: int, inverse: bool
 ) -> tuple[tuple[Partition, int], ...]:
     """Expansion of s_lam * sigma, or of s_lam * sigma^-1 when ``inverse``,
-    keeping the terms that add at most ``budget`` cells.
+    keeping the terms that add at most ``budget`` cells; every mu is built
+    directly from the rows of lam.
 
-    sigma = sum of h_j adds every horizontal strip; sigma^-1 = sum of
-    (-1)^j e_j adds every vertical strip, the conjugate of a horizontal
-    strip of the conjugate, with sign (-1)^size.
+    sigma = sum of h_j adds every horizontal strip: row i of mu runs from
+    lam_i up to lam_(i-1), and one new row runs from 0 up to the last row
+    of lam.  sigma^-1 = sum of (-1)^j e_j adds every vertical strip, with
+    sign (-1)^size: each row gains at most one cell, and a row may gain
+    only if the row above is longer or gains too.  So in each block of
+    equal rows of lam only the top rows gain, and any number of new rows
+    of length 1 go below lam.  The blocks are taken from the bottom up,
+    which lists mu in the order of the conjugate's horizontal strips, so
+    sums built from these terms keep the order they had when the strips
+    were conjugated.
     """
-    if not inverse:
-        return tuple((mu, 1) for mu in _horizontal_strips(lam, budget))
-    size = sum(lam)
+    if inverse:
+        terms = [((1,) * a, a) for a in range(budget + 1)]  # (mu so far, cells)
+        for length, rows in groupby(reversed(lam)):
+            size = len(list(rows))
+            tops = [
+                ((length + 1,) * a + (length,) * (size - a), a) for a in range(size + 1)
+            ]
+            terms = [
+                (top + below, cells + a)
+                for below, cells in terms
+                for top, a in tops
+                if cells + a <= budget
+            ]
+        return tuple((mu, -1 if cells % 2 else 1) for mu, cells in terms)
+    terms = [((), budget)]  # (mu so far, cells left)
+    cap = budget + (lam[0] if lam else 0)  # row 0 is bounded by the budget alone
+    for low in lam:
+        terms = [
+            (head + (v,), left - (v - low))
+            for head, left in terms
+            for v in range(low, min(cap, low + left) + 1)
+        ]
+        cap = low
     return tuple(
-        (conjugate(mu), -1 if (sum(mu) - size) % 2 else 1)
-        for mu in _horizontal_strips(conjugate(lam), budget)
+        (head + (v,) if v else head, 1)
+        for head, left in terms
+        for v in range(min(cap, left) + 1)
     )
 
 

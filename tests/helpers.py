@@ -17,7 +17,9 @@ so it shares no elimination code with the oracle's restriction ranks.  The
 formula side keeps its first implementation here too: the subset
 recursions for P and H at full truncation degree, and powers of sigma as
 chains of general Littlewood-Richardson products, to certify the Moebius
-inversion and the Pieri kernel.
+inversion and the Pieri kernel, and that kernel's first strip enumeration
+(vertical strips as conjugates of the conjugate's horizontal strips), to
+certify the strips it now builds directly.
 """
 
 from fractions import Fraction
@@ -34,6 +36,7 @@ from equisyz.oracle import (
     _forms_per_factor,
     _poly_times_form,
 )
+from equisyz.partitions import conjugate
 from equisyz.schur import SchurSeries, one, sigma
 
 
@@ -453,6 +456,37 @@ def all_weights_intersection(arr: Arrangement, n: int, d_max: int) -> dict:
 
 
 # -- slow references for the formula side ------------------------------------
+
+
+def reference_horizontal_strips(lam, budget: int) -> list:
+    """Every mu such that mu/lam is a horizontal strip of at most ``budget``
+    cells: lam padded with one zero row, lam_i <= mu_i <= lam_(i-1) row by
+    row, then the zero row filtered out again."""
+    out = []
+
+    def extend(i, left, prefix):
+        if i > len(lam):
+            out.append(tuple(p for p in prefix if p))
+            return
+        low = lam[i] if i < len(lam) else 0
+        high = low + left if i == 0 else min(lam[i - 1], low + left)
+        for v in range(low, high + 1):
+            extend(i + 1, left - (v - low), prefix + (v,))
+
+    extend(0, budget, ())
+    return out
+
+
+def reference_pieri_terms(lam, budget: int, inverse: bool) -> list:
+    """(mu, sign) terms of s_lam * sigma, or of s_lam * sigma^-1 when
+    ``inverse``, through the conjugate round trip: a vertical strip of lam
+    is the conjugate of a horizontal strip of lam', with sign (-1)^size."""
+    if not inverse:
+        return [(mu, 1) for mu in reference_horizontal_strips(lam, budget)]
+    return [
+        (conjugate(mu), (-1) ** (sum(mu) - sum(lam)))
+        for mu in reference_horizontal_strips(conjugate(lam), budget)
+    ]
 
 
 @cache

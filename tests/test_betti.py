@@ -1,5 +1,6 @@
 import pytest
 
+from equisyz.arrangements import MAX_DEGREE, Arrangement, hilbert_product
 from equisyz.betti import (
     BettiTable,
     GenerationDegreeError,
@@ -9,10 +10,10 @@ from equisyz.betti import (
     series_from_betti,
     transpose_table,
 )
+from equisyz.linalg import Subspace
 from equisyz.schur import SchurSeries, sigma
 
 from helpers import axes, origin_copies, plane_and_normal_line
-from equisyz.arrangements import hilbert_product
 
 
 def table_columns(table):
@@ -162,6 +163,19 @@ def test_series_roundtrips():
     ]:
         table = betti_from_series(h, m, t)
         assert series_from_betti(table, m) == h
+
+
+def test_roundtrip_at_the_degree_cap():
+    """sigma^-m and sigma^m undo each other at D = MAX_DEGREE, on a point,
+    a line, a plane and a 3-space of Q^4, each inside the next."""
+    vectors = [[1, 2, -1, 2], [-2, 1, 1, -1], [1, -1, 3, 1]]
+    arr = Arrangement(
+        4, tuple(Subspace.from_vectors(vectors[:k], 4) for k in (3, 0, 2, 1))
+    )
+    h = hilbert_product(arr, MAX_DEGREE)
+    table = betti_from_series(h, 4, 4)
+    assert series_from_betti(table, 4) == h
+    assert transpose_table(transpose_table(table)) == table
 
 
 def test_roundtrip_for_every_product_series():

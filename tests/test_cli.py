@@ -59,6 +59,10 @@ def test_parse_rejects_non_rational_entries():
         parse_arrangement({"ambient_dim": 1, "subspaces": [[[0.5]]]})
     with pytest.raises(InputError):
         parse_arrangement({"ambient_dim": 1, "subspaces": [[["x"]]]})
+    # Fraction reads these; the document format has no decimals or exponents
+    for entry in ("0.5", "1e10000000"):
+        with pytest.raises(InputError, match="is not a rational number"):
+            parse_arrangement({"ambient_dim": 2, "subspaces": [[[entry, 1]]]})
 
 
 def test_parse_rejects_bad_schema():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from equisyz.arrangements import MAX_DEGREE, MAX_GROUND_SET
 from equisyz.cli import CAPS_ENV_VAR, main
 
-BAD_ENTRIES = ["1/0", "x", "²", 0.5, None, True, [1]]
+BAD_ENTRIES = ["1/0", "x", "²", "0.5", "1e10000000", 0.5, None, True, [1]]
 
 
 def rarely(draw) -> bool:

@@ -8,6 +8,7 @@ from equisyz.oracle import _support_filled
 from equisyz.partitions import kostka_number, partitions_of
 from equisyz.schur import (
     SchurSeries,
+    _pieri_terms,
     format_terms,
     from_weight_multiplicities,
     one,
@@ -17,7 +18,7 @@ from equisyz.schur import (
     zero,
 )
 
-from helpers import compositions, reference_sigma_power
+from helpers import compositions, reference_pieri_terms, reference_sigma_power
 
 
 def series(coeffs, degree):
@@ -140,6 +141,20 @@ def test_sigma_power_matches_lr_chain():
     for D in range(7):
         for k in range(-4, 5):
             assert sigma_power(D, k) == reference_sigma_power(D, k), (D, k)
+
+
+def test_pieri_terms_match_reference_strips():
+    """Strips built directly against the conjugate round trip (vertical)
+    and the zero-filtering enumeration (horizontal), for every lam with
+    |lam| <= 10 and every budget up to 8.  Compared as lists: sums built
+    from the terms keep their order only if the terms keep theirs."""
+    for size in range(11):
+        for lam in partitions_of(size):
+            for budget in range(9):
+                for inverse in (False, True):
+                    got = list(_pieri_terms(lam, budget, inverse))
+                    want = reference_pieri_terms(lam, budget, inverse)
+                    assert got == want, (lam, budget, inverse)
 
 
 def test_times_sigma_inverse_signs_vertical_strips():
