@@ -10,7 +10,6 @@ brute-force oracle in explicit coordinates.
 from .arrangements import (
     Arrangement,
     Polymatroid,
-    check_lines_leading_terms,
     hilbert_product,
     lines_first_disagreement,
     p_polynomial,
@@ -69,7 +68,6 @@ __all__ = [
     "Subspace",
     "betti_from_series",
     "character_to_schur",
-    "check_lines_leading_terms",
     "conjugate",
     "from_weight_multiplicities",
     "hilbert_product",

@@ -10,7 +10,8 @@ inverts on the Boolean lattice to H = sum over B of (-1)^|B| sigma^(m - rk B) P(
 Both this sum and the truncated inclusion-exclusion that defines each
 correction polynomial P(B) are bucketed by rank, so every multiplication
 is one Pieri power of sigma per rank.  Each P(B) lives at its own degree
-|B| - 1 and is memoized by subset bitmask, whatever the truncation degree.
+|B| - 1, and the P of every subset is built in one pass in mask order,
+whatever the truncation degree.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .linalg import Subspace, intersect
 from .schur import SchurSeries, sigma, sigma_power, times_sigma_power
 
 MAX_GROUND_SET = 16
+# Cap on the ambient dimension m, checked before a document's vectors are
+# parsed.  Python 3.11 on a 2-core x86-64 VM, single cold jobs at D = 24: a
+# line in Q^24 takes 7.6-9.1 s, a line in Q^32 8.2-13 s and a hyperplane
+# of Q^32 10-15 s (7.3-9.3 s in Q^24).
+MAX_AMBIENT_DIM = 32
 # Cap on the truncation degree D.  Python 3.11 on a 2-core x86-64 VM: at
 # D = 24 a product job on m = t = 4 takes 0.8 s (3.5 s at D = 30), but one
 # on m = 24, t = 1 takes 8-9 s and writes a 4.6 MB report.  Most of that
@@ -72,20 +78,19 @@ class Arrangement:
 
 
 class Polymatroid:
-    """Rank function on the subsets of {0, .., t-1}, memoized by bitmask.
+    """Rank function on the subsets of {0, .., t-1}, indexed by bitmask.
 
-    Ranks are produced lazily from ``rank_source``; same-mask races in a
-    threaded setting recompute the same pure value, so the cache stays
-    consistent.
+    ``ranks[mask]`` is evaluated for every mask at construction.  The table
+    of correction polynomials P, one per mask, is built on first use and
+    shared by ``p_polynomial`` and ``hilbert_product``.
     """
 
     def __init__(self, ground_size: int, rank_source):
         if ground_size < 0:
             raise ValueError("ground size must be nonnegative")
         self.ground_size = ground_size
-        self._source = rank_source
-        self._ranks: dict[int, int] = {0: 0}
-        self._p_cache: dict[int, SchurSeries] = {}
+        self.ranks = [rank_source(mask) for mask in range(1 << ground_size)]
+        self._p_values: list[SchurSeries] | None = None
 
     def as_mask(self, subset) -> int:
         if isinstance(subset, int):
@@ -99,17 +104,14 @@ class Polymatroid:
         return mask
 
     def rank(self, subset) -> int:
-        mask = self.as_mask(subset)
-        if mask not in self._ranks:
-            self._ranks[mask] = self._source(mask)
-        return self._ranks[mask]
+        return self.ranks[self.as_mask(subset)]
 
     def rank_table(self) -> list[tuple[tuple[int, ...], int]]:
         """All (subset, rank) pairs ordered by size then lexicographically."""
         out = []
-        for mask in range(1 << self.ground_size):
+        for mask, rank in enumerate(self.ranks):
             subset = tuple(i for i in range(self.ground_size) if mask >> i & 1)
-            out.append((subset, self.rank(mask)))
+            out.append((subset, rank))
         out.sort(key=lambda kv: (len(kv[0]), kv[0]))
         return out
 
@@ -119,22 +121,18 @@ def polymatroid_of(arr: Arrangement) -> Polymatroid:
     """Polymatroid of an arrangement: rank(B) = m - dim of the intersection
     over B, with rank of the empty set 0.
 
-    The last few are kept, so the report and the Hilbert series of one job
-    share one polymatroid and compute each intersection once.
+    The intersections are built in one pass in mask order: the meet over a
+    mask is its meet without the lowest subspace, a smaller mask, meet that
+    subspace.  So every subset costs one two-subspace ``intersect``.  The
+    last few polymatroids are kept, so the report and the Hilbert series of
+    one job share one polymatroid and compute each intersection once.
     """
     m = arr.ambient_dim
-    inter_cache: dict[int, Subspace] = {0: Subspace.full(m)}
-
-    def intersection(mask: int) -> Subspace:
-        if mask not in inter_cache:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            inter_cache[mask] = intersect(
-                [intersection(mask ^ low), arr.subspaces[i]]
-            )
-        return inter_cache[mask]
-
-    return Polymatroid(len(arr.subspaces), lambda mask: m - intersection(mask).dim)
+    meets = [Subspace(m, [[int(i == j) for j in range(m)] for i in range(m)])]
+    for mask in range(1, 1 << len(arr.subspaces)):
+        low = mask & -mask
+        meets.append(intersect([meets[mask ^ low], arr.subspaces[low.bit_length() - 1]]))
+    return Polymatroid(len(arr.subspaces), lambda mask: m - meets[mask].dim)
 
 
 def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
@@ -148,7 +146,7 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
         )
-    return SchurSeries._make(dict(_p(pm, pm.as_mask(subset)).coeffs), truncation)
+    return SchurSeries._make(dict(_p_table(pm)[pm.as_mask(subset)].coeffs), truncation)
 
 
 def _add_into(acc: dict, series: SchurSeries, sign: int):
@@ -170,29 +168,28 @@ def _sum_of_sigma_powers(buckets: dict, top_rank: int, degree: int) -> dict:
     return total
 
 
-def _p(pm: Polymatroid, mask: int) -> SchurSeries:
-    """P(B) at its own degree |B| - 1 (degree 0 for the empty set)."""
-    cached = pm._p_cache.get(mask)
-    if cached is not None:
-        return cached
-    if mask == 0:
-        result = SchurSeries._make({(): 1}, 0)
-    else:
-        size = mask.bit_count()
-        buckets: dict[int, dict] = {}
-        sub = (mask - 1) & mask
-        while True:
-            # the outer minus sign of the recursion is folded in here
-            sign = 1 if (size - sub.bit_count()) % 2 else -1
-            _add_into(buckets.setdefault(pm.rank(sub), {}), _p(pm, sub), sign)
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        result = SchurSeries._make(
-            _sum_of_sigma_powers(buckets, pm.rank(mask), size - 1), size - 1
-        )
-    pm._p_cache[mask] = result
-    return result
+def _p_table(pm: Polymatroid) -> list[SchurSeries]:
+    """P(B) at its own degree |B| - 1 (degree 0 for the empty set), for every
+    mask in increasing order: each proper subset of B is a smaller mask, so
+    its P is already in the table.  Built once per polymatroid."""
+    if pm._p_values is None:
+        ranks = pm.ranks
+        table = [SchurSeries._make({(): 1}, 0)]
+        for mask in range(1, len(ranks)):
+            size = mask.bit_count()
+            buckets: dict[int, dict] = {}
+            sub = (mask - 1) & mask
+            while True:
+                # the outer minus sign of the recursion is folded in here
+                sign = 1 if (size - sub.bit_count()) % 2 else -1
+                _add_into(buckets.setdefault(ranks[sub], {}), table[sub], sign)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+            coeffs = _sum_of_sigma_powers(buckets, ranks[mask], size - 1)
+            table.append(SchurSeries._make(coeffs, size - 1))
+        pm._p_values = table
+    return pm._p_values
 
 
 def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
@@ -210,9 +207,9 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
         )
     pm = polymatroid_of(arr)
     buckets: dict[int, dict] = {}
-    for mask in range(1 << t):
+    for mask, p in enumerate(_p_table(pm)):
         sign = -1 if mask.bit_count() % 2 else 1
-        _add_into(buckets.setdefault(pm.rank(mask), {}), _p(pm, mask), sign)
+        _add_into(buckets.setdefault(pm.ranks[mask], {}), p, sign)
     return SchurSeries._make(
         _sum_of_sigma_powers(buckets, arr.ambient_dim, truncation), truncation
     )
@@ -236,8 +233,3 @@ def lines_first_disagreement(arr: Arrangement, truncation: int) -> int | None:
         if h.graded_part(d) != model.graded_part(d):
             return d
     return None
-
-
-def check_lines_leading_terms(arr: Arrangement, truncation: int) -> bool:
-    """True when H agrees with sigma^m - t*sigma in every degree from t up."""
-    return lines_first_disagreement(arr, truncation) is None

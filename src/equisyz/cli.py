@@ -23,9 +23,11 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .arrangements import (
+    MAX_AMBIENT_DIM,
     MAX_DEGREE,
     Arrangement,
     hilbert_product,
@@ -96,6 +98,8 @@ def parse_arrangement(document) -> Arrangement:
         raise InputError(f"arrangement document is missing key {exc}") from exc
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InputError("ambient_dim must be a positive integer")
+    if m > MAX_AMBIENT_DIM:
+        raise SizeCapError(f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}")
     if not isinstance(raw_subspaces, list):
         raise InputError("subspaces must be a list of vector lists")
     subspaces = []
@@ -109,7 +113,7 @@ def parse_arrangement(document) -> Arrangement:
                     f"subspace {idx}: vector {vec!r} does not have length {m}"
                 )
             parsed.append([_parse_entry(x) for x in vec])
-        subspaces.append(Subspace.from_vectors(parsed, m))
+        subspaces.append(Subspace(m, parsed))
     return Arrangement(m, tuple(subspaces))
 
 
@@ -141,26 +145,13 @@ def caps_from_env(environ=None) -> OracleCaps:
     return OracleCaps(**updates)
 
 
-class JobConfig:
-    def __init__(
-        self,
-        arrangement: Arrangement,
-        max_degree: int,
-        ideal: str = "product",  # product | intersection
-        side: str = "both",  # symmetric | exterior | both
-        oracle_degree: int = 0,  # 0 disables oracle checks
-        dim_v: int = 0,
-        output_format: str = "json",  # json | markdown | latex
-        caps: OracleCaps = DEFAULT_CAPS,
-    ):
-        self.arrangement = arrangement
-        self.max_degree = max_degree
-        self.ideal = ideal
-        self.side = side
-        self.oracle_degree = oracle_degree
-        self.dim_v = dim_v
-        self.output_format = output_format
-        self.caps = caps
+# ideal: product | intersection; side: symmetric | exterior | both;
+# oracle_degree 0 disables oracle checks; output_format: json | markdown | latex
+JobConfig = namedtuple(
+    "JobConfig",
+    "arrangement max_degree ideal side oracle_degree dim_v output_format caps",
+    defaults=("product", "both", 0, 0, "json", DEFAULT_CAPS),
+)
 
 
 def _subspace_doc(sub: Subspace) -> list[list[str]]:
@@ -371,6 +362,14 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _betti_tables(report: dict):
+    """(side, table, regularity) for each side that has a Betti table."""
+    for side in ("symmetric", "exterior"):
+        table = report["betti"].get(side)
+        if table:
+            yield side, table, report["regularity"].get(side)
+
+
 def render_markdown(report: dict) -> str:
     lines = ["# equisyz report", ""]
     inp = report["input"]
@@ -398,11 +397,7 @@ def render_markdown(report: dict) -> str:
     if report.get("linearity_error"):
         lines.append(f"**Linearity validation failed:** {report['linearity_error']}")
         lines.append("")
-    for side in ("symmetric", "exterior"):
-        table = report["betti"].get(side)
-        if not table:
-            continue
-        reg = report["regularity"].get(side)
+    for side, table, reg in _betti_tables(report):
         lines.append(
             f"## Betti table ({side} side), generated in degree {table['t']}, "
             f"regularity {reg}"
@@ -455,11 +450,7 @@ def render_latex(report: dict) -> str:
         f"$${format_terms(report['hilbert_series']['terms'], 'latex')}$$",
         "",
     ]
-    for side in ("symmetric", "exterior"):
-        table = report["betti"].get(side)
-        if not table:
-            continue
-        reg = report["regularity"].get(side)
+    for side, table, reg in _betti_tables(report):
         lines.append(
             f"\\subsection*{{Betti table ({side}), $t = {table['t']}$, "
             f"regularity ${reg}$}}"

@@ -1,9 +1,10 @@
 """Exact rational linear algebra for subspaces of Q^m.
 
 Everything runs on :class:`fractions.Fraction`, so rank decisions are
-exact.  A subspace is stored as the reduced row echelon basis of its row
-space; RREF is canonical, hence equality of subspaces is equality of
-representations and subspaces can be used as dictionary keys.
+exact.  A subspace is built by row-reducing its spanning vectors once and
+is stored as the nonzero rows of that reduced row echelon form; RREF is
+canonical, hence equality of subspaces is equality of representations and
+subspaces can be used as dictionary keys.
 """
 
 from __future__ import annotations
@@ -71,25 +72,26 @@ def _nullspace(rref_rows, ncols: int) -> list[Vector]:
 class Subspace:
     """A linear subspace of Q^m in canonical form.
 
-    ``basis`` holds the RREF rows spanning the subspace (no zero rows), so
-    two Subspace values compare equal exactly when they are the same
-    subspace.  Construct through :meth:`from_vectors`.  Hashed by value, so
-    never mutated.
+    ``Subspace(m, vectors)`` is the span of the given vectors (none for the
+    zero subspace).  They are row-reduced once, and ``basis`` holds the
+    nonzero RREF rows, so two Subspace values compare equal exactly when
+    they are the same subspace.  Hashed by value, so never mutated.
     """
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
+    def __init__(self, ambient_dim: int, vectors=()):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        for row in basis:
+        rows = list(vectors)
+        for row in rows:
             if len(row) != ambient_dim:
-                raise ValueError("basis vector length differs from ambient dimension")
-        rref, rank = row_reduce(basis)
-        if rank != len(basis) or rref[:rank] != basis:
-            raise ValueError("basis is not in reduced row echelon form")
+                raise ValueError(
+                    f"vector length {len(row)} differs from ambient dimension {ambient_dim}"
+                )
+        rref, rank = row_reduce(rows)
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.basis = rref[:rank]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -99,46 +101,18 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
 
-    @staticmethod
-    def from_vectors(vectors, ambient_dim: int) -> "Subspace":
-        """Canonical subspace spanned by the given vectors (possibly none)."""
-        rows = []
-        for v in vectors:
-            row = tuple(Fraction(x) for x in v)
-            if len(row) != ambient_dim:
-                raise ValueError(
-                    f"vector length {len(row)} differs from ambient dimension {ambient_dim}"
-                )
-            rows.append(row)
-        rref, rank = row_reduce(rows)
-        return Subspace(ambient_dim, rref[:rank])
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        rows = tuple(
-            tuple(Fraction(int(i == j)) for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return Subspace(ambient_dim, rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vector) -> bool:
         m = self.ambient_dim
-        return Subspace.from_vectors(self.basis + (vector,), m).dim == self.dim
+        return Subspace(m, self.basis + (vector,)).dim == self.dim
 
     def annihilator(self) -> "Subspace":
         """Vectors orthogonal to the subspace; read as linear forms they
         vanish exactly on it.  Has dimension m - dim."""
-        return Subspace.from_vectors(
-            _nullspace(self.basis, self.ambient_dim), self.ambient_dim
-        )
+        return Subspace(self.ambient_dim, _nullspace(self.basis, self.ambient_dim))
 
 
 def intersect(subspaces) -> Subspace:
@@ -156,4 +130,4 @@ def intersect(subspaces) -> Subspace:
     if len(subs) == 1:
         return subs[0]
     normals = [row for s in subs for row in s.annihilator().basis]
-    return Subspace.from_vectors(normals, m).annihilator()
+    return Subspace(m, normals).annihilator()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import chain, permutations, product as cartesian
 from math import comb, gcd, lcm, prod
 
@@ -41,35 +42,14 @@ from .schur import SchurSeries, from_weight_multiplicities, kostka_peel
 Weight = tuple[int, ...]
 
 
-class OracleCaps:
-    """Size limits for the brute-force computations.
+OracleCaps = namedtuple(
+    "OracleCaps", "ambient_dim dim_v degree subspaces", defaults=(4, 4, 4, 4)
+)
+OracleCaps.__doc__ = """Size limits for the brute-force computations.
 
-    The weight-space matrices grow combinatorially, so every entry point
-    refuses inputs beyond these bounds instead of silently hanging.
-    Hashed by value, so never mutated.
-    """
-
-    __slots__ = ("ambient_dim", "dim_v", "degree", "subspaces")
-
-    def __init__(
-        self, ambient_dim: int = 4, dim_v: int = 4, degree: int = 4, subspaces: int = 4
-    ):
-        self.ambient_dim = ambient_dim
-        self.dim_v = dim_v
-        self.degree = degree
-        self.subspaces = subspaces
-
-    def _key(self) -> tuple[int, int, int, int]:
-        return (self.ambient_dim, self.dim_v, self.degree, self.subspaces)
-
-    def __eq__(self, other):
-        if not isinstance(other, OracleCaps):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
+The weight-space matrices grow combinatorially, so every entry point
+refuses inputs beyond these bounds instead of silently hanging.
+"""
 
 DEFAULT_CAPS = OracleCaps()
 

@@ -45,28 +45,28 @@ from equisyz.schur import SchurSeries, one, sigma
 
 def origin_copies(t: int) -> Arrangement:
     """t copies of the zero subspace of K^1 (powers of the maximal ideal)."""
-    return Arrangement(1, (Subspace.zero(1),) * t)
+    return Arrangement(1, (Subspace(1),) * t)
 
 
 def axes(m: int, indices=None) -> Arrangement:
     """Coordinate axes of K^m (all of them unless indices are given)."""
     indices = range(m) if indices is None else indices
     subs = tuple(
-        Subspace.from_vectors([[int(i == j) for j in range(m)]], m) for i in indices
+        Subspace(m, [[int(i == j) for j in range(m)]]) for i in indices
     )
     return Arrangement(m, subs)
 
 
 def plane_and_normal_line() -> Arrangement:
-    plane = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3)
-    line = Subspace.from_vectors([[0, 0, 1]], 3)
+    plane = Subspace(3, [[1, 0, 0], [0, 1, 0]])
+    line = Subspace(3, [[0, 0, 1]])
     return Arrangement(3, (plane, line))
 
 
 def lines_in_plane(t: int) -> Arrangement:
     """t distinct lines in K^2."""
     spans = [[1, 0], [0, 1], [1, 1], [1, -1], [1, 2], [2, 1]][:t]
-    subs = tuple(Subspace.from_vectors([v], 2) for v in spans)
+    subs = tuple(Subspace(2, [v]) for v in spans)
     return Arrangement(2, subs)
 
 
@@ -93,7 +93,7 @@ def pooled_arrangements(draw, m=3, dims=(2,), min_t=2, max_t=3):
         st.lists(st.sampled_from(dims).flatmap(span), min_size=min_t, max_size=max_t)
     )
     return Arrangement(
-        m, tuple(Subspace.from_vectors([pool[i] for i in idx], m) for idx in subs)
+        m, tuple(Subspace(m, [pool[i] for i in idx]) for idx in subs)
     )
 
 

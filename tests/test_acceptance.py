@@ -170,10 +170,10 @@ def test_criterion_3_regularity():
         Arrangement(
             3,
             (
-                Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3),
-                Subspace.from_vectors([[0, 0, 1]], 3),
-                Subspace.from_vectors([[1, 1, 1]], 3),
-                Subspace.from_vectors([], 3),
+                Subspace(3, [[1, 0, 0], [0, 1, 0]]),
+                Subspace(3, [[0, 0, 1]]),
+                Subspace(3, [[1, 1, 1]]),
+                Subspace(3, []),
             ),
         ),
     ]
@@ -288,8 +288,8 @@ def test_criterion_7_property_suites():
         for _ in range(t):
             k = rng.randint(0, m)
             subs.append(
-                Subspace.from_vectors(
-                    [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)], m
+                Subspace(
+                    m, [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)]
                 )
             )
         pm = polymatroid_of(Arrangement(m, tuple(subs)))
@@ -314,8 +314,8 @@ def test_criterion_7_property_suites():
         for _ in range(t):
             k = rng.randint(0, m - 1)
             subs.append(
-                Subspace.from_vectors(
-                    [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)], m
+                Subspace(
+                    m, [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)]
                 )
             )
         big.append(Arrangement(m, tuple(subs)))

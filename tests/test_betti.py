@@ -170,7 +170,7 @@ def test_roundtrip_at_the_degree_cap():
     a line, a plane and a 3-space of Q^4, each inside the next."""
     vectors = [[1, 2, -1, 2], [-2, 1, 1, -1], [1, -1, 3, 1]]
     arr = Arrangement(
-        4, tuple(Subspace.from_vectors(vectors[:k], 4) for k in (3, 0, 2, 1))
+        4, tuple(Subspace(4, vectors[:k]) for k in (3, 0, 2, 1))
     )
     h = hilbert_product(arr, MAX_DEGREE)
     table = betti_from_series(h, 4, 4)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from equisyz import cli
-from equisyz.arrangements import MAX_DEGREE, polymatroid_of
+from equisyz.arrangements import MAX_AMBIENT_DIM, MAX_DEGREE, polymatroid_of
 from equisyz.cli import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -389,6 +389,19 @@ def test_main_degree_past_the_cap_exits_at_once(tmp_path, capsys, monkeypatch):
     assert main(["--input", src, "--max-degree", str(MAX_DEGREE + 1)]) == EXIT_CAP
     assert started == []
     assert f"exceeds the truncation cap {MAX_DEGREE}" in capsys.readouterr().err
+
+
+def test_main_ambient_dim_past_the_cap_exits_before_parsing(tmp_path, capsys, monkeypatch):
+    """One dimension past MAX_AMBIENT_DIM exits 3 before any entry is read."""
+    line = {"ambient_dim": MAX_AMBIENT_DIM, "subspaces": [[[1] * MAX_AMBIENT_DIM]]}
+    assert parse_arrangement(line).ambient_dim == MAX_AMBIENT_DIM
+    parsed = []
+    monkeypatch.setattr(cli, "_parse_entry", parsed.append)
+    m = MAX_AMBIENT_DIM + 1
+    src = write_doc(tmp_path, {"ambient_dim": m, "subspaces": [[["x"] * m]]})
+    assert main(["--input", src, "--max-degree", "1"]) == EXIT_CAP
+    assert parsed == []
+    assert f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}" in capsys.readouterr().err
 
 
 def test_main_validation_failure_exit(tmp_path):

@@ -4,8 +4,9 @@
 Every run must end with an exit code in {0, 1, 2, 3}, no exception may
 escape ``main`` (argparse's ``SystemExit`` is its exit code 2), and a rerun
 must give byte-identical stdout, stderr and exit code.  Sizes reach one step
-past every cap: the ground set (``MAX_GROUND_SET``), the truncation degree
-(``MAX_DEGREE``) and the oracle's default caps.  Below the caps the sizes
+past every cap: the ground set (``MAX_GROUND_SET``), the ambient dimension
+(``MAX_AMBIENT_DIM``), the truncation degree (``MAX_DEGREE``) and the
+oracle's default caps.  Below the caps the sizes
 stay small, so the whole test runs in a few seconds.  Each fault is drawn
 rarely, so that most inputs reach ``run_job``.
 """
@@ -19,7 +20,7 @@ from unittest import mock
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from equisyz.arrangements import MAX_DEGREE, MAX_GROUND_SET
+from equisyz.arrangements import MAX_AMBIENT_DIM, MAX_DEGREE, MAX_GROUND_SET
 from equisyz.cli import CAPS_ENV_VAR, main
 
 BAD_ENTRIES = ["1/0", "x", "²", "0.5", "1e10000000", 0.5, None, True, [1]]
@@ -48,7 +49,9 @@ def documents(draw):
         subspaces = draw(st.lists(st.lists(vector, max_size=2), max_size=3))
         doc = {"ambient_dim": m, "subspaces": subspaces}
         if rarely(draw):
-            doc["ambient_dim"] = draw(st.sampled_from([0, -1, "2", 1.5, True]))
+            doc["ambient_dim"] = draw(
+                st.sampled_from([0, -1, "2", 1.5, True, MAX_AMBIENT_DIM + 1])
+            )
         if rarely(draw):
             del doc[draw(st.sampled_from(sorted(doc)))]
     text = json.dumps(doc).encode()

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equisyz import linalg
 from equisyz.linalg import Subspace, intersect, row_reduce
 
 
 def F(x):
     return Fraction(x)
+
+
+def full(m):
+    return Subspace(m, [[int(i == j) for j in range(m)] for i in range(m)])
 
 
 # -- row reduction ----------------------------------------------------------
@@ -51,44 +56,60 @@ def test_rref_with_fractions():
 
 
 def test_span_of_standard_basis_is_full():
-    s = Subspace.from_vectors([[1, 0], [0, 1]], 2)
+    s = Subspace(2, [[1, 0], [0, 1]])
     assert s.dim == 2
-    assert s == Subspace.full(2)
+    assert s == full(2)
 
 
 def test_empty_span_is_zero():
-    s = Subspace.from_vectors([], 3)
+    s = Subspace(3, [])
     assert s.dim == 0
-    assert s == Subspace.zero(3)
+    assert s == Subspace(3)
 
 
 def test_dependent_vectors_span_a_line():
-    s = Subspace.from_vectors([[1, 1], [2, 2]], 2)
+    s = Subspace(2, [[1, 1], [2, 2]])
     assert s.dim == 1
     assert s.basis == ((F(1), F(1)),)
 
 
 def test_equality_is_span_equality():
-    a = Subspace.from_vectors([[1, 1, 0], [0, 1, 1]], 3)
-    b = Subspace.from_vectors([[1, 2, 1], [1, 0, -1]], 3)
+    a = Subspace(3, [[1, 1, 0], [0, 1, 1]])
+    b = Subspace(3, [[1, 2, 1], [1, 0, -1]])
     assert a == b
     assert hash(a) == hash(b)
-    assert a != Subspace.from_vectors([[1, 1, 0]], 3)
-    assert Subspace.from_vectors([], 2) != Subspace.from_vectors([], 3)
+    assert a != Subspace(3, [[1, 1, 0]])
+    assert Subspace(2, []) != Subspace(3, [])
 
 
 def test_vector_length_validated():
     with pytest.raises(ValueError):
-        Subspace.from_vectors([[1, 0, 0]], 2)
+        Subspace(2, [[1, 0, 0]])
 
 
-def test_direct_construction_requires_rref():
-    with pytest.raises(ValueError):
-        Subspace(2, ((F(2), F(0)),))
+def test_constructor_canonicalises_input():
+    assert Subspace(2, [[2, 0]]).basis == ((F(1), F(0)),)
+    assert Subspace(2, ((F(2), F(0)),)) == Subspace(2, [[1, 0]])
+    with pytest.raises(ValueError, match="differs from ambient dimension"):
+        Subspace(2, [[1, 0], [1]])
+
+
+def test_constructor_row_reduces_once(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return row_reduce(rows)
+
+    monkeypatch.setattr(linalg, "row_reduce", counted)
+    a = Subspace(3, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert len(calls) == 1
+    intersect([a, Subspace(3, [[1, 0, 0], [0, 0, 1]])])
+    assert len(calls) == 6  # two annihilators, the stacked normals, one more annihilator
 
 
 def test_contains():
-    s = Subspace.from_vectors([[1, 1, 0]], 3)
+    s = Subspace(3, [[1, 1, 0]])
     assert s.contains([2, 2, 0])
     assert not s.contains([1, 0, 0])
     with pytest.raises(ValueError, match="differs from ambient dimension"):
@@ -99,16 +120,16 @@ def test_contains():
 
 
 def test_annihilator_of_x_axis():
-    s = Subspace.from_vectors([[1, 0]], 2)
-    assert s.annihilator() == Subspace.from_vectors([[0, 1]], 2)
+    s = Subspace(2, [[1, 0]])
+    assert s.annihilator() == Subspace(2, [[0, 1]])
 
 
 def test_annihilator_of_origin_in_k1():
-    assert Subspace.zero(1).annihilator() == Subspace.from_vectors([[1]], 1)
+    assert Subspace(1).annihilator() == Subspace(1, [[1]])
 
 
 def test_annihilator_of_full_space():
-    assert Subspace.full(3).annihilator() == Subspace.zero(3)
+    assert full(3).annihilator() == Subspace(3)
 
 
 def test_double_annihilator_random():
@@ -117,7 +138,7 @@ def test_double_annihilator_random():
         m = rng.randint(1, 6)
         k = rng.randint(0, m)
         vecs = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
-        s = Subspace.from_vectors(vecs, m)
+        s = Subspace(m, vecs)
         assert s.annihilator().annihilator() == s
         assert s.annihilator().dim == m - s.dim
 
@@ -126,26 +147,26 @@ def test_double_annihilator_random():
 
 
 def test_axes_intersect_in_origin():
-    x = Subspace.from_vectors([[1, 0]], 2)
-    y = Subspace.from_vectors([[0, 1]], 2)
-    assert intersect([x, y]) == Subspace.zero(2)
+    x = Subspace(2, [[1, 0]])
+    y = Subspace(2, [[0, 1]])
+    assert intersect([x, y]) == Subspace(2)
 
 
 def test_plane_meets_normal_line_in_origin():
-    plane = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3)
-    line = Subspace.from_vectors([[0, 0, 1]], 3)
-    assert intersect([plane, line]) == Subspace.zero(3)
+    plane = Subspace(3, [[1, 0, 0], [0, 1, 0]])
+    line = Subspace(3, [[0, 0, 1]])
+    assert intersect([plane, line]) == Subspace(3)
 
 
 def test_intersection_idempotent():
-    v = Subspace.from_vectors([[1, 2, 3], [0, 1, 1]], 3)
+    v = Subspace(3, [[1, 2, 3], [0, 1, 1]])
     assert intersect([v, v]) == v
     assert intersect([v]) is v
 
 
 def test_intersect_needs_matching_ambient():
     with pytest.raises(ValueError):
-        intersect([Subspace.full(2), Subspace.full(3)])
+        intersect([full(2), full(3)])
     with pytest.raises(ValueError):
         intersect([])
 
@@ -155,9 +176,9 @@ def test_intersect_needs_matching_ambient():
 def test_dimension_formula(data):
     m = data.draw(st.integers(min_value=1, max_value=6))
     vec = st.lists(st.integers(min_value=-3, max_value=3), min_size=m, max_size=m)
-    a = Subspace.from_vectors(data.draw(st.lists(vec, max_size=m)), m)
-    b = Subspace.from_vectors(data.draw(st.lists(vec, max_size=m)), m)
-    joint = Subspace.from_vectors(list(a.basis) + list(b.basis), m)
+    a = Subspace(m, data.draw(st.lists(vec, max_size=m)))
+    b = Subspace(m, data.draw(st.lists(vec, max_size=m)))
+    joint = Subspace(m, list(a.basis) + list(b.basis))
     meet = intersect([a, b])
     assert meet.dim + joint.dim == a.dim + b.dim
 
@@ -172,7 +193,7 @@ def test_intersect_order_independent():
                 [rng.randint(-2, 2) for _ in range(m)]
                 for _ in range(rng.randint(0, m))
             ]
-            subs.append(Subspace.from_vectors(vecs, m))
+            subs.append(Subspace(m, vecs))
         expected = intersect(subs)
         shuffled = subs[:]
         rng.shuffle(shuffled)

@@ -38,8 +38,8 @@ from helpers import (
 
 
 def generic_lines():
-    l1 = Subspace.from_vectors([[1, 0]], 2)
-    l2 = Subspace.from_vectors([[1, 1]], 2)
+    l1 = Subspace(2, [[1, 0]])
+    l2 = Subspace(2, [[1, 1]])
     return Arrangement(2, (l1, l2))
 
 
@@ -60,7 +60,7 @@ def test_coordinate_basis_form_counts():
 
 
 def test_coordinate_basis_forms_are_primitive_integers():
-    arr = Arrangement(3, (Subspace.from_vectors([["1/2", "2/3", 1]], 3),))
+    arr = Arrangement(3, (Subspace(3, [["1/2", "2/3", 1]]),))
     for i, form in _forms_per_factor(arr, 2)[0]:
         assert all(type(c) is int for c in form.values())
         assert gcd(*form.values()) == 1
@@ -169,9 +169,9 @@ def _pencil_and_line() -> Arrangement:
     line inside the first of them."""
     axis = [1, 1, 1]
     planes = tuple(
-        Subspace.from_vectors([axis, v], 3) for v in ([1, 0, 0], [0, 1, 0], [1, 2, 3])
+        Subspace(3, [axis, v]) for v in ([1, 0, 0], [0, 1, 0], [1, 2, 3])
     )
-    return Arrangement(3, planes + (Subspace.from_vectors([[2, 1, 1]], 3),))
+    return Arrangement(3, planes + (Subspace(3, [[2, 1, 1]]),))
 
 
 def test_no_quadric_vanishes_on_a_pencil_of_planes():
@@ -206,7 +206,7 @@ def test_intersection_job_with_rational_planes_exits_cleanly(tmp_path, capsys):
 
 
 def test_single_factor_intersection_equals_product():
-    arr = Arrangement(2, (Subspace.from_vectors([[1, 1]], 2),))
+    arr = Arrangement(2, (Subspace(2, [[1, 1]]),))
     inter = intersection_ideal_character(arr, 2, 2)
     prod = product_ideal_character(arr, 2, 2)
     assert inter.weights == prod.weights
@@ -272,9 +272,9 @@ def test_omega_duality_small():
 
 
 def test_rational_entries_through_both_oracles():
-    l1 = Subspace.from_vectors([["2", "1"]], 2)
-    l2 = Subspace.from_vectors([["3", "-2"]], 2)
-    l3 = Subspace.from_vectors([[1, 0]], 2)
+    l1 = Subspace(2, [["2", "1"]])
+    l2 = Subspace(2, [["3", "-2"]])
+    l3 = Subspace(2, [[1, 0]])
     arr = Arrangement(2, (l1, l2, l3))
     h = hilbert_product(arr, 4)
     for d in (3, 4):
@@ -301,8 +301,8 @@ def test_tilted_arrangement_same_series_as_coordinate_twin():
     tilted = Arrangement(
         3,
         (
-            Subspace.from_vectors([[1, 1, 0], [0, 1, 1]], 3),
-            Subspace.from_vectors([[1, -1, 2]], 3),
+            Subspace(3, [[1, 1, 0], [0, 1, 1]]),
+            Subspace(3, [[1, -1, 2]]),
         ),
     )
     h = hilbert_product(tilted, 4)
