@@ -19,10 +19,19 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import SizeCapError
-from .linalg import Subspace, intersect
+# intersect is not called here.  perfbench/traced_job.py counts the calls
+# through this module's name, where the formula side must read 0.
+from .linalg import Subspace, _integer_rows, _nullspace, _reduce_into, intersect
 from .schur import SchurSeries, sigma, sigma_power, times_sigma_power
 
-MAX_GROUND_SET = 16
+# Cap on the number t of subspaces, checked before a document's vectors are
+# parsed.  The P table's 3^t subset sums set the t axis, about 3x per
+# subspace.  Python 3.11 on a 2-core x86-64 VM, single cold jobs at D = t:
+# product-wide-shaped arrangements (m = 4) take 1.0, 2.9, 8.7 and 26 s at
+# t = 11, 12, 13 and 14; t lines in general position in Q^t take 3.7 s at
+# t = 12 and 12.7 s at t = 13.  The axes compound: 13 lines in Q^32 take
+# 25 s, and the t = 13 document at D = 24 10 s.
+MAX_GROUND_SET = 13
 # Cap on the ambient dimension m, checked before a document's vectors are
 # parsed.  Python 3.11 on a 2-core x86-64 VM, single cold jobs at D = 24: a
 # line in Q^24 takes 7.6-9.1 s, a line in Q^32 8.2-13 s and a hyperplane
@@ -34,6 +43,15 @@ MAX_AMBIENT_DIM = 32
 # job is the accumulation loop of times_sigma_power over its Pieri passes,
 # one per factor of sigma^m and sigma^-m, which the cap bounds.
 MAX_DEGREE = 24
+
+
+def check_ground_set(t: int):
+    """Refuse an arrangement of more than MAX_GROUND_SET subspaces."""
+    if t > MAX_GROUND_SET:
+        raise SizeCapError(
+            f"arrangement has {t} subspaces; "
+            f"the subset recursion is capped at {MAX_GROUND_SET}"
+        )
 
 
 class Arrangement:
@@ -52,11 +70,7 @@ class Arrangement:
         for s in subspaces:
             if s.ambient_dim != ambient_dim:
                 raise ValueError("subspace ambient dimension mismatch")
-        if len(subspaces) > MAX_GROUND_SET:
-            raise SizeCapError(
-                f"arrangement has {len(subspaces)} subspaces; "
-                f"the subset recursion is capped at {MAX_GROUND_SET}"
-            )
+        check_ground_set(len(subspaces))
         self.ambient_dim = ambient_dim
         self.subspaces = subspaces
 
@@ -121,18 +135,34 @@ def polymatroid_of(arr: Arrangement) -> Polymatroid:
     """Polymatroid of an arrangement: rank(B) = m - dim of the intersection
     over B, with rank of the empty set 0.
 
-    The intersections are built in one pass in mask order: the meet over a
-    mask is its meet without the lowest subspace, a smaller mask, meet that
-    subspace.  So every subset costs one two-subspace ``intersect``.  The
-    last few polymatroids are kept, so the report and the Hilbert series of
-    one job share one polymatroid and compute each intersection once.
+    That is the rank of the annihilator rows of the subspaces in B stacked,
+    taken with the fraction-free kernel on primitive integer rows; no
+    intersection is built.  The subsets are walked depth first, a child
+    adding the next lower subspace to a copy of its parent's echelon, so at
+    most t + 1 echelons of at most m rows are alive at once.  An echelon of
+    m rows is full: every superset has rank m, and nothing more is reduced.
+    The last few polymatroids are kept, so the report and the Hilbert
+    series of one job share one polymatroid.
     """
     m = arr.ambient_dim
-    meets = [Subspace(m, [[int(i == j) for j in range(m)] for i in range(m)])]
-    for mask in range(1, 1 << len(arr.subspaces)):
-        low = mask & -mask
-        meets.append(intersect([meets[mask ^ low], arr.subspaces[low.bit_length() - 1]]))
-    return Polymatroid(len(arr.subspaces), lambda mask: m - meets[mask].dim)
+    t = len(arr.subspaces)
+    normals = [_integer_rows(_nullspace(s.basis, m)) for s in arr.subspaces]
+    ranks = [0] * (1 << t)
+
+    def walk(mask: int, echelon: dict):
+        for i in range((mask & -mask).bit_length() - 1 if mask else t):
+            child = mask | 1 << i
+            grown = echelon
+            if len(echelon) < m:
+                grown = dict(echelon)
+                for row in normals[i]:
+                    if _reduce_into(grown, row) and len(grown) == m:
+                        break
+            ranks[child] = len(grown)
+            walk(child, grown)
+
+    walk(0, {})
+    return Polymatroid(t, ranks.__getitem__)
 
 
 def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:

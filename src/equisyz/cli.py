@@ -30,6 +30,7 @@ from .arrangements import (
     MAX_AMBIENT_DIM,
     MAX_DEGREE,
     Arrangement,
+    check_ground_set,
     hilbert_product,
     p_polynomial,
     polymatroid_of,
@@ -102,6 +103,7 @@ def parse_arrangement(document) -> Arrangement:
         raise SizeCapError(f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}")
     if not isinstance(raw_subspaces, list):
         raise InputError("subspaces must be a list of vector lists")
+    check_ground_set(len(raw_subspaces))
     subspaces = []
     for idx, vectors in enumerate(raw_subspaces):
         if not isinstance(vectors, list):

@@ -1,17 +1,121 @@
 """Exact rational linear algebra for subspaces of Q^m.
 
-Everything runs on :class:`fractions.Fraction`, so rank decisions are
-exact.  A subspace is built by row-reducing its spanning vectors once and
-is stored as the nonzero rows of that reduced row echelon form; RREF is
-canonical, hence equality of subspaces is equality of representations and
-subspaces can be used as dictionary keys.
+Two exact eliminations live here.  The kernel is fraction-free: sparse
+integer rows in an incremental echelon (``_Echelon``, ``_reduce_into``),
+which takes every rank the pipeline needs: the polymatroid's, the
+oracle's, and the span of a tall spanning set.  The ``Fraction`` RREF
+(``row_reduce``) gives subspaces their canonical form: a subspace is
+stored as the nonzero rows of the RREF of at most m spanning vectors, so
+equality of subspaces is equality of representations and subspaces can
+be used as dictionary keys.  ``intersect`` and ``Subspace.annihilator``
+stay on the RREF as the slow reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
+
+
+# -- the fraction-free kernel ------------------------------------------------
+
+
+class _Echelon:
+    """Incremental row echelon form over sparse integer rows, fraction-free.
+
+    Rows are dicts keyed by basis labels (any totally ordered hashables);
+    the pivot of a row is its smallest label.  Rational entries are scaled
+    to integers on entry, and elimination cross-multiplies instead of
+    dividing, so every coefficient stays an exact ``int``: fraction-free
+    elimination as in Bareiss (Math. Comp. 22, 1968), except that each row
+    is divided by the gcd of its entries rather than by the previous pivot.
+    A stored row is primitive, with a positive pivot, and is reduced only
+    forward, against the rows of smaller pivot: ``add`` never touches the
+    rows already stored.  The oracles and the polymatroid read only the
+    rank; ``Subspace`` reads the kept rows of a tall spanning set.  No
+    nullspace is taken here.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}  # pivot label -> primitive row, pivot > 0
+
+    def add(self, row: dict) -> bool:
+        """Reduce a row against the current basis; keep it if independent."""
+        return _reduce_into(self.rows, row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def _reduce_into(rows: dict, row: dict) -> bool:
+    """Reduce ``row`` against the echelon ``rows`` (pivot label -> primitive
+    row) and store it there if it is independent.  ``row`` is not changed."""
+    work = {k: v for k, v in row.items() if v}
+    if any(type(v) is not int for v in work.values()):
+        work = _integral(work)
+    while work:
+        lead = min(work)
+        piv = rows.get(lead)
+        if piv is None:
+            rows[lead] = _primitive(work, lead)
+            return True
+        work = _eliminate(work, piv, lead)
+    return False
+
+
+def _eliminate(work: dict, piv: dict, lead) -> dict:
+    """b*work - a*piv for the smallest b > 0 that clears ``lead``, made
+    primitive; ``piv`` has a positive entry at ``lead``.  ``work`` is
+    consumed: the result may be the same dict, updated in place."""
+    a = work[lead]
+    b = piv[lead]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    out = {k: b * v for k, v in work.items()} if b != 1 else work
+    for k, v in piv.items():
+        w = out.get(k, 0) - a * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    if b != 1 and out:
+        g = gcd(*out.values())
+        if g != 1:
+            out = {k: v // g for k, v in out.items()}
+    return out
+
+
+def _integral(row: dict) -> dict:
+    """Scale a rational row by the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {k: int(v * den) for k, v in row.items()}
+
+
+def _integer_rows(vectors) -> list[dict]:
+    """Each nonzero rational vector as a sparse row {index: entry} of
+    coprime integers, its first entry positive; it spans the same line."""
+    out = []
+    for a in vectors:
+        coeffs = _integral({j: c for j, c in enumerate(a) if c})
+        out.append(_primitive(coeffs, min(coeffs)))
+    return out
+
+
+def _primitive(row: dict, lead) -> dict:
+    """Divide an integer row by the gcd of its entries, signed so that the
+    entry at ``lead`` comes out positive."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return {k: v // g for k, v in row.items()} if g != 1 else row
+
+
+# -- the Fraction RREF and canonical subspaces ---------------------------------
 
 
 def row_reduce(rows) -> tuple[tuple[Vector, ...], int]:
@@ -69,13 +173,26 @@ def _nullspace(rref_rows, ncols: int) -> list[Vector]:
     return out
 
 
+def _spanning_rows(vectors, m: int) -> list[list[int]]:
+    """At most m integer rows with the same span as ``vectors``: the rows
+    the kernel keeps, and it stops once it holds m of them."""
+    rows: dict = {}
+    for vec in vectors:
+        _reduce_into(rows, {j: Fraction(x) for j, x in enumerate(vec)})
+        if len(rows) == m:
+            break
+    return [[row.get(j, 0) for j in range(m)] for row in rows.values()]
+
+
 class Subspace:
     """A linear subspace of Q^m in canonical form.
 
     ``Subspace(m, vectors)`` is the span of the given vectors (none for the
-    zero subspace).  They are row-reduced once, and ``basis`` holds the
-    nonzero RREF rows, so two Subspace values compare equal exactly when
-    they are the same subspace.  Hashed by value, so never mutated.
+    zero subspace).  More than m vectors are first thinned by the kernel
+    to at most m with the same span.  These are row-reduced once, and
+    ``basis`` holds the nonzero RREF rows, so two Subspace values
+    compare equal exactly when they are the same subspace.  Hashed by
+    value, so never mutated.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -89,6 +206,8 @@ class Subspace:
                 raise ValueError(
                     f"vector length {len(row)} differs from ambient dimension {ambient_dim}"
                 )
+        if len(rows) > ambient_dim:
+            rows = _spanning_rows(rows, ambient_dim)
         rref, rank = row_reduce(rows)
         self.ambient_dim = ambient_dim
         self.basis = rref[:rank]

@@ -22,8 +22,9 @@ previous degree's basis.  The intersection ideal is not spanned at all:
 J_k(V) is the vanishing ideal of Y_k tensor V, so each weight space of the
 intersection is the common kernel of the restrictions to the Y_k tensor V,
 and its dimension is one exact rank of their stacked vanishing conditions.
-The module shares no code path with the polymatroid recursion, which makes
-it an independent check on the series formulas.
+With the polymatroid it shares only the fraction-free elimination kernel
+of ``equisyz.linalg``, which the tests check against the ``Fraction`` RREF,
+so it stays an independent check on the series formulas.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ import sys
 from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain, permutations, product as cartesian
-from math import comb, gcd, lcm, prod
+from math import comb, prod
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
+from .linalg import _Echelon, _integer_rows
 from .partitions import kostka_number, partitions_of
 from .schur import SchurSeries, from_weight_multiplicities, kostka_peel
 
@@ -103,92 +105,6 @@ class GradedCharacter:
 def character_to_schur(gc: GradedCharacter, d: int) -> SchurSeries:
     """Faithful Schur expansion of the degree-d piece (requires n >= d)."""
     return gc.schur(d)
-
-
-class _Echelon:
-    """Incremental row echelon form over sparse integer rows, fraction-free.
-
-    Rows are dicts keyed by basis labels (any totally ordered hashables);
-    the pivot of a row is its smallest label.  Rational entries are scaled
-    to integers on entry, and elimination cross-multiplies instead of
-    dividing, so every coefficient stays an exact ``int``: fraction-free
-    elimination as in Bareiss (Math. Comp. 22, 1968), except that each row
-    is divided by the gcd of its entries rather than by the previous pivot.
-    A stored row is primitive, with a positive pivot, and is reduced only
-    forward, against the rows of smaller pivot: ``add`` never touches the
-    rows already stored.  Only the rank is read: the oracles count
-    dimensions and never take a nullspace.
-    """
-
-    def __init__(self):
-        self.rows: dict = {}  # pivot label -> primitive row, pivot > 0
-
-    def add(self, row: dict) -> bool:
-        """Reduce a row against the current basis; keep it if independent."""
-        work = {k: v for k, v in row.items() if v}
-        if any(type(v) is not int for v in work.values()):
-            work = _integral(work)
-        while work:
-            lead = min(work)
-            piv = self.rows.get(lead)
-            if piv is None:
-                self.rows[lead] = _primitive(work, lead)
-                return True
-            work = _eliminate(work, piv, lead)
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def _eliminate(work: dict, piv: dict, lead) -> dict:
-    """b*work - a*piv for the smallest b > 0 that clears ``lead``, made
-    primitive; ``piv`` has a positive entry at ``lead``.  ``work`` is
-    consumed: the result may be the same dict, updated in place."""
-    a = work[lead]
-    b = piv[lead]
-    g = gcd(a, b)
-    if g != 1:
-        a //= g
-        b //= g
-    out = {k: b * v for k, v in work.items()} if b != 1 else work
-    for k, v in piv.items():
-        w = out.get(k, 0) - a * v
-        if w:
-            out[k] = w
-        else:
-            del out[k]
-    if b != 1 and out:
-        g = gcd(*out.values())
-        if g != 1:
-            out = {k: v // g for k, v in out.items()}
-    return out
-
-
-def _integral(row: dict) -> dict:
-    """Scale a rational row by the lcm of its denominators."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return {k: int(v * den) for k, v in row.items()}
-
-
-def _integer_rows(vectors) -> list[dict]:
-    """Each rational vector as a sparse row {index: entry} of coprime
-    integers, its first entry positive; it spans the same line."""
-    out = []
-    for a in vectors:
-        coeffs = _integral({j: c for j, c in enumerate(a) if c})
-        out.append(_primitive(coeffs, min(coeffs)))
-    return out
-
-
-def _primitive(row: dict, lead) -> dict:
-    """Divide an integer row by the gcd of its entries, signed so that the
-    entry at ``lead`` comes out positive."""
-    g = gcd(*row.values())
-    if row[lead] < 0:
-        g = -g
-    return {k: v // g for k, v in row.items()} if g != 1 else row
 
 
 # -- coordinates -----------------------------------------------------------

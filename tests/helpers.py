@@ -6,7 +6,7 @@ fillings and peeling weight tables, so they can certify the tableau-based
 Littlewood-Richardson implementation.  The weight tables of product, wedge
 and intersection ideals are rederived with Fraction elimination on the
 unscaled annihilator forms, and with dense vanishing conditions, so they
-can certify the fraction-free elimination of ``equisyz.oracle``; the
+can certify the fraction-free kernel of ``equisyz.linalg``; the
 oracle's first loops, which eliminate every weight of every degree and
 span it by every form combo times every monomial, are kept too, to
 certify the orbit fill, the Kostka fill of weights with more than m parts
@@ -14,7 +14,8 @@ and the spanning of each degree from the previous one.  The first
 intersection loop takes each factor's nullspace and ranks their stack
 with ``FractionEchelon`` and the ``Fraction`` RREF of ``equisyz.linalg``,
 so it shares no elimination code with the oracle's restriction ranks.  The
-formula side keeps its first implementation here too: the subset
+formula side keeps its first implementation here too: the polymatroid
+ranks by the ``Fraction`` RREF of the stacked annihilators, the subset
 recursions for P and H at full truncation degree, and powers of sigma as
 chains of general Littlewood-Richardson products, to certify the Moebius
 inversion and the Pieri kernel, and that kernel's first strip enumeration
@@ -500,6 +501,17 @@ def reference_sigma_power(degree: int, k: int) -> SchurSeries:
     if k < 0:
         return reference_sigma_power(degree, k + 1) * reference_sigma_power(degree, -1)
     return reference_sigma_power(degree, k - 1) * sigma(degree)
+
+
+def reference_ranks(arr: Arrangement) -> list[int]:
+    """Polymatroid ranks by the ``Fraction`` RREF: for every mask, the
+    ``row_reduce`` rank of the annihilator bases of its subspaces stacked."""
+    normals = [s.annihilator().basis for s in arr.subspaces]
+    ranks = []
+    for mask in range(1 << len(normals)):
+        rows = [row for i, basis in enumerate(normals) if mask >> i & 1 for row in basis]
+        ranks.append(row_reduce(rows)[1])
+    return ranks
 
 
 def reference_p(pm: Polymatroid, mask: int, D: int, memo=None) -> SchurSeries:

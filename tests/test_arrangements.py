@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equisyz import arrangements, linalg
 from equisyz.arrangements import (
+    MAX_GROUND_SET,
     Arrangement,
     Polymatroid,
     hilbert_product,
@@ -17,6 +20,7 @@ from equisyz.linalg import Subspace, intersect
 from equisyz.schur import SchurSeries, sigma, sigma_power, zero
 
 from helpers import (
+    NONZERO,
     axes,
     lines_in_plane,
     origin_copies,
@@ -25,6 +29,7 @@ from helpers import (
     pooled_arrangements,
     reference_hilbert_product,
     reference_p,
+    reference_ranks,
 )
 
 
@@ -92,6 +97,61 @@ def test_ranks_match_whole_subset_intersections(arr):
     for mask in range(1, 1 << len(arr)):
         subset = [s for i, s in enumerate(arr.subspaces) if mask >> i & 1]
         assert pm.rank(mask) == m - intersect(subset).dim, mask
+
+
+@st.composite
+def ragged_arrangements(draw):
+    """t = 0..7 subspaces of Q^1 .. Q^6 with p/q entries: any dimension,
+    the zero subspace included, some of them repeated."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    entry = st.sampled_from([Fraction(0)] + NONZERO + [-x for x in NONZERO])
+    vectors = st.lists(st.lists(entry, min_size=m, max_size=m), max_size=m)
+    subs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        if subs and draw(st.booleans()):
+            subs.append(draw(st.sampled_from(subs)))
+        else:
+            subs.append(Subspace(m, draw(vectors)))
+    return Arrangement(m, tuple(subs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ragged_arrangements())
+def test_ranks_match_stacked_annihilator_rref(arr):
+    assert polymatroid_of(arr).ranks == reference_ranks(arr)
+
+
+def test_polymatroid_takes_no_intersection(monkeypatch):
+    arr = Arrangement(
+        4,
+        tuple(
+            Subspace(4, vecs)
+            for vecs in (
+                [[1, "1/2", 0, 2]],
+                [[1, 0, 0, 0], [0, 1, "2/3", 0]],
+                [],
+                [[1, 1, 1, 1], [0, 1, 2, 3], [3, 0, -1, "1/3"]],
+                [[1, "1/2", 0, 2]],
+            )
+        ),
+    )
+    expected = reference_ranks(arr)
+    calls = {"intersect": 0, "row_reduce": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "intersect", counted("intersect", linalg.intersect))
+    monkeypatch.setattr(arrangements, "intersect", counted("intersect", linalg.intersect))
+    monkeypatch.setattr(linalg, "row_reduce", counted("row_reduce", linalg.row_reduce))
+    polymatroid_of.cache_clear()
+    assert polymatroid_of(arr).ranks == expected
+    assert calls["intersect"] == 0
+    assert calls["row_reduce"] <= len(arr)
 
 
 def test_rank_table_ordering():
@@ -278,7 +338,8 @@ def test_lines_preconditions():
 
 def test_ground_set_cap():
     with pytest.raises(SizeCapError):
-        Arrangement(1, (Subspace(1),) * 17)
+        Arrangement(1, (Subspace(1),) * (MAX_GROUND_SET + 1))
+    assert len(Arrangement(1, (Subspace(1),) * MAX_GROUND_SET)) == MAX_GROUND_SET
 
 
 def test_custom_polymatroid_rank_source():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from equisyz import cli
-from equisyz.arrangements import MAX_AMBIENT_DIM, MAX_DEGREE, polymatroid_of
+from equisyz.arrangements import MAX_AMBIENT_DIM, MAX_DEGREE, MAX_GROUND_SET, polymatroid_of
 from equisyz.cli import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -402,6 +402,21 @@ def test_main_ambient_dim_past_the_cap_exits_before_parsing(tmp_path, capsys, mo
     assert main(["--input", src, "--max-degree", "1"]) == EXIT_CAP
     assert parsed == []
     assert f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}" in capsys.readouterr().err
+
+
+def test_main_subspace_count_past_the_cap_exits_before_parsing(tmp_path, capsys, monkeypatch):
+    """One subspace past MAX_GROUND_SET exits 3 before any entry is read."""
+    origins = {"ambient_dim": 1, "subspaces": [[]] * MAX_GROUND_SET}
+    assert len(parse_arrangement(origins)) == MAX_GROUND_SET
+    parsed = []
+    monkeypatch.setattr(cli, "_parse_entry", parsed.append)
+    t = MAX_GROUND_SET + 1
+    src = write_doc(tmp_path, {"ambient_dim": 1, "subspaces": [[["x"]]] * t})
+    assert main(["--input", src, "--max-degree", str(t)]) == EXIT_CAP
+    assert parsed == []
+    assert f"{t} subspaces; the subset recursion is capped at {MAX_GROUND_SET}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_main_validation_failure_exit(tmp_path):

@@ -106,6 +106,23 @@ def test_constructor_row_reduces_once(monkeypatch):
     assert len(calls) == 1
     intersect([a, Subspace(3, [[1, 0, 0], [0, 0, 1]])])
     assert len(calls) == 6  # two annihilators, the stacked normals, one more annihilator
+    # a tall spanning set is thinned by the kernel to at most m rows first
+    tall = Subspace(2, [[1, 2], [2, 4], [3, 6], [0, 1], ["1/2", 5]])
+    assert len(calls) == 7
+    assert len(calls[-1]) == 2
+    assert tall == Subspace(2, [[1, 0], [0, 1]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_tall_spanning_set_has_the_rref_basis(data):
+    m = data.draw(st.integers(min_value=1, max_value=5))
+    entry = st.sampled_from([0, 1, -1, 2, F("1/2"), F("-2/3"), "3/2"])
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m + 1, max_size=3 * m)
+    )
+    rref, rank = row_reduce(rows)
+    assert Subspace(m, rows).basis == rref[:rank]
 
 
 def test_contains():
