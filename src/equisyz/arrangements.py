@@ -29,8 +29,12 @@ from .schur import SchurSeries, sigma, sigma_power, times_sigma_power
 # subspace.  Python 3.11 on a 2-core x86-64 VM, single cold jobs at D = t:
 # product-wide-shaped arrangements (m = 4) take 1.0, 2.9, 8.7 and 26 s at
 # t = 11, 12, 13 and 14; t lines in general position in Q^t take 3.7 s at
-# t = 12 and 12.7 s at t = 13.  The axes compound: 13 lines in Q^32 take
-# 25 s, and the t = 13 document at D = 24 10 s.
+# t = 12 and 12.7 s at t = 13.  The three caps compound, and no t cap keeps
+# their joint worst case inside the ~15 s the others aim for, since one
+# hyperplane of Q^32 at D = 24 already takes 10-16 s.  At m = 32, D = 24:
+# t hyperplanes take 16, 18, 26, 40, 51, 53 and 64 s at t = 1, 2, 4, 8,
+# 11, 12 and 13 (one Pieri power per rank bucket), t lines 16, 20 and 33 s
+# at t = 11, 12 and 13.
 MAX_GROUND_SET = 13
 # Cap on the ambient dimension m, checked before a document's vectors are
 # parsed.  Python 3.11 on a 2-core x86-64 VM, single cold jobs at D = 24: a

@@ -3,7 +3,7 @@
 Two exact eliminations live here.  The kernel is fraction-free: sparse
 integer rows in an incremental echelon (``_Echelon``, ``_reduce_into``),
 which takes every rank the pipeline needs: the polymatroid's, the
-oracle's, and the span of a tall spanning set.  The ``Fraction`` RREF
+oracle's, and the span of every spanning set.  The ``Fraction`` RREF
 (``row_reduce``) gives subspaces their canonical form: a subspace is
 stored as the nonzero rows of the RREF of at most m spanning vectors, so
 equality of subspaces is equality of representations and subspaces can
@@ -34,7 +34,7 @@ class _Echelon:
     A stored row is primitive, with a positive pivot, and is reduced only
     forward, against the rows of smaller pivot: ``add`` never touches the
     rows already stored.  The oracles and the polymatroid read only the
-    rank; ``Subspace`` reads the kept rows of a tall spanning set.  No
+    rank; ``Subspace`` reads the kept rows of a spanning set.  No
     nullspace is taken here.
     """
 
@@ -174,11 +174,12 @@ def _nullspace(rref_rows, ncols: int) -> list[Vector]:
 
 
 def _spanning_rows(vectors, m: int) -> list[list[int]]:
-    """At most m integer rows with the same span as ``vectors``: the rows
-    the kernel keeps, and it stops once it holds m of them."""
+    """At most m integer rows with the same span as the rational
+    ``vectors``: the rows the kernel keeps, and it stops once it holds m
+    of them."""
     rows: dict = {}
     for vec in vectors:
-        _reduce_into(rows, {j: Fraction(x) for j, x in enumerate(vec)})
+        _reduce_into(rows, dict(enumerate(vec)))
         if len(rows) == m:
             break
     return [[row.get(j, 0) for j in range(m)] for row in rows.values()]
@@ -188,11 +189,11 @@ class Subspace:
     """A linear subspace of Q^m in canonical form.
 
     ``Subspace(m, vectors)`` is the span of the given vectors (none for the
-    zero subspace).  More than m vectors are first thinned by the kernel
-    to at most m with the same span.  These are row-reduced once, and
-    ``basis`` holds the nonzero RREF rows, so two Subspace values
-    compare equal exactly when they are the same subspace.  Hashed by
-    value, so never mutated.
+    zero subspace).  Every entry is read as a ``Fraction``; the kernel
+    then thins the vectors to at most m rows with the same span, these
+    are row-reduced once, and ``basis`` holds the nonzero RREF rows, so
+    two Subspace values compare equal exactly when they are the same
+    subspace.  Hashed by value, so never mutated.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -200,15 +201,13 @@ class Subspace:
     def __init__(self, ambient_dim: int, vectors=()):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        rows = list(vectors)
+        rows = [[Fraction(x) for x in row] for row in vectors]
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(
                     f"vector length {len(row)} differs from ambient dimension {ambient_dim}"
                 )
-        if len(rows) > ambient_dim:
-            rows = _spanning_rows(rows, ambient_dim)
-        rref, rank = row_reduce(rows)
+        rref, rank = row_reduce(_spanning_rows(rows, ambient_dim))
         self.ambient_dim = ambient_dim
         self.basis = rref[:rank]
 

@@ -104,9 +104,10 @@ def test_constructor_row_reduces_once(monkeypatch):
     monkeypatch.setattr(linalg, "row_reduce", counted)
     a = Subspace(3, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert len(calls) == 1
+    assert len(calls[0]) == 2  # the kernel keeps only independent rows
     intersect([a, Subspace(3, [[1, 0, 0], [0, 0, 1]])])
     assert len(calls) == 6  # two annihilators, the stacked normals, one more annihilator
-    # a tall spanning set is thinned by the kernel to at most m rows first
+    # more than m vectors are thinned to at most m rows too
     tall = Subspace(2, [[1, 2], [2, 4], [3, 6], [0, 1], ["1/2", 5]])
     assert len(calls) == 7
     assert len(calls[-1]) == 2
@@ -115,14 +116,20 @@ def test_constructor_row_reduces_once(monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_tall_spanning_set_has_the_rref_basis(data):
+def test_spanning_set_has_the_rref_basis(data):
     m = data.draw(st.integers(min_value=1, max_value=5))
     entry = st.sampled_from([0, 1, -1, 2, F("1/2"), F("-2/3"), "3/2"])
     rows = data.draw(
-        st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m + 1, max_size=3 * m)
+        st.lists(st.lists(entry, min_size=m, max_size=m), min_size=0, max_size=3 * m)
     )
     rref, rank = row_reduce(rows)
     assert Subspace(m, rows).basis == rref[:rank]
+
+
+def test_invalid_entry_past_full_rank_is_rejected():
+    # the kernel stops reducing at rank m, but every entry is still read
+    with pytest.raises(ValueError):
+        Subspace(2, [[1, 0], [0, 1], ["x", 0]])
 
 
 def test_contains():
