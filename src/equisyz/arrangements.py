@@ -7,39 +7,46 @@ JPAA 2007).  The identity
     sigma^(m - rk A) P(A) = sum over B in A of (-1)^|B| H(B)
 
 inverts on the Boolean lattice to H = sum over B of (-1)^|B| sigma^(m - rk B) P(B).
-Both this sum and the truncated inclusion-exclusion that defines each
-correction polynomial P(B) are bucketed by rank, so every multiplication
-is one Pieri power of sigma per rank.  Each P(B) lives at its own degree
-|B| - 1, and the P of every subset is built in one pass in mask order,
-whatever the truncation degree.
+Each correction polynomial P(B) lives at its own degree |B| - 1, and the
+P of every subset is built in one pass in mask order, whatever the
+truncation degree.  The P table works on dense integer vectors over the
+partitions of size < t in the canonical graded order, so a truncation is
+a slice.  The proper subsets of B are summed into one vector per rank,
+and both sum_r sigma^(rk B - r) bucket_r for P(B) and sum_r sigma^(m - r)
+Q_r for H are evaluated by Horner's rule in sigma: one Pieri pass per
+unit of rank, however many buckets there are.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import accumulate
+from operator import add, itemgetter, sub as subtract
 
 from .errors import SizeCapError
 # intersect is not called here.  perfbench/traced_job.py counts the calls
 # through this module's name, where the formula side must read 0.
 from .linalg import Subspace, _integer_rows, _nullspace, _reduce_into, intersect
-from .schur import SchurSeries, sigma, sigma_power, times_sigma_power
+from .partitions import partitions_of
+from .schur import SchurSeries, _pieri_terms, sigma, sigma_power, times_sigma_power
 
 # Cap on the number t of subspaces, checked before a document's vectors are
 # parsed.  The P table's 3^t subset sums set the t axis, about 3x per
-# subspace.  Python 3.11 on a 2-core x86-64 VM, single cold jobs at D = t:
-# product-wide-shaped arrangements (m = 4) take 1.0, 2.9, 8.7 and 26 s at
-# t = 11, 12, 13 and 14; t lines in general position in Q^t take 3.7 s at
-# t = 12 and 12.7 s at t = 13.  The three caps compound, and no t cap keeps
-# their joint worst case inside the ~15 s the others aim for, since one
-# hyperplane of Q^32 at D = 24 already takes 10-16 s.  At m = 32, D = 24:
-# t hyperplanes take 16, 18, 26, 40, 51, 53 and 64 s at t = 1, 2, 4, 8,
-# 11, 12 and 13 (one Pieri power per rank bucket), t lines 16, 20 and 33 s
-# at t = 11, 12 and 13.
+# subspace.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at
+# D = t: product-wide-shaped arrangements (m = 4) take 0.5, 1.4, 4.2 and
+# 12 s at t = 11, 12, 13 and 14 (the cap raised), t lines in Q^32 1.2, 2.6 and
+# 7.1 s at t = 11, 12 and 13, where most of the P table is its Horner
+# passes of sigma.  The three caps compound: at m = 32, D = 24 t
+# hyperplanes take 14, 15, 13, 16, 17, 18 and 20 s at t = 1, 2, 4, 8, 11,
+# 12 and 13, so the D axis, not t, sets the joint worst case (see
+# MAX_AMBIENT_DIM).
 MAX_GROUND_SET = 13
 # Cap on the ambient dimension m, checked before a document's vectors are
-# parsed.  Python 3.11 on a 2-core x86-64 VM, single cold jobs at D = 24: a
-# line in Q^24 takes 7.6-9.1 s, a line in Q^32 8.2-13 s and a hyperplane
-# of Q^32 10-15 s (7.3-9.3 s in Q^24).
+# parsed.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at
+# D = 24: a line in Q^24 takes 10-11 s, a line in Q^32 11-15 s and a
+# hyperplane of Q^32 14 s (9-10 s in Q^24).  Nearly all of it is the m
+# passes of sigma in hilbert_product and the m passes of sigma^-1 in
+# betti_from_series, over a series of every degree up to D.
 MAX_AMBIENT_DIM = 32
 # Cap on the truncation degree D.  Python 3.11 on a 2-core x86-64 VM: at
 # D = 24 a product job on m = t = 4 takes 0.8 s (3.5 s at D = 30), but one
@@ -98,16 +105,25 @@ class Arrangement:
 class Polymatroid:
     """Rank function on the subsets of {0, .., t-1}, indexed by bitmask.
 
-    ``ranks[mask]`` is evaluated for every mask at construction.  The table
-    of correction polynomials P, one per mask, is built on first use and
-    shared by ``p_polynomial`` and ``hilbert_product``.
+    ``ranks[mask]`` is evaluated for every mask at construction, and must
+    be 0 on the empty set and monotone, so no subset outranks a superset.
+    The table of correction polynomials P, one per mask, is built on first
+    use and shared by ``p_polynomial`` and ``hilbert_product``.
     """
 
     def __init__(self, ground_size: int, rank_source):
         if ground_size < 0:
             raise ValueError("ground size must be nonnegative")
+        ranks = [rank_source(mask) for mask in range(1 << ground_size)]
+        if ranks[0] != 0 or any(
+            ranks[mask & ~(1 << i)] > rank
+            for mask, rank in enumerate(ranks)
+            for i in range(ground_size)
+            if mask >> i & 1
+        ):
+            raise ValueError("rank function must be 0 on the empty set and monotone")
         self.ground_size = ground_size
-        self.ranks = [rank_source(mask) for mask in range(1 << ground_size)]
+        self.ranks = ranks
         self._p_values: list[SchurSeries] | None = None
 
     def as_mask(self, subset) -> int:
@@ -183,8 +199,8 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
     return SchurSeries._make(dict(_p_table(pm)[pm.as_mask(subset)].coeffs), truncation)
 
 
-def _add_into(acc: dict, series: SchurSeries, sign: int):
-    for lam, c in series.coeffs.items():
+def _add_into(acc: dict, coeffs: dict, sign: int):
+    for lam, c in coeffs.items():
         v = acc.get(lam, 0) + sign * c
         if v:
             acc[lam] = v
@@ -192,36 +208,72 @@ def _add_into(acc: dict, series: SchurSeries, sign: int):
             del acc[lam]
 
 
-def _sum_of_sigma_powers(buckets: dict, top_rank: int, degree: int) -> dict:
-    """Coefficients of the sum over r of sigma^(top_rank - r) * buckets[r],
-    truncated at ``degree``: one Pieri power per rank."""
-    total: dict = {}
-    for r, coeffs in buckets.items():
-        term = times_sigma_power(SchurSeries._make(coeffs, degree), top_rank - r)
-        _add_into(total, term, 1)
-    return total
+@cache
+def _graded_index(top: int):
+    """Dense vectors over the partitions of size <= top, listed in the
+    canonical graded order, so a series of degree d <= top is the prefix of
+    length N(d) and truncating it is a slice.  Returns the partitions, the
+    prefix lengths N(0), .., N(top), and for every index j >= 1 an
+    itemgetter of the indices i whose mu_j / lam_i is a horizontal strip
+    (lam_i = mu_j included), read off ``_pieri_terms``.  Every such i is at
+    most j, so coefficient j of sigma * v, truncated at any degree, is the
+    sum of v over that list."""
+    parts = [lam for d in range(top + 1) for lam in partitions_of(d)]
+    ends = list(accumulate(len(partitions_of(d)) for d in range(top + 1)))
+    index = {lam: i for i, lam in enumerate(parts)}
+    sources: list[list[int]] = [[] for _ in parts]
+    for i, lam in enumerate(parts):
+        for mu, _ in _pieri_terms(lam, top - sum(lam), False):
+            sources[index[mu]].append(i)
+    return parts, ends, [itemgetter(*src) for src in sources[1:]]
 
 
 def _p_table(pm: Polymatroid) -> list[SchurSeries]:
     """P(B) at its own degree |B| - 1 (degree 0 for the empty set), for every
     mask in increasing order: each proper subset of B is a smaller mask, so
-    its P is already in the table.  Built once per polymatroid."""
+    its P is already in the table.  Built once per polymatroid.
+
+    The work is done on the dense vectors of ``_graded_index``, each P kept
+    with its trailing zeros cut.  The proper subsets C of B are summed into
+    one vector per rank, bucket_r, each a C-level slice update of the
+    prefix that holds P(C).  The sum over r of sigma^(rk B - r) * bucket_r
+    is then taken by Horner's rule in sigma: start from bucket_0 and
+    rk B times multiply by sigma and add the next bucket, so rk B passes of
+    sigma for any number of buckets.
+    """
     if pm._p_values is None:
         ranks = pm.ranks
+        parts, ends, gathers = _graded_index(max(pm.ground_size - 1, 0))
+        dense = [[1]]
         table = [SchurSeries._make({(): 1}, 0)]
         for mask in range(1, len(ranks)):
             size = mask.bit_count()
-            buckets: dict[int, dict] = {}
+            n = ends[size - 1]
+            buckets: list = [None] * (ranks[mask] + 1)
             sub = (mask - 1) & mask
             while True:
-                # the outer minus sign of the recursion is folded in here
-                sign = 1 if (size - sub.bit_count()) % 2 else -1
-                _add_into(buckets.setdefault(ranks[sub], {}), table[sub], sign)
+                p = dense[sub]
+                if p:
+                    r = ranks[sub]
+                    if buckets[r] is None:
+                        buckets[r] = [0] * n
+                    # the outer minus sign of the recursion is folded in here
+                    op = add if (size - sub.bit_count()) % 2 else subtract
+                    buckets[r][: len(p)] = map(op, buckets[r], p)
                 if sub == 0:
                     break
                 sub = (sub - 1) & mask
-            coeffs = _sum_of_sigma_powers(buckets, ranks[mask], size - 1)
-            table.append(SchurSeries._make(coeffs, size - 1))
+            acc = buckets[0]
+            for bucket in buckets[1:]:
+                acc = [acc[0], *[sum(g(acc)) for g in gathers[: n - 1]]]
+                if bucket is not None:
+                    acc = list(map(add, acc, bucket))
+            while acc and not acc[-1]:
+                acc.pop()
+            dense.append(acc)
+            table.append(
+                SchurSeries._make({parts[i]: c for i, c in enumerate(acc) if c}, size - 1)
+            )
         pm._p_values = table
     return pm._p_values
 
@@ -231,8 +283,9 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
 
     By Moebius inversion of sigma^(m - rk A) P(A) = sum over B of
     (-1)^|B| H(B), H = sum over r of sigma^(m - r) Q_r, where Q_r is the sum
-    of (-1)^|B| P(B) over the subsets B of rank r.  Truncated to
-    ``truncation``, which must be at least the generation degree t.
+    of (-1)^|B| P(B) over the subsets B of rank r.  The sum over r is taken
+    by Horner's rule in sigma, m passes of sigma over the series truncated
+    to ``truncation``, which must be at least the generation degree t.
     """
     t = len(arr.subspaces)
     if truncation < t:
@@ -243,10 +296,13 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
     buckets: dict[int, dict] = {}
     for mask, p in enumerate(_p_table(pm)):
         sign = -1 if mask.bit_count() % 2 else 1
-        _add_into(buckets.setdefault(pm.ranks[mask], {}), p, sign)
-    return SchurSeries._make(
-        _sum_of_sigma_powers(buckets, arr.ambient_dim, truncation), truncation
-    )
+        _add_into(buckets.setdefault(pm.ranks[mask], {}), p.coeffs, sign)
+    h = SchurSeries._make(buckets[0], truncation)  # the empty set has rank 0
+    for r in range(1, arr.ambient_dim + 1):
+        h = times_sigma_power(h, 1)
+        if r in buckets:
+            _add_into(h.coeffs, buckets[r], 1)
+    return h
 
 
 def lines_first_disagreement(arr: Arrangement, truncation: int) -> int | None:

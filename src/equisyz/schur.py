@@ -121,6 +121,20 @@ def format_terms(pairs, style: str = "plain") -> str:
     return " ".join(chunks) or "0"
 
 
+def _summed(pairs, degree: int) -> dict[Partition, int]:
+    """Coefficients of the (partition, coefficient) pairs of size at most
+    ``degree``, repeated partitions added and zero sums dropped.  A number
+    with a fractional part is a ValueError, not truncated."""
+    coeffs: dict[Partition, int] = {}
+    for lam, c in pairs:
+        lam = check_partition(lam)
+        if c % 1:
+            raise ValueError(f"coefficient {c!r} of s{list(lam)} is not an integer")
+        if sum(lam) <= degree:
+            coeffs[lam] = coeffs.get(lam, 0) + int(c)
+    return {lam: c for lam, c in coeffs.items() if c}
+
+
 class SchurSeries:
     """Truncated formal sum of Schur functions with exact integer coefficients."""
 
@@ -129,13 +143,7 @@ class SchurSeries:
     def __init__(self, coeffs=None, *, degree: int):
         if degree < 0:
             raise ValueError("truncation degree must be nonnegative")
-        clean: dict[Partition, int] = {}
-        if coeffs:
-            for lam, c in coeffs.items():
-                lam = check_partition(lam)
-                if c and sum(lam) <= degree:
-                    clean[lam] = clean.get(lam, 0) + int(c)
-        self.coeffs = clean
+        self.coeffs = _summed(coeffs.items() if coeffs else (), degree)
         self.degree = degree
 
     @classmethod
@@ -148,8 +156,11 @@ class SchurSeries:
 
     @classmethod
     def from_pairs(cls, pairs, *, degree: int) -> "SchurSeries":
-        """Build a series from (partition, coefficient) pairs."""
-        return cls({tuple(lam): c for lam, c in pairs}, degree=degree)
+        """Build a series from (partition, coefficient) pairs; the
+        coefficients of a repeated partition are added."""
+        series = cls(degree=degree)
+        series.coeffs = _summed(pairs, degree)
+        return series
 
     # -- queries ---------------------------------------------------------
 

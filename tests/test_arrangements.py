@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equisyz import arrangements, linalg
@@ -269,22 +269,52 @@ def test_defining_relation_on_all_subsets():
 # -- closed forms against the subset recursions ---------------------------------
 
 
-def rational_arrangements(max_t):
-    """Subspaces of Q^2 .. Q^4 of every proper dimension, from one pool."""
-    return st.integers(min_value=2, max_value=4).flatmap(
+def rational_arrangements(max_t, max_m):
+    """Subspaces of Q^2 .. Q^max_m of every dimension below m, from one pool.
+    A zero subspace has rank m, so rk B > |B|; with m >= t + 2 one subspace
+    can raise the rank by more than 1."""
+    return st.integers(min_value=2, max_value=max_m).flatmap(
         lambda m: pooled_arrangements(m=m, dims=tuple(range(m)), min_t=1, max_t=max_t)
     )
 
 
+def _random_subspaces(m, dims, seed):
+    rng = random.Random(seed)
+    return Arrangement(
+        m,
+        tuple(
+            Subspace(m, [[rng.choice(NONZERO) * rng.choice((1, -1)) for _ in range(m)]
+                         for _ in range(k)])
+            for k in dims
+        ),
+    )
+
+
+# Both shapes at t = 6, whatever hypothesis draws: two zero subspaces among
+# lines and planes of Q^4, and six lines of Q^8 (every singleton has rank 7).
+RANK_EXAMPLES = [
+    _random_subspaces(4, (0, 1, 2, 0, 1, 3), seed=1),
+    _random_subspaces(8, (1,) * 6, seed=2),
+]
+
+
+def wide_examples(test):
+    for arr in RANK_EXAMPLES:
+        test = example(arr=arr, extra=1)(test)
+    return test
+
+
+@wide_examples
 @settings(max_examples=40, deadline=None)
-@given(arr=rational_arrangements(max_t=5), extra=st.integers(min_value=0, max_value=2))
+@given(arr=rational_arrangements(max_t=6, max_m=8), extra=st.integers(min_value=0, max_value=2))
 def test_hilbert_product_matches_subset_recursion(arr, extra):
     D = len(arr) + extra
     assert hilbert_product(arr, D) == reference_hilbert_product(arr, D)
 
 
+@wide_examples
 @settings(max_examples=40, deadline=None)
-@given(arr=rational_arrangements(max_t=5), extra=st.integers(min_value=0, max_value=2))
+@given(arr=rational_arrangements(max_t=6, max_m=8), extra=st.integers(min_value=0, max_value=2))
 def test_p_polynomial_matches_subset_recursion(arr, extra):
     D = len(arr) + extra
     pm = polymatroid_of(arr)
@@ -293,6 +323,12 @@ def test_p_polynomial_matches_subset_recursion(arr, extra):
         got = p_polynomial(pm, mask, D)
         assert got == reference_p(pm, mask, D, memo), mask
         assert got.degree == D
+
+
+def test_rank_examples_have_the_intended_shape():
+    zeros, lines = (polymatroid_of(arr) for arr in RANK_EXAMPLES)
+    assert zeros.rank([0]) == zeros.rank([0, 3]) == 4  # rk B > |B|
+    assert {lines.rank([i]) for i in range(6)} == {7}  # one subspace, 7 ranks
 
 
 def test_lowest_degree_is_generation_degree():
@@ -340,6 +376,12 @@ def test_ground_set_cap():
     with pytest.raises(SizeCapError):
         Arrangement(1, (Subspace(1),) * (MAX_GROUND_SET + 1))
     assert len(Arrangement(1, (Subspace(1),) * MAX_GROUND_SET)) == MAX_GROUND_SET
+
+
+@pytest.mark.parametrize("ranks", [[0, 2, 1, 1], [0, -1, 1, 1], [1, 1, 1, 1]])
+def test_rank_source_must_be_monotone_from_zero(ranks):
+    with pytest.raises(ValueError, match="monotone"):
+        Polymatroid(2, ranks.__getitem__)
 
 
 def test_custom_polymatroid_rank_source():

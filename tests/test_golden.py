@@ -38,6 +38,12 @@ CASES = {
         "--max-degree", "4", "--ideal", "intersection", "--dim-v", "4",
         "--oracle-check", "4", "--side", "both",
     ],
+    # shaped like the product-wide benchmark documents: t = 9 in Q^4 with two
+    # zero subspaces, so rk B > |B| and ranks saturate at m = 4
+    "product_wide": ["--max-degree", "9", "--side", "both"],
+    # three hyperplanes of Q^7: H takes m = 7 passes of sigma over four rank
+    # buckets
+    "three_hyperplanes": ["--max-degree", "8"],
 }
 
 DOCUMENTS = {"three_axes_oracle": "three_axes"}

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,24 @@ def test_one_term_formatter_for_repr_and_both_report_styles():
         r"-1 + 2\,s_{(1)} - 3\,s_{(1,1)} + s_{(2,1)}"
     )
     assert format_terms([], "latex") == "0"
+
+
+def test_non_integral_coefficient_is_rejected():
+    with pytest.raises(ValueError, match="not an integer"):
+        series({(1,): 1.5, (2,): 1}, 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        series({(2,): Fraction(1, 2)}, 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        SchurSeries.from_pairs([((1,), Fraction(1, 3))], degree=2)
+    # integral values of other types are kept, as ints
+    exact = series({(1,): 2.0, (2,): Fraction(4, 2)}, 2)
+    assert exact.coeffs == {(1,): 2, (2,): 2}
+    assert all(type(c) is int for c in exact.coeffs.values())
+
+
+def test_zero_coefficient_is_not_stored():
+    assert not series({(1,): 0.0, (2,): Fraction(0)}, 2).coeffs
+    assert series({(1,): 0}, 2) == 0
 
 
 def test_sigma_examples():
@@ -377,3 +396,10 @@ def test_from_pairs_roundtrip():
     f = sigma(3) ** 2 - 2 * sigma(3)
     again = SchurSeries.from_pairs(f.to_pairs(), degree=3)
     assert again == f
+
+
+def test_from_pairs_sums_repeated_partitions():
+    f = SchurSeries.from_pairs([((1,), 1), ((1,), -1)], degree=2)
+    assert not f and f == 0 and f.coeffs == {}
+    g = SchurSeries.from_pairs([([1], 2), ((2,), 1), ((1,), 3), ((3,), 5)], degree=2)
+    assert g.coeffs == {(1,): 5, (2,): 1}
