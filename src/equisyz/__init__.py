@@ -11,7 +11,6 @@ from .arrangements import (
     Arrangement,
     Polymatroid,
     hilbert_product,
-    lines_first_disagreement,
     p_polynomial,
     polymatroid_of,
 )
@@ -47,7 +46,6 @@ from .schur import (
     SchurSeries,
     from_weight_multiplicities,
     sigma,
-    sigma_power,
     times_sigma_power,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "intersect",
     "intersection_ideal_character",
     "kostka_number",
-    "lines_first_disagreement",
     "lr_coefficient",
     "p_polynomial",
     "partitions_of",
@@ -84,7 +81,6 @@ __all__ = [
     "row_reduce",
     "series_from_betti",
     "sigma",
-    "sigma_power",
     "times_sigma_power",
     "transpose_table",
     "weyl_dimension",

@@ -11,10 +11,12 @@ Each correction polynomial P(B) lives at its own degree |B| - 1, and the
 P of every subset is built in one pass in mask order, whatever the
 truncation degree.  The P table works on dense integer vectors over the
 partitions of size < t in the canonical graded order, so a truncation is
-a slice.  The proper subsets of B are summed into one vector per rank,
-and both sum_r sigma^(rk B - r) bucket_r for P(B) and sum_r sigma^(m - r)
-Q_r for H are evaluated by Horner's rule in sigma: one Pieri pass per
-unit of rank, however many buckets there are.
+a slice.  One routine, ``_rank_buckets``, sums the P of the subsets of a
+mask into one vector per rank: the proper subsets of B for P(B), and
+every subset of the whole arrangement for H.  Both sum_r sigma^(rk B - r)
+bucket_r for P(B), on the dense vectors, and sum_r sigma^(m - r) Q_r for
+H, on dict series at degree D, are evaluated by Horner's rule in sigma:
+one Pieri pass per unit of rank, however many buckets there are.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from operator import add, itemgetter, sub as subtract
 from .errors import SizeCapError
 # intersect is not called here.  perfbench/traced_job.py counts the calls
 # through this module's name, where the formula side must read 0.
-from .linalg import Subspace, _integer_rows, _nullspace, _reduce_into, intersect
+from .linalg import Subspace, _reduce_into, intersect
 from .partitions import partitions_of
-from .schur import SchurSeries, _pieri_terms, sigma, sigma_power, times_sigma_power
+from .schur import SchurSeries, _pieri_terms, times_sigma_power
 
 # Cap on the number t of subspaces, checked before a document's vectors are
 # parsed.  The P table's 3^t subset sums set the t axis, about 3x per
@@ -107,8 +109,9 @@ class Polymatroid:
 
     ``ranks[mask]`` is evaluated for every mask at construction, and must
     be 0 on the empty set and monotone, so no subset outranks a superset.
-    The table of correction polynomials P, one per mask, is built on first
-    use and shared by ``p_polynomial`` and ``hilbert_product``.
+    The table of correction polynomials P, one dense vector per mask (see
+    ``_p_table``), is built on first use and shared by ``p_polynomial`` and
+    ``hilbert_product``.
     """
 
     def __init__(self, ground_size: int, rank_source):
@@ -124,7 +127,7 @@ class Polymatroid:
             raise ValueError("rank function must be 0 on the empty set and monotone")
         self.ground_size = ground_size
         self.ranks = ranks
-        self._p_values: list[SchurSeries] | None = None
+        self._p_values: list[list[int]] | None = None
 
     def as_mask(self, subset) -> int:
         if isinstance(subset, int):
@@ -155,9 +158,9 @@ def polymatroid_of(arr: Arrangement) -> Polymatroid:
     """Polymatroid of an arrangement: rank(B) = m - dim of the intersection
     over B, with rank of the empty set 0.
 
-    That is the rank of the annihilator rows of the subspaces in B stacked,
-    taken with the fraction-free kernel on primitive integer rows; no
-    intersection is built.  The subsets are walked depth first, a child
+    That is the rank of the normal rows of the subspaces in B stacked
+    (``Subspace.normal_rows``, primitive integer rows), taken with the
+    fraction-free kernel; no intersection or annihilator is built.  The subsets are walked depth first, a child
     adding the next lower subspace to a copy of its parent's echelon, so at
     most t + 1 echelons of at most m rows are alive at once.  An echelon of
     m rows is full: every superset has rank m, and nothing more is reduced.
@@ -166,7 +169,7 @@ def polymatroid_of(arr: Arrangement) -> Polymatroid:
     """
     m = arr.ambient_dim
     t = len(arr.subspaces)
-    normals = [_integer_rows(_nullspace(s.basis, m)) for s in arr.subspaces]
+    normals = [s.normal_rows() for s in arr.subspaces]
     ranks = [0] * (1 << t)
 
     def walk(mask: int, echelon: dict):
@@ -196,16 +199,8 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
         )
-    return SchurSeries._make(dict(_p_table(pm)[pm.as_mask(subset)].coeffs), truncation)
-
-
-def _add_into(acc: dict, coeffs: dict, sign: int):
-    for lam, c in coeffs.items():
-        v = acc.get(lam, 0) + sign * c
-        if v:
-            acc[lam] = v
-        else:
-            del acc[lam]
+    parts = _graded_index(max(pm.ground_size - 1, 0))[0]
+    return _series(_p_table(pm)[pm.as_mask(subset)], parts, truncation)
 
 
 @cache
@@ -228,41 +223,46 @@ def _graded_index(top: int):
     return parts, ends, [itemgetter(*src) for src in sources[1:]]
 
 
-def _p_table(pm: Polymatroid) -> list[SchurSeries]:
-    """P(B) at its own degree |B| - 1 (degree 0 for the empty set), for every
-    mask in increasing order: each proper subset of B is a smaller mask, so
-    its P is already in the table.  Built once per polymatroid.
+def _rank_buckets(ranks, dense, mask: int, sub: int, n: int) -> list:
+    """The submasks C of ``mask``, from ``sub`` down to the empty set, summed
+    by rank: bucket_r is the sum of -(-1)^(|mask| - |C|) P(C) over the C of
+    rank r, a dense vector of length n, or None if there is none.  Each P(C)
+    is a C-level slice update of the prefix that holds it."""
+    size = mask.bit_count()
+    buckets: list = [None] * (ranks[mask] + 1)
+    while True:
+        p = dense[sub]
+        if p:
+            r = ranks[sub]
+            if buckets[r] is None:
+                buckets[r] = [0] * n
+            op = add if (size - sub.bit_count()) % 2 else subtract
+            buckets[r][: len(p)] = map(op, buckets[r], p)
+        if sub == 0:
+            return buckets
+        sub = (sub - 1) & mask
 
-    The work is done on the dense vectors of ``_graded_index``, each P kept
-    with its trailing zeros cut.  The proper subsets C of B are summed into
-    one vector per rank, bucket_r, each a C-level slice update of the
-    prefix that holds P(C).  The sum over r of sigma^(rk B - r) * bucket_r
-    is then taken by Horner's rule in sigma: start from bucket_0 and
-    rk B times multiply by sigma and add the next bucket, so rk B passes of
-    sigma for any number of buckets.
+
+def _p_table(pm: Polymatroid) -> list[list[int]]:
+    """P(B) at its own degree |B| - 1 (degree 0 for the empty set), for every
+    mask in increasing order, as a dense vector of ``_graded_index`` with its
+    trailing zeros cut: each proper subset of B is a smaller mask, so its P
+    is already in the table.  Built once per polymatroid.
+
+    The proper subsets of B are summed into their rank buckets by
+    ``_rank_buckets``, which folds in the outer minus sign of the
+    recursion.  The sum over r of sigma^(rk B - r) * bucket_r is then taken
+    by Horner's rule in sigma: start from bucket_0 and rk B times multiply
+    by sigma and add the next bucket, so rk B passes of sigma for any
+    number of buckets.
     """
     if pm._p_values is None:
         ranks = pm.ranks
-        parts, ends, gathers = _graded_index(max(pm.ground_size - 1, 0))
+        _, ends, gathers = _graded_index(max(pm.ground_size - 1, 0))
         dense = [[1]]
-        table = [SchurSeries._make({(): 1}, 0)]
         for mask in range(1, len(ranks)):
-            size = mask.bit_count()
-            n = ends[size - 1]
-            buckets: list = [None] * (ranks[mask] + 1)
-            sub = (mask - 1) & mask
-            while True:
-                p = dense[sub]
-                if p:
-                    r = ranks[sub]
-                    if buckets[r] is None:
-                        buckets[r] = [0] * n
-                    # the outer minus sign of the recursion is folded in here
-                    op = add if (size - sub.bit_count()) % 2 else subtract
-                    buckets[r][: len(p)] = map(op, buckets[r], p)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
+            n = ends[mask.bit_count() - 1]
+            buckets = _rank_buckets(ranks, dense, mask, (mask - 1) & mask, n)
             acc = buckets[0]
             for bucket in buckets[1:]:
                 acc = [acc[0], *[sum(g(acc)) for g in gathers[: n - 1]]]
@@ -271,11 +271,16 @@ def _p_table(pm: Polymatroid) -> list[SchurSeries]:
             while acc and not acc[-1]:
                 acc.pop()
             dense.append(acc)
-            table.append(
-                SchurSeries._make({parts[i]: c for i, c in enumerate(acc) if c}, size - 1)
-            )
-        pm._p_values = table
+        pm._p_values = dense
     return pm._p_values
+
+
+def _series(vector, parts, degree: int, sign: int = 1) -> SchurSeries:
+    """A dense vector over ``parts`` as a series in a window of ``degree``,
+    every coefficient times ``sign``."""
+    return SchurSeries._make(
+        {parts[i]: sign * c for i, c in enumerate(vector) if c}, degree
+    )
 
 
 def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
@@ -283,9 +288,12 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
 
     By Moebius inversion of sigma^(m - rk A) P(A) = sum over B of
     (-1)^|B| H(B), H = sum over r of sigma^(m - r) Q_r, where Q_r is the sum
-    of (-1)^|B| P(B) over the subsets B of rank r.  The sum over r is taken
-    by Horner's rule in sigma, m passes of sigma over the series truncated
-    to ``truncation``, which must be at least the generation degree t.
+    of (-1)^|B| P(B) over the subsets B of rank r.  These are the P table's
+    rank buckets over every subset of the whole arrangement E, E included:
+    Q_r = (-1)^(t+1) bucket_r.  The sum over r is taken by Horner's rule in
+    sigma on the series truncated to ``truncation``, which must be at least
+    the generation degree t: rk E passes of sigma between the buckets, then
+    m - rk E more.
     """
     t = len(arr.subspaces)
     if truncation < t:
@@ -293,33 +301,14 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
             f"truncation degree {truncation} below generation degree {t}"
         )
     pm = polymatroid_of(arr)
-    buckets: dict[int, dict] = {}
-    for mask, p in enumerate(_p_table(pm)):
-        sign = -1 if mask.bit_count() % 2 else 1
-        _add_into(buckets.setdefault(pm.ranks[mask], {}), p.coeffs, sign)
-    h = SchurSeries._make(buckets[0], truncation)  # the empty set has rank 0
-    for r in range(1, arr.ambient_dim + 1):
-        h = times_sigma_power(h, 1)
-        if r in buckets:
-            _add_into(h.coeffs, buckets[r], 1)
-    return h
-
-
-def lines_first_disagreement(arr: Arrangement, truncation: int) -> int | None:
-    """First degree >= t where H differs from sigma^m - t*sigma, or None.
-
-    Only defined for arrangements of t distinct lines; the leading-term
-    statement says the two agree above the low-degree correction.
-    """
-    t = len(arr.subspaces)
-    if any(s.dim != 1 for s in arr.subspaces):
-        raise ValueError("arrangement must consist of one-dimensional subspaces")
-    if len(set(arr.subspaces)) != t:
-        raise ValueError("lines must be pairwise distinct")
-    D = truncation
-    h = hilbert_product(arr, D)
-    model = sigma_power(D, arr.ambient_dim) - t * sigma(D)
-    for d in range(t, D + 1):
-        if h.graded_part(d) != model.graded_part(d):
-            return d
-    return None
+    parts, ends, _ = _graded_index(max(t - 1, 0))
+    full = (1 << t) - 1
+    buckets = _rank_buckets(pm.ranks, _p_table(pm), full, full, ends[-1])
+    sign = 1 if t % 2 else -1
+    h = SchurSeries._make({}, truncation)
+    for r, bucket in enumerate(buckets):
+        if r:
+            h = times_sigma_power(h, 1)
+        if bucket is not None:
+            h = h + _series(bucket, parts, truncation, sign)
+    return times_sigma_power(h, arr.ambient_dim - pm.ranks[full])

@@ -75,12 +75,15 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
     """Extract the Betti table of a t-linear resolution from a Hilbert series.
 
     Multiplies by sigma^-ambient_dim, checks that nothing survives below
-    degree t and that the degree-d coefficients all carry sign (-1)^(d-t),
+    degree t and that the degree-d coefficients all carry sign (-1)^(d-t)
+    (a LinearityError names the first wrong one in the canonical order),
     then stores column i as (-1)^i times the degree i+t part so every kept
     multiplicity is nonnegative.
     """
     if t < 0:
         raise ValueError("generation degree must be nonnegative")
+    if ambient_dim < 0:
+        raise ValueError("ambient dimension must be nonnegative")
     D = series.degree
     if D < t:
         raise ValueError(f"series truncation {D} below generation degree {t}")
@@ -97,7 +100,7 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
         d = i + t
         part = reduced.graded_part(d)
         sign = -1 if i % 2 else 1
-        for lam, c in part.coeffs.items():
+        for lam, c in part.items():
             if c * sign < 0:
                 raise LinearityError(d, lam, c)
         columns.append(sign * part)
@@ -127,6 +130,8 @@ def series_from_betti(table: BettiTable, ambient_dim: int) -> SchurSeries:
     of the columns, one product for the whole table."""
     if not table.columns:
         raise ValueError("empty Betti table")
+    if ambient_dim < 0:
+        raise ValueError("ambient dimension must be nonnegative")
     D = table.columns[0].degree
     total = SchurSeries({}, degree=D)
     for i, col in enumerate(table.columns):

@@ -7,8 +7,11 @@ oracle's, and the span of every spanning set.  The ``Fraction`` RREF
 (``row_reduce``) gives subspaces their canonical form: a subspace is
 stored as the nonzero rows of the RREF of at most m spanning vectors, so
 equality of subspaces is equality of representations and subspaces can
-be used as dictionary keys.  ``intersect`` and ``Subspace.annihilator``
-stay on the RREF as the slow reference.
+be used as dictionary keys.  ``Subspace.normal_rows`` reads a basis of
+the annihilator off that RREF, as primitive integer rows, with no further
+elimination; the polymatroid and the oracle both take their linear forms
+from it.  ``intersect`` and ``Subspace.annihilator`` build new subspaces
+on the RREF and stay as the tests' slow reference.
 """
 
 from __future__ import annotations
@@ -226,6 +229,12 @@ class Subspace:
     def contains(self, vector) -> bool:
         m = self.ambient_dim
         return Subspace(m, self.basis + (vector,)).dim == self.dim
+
+    def normal_rows(self) -> list[dict]:
+        """A basis of the annihilator as primitive integer rows {index: entry},
+        one per free column of the RREF; read as linear forms they vanish
+        exactly on the subspace.  No elimination is run."""
+        return _integer_rows(_nullspace(self.basis, self.ambient_dim))
 
     def annihilator(self) -> "Subspace":
         """Vectors orthogonal to the subspace; read as linear forms they

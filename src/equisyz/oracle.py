@@ -22,9 +22,10 @@ previous degree's basis.  The intersection ideal is not spanned at all:
 J_k(V) is the vanishing ideal of Y_k tensor V, so each weight space of the
 intersection is the common kernel of the restrictions to the Y_k tensor V,
 and its dimension is one exact rank of their stacked vanishing conditions.
-With the polymatroid it shares only the fraction-free elimination kernel
-of ``equisyz.linalg``, which the tests check against the ``Fraction`` RREF,
-so it stays an independent check on the series formulas.
+With the polymatroid it shares only each subspace's normal rows and the
+fraction-free elimination kernel of ``equisyz.linalg``, which the tests
+check against the ``Fraction`` annihilator and RREF, so it stays an
+independent check on the series formulas.
 """
 
 from __future__ import annotations
@@ -114,16 +115,17 @@ def _forms_per_factor(arr: Arrangement, n: int) -> tuple[tuple, ...]:
     """Degree-one generators of each linear ideal in explicit coordinates.
 
     Variable v = j*n + i stands for z[j,i] = w_j tensor v_i, in (j,i)-lex
-    order.  Each form is a pair (i, {var: coeff}): the tensor of an
-    annihilator vector of the k-th subspace with e_i, so it has pure
-    V-weight e_i.  Factor k contributes (m - dim Y_k) * n forms.  The
-    annihilator vectors are scaled to coprime integers, which leaves their
-    span alone and makes every spanning row of the oracle integral.
+    order.  Each form is a pair (i, {var: coeff}): the tensor of a normal
+    row of the k-th subspace with e_i, so it has pure V-weight e_i.  Factor
+    k contributes (m - dim Y_k) * n forms.  The normal rows are the ones the
+    polymatroid stacks (``Subspace.normal_rows``): a basis of the
+    annihilator read off the RREF as coprime integers, so every spanning
+    row of the oracle is integral and no annihilator Subspace is built.
     """
     out = []
     for sub in arr.subspaces:
         forms = []
-        for coeffs in _integer_rows(sub.annihilator().basis):
+        for coeffs in sub.normal_rows():
             for i in range(n):
                 forms.append((i, {j * n + i: c for j, c in coeffs.items()}))
         out.append(tuple(forms))

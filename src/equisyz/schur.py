@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import groupby, permutations
+from numbers import Real
 
 from .partitions import (
     Partition,
@@ -67,10 +68,7 @@ def _pieri_terms(
     sign (-1)^size: each row gains at most one cell, and a row may gain
     only if the row above is longer or gains too.  So in each block of
     equal rows of lam only the top rows gain, and any number of new rows
-    of length 1 go below lam.  The blocks are taken from the bottom up,
-    which lists mu in the order of the conjugate's horizontal strips, so
-    sums built from these terms keep the order they had when the strips
-    were conjugated.
+    of length 1 go below lam.  The blocks are taken from the bottom up.
     """
     if inverse:
         terms = [((1,) * a, a) for a in range(budget + 1)]  # (mu so far, cells)
@@ -121,6 +119,12 @@ def format_terms(pairs, style: str = "plain") -> str:
     return " ".join(chunks) or "0"
 
 
+def _is_integer(c) -> bool:
+    """Whether c is a real number without a fractional part; a string or a
+    number like 3/2 is not, and must not be truncated by ``int``."""
+    return isinstance(c, Real) and not c % 1
+
+
 def _summed(pairs, degree: int) -> dict[Partition, int]:
     """Coefficients of the (partition, coefficient) pairs of size at most
     ``degree``, repeated partitions added and zero sums dropped.  A number
@@ -128,7 +132,7 @@ def _summed(pairs, degree: int) -> dict[Partition, int]:
     coeffs: dict[Partition, int] = {}
     for lam, c in pairs:
         lam = check_partition(lam)
-        if c % 1:
+        if not _is_integer(c):
             raise ValueError(f"coefficient {c!r} of s{list(lam)} is not an integer")
         if sum(lam) <= degree:
             coeffs[lam] = coeffs.get(lam, 0) + int(c)
@@ -166,9 +170,6 @@ class SchurSeries:
 
     def coefficient(self, lam) -> int:
         return self.coeffs.get(tuple(lam), 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def min_degree(self) -> int | None:
         """Lowest degree with a nonzero coefficient, or None for the zero series."""
@@ -374,12 +375,6 @@ def times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
     return SchurSeries._make(coeffs, D)
 
 
-@cache
-def sigma_power(degree: int, k: int) -> SchurSeries:
-    """Cached sigma(degree) ** k; negative k means powers of the inverse."""
-    return times_sigma_power(one(degree), k)
-
-
 def kostka_peel(dims, d: int, n: int, max_parts: int) -> dict[Partition, int]:
     """Schur coefficients c_lam, for lam with at most ``max_parts`` parts, of
     a degree-d character whose dominant weights (length n) have dimensions
@@ -414,6 +409,8 @@ def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
         w = tuple(w)
         if len(w) != n or any(x < 0 for x in w) or sum(w) != d:
             raise ValueError(f"weight {w!r} is not a composition of {d} into {n} parts")
+        if not _is_integer(mult):
+            raise ValueError(f"multiplicity {mult!r} at weight {w} is not an integer")
         if mult:
             table[w] = table.get(w, 0) + int(mult)
 

@@ -29,7 +29,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from hypothesis import strategies as st
 
-from equisyz.arrangements import Arrangement, Polymatroid, polymatroid_of
+from equisyz.arrangements import Arrangement, Polymatroid, hilbert_product, polymatroid_of
 from equisyz.linalg import Subspace, _nullspace, row_reduce
 from equisyz.oracle import (
     _Echelon,
@@ -38,7 +38,7 @@ from equisyz.oracle import (
     _poly_times_form,
 )
 from equisyz.partitions import conjugate
-from equisyz.schur import SchurSeries, one, sigma
+from equisyz.schur import SchurSeries, one, sigma, times_sigma_power
 
 
 # -- arrangements used throughout ------------------------------------------
@@ -501,6 +501,33 @@ def reference_sigma_power(degree: int, k: int) -> SchurSeries:
     if k < 0:
         return reference_sigma_power(degree, k + 1) * reference_sigma_power(degree, -1)
     return reference_sigma_power(degree, k - 1) * sigma(degree)
+
+
+@cache
+def sigma_power(degree: int, k: int) -> SchurSeries:
+    """Cached sigma(degree) ** k by the Pieri kernel; negative k means
+    powers of the inverse."""
+    return times_sigma_power(one(degree), k)
+
+
+def lines_first_disagreement(arr: Arrangement, truncation: int) -> int | None:
+    """First degree >= t where H differs from sigma^m - t*sigma, or None.
+
+    Only defined for arrangements of t distinct lines; the leading-term
+    statement says the two agree above the low-degree correction.
+    """
+    t = len(arr.subspaces)
+    if any(s.dim != 1 for s in arr.subspaces):
+        raise ValueError("arrangement must consist of one-dimensional subspaces")
+    if len(set(arr.subspaces)) != t:
+        raise ValueError("lines must be pairwise distinct")
+    D = truncation
+    h = hilbert_product(arr, D)
+    model = sigma_power(D, arr.ambient_dim) - t * sigma(D)
+    for d in range(t, D + 1):
+        if h.graded_part(d) != model.graded_part(d):
+            return d
+    return None
 
 
 def reference_ranks(arr: Arrangement) -> list[int]:

@@ -11,7 +11,6 @@ import time
 from equisyz.arrangements import (
     Arrangement,
     hilbert_product,
-    lines_first_disagreement,
     p_polynomial,
     polymatroid_of,
 )
@@ -22,12 +21,14 @@ from equisyz.oracle import (
     product_ideal_character,
     wedge_ideal_character,
 )
-from equisyz.schur import SchurSeries, sigma, sigma_power, zero
+from equisyz.schur import SchurSeries, sigma, zero
 
 from helpers import (
     axes,
+    lines_first_disagreement,
     lines_in_plane,
     origin_copies,
+    sigma_power,
     worked_product_arrangements,
     plane_and_normal_line,
 )

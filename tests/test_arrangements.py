@@ -11,25 +11,28 @@ from equisyz.arrangements import (
     Arrangement,
     Polymatroid,
     hilbert_product,
-    lines_first_disagreement,
     p_polynomial,
     polymatroid_of,
 )
 from equisyz.errors import SizeCapError
 from equisyz.linalg import Subspace, intersect
-from equisyz.schur import SchurSeries, sigma, sigma_power, zero
+from equisyz.schur import SchurSeries, sigma, zero
 
 from helpers import (
     NONZERO,
     axes,
+    lines_first_disagreement,
     lines_in_plane,
     origin_copies,
     worked_product_arrangements,
     plane_and_normal_line,
     pooled_arrangements,
     reference_hilbert_product,
+    reference_intersection_weights,
     reference_p,
     reference_ranks,
+    reference_span_weights,
+    sigma_power,
 )
 
 
@@ -152,6 +155,40 @@ def test_polymatroid_takes_no_intersection(monkeypatch):
     assert polymatroid_of(arr).ranks == expected
     assert calls["intersect"] == 0
     assert calls["row_reduce"] <= len(arr)
+
+
+def test_pipeline_builds_no_annihilator(monkeypatch):
+    """The polymatroid and the three oracle characters read each subspace's
+    normal rows; none of them builds an annihilator Subspace."""
+    from equisyz.oracle import (
+        intersection_ideal_character,
+        product_ideal_character,
+        wedge_ideal_character,
+    )
+
+    arr = Arrangement(
+        3, (Subspace(3, [[1, "1/2", 2]]), Subspace(3, [[1, 0, 1], [0, 1, "2/3"]]))
+    )
+    expected = reference_ranks(arr)
+    n = d = 3
+    weights = [
+        reference_span_weights(arr, n, d, False),
+        reference_span_weights(arr, n, d, True),
+        reference_intersection_weights(arr, n, d),
+    ]
+
+    def refuse(self):
+        raise AssertionError("Subspace.annihilator called")
+
+    monkeypatch.setattr(Subspace, "annihilator", refuse)
+    polymatroid_of.cache_clear()
+    assert polymatroid_of(arr).ranks == expected
+    characters = [
+        product_ideal_character(arr, n, d),
+        wedge_ideal_character(arr, n, d),
+        intersection_ideal_character(arr, n, d),
+    ]
+    assert [char.weights[d] for char in characters] == weights
 
 
 def test_rank_table_ordering():
@@ -292,9 +329,12 @@ def _random_subspaces(m, dims, seed):
 
 # Both shapes at t = 6, whatever hypothesis draws: two zero subspaces among
 # lines and planes of Q^4, and six lines of Q^8 (every singleton has rank 7).
+# The third contains the whole space Q^3, which the CLI rejects: a nonempty
+# subset of rank 0 puts more than P(empty set) into rank bucket 0.
 RANK_EXAMPLES = [
     _random_subspaces(4, (0, 1, 2, 0, 1, 3), seed=1),
     _random_subspaces(8, (1,) * 6, seed=2),
+    _random_subspaces(3, (3, 1, 0, 2), seed=3),
 ]
 
 
@@ -326,9 +366,13 @@ def test_p_polynomial_matches_subset_recursion(arr, extra):
 
 
 def test_rank_examples_have_the_intended_shape():
-    zeros, lines = (polymatroid_of(arr) for arr in RANK_EXAMPLES)
+    zeros, lines, whole = (polymatroid_of(arr) for arr in RANK_EXAMPLES)
     assert zeros.rank([0]) == zeros.rank([0, 3]) == 4  # rk B > |B|
     assert {lines.rank([i]) for i in range(6)} == {7}  # one subspace, 7 ranks
+    assert whole.rank([0]) == 0  # the whole space
+    assert whole.rank([0, 1]) == whole.rank([1]) == 2
+    # one factor of the product ideal is the zero ideal
+    assert hilbert_product(RANK_EXAMPLES[2], 5) == 0
 
 
 def test_lowest_degree_is_generation_degree():

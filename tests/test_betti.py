@@ -80,6 +80,17 @@ def test_wrong_sign_raises_linearity_error():
     assert info.value.partition == (2,)
 
 
+def test_linearity_error_names_the_first_wrong_sign_in_canonical_order():
+    """Two wrong-sign terms in degree 3, s[2,1] stored before s[3]: the
+    error names s[3], which comes first in the canonical order, whatever
+    order the series holds its terms in."""
+    bad = SchurSeries.from_pairs([((2,), 1), ((2, 1), 1), ((3,), 2)], degree=3)
+    assert list(bad.coeffs) == [(2,), (2, 1), (3,)]
+    with pytest.raises(LinearityError) as info:
+        betti_from_series(bad, 0, 2)
+    assert (info.value.degree, info.value.partition, info.value.coefficient) == (3, (3,), 2)
+
+
 def test_low_degree_terms_raise_generation_error():
     with pytest.raises(GenerationDegreeError):
         betti_from_series(sigma(3), 1, 1)
@@ -88,6 +99,18 @@ def test_low_degree_terms_raise_generation_error():
 def test_truncation_below_t_rejected():
     with pytest.raises(ValueError):
         betti_from_series(sigma(2) - 1, 1, 3)
+
+
+def test_negative_ambient_dimension_rejected_by_extraction():
+    # sigma^-(-1) would be a factor sigma, not sigma^-1
+    with pytest.raises(ValueError, match="ambient dimension"):
+        betti_from_series(sigma(3) - 1, -1, 1)
+
+
+def test_negative_ambient_dimension_rejected_by_reconstruction():
+    table = betti_from_series(sigma(3) - 1, 1, 1)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        series_from_betti(table, -1)
 
 
 # -- regularity ---------------------------------------------------------------

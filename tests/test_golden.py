@@ -1,9 +1,9 @@
 """Golden reports: ``cli.main`` must reproduce each stored report byte for byte.
 
 Each case names an input document in ``tests/golden/`` (``<case>.json``,
-unless ``DOCUMENTS`` names another) and the flags of one job; its expected
-reports are ``<case>.out.json``, ``<case>.out.md`` and ``<case>.out.tex``
-next to it.  After a deliberate change to the report
+unless ``DOCUMENTS`` names another), the exit code of one job and its
+flags; its expected reports are ``<case>.out.json``, ``<case>.out.md`` and
+``<case>.out.tex`` next to it.  After a deliberate change to the report
 format, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,36 +14,48 @@ from pathlib import Path
 
 import pytest
 
-from equisyz.cli import EXIT_OK, main
+from equisyz.cli import EXIT_OK, EXIT_VALIDATION, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# case -> (expected exit code, flags)
 CASES = {
-    "five_subspaces": ["--max-degree", "7"],
-    "lines_in_plane": ["--max-degree", "6", "--side", "exterior"],
-    "plane_and_line": ["--max-degree", "4", "--oracle-check", "3", "--dim-v", "3"],
-    "three_axes": ["--max-degree", "3", "--ideal", "intersection", "--dim-v", "3"],
-    "three_axes_oracle": [
+    "five_subspaces": (EXIT_OK, ["--max-degree", "7"]),
+    "lines_in_plane": (EXIT_OK, ["--max-degree", "6", "--side", "exterior"]),
+    "plane_and_line": (
+        EXIT_OK, ["--max-degree", "4", "--oracle-check", "3", "--dim-v", "3"],
+    ),
+    "three_axes": (
+        EXIT_OK, ["--max-degree", "3", "--ideal", "intersection", "--dim-v", "3"],
+    ),
+    "three_axes_oracle": (EXIT_OK, [
         "--max-degree", "3", "--ideal", "intersection", "--oracle-check", "3",
         "--dim-v", "3",
-    ],
+    ]),
     # n = 4 > m = 3 and D = 4 > t = 3: the oracles' support fill and their
     # spanning from the previous degree both run
-    "two_planes_and_line": [
+    "two_planes_and_line": (EXIT_OK, [
         "--max-degree", "4", "--side", "both", "--oracle-check", "4", "--dim-v", "4",
-    ],
+    ]),
     # an intersection job at n = 4 > m = 3: its series is the oracle's, so
     # the Kostka fill of the intersection oracle reaches the report
-    "line_and_three_planes": [
+    "line_and_three_planes": (EXIT_OK, [
         "--max-degree", "4", "--ideal", "intersection", "--dim-v", "4",
         "--oracle-check", "4", "--side", "both",
-    ],
+    ]),
+    # a line and three planes of Q^3 with no common line: the intersection
+    # ideal is not generated in one degree, so the sign check fails and the
+    # job writes its report with the linearity error and exits 1
+    "no_common_line": (
+        EXIT_VALIDATION,
+        ["--max-degree", "4", "--ideal", "intersection", "--dim-v", "4"],
+    ),
     # shaped like the product-wide benchmark documents: t = 9 in Q^4 with two
     # zero subspaces, so rk B > |B| and ranks saturate at m = 4
-    "product_wide": ["--max-degree", "9", "--side", "both"],
+    "product_wide": (EXIT_OK, ["--max-degree", "9", "--side", "both"]),
     # three hyperplanes of Q^7: H takes m = 7 passes of sigma over four rank
     # buckets
-    "three_hyperplanes": ["--max-degree", "8"],
+    "three_hyperplanes": (EXIT_OK, ["--max-degree", "8"]),
 }
 
 DOCUMENTS = {"three_axes_oracle": "three_axes"}
@@ -53,7 +65,7 @@ FORMATS = {"json": "json", "markdown": "md", "latex": "tex"}
 
 def _run(case: str, fmt: str, out: Path) -> int:
     doc = DOCUMENTS.get(case, case)
-    argv = ["--input", str(GOLDEN / f"{doc}.json"), *CASES[case]]
+    argv = ["--input", str(GOLDEN / f"{doc}.json"), *CASES[case][1]]
     return main(argv + ["--format", fmt, "--output", str(out)])
 
 
@@ -61,7 +73,7 @@ def _run(case: str, fmt: str, out: Path) -> int:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden(case, fmt, tmp_path):
     out = tmp_path / "report"
-    assert _run(case, fmt, out) == EXIT_OK
+    assert _run(case, fmt, out) == CASES[case][0]
     expected = GOLDEN / f"{case}.out.{FORMATS[fmt]}"
     assert out.read_bytes() == expected.read_bytes()
 

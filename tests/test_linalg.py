@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -165,6 +166,22 @@ def test_double_annihilator_random():
         s = Subspace(m, vecs)
         assert s.annihilator().annihilator() == s
         assert s.annihilator().dim == m - s.dim
+
+
+def test_normal_rows_are_a_primitive_basis_of_the_annihilator():
+    rng = random.Random(11)
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        k = rng.randint(0, m)
+        vecs = [[F(rng.randint(-3, 3)) / rng.randint(1, 3) for _ in range(m)] for _ in range(k)]
+        s = Subspace(m, vecs)
+        rows = s.normal_rows()
+        assert len(rows) == m - s.dim
+        for row in rows:
+            assert all(type(c) is int for c in row.values())
+            assert math.gcd(*row.values()) == 1 and row[min(row)] > 0
+        dense = [[row.get(j, 0) for j in range(m)] for row in rows]
+        assert Subspace(m, dense) == s.annihilator()
 
 
 # -- intersections ----------------------------------------------------------

@@ -14,7 +14,6 @@ from equisyz.schur import (
     from_weight_multiplicities,
     one,
     sigma,
-    sigma_power,
     times_sigma_power,
     zero,
 )
@@ -136,7 +135,7 @@ def test_invert_product_rule():
 
 
 def test_sigma_power_negative():
-    assert sigma_power(4, -2) == sigma(4).invert() ** 2
+    assert times_sigma_power(one(4), -2) == sigma(4).invert() ** 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,14 +158,13 @@ def test_times_sigma_power_matches_lr_products(data):
 def test_sigma_power_matches_lr_chain():
     for D in range(7):
         for k in range(-4, 5):
-            assert sigma_power(D, k) == reference_sigma_power(D, k), (D, k)
+            assert times_sigma_power(one(D), k) == reference_sigma_power(D, k), (D, k)
 
 
 def test_pieri_terms_match_reference_strips():
     """Strips built directly against the conjugate round trip (vertical)
     and the zero-filtering enumeration (horizontal), for every lam with
-    |lam| <= 10 and every budget up to 8.  Compared as lists: sums built
-    from the terms keep their order only if the terms keep theirs."""
+    |lam| <= 10 and every budget up to 8, compared as lists."""
     for size in range(11):
         for lam in partitions_of(size):
             for budget in range(9):
@@ -323,6 +321,14 @@ def test_from_weights_rejects_late_negative():
     # symmetric, top weight fine, goes negative only after the first peel
     with pytest.raises(ValueError, match=r"multiplicity -2 at weight \(1, 1\)$"):
         from_weight_multiplicities({(2, 0): 1, (0, 2): 1, (1, 1): -1}, 2, 2)
+
+
+@pytest.mark.parametrize("mult", [1.5, Fraction(3, 2), "2"])
+def test_from_weights_rejects_a_multiplicity_that_is_not_an_integer(mult):
+    """Truncated, 3/2 at both weights of degree one read as s[1]; the
+    string "2" was read as 2."""
+    with pytest.raises(ValueError, match="not an integer"):
+        from_weight_multiplicities({(1, 0): mult, (0, 1): mult}, 1, 2)
 
 
 def test_from_weights_rejects_small_n():
