@@ -9,52 +9,53 @@ JPAA 2007).  The identity
 inverts on the Boolean lattice to H = sum over B of (-1)^|B| sigma^(m - rk B) P(B).
 Each correction polynomial P(B) lives at its own degree |B| - 1, and the
 P of every subset is built in one pass in mask order, whatever the
-truncation degree.  The P table works on dense integer vectors over the
-partitions of size < t in the canonical graded order, so a truncation is
-a slice.  One routine, ``_rank_buckets``, sums the P of the subsets of a
-mask into one vector per rank: the proper subsets of B for P(B), and
-every subset of the whole arrangement for H.  Both sum_r sigma^(rk B - r)
-bucket_r for P(B), on the dense vectors, and sum_r sigma^(m - r) Q_r for
-H, on dict series at degree D, are evaluated by Horner's rule in sigma:
-one Pieri pass per unit of rank, however many buckets there are.
+truncation degree.  Both work on the dense integer vectors of
+``schur.graded_index``, over the partitions in the canonical graded
+order, so a truncation is a slice.  One routine, ``_rank_buckets``, sums
+the P of the subsets of a mask into one vector per rank: the proper
+subsets of B for P(B), and every subset of the whole arrangement for H.
+Both sum_r sigma^(rk B - r) bucket_r for P(B), at degree |B| - 1, and
+sum_r sigma^(m - r) Q_r for H, at degree D, are evaluated by Horner's
+rule in sigma: one pass of sigma per unit of rank, however many buckets
+there are.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
-from itertools import accumulate
-from operator import add, itemgetter, sub as subtract
+from functools import lru_cache
+from operator import add, sub as subtract
 
 from .errors import SizeCapError
 # intersect is not called here.  perfbench/traced_job.py counts the calls
 # through this module's name, where the formula side must read 0.
 from .linalg import Subspace, _reduce_into, intersect
-from .partitions import partitions_of
-from .schur import SchurSeries, _pieri_terms, times_sigma_power
+from .schur import SchurSeries, from_dense, graded_index, sigma_pass
 
 # Cap on the number t of subspaces, checked before a document's vectors are
 # parsed.  The P table's 3^t subset sums set the t axis, about 3x per
 # subspace.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at
-# D = t: product-wide-shaped arrangements (m = 4) take 0.5, 1.4, 4.2 and
-# 12 s at t = 11, 12, 13 and 14 (the cap raised), t lines in Q^32 1.2, 2.6 and
-# 7.1 s at t = 11, 12 and 13, where most of the P table is its Horner
-# passes of sigma.  The three caps compound: at m = 32, D = 24 t
-# hyperplanes take 14, 15, 13, 16, 17, 18 and 20 s at t = 1, 2, 4, 8, 11,
-# 12 and 13, so the D axis, not t, sets the joint worst case (see
-# MAX_AMBIENT_DIM).
+# D = t: product-wide-shaped arrangements (m = 4) take 0.5, 1.2 and 3.4 s
+# at t = 11, 12 and 13, and t lines in Q^32 0.5, 1.2 and 3.0 s, most of it
+# the subset sums.  The three caps compound: at m = 32, D = 24 t
+# hyperplanes take 1.2, 1.1, 1.7, 2.2, 3.6, 5.5 and 9.5 s at t = 1, 2, 4,
+# 8, 11, 12 and 13, so t, not D, now sets the joint worst case; at t = 13
+# the exact ranks, the subset sums and the P table's passes of sigma each
+# take a share.
 MAX_GROUND_SET = 13
 # Cap on the ambient dimension m, checked before a document's vectors are
 # parsed.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at
-# D = 24: a line in Q^24 takes 10-11 s, a line in Q^32 11-15 s and a
-# hyperplane of Q^32 14 s (9-10 s in Q^24).  Nearly all of it is the m
-# passes of sigma in hilbert_product and the m passes of sigma^-1 in
-# betti_from_series, over a series of every degree up to D.
+# D = 24: a line in Q^24 takes 1.2 s, a line in Q^32 1.4 s and a
+# hyperplane of Q^32 1.2 s (0.9 s in Q^24).  About two thirds of it is the
+# m passes of sigma in hilbert_product and the m passes of sigma^-1 in
+# betti_from_series, over a vector of every partition of size <= D, and
+# most of the rest is writing the 4.7 MB report.
 MAX_AMBIENT_DIM = 32
-# Cap on the truncation degree D.  Python 3.11 on a 2-core x86-64 VM: at
-# D = 24 a product job on m = t = 4 takes 0.8 s (3.5 s at D = 30), but one
-# on m = 24, t = 1 takes 8-9 s and writes a 4.6 MB report.  Most of that
-# job is the accumulation loop of times_sigma_power over its Pieri passes,
-# one per factor of sigma^m and sigma^-m, which the cap bounds.
+# Cap on the truncation degree D.  Python 3.11 on 2 shared x86-64 cores,
+# single cold jobs: at D = 24 a product job on m = t = 4 takes 0.4 s
+# (2.3 s at D = 30, the cap raised), one on a line in Q^24 1.2 s, with a
+# 4.6 MB report.  A pass of sigma costs one term per horizontal strip
+# between two partitions of size <= D: 7338 partitions and 0.32 million
+# strips at D = 24, against 508 and 7059 at D = 14.
 MAX_DEGREE = 24
 
 
@@ -199,28 +200,7 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
         )
-    parts = _graded_index(max(pm.ground_size - 1, 0))[0]
-    return _series(_p_table(pm)[pm.as_mask(subset)], parts, truncation)
-
-
-@cache
-def _graded_index(top: int):
-    """Dense vectors over the partitions of size <= top, listed in the
-    canonical graded order, so a series of degree d <= top is the prefix of
-    length N(d) and truncating it is a slice.  Returns the partitions, the
-    prefix lengths N(0), .., N(top), and for every index j >= 1 an
-    itemgetter of the indices i whose mu_j / lam_i is a horizontal strip
-    (lam_i = mu_j included), read off ``_pieri_terms``.  Every such i is at
-    most j, so coefficient j of sigma * v, truncated at any degree, is the
-    sum of v over that list."""
-    parts = [lam for d in range(top + 1) for lam in partitions_of(d)]
-    ends = list(accumulate(len(partitions_of(d)) for d in range(top + 1)))
-    index = {lam: i for i, lam in enumerate(parts)}
-    sources: list[list[int]] = [[] for _ in parts]
-    for i, lam in enumerate(parts):
-        for mu, _ in _pieri_terms(lam, top - sum(lam), False):
-            sources[index[mu]].append(i)
-    return parts, ends, [itemgetter(*src) for src in sources[1:]]
+    return from_dense(_p_table(pm)[pm.as_mask(subset)], truncation)
 
 
 def _rank_buckets(ranks, dense, mask: int, sub: int, n: int) -> list:
@@ -245,27 +225,36 @@ def _rank_buckets(ranks, dense, mask: int, sub: int, n: int) -> list:
 
 def _p_table(pm: Polymatroid) -> list[list[int]]:
     """P(B) at its own degree |B| - 1 (degree 0 for the empty set), for every
-    mask in increasing order, as a dense vector of ``_graded_index`` with its
+    mask in increasing order, as a dense vector of ``graded_index`` with its
     trailing zeros cut: each proper subset of B is a smaller mask, so its P
     is already in the table.  Built once per polymatroid.
 
     The proper subsets of B are summed into their rank buckets by
     ``_rank_buckets``, which folds in the outer minus sign of the
     recursion.  The sum over r of sigma^(rk B - r) * bucket_r is then taken
-    by Horner's rule in sigma: start from bucket_0 and rk B times multiply
-    by sigma and add the next bucket, so rk B passes of sigma for any
-    number of buckets.
+    by Horner's rule in sigma.  bucket_0 is a constant c: a subset of rank 0
+    has only subsets of rank 0, so its own P is its bucket_0, a constant by
+    induction from P(empty set) = 1.  So Horner starts at the first nonempty
+    bucket r > 0 from c * sigma^r, each sigma^r built once per table, and
+    takes rk B - r passes of sigma for any number of buckets.
     """
     if pm._p_values is None:
         ranks = pm.ranks
-        _, ends, gathers = _graded_index(max(pm.ground_size - 1, 0))
+        _, offsets, _, below = graded_index(max(pm.ground_size - 1, 0))
+        powers = [[1] + [0] * (offsets[-1] - 1)]  # sigma^r, as far as needed
         dense = [[1]]
         for mask in range(1, len(ranks)):
-            n = ends[mask.bit_count() - 1]
+            n = offsets[mask.bit_count()]
             buckets = _rank_buckets(ranks, dense, mask, (mask - 1) & mask, n)
-            acc = buckets[0]
-            for bucket in buckets[1:]:
-                acc = [acc[0], *[sum(g(acc)) for g in gathers[: n - 1]]]
+            c = buckets[0][0]
+            buckets[0] = None
+            r = next((r for r, b in enumerate(buckets) if b is not None), ranks[mask])
+            while len(powers) <= r:
+                powers.append(sigma_pass(powers[-1], below))
+            acc = [c * x for x in powers[r][:n]]
+            for i, bucket in enumerate(buckets[r:]):
+                if i:
+                    acc = sigma_pass(acc, below)
                 if bucket is not None:
                     acc = list(map(add, acc, bucket))
             while acc and not acc[-1]:
@@ -273,14 +262,6 @@ def _p_table(pm: Polymatroid) -> list[list[int]]:
             dense.append(acc)
         pm._p_values = dense
     return pm._p_values
-
-
-def _series(vector, parts, degree: int, sign: int = 1) -> SchurSeries:
-    """A dense vector over ``parts`` as a series in a window of ``degree``,
-    every coefficient times ``sign``."""
-    return SchurSeries._make(
-        {parts[i]: sign * c for i, c in enumerate(vector) if c}, degree
-    )
 
 
 def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
@@ -291,9 +272,9 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
     of (-1)^|B| P(B) over the subsets B of rank r.  These are the P table's
     rank buckets over every subset of the whole arrangement E, E included:
     Q_r = (-1)^(t+1) bucket_r.  The sum over r is taken by Horner's rule in
-    sigma on the series truncated to ``truncation``, which must be at least
-    the generation degree t: rk E passes of sigma between the buckets, then
-    m - rk E more.
+    sigma on the dense vector of ``graded_index(truncation)``, which must be
+    at least the generation degree t: rk E passes of sigma between the
+    buckets, then m - rk E more.
     """
     t = len(arr.subspaces)
     if truncation < t:
@@ -301,14 +282,15 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
             f"truncation degree {truncation} below generation degree {t}"
         )
     pm = polymatroid_of(arr)
-    parts, ends, _ = _graded_index(max(t - 1, 0))
+    _, offsets, _, below = graded_index(truncation)
     full = (1 << t) - 1
-    buckets = _rank_buckets(pm.ranks, _p_table(pm), full, full, ends[-1])
-    sign = 1 if t % 2 else -1
-    h = SchurSeries._make({}, truncation)
+    buckets = _rank_buckets(pm.ranks, _p_table(pm), full, full, offsets[max(t, 1)])
+    h = [0] * offsets[-1]
     for r, bucket in enumerate(buckets):
         if r:
-            h = times_sigma_power(h, 1)
+            h = sigma_pass(h, below)
         if bucket is not None:
-            h = h + _series(bucket, parts, truncation, sign)
-    return times_sigma_power(h, arr.ambient_dim - pm.ranks[full])
+            h[: len(bucket)] = map(add, h, bucket)
+    for _ in range(arr.ambient_dim - pm.ranks[full]):
+        h = sigma_pass(h, below)
+    return from_dense(h, truncation, 1 if t % 2 else -1)

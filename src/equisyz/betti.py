@@ -9,7 +9,7 @@ transposes tables to the exterior side by conjugating every index.
 
 from __future__ import annotations
 
-from .schur import SchurSeries, times_sigma_power
+from .schur import SchurSeries, graded_index, sigma_power_vector, times_sigma_power
 
 
 class LinearityError(ValueError):
@@ -74,11 +74,12 @@ class BettiTable:
 def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTable:
     """Extract the Betti table of a t-linear resolution from a Hilbert series.
 
-    Multiplies by sigma^-ambient_dim, checks that nothing survives below
-    degree t and that the degree-d coefficients all carry sign (-1)^(d-t)
-    (a LinearityError names the first wrong one in the canonical order),
-    then stores column i as (-1)^i times the degree i+t part so every kept
-    multiplicity is nonnegative.
+    Takes ambient_dim passes of sigma^-1 on the dense vector of
+    ``graded_index(D)``, checks that nothing survives below degree t and
+    that the degree-d coefficients all carry sign (-1)^(d-t), then stores
+    column i as (-1)^i times the slice of degree i + t, so every kept
+    multiplicity is nonnegative.  The slice is in the canonical order, so a
+    LinearityError names the first wrong sign in that order.
     """
     if t < 0:
         raise ValueError("generation degree must be nonnegative")
@@ -87,23 +88,25 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
     D = series.degree
     if D < t:
         raise ValueError(f"series truncation {D} below generation degree {t}")
-    reduced = times_sigma_power(series, -ambient_dim)
+    parts, offsets, _, _ = graded_index(D)
+    reduced = sigma_power_vector(series, -ambient_dim)
     for d in range(t):
-        part = reduced.graded_part(d)
-        if part:
+        if any(reduced[offsets[d] : offsets[d + 1]]):
             raise GenerationDegreeError(
                 f"generation degree mismatch: sigma^-{ambient_dim} * series has "
                 f"nonzero terms in degree {d} < {t}"
             )
     columns = []
     for i in range(D - t + 1):
-        d = i + t
-        part = reduced.graded_part(d)
+        lo, hi = offsets[i + t], offsets[i + t + 1]
         sign = -1 if i % 2 else 1
-        for lam, c in part.items():
+        column = {}
+        for lam, c in zip(parts[lo:hi], reduced[lo:hi]):
             if c * sign < 0:
-                raise LinearityError(d, lam, c)
-        columns.append(sign * part)
+                raise LinearityError(i + t, lam, c)
+            if c:
+                column[lam] = sign * c
+        columns.append(SchurSeries._make(column, D))
     return BettiTable(t, tuple(columns))
 
 

@@ -25,6 +25,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .arrangements import (
     MAX_AMBIENT_DIM,
@@ -360,8 +361,44 @@ def run_job(cfg: JobConfig) -> dict:
 # -- rendering ----------------------------------------------------------------
 
 
+def _json(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
+    at the line prefix ``pad``; the ints of a list are written in line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [int.__repr__(x) if type(x) is int else _json(x, inner) for x in value]
+        return f"[{inner}{sep.join(items)}{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
+            for key in sorted(value)
+        ]
+        return f"{{{inner}{sep.join(items)}{pad}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` writes
+    it, plus a newline, byte for byte.  With ``indent`` set the standard
+    library takes its pure-Python encoder, so the layout is written here:
+    dicts with str keys, lists, tuples, str, int, bool and None; anything
+    else is a TypeError."""
+    return _json(report, "\n") + "\n"
 
 
 def _betti_tables(report: dict):

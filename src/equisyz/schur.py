@@ -4,14 +4,16 @@ A :class:`SchurSeries` is a finite integer combination of Schur functions
 ``s_lam`` together with an explicit truncation degree D.  Every operation
 truncates its result, so a series is always an honest window (all degrees
 up to D are exact, nothing above D is stored).  The pipeline only ever
-multiplies by powers of sigma = 1 + s_1 + s_2 + ..., and does so with the
-Pieri rules (Macdonald, Symmetric Functions and Hall Polynomials, I.5):
-one factor sigma adds every horizontal strip, one factor sigma^-1 adds
-every vertical strip with sign (-1)^size.  Both kinds of strip are built
-directly from the rows of the partition, with no conjugation.  The
-general product of two series, expanded with the Littlewood-Richardson
-rule, remains for the ring API.  ``omega`` conjugates every index, which
-is the symmetric-to-exterior transpose at the level of characters.
+multiplies by powers of sigma = 1 + s_1 + s_2 + ..., and does so on dense
+vectors over one cached index of the partitions of size <= D in graded
+order (``graded_index``).  By the Pieri rule (Macdonald, Symmetric
+Functions and Hall Polynomials, I.5) sigma adds every horizontal strip,
+so on that index it is a unitriangular 0/1 matrix: a sigma pass adds to
+each coefficient those of the partitions below it, and a sigma^-1 pass
+solves the same system by forward substitution.  The general product of
+two series, expanded with the Littlewood-Richardson rule, remains for
+the ring API.  ``omega`` conjugates every index, which is the
+symmetric-to-exterior transpose at the level of characters.
 
 Series are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -20,8 +22,9 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 from functools import cache
-from itertools import groupby, permutations
+from itertools import accumulate, permutations, product
 from numbers import Real
+from operator import itemgetter
 
 from .partitions import (
     Partition,
@@ -52,52 +55,6 @@ def _pair_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], 
         if c:
             out.append((lam, c))
     return tuple(out)
-
-
-@cache
-def _pieri_terms(
-    lam: Partition, budget: int, inverse: bool
-) -> tuple[tuple[Partition, int], ...]:
-    """Expansion of s_lam * sigma, or of s_lam * sigma^-1 when ``inverse``,
-    keeping the terms that add at most ``budget`` cells; every mu is built
-    directly from the rows of lam.
-
-    sigma = sum of h_j adds every horizontal strip: row i of mu runs from
-    lam_i up to lam_(i-1), and one new row runs from 0 up to the last row
-    of lam.  sigma^-1 = sum of (-1)^j e_j adds every vertical strip, with
-    sign (-1)^size: each row gains at most one cell, and a row may gain
-    only if the row above is longer or gains too.  So in each block of
-    equal rows of lam only the top rows gain, and any number of new rows
-    of length 1 go below lam.  The blocks are taken from the bottom up.
-    """
-    if inverse:
-        terms = [((1,) * a, a) for a in range(budget + 1)]  # (mu so far, cells)
-        for length, rows in groupby(reversed(lam)):
-            size = len(list(rows))
-            tops = [
-                ((length + 1,) * a + (length,) * (size - a), a) for a in range(size + 1)
-            ]
-            terms = [
-                (top + below, cells + a)
-                for below, cells in terms
-                for top, a in tops
-                if cells + a <= budget
-            ]
-        return tuple((mu, -1 if cells % 2 else 1) for mu, cells in terms)
-    terms = [((), budget)]  # (mu so far, cells left)
-    cap = budget + (lam[0] if lam else 0)  # row 0 is bounded by the budget alone
-    for low in lam:
-        terms = [
-            (head + (v,), left - (v - low))
-            for head, left in terms
-            for v in range(low, min(cap, low + left) + 1)
-        ]
-        cap = low
-    return tuple(
-        (head + (v,) if v else head, 1)
-        for head, left in terms
-        for v in range(min(cap, left) + 1)
-    )
 
 
 _TERM_STYLES = {"plain": ("s[{}]", "*"), "latex": ("s_{{({})}}", "\\,")}
@@ -361,18 +318,77 @@ def sigma(degree: int) -> SchurSeries:
     )
 
 
-def times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
-    """series * sigma^k truncated at ``series.degree``, one Pieri factor
-    sigma (k > 0) or sigma^-1 (k < 0) at a time."""
-    D = series.degree
-    coeffs = dict(series.coeffs)
+@cache
+def graded_index(D: int):
+    """The partitions of size <= D as one dense index: ``(parts, offsets,
+    index, below)``.
+
+    ``parts`` lists them in the canonical graded order, and degree d holds
+    the positions ``offsets[d]:offsets[d + 1]``, so a series of degree d is
+    a prefix and truncating it is a slice.  ``index`` maps a partition, also
+    one padded with zeros, to its position.  ``below[j]`` is an itemgetter
+    of the positions of the lam != mu = parts[j] for which mu/lam is a
+    horizontal strip: exactly the lam with mu_(r+1) <= lam_r <= mu_r in
+    every row r, a product of row intervals.  Each such lam is smaller than
+    mu, so it comes first.  On these vectors sigma is the unitriangular 0/1
+    matrix I + below (Pieri, Macdonald I.5).
+    """
+    parts = [lam for d in range(D + 1) for lam in partitions_of(d)]
+    offsets = [0, *accumulate(len(partitions_of(d)) for d in range(D + 1))]
+    # a row interval pads lam to the length of mu: at most |mu| - |lam| zeros
+    index = {
+        lam + (0,) * k: i for i, lam in enumerate(parts) for k in range(D + 1 - sum(lam))
+    }
+    below = [itemgetter(slice(0, 0))]
+    for mu in parts[1:]:
+        rows = map(range, (*mu[1:], 0), [p + 1 for p in mu])
+        src = list(map(index.__getitem__, product(*rows)))[:-1]  # the last is mu
+        # a one-index itemgetter would return a scalar, not a tuple
+        below.append(
+            itemgetter(*src) if src[1:] else itemgetter(slice(src[0], src[0] + 1))
+        )
+    return parts, offsets, index, below
+
+
+def sigma_pass(v: list[int], below) -> list[int]:
+    """sigma * v on a dense vector: v_j plus its horizontal-strip sources."""
+    return [a + sum(g(v)) for a, g in zip(v, below)]
+
+
+def sigma_inverse_pass(v: list[int], below) -> list[int]:
+    """sigma^-1 * v, by forward substitution through sigma_pass's
+    unitriangular matrix: x_j = v_j - sum(below_j(x)) in index order."""
+    x: list[int] = []
+    append = x.append
+    for a, g in zip(v, below):
+        append(a - sum(g(x)))
+    return x
+
+
+def from_dense(v, degree: int, sign: int = 1) -> SchurSeries:
+    """A vector over ``graded_index(degree)`` (or a prefix of it) as a
+    series in a window of ``degree``, every coefficient times ``sign``."""
+    parts = graded_index(degree)[0]
+    return SchurSeries._make({parts[i]: sign * c for i, c in enumerate(v) if c}, degree)
+
+
+def sigma_power_vector(series: SchurSeries, k: int) -> list[int]:
+    """series * sigma^k truncated at ``series.degree``, as a vector over
+    ``graded_index(series.degree)``: |k| passes of sigma (k > 0) or of
+    sigma^-1 (k < 0)."""
+    _, offsets, index, below = graded_index(series.degree)
+    v = [0] * offsets[-1]
+    for lam, c in series.coeffs.items():
+        v[index[lam]] = c
+    step = sigma_pass if k > 0 else sigma_inverse_pass
     for _ in range(abs(k)):
-        acc: dict[Partition, int] = {}
-        for lam, c in coeffs.items():
-            for mu, sign in _pieri_terms(lam, D - sum(lam), k < 0):
-                acc[mu] = acc.get(mu, 0) + sign * c
-        coeffs = {mu: c for mu, c in acc.items() if c}
-    return SchurSeries._make(coeffs, D)
+        v = step(v, below)
+    return v
+
+
+def times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
+    """series * sigma^k truncated at ``series.degree``, by ``sigma_power_vector``."""
+    return from_dense(sigma_power_vector(series, k), series.degree)
 
 
 def kostka_peel(dims, d: int, n: int, max_parts: int) -> dict[Partition, int]:

@@ -18,14 +18,16 @@ formula side keeps its first implementation here too: the polymatroid
 ranks by the ``Fraction`` RREF of the stacked annihilators, the subset
 recursions for P and H at full truncation degree, and powers of sigma as
 chains of general Littlewood-Richardson products, to certify the Moebius
-inversion and the Pieri kernel, and that kernel's first strip enumeration
-(vertical strips as conjugates of the conjugate's horizontal strips), to
-certify the strips it now builds directly.
+inversion and the dense passes of sigma.  The Pieri kernel that the dense
+index replaced is kept as well: dict series, every term's horizontal or
+signed vertical strips built from its rows, and the first strip
+enumeration (vertical strips as conjugates of the conjugate's horizontal
+strips), to certify the strip lists of ``graded_index``.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 
 from hypothesis import strategies as st
 
@@ -488,6 +490,65 @@ def reference_pieri_terms(lam, budget: int, inverse: bool) -> list:
         (conjugate(mu), (-1) ** (sum(mu) - sum(lam)))
         for mu in reference_horizontal_strips(conjugate(lam), budget)
     ]
+
+
+@cache
+def pieri_terms(lam, budget: int, inverse: bool) -> tuple:
+    """Expansion of s_lam * sigma, or of s_lam * sigma^-1 when ``inverse``,
+    keeping the terms that add at most ``budget`` cells; every mu is built
+    directly from the rows of lam.
+
+    sigma = sum of h_j adds every horizontal strip: row i of mu runs from
+    lam_i up to lam_(i-1), and one new row runs from 0 up to the last row
+    of lam.  sigma^-1 = sum of (-1)^j e_j adds every vertical strip, with
+    sign (-1)^size: each row gains at most one cell, and a row may gain
+    only if the row above is longer or gains too.  So in each block of
+    equal rows of lam only the top rows gain, and any number of new rows
+    of length 1 go below lam.  The blocks are taken from the bottom up.
+    """
+    if inverse:
+        terms = [((1,) * a, a) for a in range(budget + 1)]  # (mu so far, cells)
+        for length, rows in groupby(reversed(lam)):
+            size = len(list(rows))
+            tops = [
+                ((length + 1,) * a + (length,) * (size - a), a) for a in range(size + 1)
+            ]
+            terms = [
+                (top + below, cells + a)
+                for below, cells in terms
+                for top, a in tops
+                if cells + a <= budget
+            ]
+        return tuple((mu, -1 if cells % 2 else 1) for mu, cells in terms)
+    terms = [((), budget)]  # (mu so far, cells left)
+    cap = budget + (lam[0] if lam else 0)  # row 0 is bounded by the budget alone
+    for low in lam:
+        terms = [
+            (head + (v,), left - (v - low))
+            for head, left in terms
+            for v in range(low, min(cap, low + left) + 1)
+        ]
+        cap = low
+    return tuple(
+        (head + (v,) if v else head, 1)
+        for head, left in terms
+        for v in range(min(cap, left) + 1)
+    )
+
+
+def reference_times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
+    """series * sigma^k truncated at ``series.degree`` on dict series, one
+    Pieri factor sigma (k > 0) or sigma^-1 (k < 0) at a time, every term's
+    strips added with their signs: the kernel before the dense index."""
+    D = series.degree
+    coeffs = dict(series.coeffs)
+    for _ in range(abs(k)):
+        acc = {}
+        for lam, c in coeffs.items():
+            for mu, sign in pieri_terms(lam, D - sum(lam), k < 0):
+                acc[mu] = acc.get(mu, 0) + sign * c
+        coeffs = {mu: c for mu, c in acc.items() if c}
+    return SchurSeries(coeffs, degree=D)
 
 
 @cache

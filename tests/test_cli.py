@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisyz import cli
 from equisyz.arrangements import MAX_AMBIENT_DIM, MAX_DEGREE, MAX_GROUND_SET, polymatroid_of
@@ -18,6 +20,7 @@ from equisyz.cli import (
     caps_from_env,
     main,
     parse_arrangement,
+    render_json,
     render_report,
     run_job,
 )
@@ -230,6 +233,65 @@ def test_renderers_cover_all_formats():
     assert json.loads(render_report(report, "json"))["status"] == "ok"
     assert "Betti table" in render_report(report, "markdown")
     assert "\\begin{tabular}" in render_report(report, "latex")
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_every_report(monkeypatch, tmp_path):
+    """Every golden job and every seed 1-3 benchmark document: the report
+    that main builds is written exactly as json.dumps writes it."""
+    import test_golden
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run as bench
+
+    jobs = [
+        (test_golden.GOLDEN / f"{test_golden.DOCUMENTS.get(case, case)}.json", flags)
+        for case, (_, flags) in test_golden.CASES.items()
+    ]
+    for name, workload in bench.WORKLOADS.items():
+        for seed in (1, 2, 3):
+            for i, doc in enumerate(bench.documents(name, workload, seed)):
+                jobs.append((write_doc(tmp_path, doc, f"{name}-{seed}-{i}.json"), workload.flags))
+    reports = []
+    monkeypatch.setattr(cli, "run_job", lambda cfg: reports.append(run_job(cfg)) or reports[-1])
+    for path, flags in jobs:
+        main(["--input", str(path), *flags, "--output", str(tmp_path / "report")])
+    assert len(reports) == len(jobs) == len(test_golden.CASES) + 99
+    for report in reports:
+        assert render_json(report) == _dumps(report)
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=-(10**18))
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_json_dumps_on_nested_values(value):
+    # non-ASCII and control characters, empty containers, large negative
+    # ints and bools beside ints
+    assert render_json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": [set()]}, b"x"])
+def test_json_writer_rejects_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        render_json(value)
 
 
 # -- entry point ----------------------------------------------------------------

@@ -56,6 +56,9 @@ CASES = {
     # three hyperplanes of Q^7: H takes m = 7 passes of sigma over four rank
     # buckets
     "three_hyperplanes": (EXIT_OK, ["--max-degree", "8"]),
+    # a line in Q^8 at D = 12: eight passes of sigma and eight of sigma^-1
+    # over every degree up to 12, and twelve Betti columns on both sides
+    "line_in_q8": (EXIT_OK, ["--max-degree", "12", "--side", "both"]),
 }
 
 DOCUMENTS = {"three_axes_oracle": "three_axes"}

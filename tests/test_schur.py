@@ -9,16 +9,21 @@ from equisyz.oracle import _support_filled
 from equisyz.partitions import kostka_number, partitions_of
 from equisyz.schur import (
     SchurSeries,
-    _pieri_terms,
     format_terms,
     from_weight_multiplicities,
+    graded_index,
     one,
     sigma,
     times_sigma_power,
     zero,
 )
 
-from helpers import compositions, reference_pieri_terms, reference_sigma_power
+from helpers import (
+    compositions,
+    reference_pieri_terms,
+    reference_sigma_power,
+    reference_times_sigma_power,
+)
 
 
 def series(coeffs, degree):
@@ -161,17 +166,57 @@ def test_sigma_power_matches_lr_chain():
             assert times_sigma_power(one(D), k) == reference_sigma_power(D, k), (D, k)
 
 
-def test_pieri_terms_match_reference_strips():
-    """Strips built directly against the conjugate round trip (vertical)
-    and the zero-filtering enumeration (horizontal), for every lam with
-    |lam| <= 10 and every budget up to 8, compared as lists."""
-    for size in range(11):
-        for lam in partitions_of(size):
-            for budget in range(9):
-                for inverse in (False, True):
-                    got = list(_pieri_terms(lam, budget, inverse))
-                    want = reference_pieri_terms(lam, budget, inverse)
-                    assert got == want, (lam, budget, inverse)
+def _sources(index, mu):
+    """The partitions that the graded index lists below mu."""
+    parts, _, positions, below = index
+    return sorted(parts[i] for i in below[positions[mu]](range(len(parts))))
+
+
+def test_graded_index_lists_the_horizontal_strips_below_each_partition():
+    """For every mu with |mu| <= 10, the index lists exactly the lam != mu
+    that the reference enumeration grows into mu by a horizontal strip."""
+    index = graded_index(10)
+    parts, offsets, positions, _ = index
+    assert parts == [lam for d in range(11) for lam in partitions_of(d)]
+    sizes = [len(partitions_of(d)) for d in range(11)]
+    assert offsets == [sum(sizes[:d]) for d in range(12)]
+    for j, mu in enumerate(parts):
+        assert positions[mu] == positions[mu + (0,) * (10 - sum(mu))] == j
+        want = sorted(
+            lam
+            for lam in parts[: offsets[sum(mu)]]
+            if (mu, 1) in reference_pieri_terms(lam, sum(mu) - sum(lam), False)
+        )
+        assert _sources(index, mu) == want, mu
+
+
+def test_graded_index_rows_with_one_source():
+    # (1) and (1, 1) have one source each, so their itemgetter must not
+    # return a bare int; (2) has two
+    index = graded_index(4)
+    assert _sources(index, ()) == []
+    assert _sources(index, (1,)) == [()]
+    assert _sources(index, (1, 1)) == [(1,)]
+    assert _sources(index, (2,)) == [(), (1,)]
+    assert times_sigma_power(series({(): 1}, 2), 1) == sigma(2)
+    assert times_sigma_power(series({(1,): 1}, 2), -1) == series(
+        {(1,): 1, (2,): -1, (1, 1): -1}, 2
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dense_passes_match_the_dict_reference(data):
+    D = data.draw(st.integers(min_value=0, max_value=12))
+    pool = [lam for d in range(D + 1) for lam in partitions_of(d)]
+    terms = data.draw(
+        st.dictionaries(
+            st.sampled_from(pool), st.integers(min_value=-5, max_value=5), max_size=6
+        )
+    )
+    k = data.draw(st.integers(min_value=-6, max_value=6))
+    f = series(terms, D)
+    assert times_sigma_power(f, k) == reference_times_sigma_power(f, k)
 
 
 def test_times_sigma_inverse_signs_vertical_strips():
