@@ -33,13 +33,13 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, permutations, product as cartesian
+from itertools import chain, product as cartesian
 from math import comb, prod
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
 from .linalg import _Echelon, _integer_rows
-from .partitions import kostka_number, partitions_of
+from .partitions import kostka_number, orbit, partitions_of
 from .schur import SchurSeries, from_weight_multiplicities, kostka_peel
 
 Weight = tuple[int, ...]
@@ -252,8 +252,8 @@ def _support_filled(table: dict[Weight, int], d: int, n: int, rows: int):
 
 
 def _orbit_filled(dominant: dict[Weight, int]) -> dict[Weight, int]:
-    """Copy each dominant weight's dimension to every permutation of it."""
-    return {p: dim for w, dim in dominant.items() for p in set(permutations(w))}
+    """Copy each dominant weight's dimension to every distinct permutation of it."""
+    return {p: dim for w, dim in dominant.items() for p in orbit(w)}
 
 
 def _log_degree(name: str, d: int, n: int, eliminated: int, offered: int, kept: int):

@@ -3,8 +3,13 @@
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the unique partition of 0.  This module provides the
 combinatorial kernels everything else is built on: conjugation, ordered
-enumeration, Littlewood-Richardson coefficients, Kostka numbers, and
-dimensions of the corresponding irreducible GL_n representations.
+enumeration, Littlewood-Richardson coefficients, Kostka numbers, the S_n
+orbit of a weight, and dimensions of the corresponding irreducible GL_n
+representations.
+
+The horizontal strips of the Pieri rule (Macdonald, Symmetric Functions
+and Hall Polynomials, I.5) come from one place, ``strips``: the graded
+index of ``schur`` lists them, and Kostka numbers branch over them.
 
 All functions are pure.  The coefficient counters are memoized; concurrent
 calls with the same arguments return identical values.
@@ -13,22 +18,18 @@ calls with the same arguments return identical values.
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 
 Partition = tuple[int, ...]
 
 
-def is_partition(parts: tuple[int, ...]) -> bool:
-    """True when ``parts`` is weakly decreasing with positive integer entries."""
-    return all(
-        isinstance(p, int) and p >= 1 and (i == 0 or parts[i - 1] >= p)
-        for i, p in enumerate(parts)
-    )
-
-
 def check_partition(parts) -> Partition:
-    """Coerce to a tuple and validate it as a partition."""
+    """Coerce to a tuple and check that it is weakly decreasing with
+    positive integer entries."""
     lam = tuple(parts)
-    if not is_partition(lam):
+    if not all(
+        isinstance(p, int) and p >= 1 and (i == 0 or lam[i - 1] >= p) for i, p in enumerate(lam)
+    ):
         raise ValueError(f"not a partition: {parts!r}")
     return lam
 
@@ -43,20 +44,6 @@ def conjugate(lam: Partition) -> Partition:
 def contains(lam: Partition, mu: Partition) -> bool:
     """Containment of Young diagrams: mu fits inside lam."""
     return len(mu) <= len(lam) and all(mu[i] <= lam[i] for i in range(len(mu)))
-
-
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """Dominance order: every prefix sum of lam is at least that of mu.
-
-    Only meaningful for equal sizes; returns False otherwise.
-    """
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return a == b
 
 
 def partition_sort_key(lam: Partition):
@@ -141,46 +128,57 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return fill(0)
 
 
+def strips(lam: Partition):
+    """The nu with lam/nu a horizontal strip, each as a tuple of length
+    len(lam) whose last entry may be 0: exactly the nu with
+    lam_(r+1) <= nu_r <= lam_r in every row r, a product of row intervals
+    in lexicographic order, so lam itself comes last."""
+    return product(*map(range, (*lam[1:], 0), [p + 1 for p in lam]))
+
+
 @cache
 def kostka_number(lam: Partition, content: tuple[int, ...]) -> int:
     """Number of semistandard Young tableaux of shape lam and given content.
 
     ``content`` may be any vector of nonnegative integers; entry i is used
-    content[i-1] times.  Returns 0 when the sizes disagree.
+    content[i-1] times.  Returns 0 when the sizes disagree.  K is symmetric
+    in its content, so zeros are dropped and the rest sorted, the largest
+    part last; the cells of that last label form a horizontal strip lam/nu,
+    and K is the sum of K_{nu, content without that part} over those
+    ``strips`` (Pieri).
     """
     lam = check_partition(lam)
     content = tuple(content)
-    if any(c < 0 for c in content):
-        raise ValueError(f"negative content: {content!r}")
+    if not all(type(c) is int and c >= 0 for c in content):
+        raise ValueError(f"content is not a vector of nonnegative integers: {content!r}")
     if sum(lam) != sum(content):
         return 0
-    if not lam:
+    parts = sorted(filter(None, content))
+    if not parts:
         return 1
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
-    counts = [0] * len(content)
-    grid: dict[tuple[int, int], int] = {}
+    size, rest = sum(lam) - parts[-1], tuple(parts[:-1])
+    return sum(
+        kostka_number(tuple(filter(None, nu)), rest) for nu in strips(lam) if sum(nu) == size
+    )
 
-    def fill(k: int) -> int:
-        if k == len(cells):
-            return 1
-        r, c = cells[k]
-        above = grid.get((r - 1, c))
-        left = grid.get((r, c - 1))
-        lo = 1 if left is None else left
-        if above is not None:
-            lo = max(lo, above + 1)
-        total = 0
-        for v in range(lo, len(content) + 1):
-            if counts[v - 1] >= content[v - 1]:
-                continue
-            counts[v - 1] += 1
-            grid[(r, c)] = v
-            total += fill(k + 1)
-            counts[v - 1] -= 1
-            del grid[(r, c)]
-        return total
 
-    return fill(0)
+def orbit(w: tuple[int, ...]):
+    """The distinct permutations of w, in lexicographic order, each once:
+    the S_n orbit of a weight, at O(n) per permutation rather than n! in
+    all (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
+    a = sorted(w)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 def weyl_dimension(lam: Partition, n: int) -> int:

@@ -22,7 +22,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate
 from numbers import Real
 from operator import itemgetter
 
@@ -33,8 +33,10 @@ from .partitions import (
     contains,
     kostka_number,
     lr_coefficient,
+    orbit,
     partition_sort_key,
     partitions_of,
+    strips,
     weyl_dimension,
 )
 
@@ -326,23 +328,19 @@ def graded_index(D: int):
     ``parts`` lists them in the canonical graded order, and degree d holds
     the positions ``offsets[d]:offsets[d + 1]``, so a series of degree d is
     a prefix and truncating it is a slice.  ``index`` maps a partition, also
-    one padded with zeros, to its position.  ``below[j]`` is an itemgetter
-    of the positions of the lam != mu = parts[j] for which mu/lam is a
-    horizontal strip: exactly the lam with mu_(r+1) <= lam_r <= mu_r in
-    every row r, a product of row intervals.  Each such lam is smaller than
-    mu, so it comes first.  On these vectors sigma is the unitriangular 0/1
-    matrix I + below (Pieri, Macdonald I.5).
+    one padded with a single zero, to its position.  ``below[j]`` is an
+    itemgetter of the positions of the lam != mu = parts[j] for which mu/lam
+    is a horizontal strip, the ``strips(mu)`` before mu itself.  Each such
+    lam is smaller than mu, so it comes first.  On these vectors sigma is
+    the unitriangular 0/1 matrix I + below (Pieri, Macdonald I.5).
     """
     parts = [lam for d in range(D + 1) for lam in partitions_of(d)]
     offsets = [0, *accumulate(len(partitions_of(d)) for d in range(D + 1))]
-    # a row interval pads lam to the length of mu: at most |mu| - |lam| zeros
-    index = {
-        lam + (0,) * k: i for i, lam in enumerate(parts) for k in range(D + 1 - sum(lam))
-    }
+    # a strip source has the length of mu, so it ends in at most one zero
+    index = {key: i for i, lam in enumerate(parts) for key in (lam, lam + (0,))}
     below = [itemgetter(slice(0, 0))]
     for mu in parts[1:]:
-        rows = map(range, (*mu[1:], 0), [p + 1 for p in mu])
-        src = list(map(index.__getitem__, product(*rows)))[:-1]  # the last is mu
+        src = list(map(index.__getitem__, strips(mu)))[:-1]  # the last is mu
         # a one-index itemgetter would return a scalar, not a tuple
         below.append(
             itemgetter(*src) if src[1:] else itemgetter(slice(src[0], src[0] + 1))
@@ -432,7 +430,7 @@ def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
 
     # symmetry check over whole permutation orbits
     for canon in {tuple(sorted(w, reverse=True)) for w in table}:
-        vals = {table.get(w, 0) for w in set(permutations(canon))}
+        vals = {table.get(w, 0) for w in orbit(canon)}
         if len(vals) != 1:
             raise ValueError(
                 f"weight multiplicities are not symmetric on the orbit of {canon}"

@@ -115,6 +115,20 @@ def worked_product_arrangements():
 # -- independent combinatorial oracles --------------------------------------
 
 
+def dominates(lam, mu) -> bool:
+    """Dominance order: every prefix sum of lam is at least that of mu.
+
+    Only meaningful for equal sizes; returns False otherwise.
+    """
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            return False
+    return a == b
+
+
 def ssyt_count(shape, content) -> int:
     """Count semistandard fillings by direct row-by-row enumeration.
 

@@ -248,17 +248,25 @@ def test_json_writer_matches_json_dumps_on_every_report(monkeypatch, tmp_path):
     import run as bench
 
     jobs = [
-        (test_golden.GOLDEN / f"{test_golden.DOCUMENTS.get(case, case)}.json", flags)
+        (
+            test_golden.GOLDEN / f"{test_golden.DOCUMENTS.get(case, case)}.json",
+            flags,
+            test_golden.ENVIRONMENTS.get(case, {}),
+        )
         for case, (_, flags) in test_golden.CASES.items()
     ]
     for name, workload in bench.WORKLOADS.items():
         for seed in (1, 2, 3):
             for i, doc in enumerate(bench.documents(name, workload, seed)):
-                jobs.append((write_doc(tmp_path, doc, f"{name}-{seed}-{i}.json"), workload.flags))
+                path = write_doc(tmp_path, doc, f"{name}-{seed}-{i}.json")
+                jobs.append((path, workload.flags, {}))
     reports = []
     monkeypatch.setattr(cli, "run_job", lambda cfg: reports.append(run_job(cfg)) or reports[-1])
-    for path, flags in jobs:
-        main(["--input", str(path), *flags, "--output", str(tmp_path / "report")])
+    for path, flags, env in jobs:
+        with monkeypatch.context() as job_env:
+            for var, value in env.items():
+                job_env.setenv(var, value)
+            main(["--input", str(path), *flags, "--output", str(tmp_path / "report")])
     assert len(reports) == len(jobs) == len(test_golden.CASES) + 99
     for report in reports:
         assert render_json(report) == _dumps(report)

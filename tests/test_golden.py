@@ -1,16 +1,19 @@
 """Golden reports: ``cli.main`` must reproduce each stored report byte for byte.
 
 Each case names an input document in ``tests/golden/`` (``<case>.json``,
-unless ``DOCUMENTS`` names another), the exit code of one job and its
-flags; its expected reports are ``<case>.out.json``, ``<case>.out.md`` and
+unless ``DOCUMENTS`` names another), the exit code of one job, its flags
+and, in ``ENVIRONMENTS``, any environment variables it runs under; its
+expected reports are ``<case>.out.json``, ``<case>.out.md`` and
 ``<case>.out.tex`` next to it.  After a deliberate change to the report
 format, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -59,9 +62,21 @@ CASES = {
     # a line in Q^8 at D = 12: eight passes of sigma and eight of sigma^-1
     # over every degree up to 12, and twelve Betti columns on both sides
     "line_in_q8": (EXIT_OK, ["--max-degree", "12", "--side", "both"]),
+    # the intersection case past the default caps, at n = D = 5: the Kostka
+    # fill of the 4- and 5-part weights and the orbits of 5-part weights
+    # reach the report
+    "line_and_three_planes_n5": (EXIT_OK, [
+        "--max-degree", "5", "--ideal", "intersection", "--dim-v", "5",
+        "--oracle-check", "5", "--side", "both",
+    ]),
 }
 
-DOCUMENTS = {"three_axes_oracle": "three_axes"}
+DOCUMENTS = {
+    "three_axes_oracle": "three_axes",
+    "line_and_three_planes_n5": "line_and_three_planes",
+}
+
+ENVIRONMENTS = {"line_and_three_planes_n5": {"EQUISYZ_CAPS": "m=3,n=5,d=5,t=4"}}
 
 FORMATS = {"json": "json", "markdown": "md", "latex": "tex"}
 
@@ -74,7 +89,9 @@ def _run(case: str, fmt: str, out: Path) -> int:
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_matches_golden(case, fmt, tmp_path):
+def test_report_matches_golden(case, fmt, tmp_path, monkeypatch):
+    for name, value in ENVIRONMENTS.get(case, {}).items():
+        monkeypatch.setenv(name, value)
     out = tmp_path / "report"
     assert _run(case, fmt, out) == CASES[case][0]
     expected = GOLDEN / f"{case}.out.{FORMATS[fmt]}"
@@ -83,6 +100,7 @@ def test_report_matches_golden(case, fmt, tmp_path):
 
 if __name__ == "__main__":
     for case in CASES:
-        for fmt, ext in FORMATS.items():
-            code = _run(case, fmt, GOLDEN / f"{case}.out.{ext}")
-            print(f"{case} {fmt}: exit {code}", file=sys.stderr)
+        with mock.patch.dict(os.environ, ENVIRONMENTS.get(case, {})):
+            for fmt, ext in FORMATS.items():
+                code = _run(case, fmt, GOLDEN / f"{case}.out.{ext}")
+                print(f"{case} {fmt}: exit {code}", file=sys.stderr)

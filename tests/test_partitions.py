@@ -1,18 +1,21 @@
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equisyz.partitions import (
     conjugate,
-    dominates,
     kostka_number,
     lr_coefficient,
+    orbit,
     partition_sort_key,
     partitions_of,
     weyl_dimension,
 )
 
-from helpers import is_horizontal_strip, schur_product_coefficients, ssyt_count
+from helpers import dominates, is_horizontal_strip, schur_product_coefficients, ssyt_count
 
 
 def all_partitions_up_to(n):
@@ -167,15 +170,42 @@ def test_kostka_diagonal_and_dominance():
                 assert positive == dominates(lam, mu), (lam, mu)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_kostka_content_permutation_invariance(data):
-    d = data.draw(st.integers(min_value=1, max_value=6))
+    """|lam| <= 8, the content padded with at least one zero and put in any
+    order: the same number as for the partition, and the independent
+    filler's count."""
+    d = data.draw(st.integers(min_value=0, max_value=8))
     lam = data.draw(st.sampled_from(partitions_of(d)))
     mu = data.draw(st.sampled_from(partitions_of(d)))
-    padded = mu + (0,) * (d - len(mu))
-    perm = data.draw(st.permutations(padded))
-    assert kostka_number(lam, tuple(perm)) == kostka_number(lam, mu)
+    padded = mu + (0,) * (d + 1 - len(mu))
+    perm = tuple(data.draw(st.permutations(padded)))
+    assert kostka_number(lam, perm) == kostka_number(lam, mu) == ssyt_count(lam, perm)
+
+
+# The odd entry sits between two 4s, so the content is in neither sorted
+# order and no other call caches a key equal to it (True == 1.0 == 1).
+@pytest.mark.parametrize(
+    "content",
+    [(4, True, 4), (4, 1.0, 4), (4, "1", 4), (4, Fraction(1, 2), 4.5), (5, -1, 5)],
+)
+def test_kostka_rejects_content_that_is_not_nonnegative_integers(content):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        kostka_number((5, 4), content)
+
+
+def test_kostka_drops_zeros_before_it_recurses():
+    assert kostka_number((2, 1), (0,) * 500 + (1, 2)) == 1
+    assert kostka_number((3, 1), (0,) * 500 + (1, 1, 0, 2)) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), max_size=7))
+def test_orbit_lists_each_distinct_permutation_once(w):
+    got = list(orbit(tuple(w)))
+    assert len(got) == len(set(got))
+    assert set(got) == set(permutations(w))
 
 
 # -- Weyl dimensions ---------------------------------------------------------

@@ -174,14 +174,17 @@ def _sources(index, mu):
 
 def test_graded_index_lists_the_horizontal_strips_below_each_partition():
     """For every mu with |mu| <= 10, the index lists exactly the lam != mu
-    that the reference enumeration grows into mu by a horizontal strip."""
+    that the reference enumeration grows into mu by a horizontal strip.  A
+    strip source has the length of mu, so it ends in at most one zero: the
+    index keys each partition plain and with one trailing zero, no more."""
     index = graded_index(10)
     parts, offsets, positions, _ = index
     assert parts == [lam for d in range(11) for lam in partitions_of(d)]
     sizes = [len(partitions_of(d)) for d in range(11)]
     assert offsets == [sum(sizes[:d]) for d in range(12)]
+    assert len(positions) == 2 * len(parts)
     for j, mu in enumerate(parts):
-        assert positions[mu] == positions[mu + (0,) * (10 - sum(mu))] == j
+        assert positions[mu] == positions[mu + (0,)] == j
         want = sorted(
             lam
             for lam in parts[: offsets[sum(mu)]]
@@ -350,6 +353,17 @@ def test_from_weights_roundtrip():
         dominant = {w: c for w, c in table.items() if list(w) == sorted(w, reverse=True)}
         few_parts = {w: c for w, c in dominant.items() if len(w) - w.count(0) <= r}
         assert _support_filled(few_parts, d, n, r) == dominant
+
+
+def test_from_weights_in_twelve_variables():
+    """n = 12 > d: each orbit check walks the distinct permutations of a
+    weight, not its 12! orderings; an asymmetric change is still caught."""
+    coeffs = {(3, 1): 2, (2, 1, 1): 1, (1, 1, 1, 1): 3}
+    table = _weight_table(coeffs, 4, 12)
+    assert from_weight_multiplicities(table, 4, 12) == series(coeffs, 4)
+    table[(0,) * 10 + (1, 3)] += 1
+    with pytest.raises(ValueError, match=r"orbit of \(3, 1, 0"):
+        from_weight_multiplicities(table, 4, 12)
 
 
 def test_from_weights_rejects_asymmetric():
