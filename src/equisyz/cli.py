@@ -54,6 +54,7 @@ from .oracle import (
     product_ideal_character,
     wedge_ideal_character,
 )
+from .partitions import orbit
 from .schur import SchurSeries, format_terms
 
 EXIT_OK = 0
@@ -162,7 +163,9 @@ def _subspace_doc(sub: Subspace) -> list[list[str]]:
 
 
 def _weights_doc(table: dict) -> list[list]:
-    return [[list(w), dim] for w, dim in sorted(table.items())]
+    """Every weight of a dominant table, sorted: S_n permutes weight spaces."""
+    every = {p: dim for w, dim in table.items() for p in orbit(w)}
+    return [[list(w), dim] for w, dim in sorted(every.items())]
 
 
 def _check_config(cfg: JobConfig):
@@ -269,6 +272,7 @@ def _oracle_section(
         if intersection_char is not None:
             iw = intersection_char.weights.get(d, {})
             pw = product_char.weights.get(d, {})
+            # both tables are S_n-symmetric, so their dominant weights decide
             contained = all(iw.get(w, 0) >= dim for w, dim in pw.items())
             entry["intersection_weights"] = _weights_doc(iw)
             entry["product_contained_in_intersection"] = contained

@@ -11,12 +11,13 @@ can be row reduced one weight space at a time.
 This module measures the weight-space dimensions of product, intersection
 and wedge ideals by exact elimination, and eliminates only what it cannot
 deduce.  Every such ideal is GL(V)-stable, so the Weyl group S_n permutes
-its weight spaces: only dominant weights (partitions of d padded to length
-n) are eliminated, and each dimension is copied to every permutation of its
-weight.  By Cauchy, Sym(W tensor V) is the sum of the S_lam W tensor S_lam V,
-so every S_lam(V) in a product or intersection ideal has at most m rows:
-only dominant weights with at most m parts are eliminated, and the others
-follow from Kostka numbers.  The product and wedge ideals are generated in
+its weight spaces, and the dominant weights (partitions of d padded to
+length n) determine each graded piece: a character keeps only those, and
+only the report lists the other weights of each orbit.  By Cauchy,
+Sym(W tensor V) is the sum of the S_lam W tensor S_lam V, so every
+S_lam(V) in a product or intersection ideal has at most m rows: only
+dominant weights with at most m parts are eliminated, and the others follow
+from Kostka numbers.  The product and wedge ideals are generated in
 degree t, so each degree above t is spanned by the variables times the
 previous degree's basis.  The intersection ideal is not spanned at all:
 J_k(V) is the vanishing ideal of Y_k tensor V, so each weight space of the
@@ -34,13 +35,15 @@ import sys
 from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain, product as cartesian
-from math import comb, prod
+from math import comb, factorial, prod
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
 from .linalg import _Echelon, _integer_rows
-from .partitions import kostka_number, orbit, partitions_of
-from .schur import SchurSeries, from_weight_multiplicities, kostka_peel
+from .partitions import kostka_number, partitions_of
+# from_weight_multiplicities is not called here.  perfbench/traced_job.py
+# wraps it through this module's name and reports a missing name as absent.
+from .schur import SchurSeries, from_dominant_weights, from_weight_multiplicities, kostka_peel
 
 Weight = tuple[int, ...]
 
@@ -77,10 +80,13 @@ def _check_sizes(arr: Arrangement, n: int, d_max: int, caps: OracleCaps):
 
 
 class GradedCharacter:
-    """Per-degree weight multiplicity tables of a graded GL(V) representation.
+    """Per-degree dominant weight tables of a graded GL(V) representation.
 
-    ``weights[d]`` maps a V-weight (length-n composition of d) to the exact
-    dimension of its weight space; zero dimensions are omitted.
+    ``weights[d]`` maps each dominant V-weight of degree d (a partition of d
+    padded with zeros to length n) to the exact dimension of its weight
+    space; zero dimensions are omitted.  S_n permutes the weight spaces, so
+    every other weight has the dimension of the dominant weight in its orbit
+    (``partitions.orbit`` lists that orbit).
     """
 
     def __init__(self, n: int, weights: dict[int, dict[Weight, int]]):
@@ -93,14 +99,18 @@ class GradedCharacter:
         return self.n == other.n and self.weights == other.weights
 
     def dimension(self, d: int) -> int:
-        return sum(self.weights.get(d, {}).values())
+        """Each dominant dimension times its orbit's size, a multinomial."""
+        return sum(
+            dim * factorial(self.n) // prod(factorial(w.count(x)) for x in set(w))
+            for w, dim in self.weights.get(d, {}).items()
+        )
 
     def min_degree(self) -> int | None:
         nonzero = [d for d, table in self.weights.items() if table]
         return min(nonzero) if nonzero else None
 
     def schur(self, d: int) -> SchurSeries:
-        return from_weight_multiplicities(self.weights.get(d, {}), d, self.n)
+        return from_dominant_weights(self.weights.get(d, {}), d, self.n)
 
 
 def character_to_schur(gc: GradedCharacter, d: int) -> SchurSeries:
@@ -251,11 +261,6 @@ def _support_filled(table: dict[Weight, int], d: int, n: int, rows: int):
     return out
 
 
-def _orbit_filled(dominant: dict[Weight, int]) -> dict[Weight, int]:
-    """Copy each dominant weight's dimension to every distinct permutation of it."""
-    return {p: dim for w, dim in dominant.items() for p in orbit(w)}
-
-
 def _log_degree(name: str, d: int, n: int, eliminated: int, offered: int, kept: int):
     # Until something imports logging, no handler can be listening; the CLI
     # imports it only under --verbose, so a quiet job never loads it.
@@ -315,7 +320,7 @@ def _span_character(name, forms, m, n, d_max, rows, one, times, renamed):
                 bases[w] = list(ech.rows.values())
         table = {w: len(basis) for w, basis in bases.items()}
         _log_degree(name, d, n, len(dominant), offered, sum(table.values()))
-        weights[d] = _orbit_filled(_support_filled(table, d, n, rows))
+        weights[d] = _support_filled(table, d, n, rows)
         prev = bases
     return weights
 
@@ -333,7 +338,7 @@ def product_ideal_character(
     Spanning vectors have pure V-weight and each dominant weight space with
     at most m parts is row reduced exactly.  By Cauchy, every S_lam(V) in
     the ideal has at most m rows, so the other dominant weights follow by
-    Kostka numbers, and the remaining weights by S_n symmetry.
+    Kostka numbers.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
@@ -361,7 +366,7 @@ def intersection_ideal_character(
     once the rank reaches the number of monomials.  Only dominant weights
     with at most m parts are eliminated: by Cauchy, every S_lam(V) inside
     Sym(W tensor V) has at most m rows, so the other dominant weights
-    follow by Kostka numbers, and the remaining weights by S_n symmetry.
+    follow by Kostka numbers.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
@@ -391,7 +396,7 @@ def intersection_ideal_character(
             if ambient > stack.rank:
                 table[w] = ambient - stack.rank
         _log_degree("intersection", d, n, len(dominant), offered, kept)
-        weights[d] = _orbit_filled(_support_filled(table, d, n, m))
+        weights[d] = _support_filled(table, d, n, m)
     return GradedCharacter(n=n, weights=weights)
 
 

@@ -136,7 +136,6 @@ def strips(lam: Partition):
     return product(*map(range, (*lam[1:], 0), [p + 1 for p in lam]))
 
 
-@cache
 def kostka_number(lam: Partition, content: tuple[int, ...]) -> int:
     """Number of semistandard Young tableaux of shape lam and given content.
 
@@ -145,21 +144,29 @@ def kostka_number(lam: Partition, content: tuple[int, ...]) -> int:
     in its content, so zeros are dropped and the rest sorted, the largest
     part last; the cells of that last label form a horizontal strip lam/nu,
     and K is the sum of K_{nu, content without that part} over those
-    ``strips`` (Pieri).
+    ``strips`` (Pieri).  Both arguments are checked on every call, before
+    the cache: it would take (2.0,) or (True, True) for the key (2,) or (1, 1).
     """
     lam = check_partition(lam)
     content = tuple(content)
     if not all(type(c) is int and c >= 0 for c in content):
         raise ValueError(f"content is not a vector of nonnegative integers: {content!r}")
+    return _kostka(lam, content)
+
+
+@cache
+def _kostka(lam: Partition, content: tuple[int, ...]) -> int:
     if sum(lam) != sum(content):
         return 0
     parts = sorted(filter(None, content))
     if not parts:
         return 1
     size, rest = sum(lam) - parts[-1], tuple(parts[:-1])
-    return sum(
-        kostka_number(tuple(filter(None, nu)), rest) for nu in strips(lam) if sum(nu) == size
-    )
+    return sum(_kostka(tuple(filter(None, nu)), rest) for nu in strips(lam) if sum(nu) == size)
+
+
+# the misses of the recursion's cache count the distinct evaluations
+kostka_number.cache_info = _kostka.cache_info
 
 
 def orbit(w: tuple[int, ...]):

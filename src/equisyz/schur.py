@@ -406,18 +406,36 @@ def kostka_peel(dims, d: int, n: int, max_parts: int) -> dict[Partition, int]:
     return coeffs
 
 
-def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
-    """Recover a degree-d Schur expansion from weight multiplicities in n variables.
-
-    ``weights`` maps length-n compositions of d to weight-space dimensions
-    (missing keys mean zero).  The dominant weights are peeled by
-    :func:`kostka_peel`.  Requires n >= d so all partitions of d are
-    visible.  Raises ValueError when the input is not permutation-symmetric
-    or some coefficient comes out negative - i.e. when it is not a
+def from_dominant_weights(dims, d: int, n: int) -> SchurSeries:
+    """The degree-d Schur expansion of a character in n variables, peeled by
+    :func:`kostka_peel` from the dimensions ``dims`` of its dominant weights
+    (partitions of d padded to length n, unchecked; missing means zero).
+    Requires n >= d so all partitions of d are visible.  Raises ValueError
+    when some coefficient comes out negative - i.e. when it is not a
     polynomial character; the first negative one in peeling order is named.
     """
     if n < d:
         raise ValueError(f"need n >= d for a faithful expansion, got n={n}, d={d}")
+    coeffs = kostka_peel(dims, d, n, n)
+    for lam, c in coeffs.items():
+        if c < 0:
+            raise ValueError(
+                "not a polynomial character: multiplicity "
+                f"{c} at weight {lam + (0,) * (n - len(lam))}"
+            )
+    return SchurSeries(coeffs, degree=d)
+
+
+def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
+    """Recover a degree-d Schur expansion from weight multiplicities in n variables.
+
+    ``weights`` maps length-n compositions of d to weight-space dimensions
+    (missing keys mean zero).  Every weight and multiplicity is checked, and
+    the table must be constant on each S_n orbit (each distinct orbit is
+    walked once); then its dominant weights go to
+    :func:`from_dominant_weights`, which needs n >= d and names the first
+    negative coefficient.  Every failure is a ValueError.
+    """
     table: dict[tuple[int, ...], int] = {}
     for w, mult in weights.items():
         w = tuple(w)
@@ -436,11 +454,4 @@ def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
                 f"weight multiplicities are not symmetric on the orbit of {canon}"
             )
 
-    coeffs = kostka_peel(table, d, n, n)
-    for lam, c in coeffs.items():
-        if c < 0:
-            raise ValueError(
-                "not a polynomial character: multiplicity "
-                f"{c} at weight {lam + (0,) * (n - len(lam))}"
-            )
-    return SchurSeries(coeffs, degree=d)
+    return from_dominant_weights(table, d, n)

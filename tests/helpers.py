@@ -9,7 +9,7 @@ unscaled annihilator forms, and with dense vanishing conditions, so they
 can certify the fraction-free kernel of ``equisyz.linalg``; the
 oracle's first loops, which eliminate every weight of every degree and
 span it by every form combo times every monomial, are kept too, to
-certify the orbit fill, the Kostka fill of weights with more than m parts
+certify the dominant tables and their orbits, the Kostka fill past m parts
 and the spanning of each degree from the previous one.  The first
 intersection loop takes each factor's nullspace and ranks their stack
 with ``FractionEchelon`` and the ``Fraction`` RREF of ``equisyz.linalg``,
@@ -234,8 +234,22 @@ def is_horizontal_strip(lam, mu, k) -> bool:
     return True
 
 
-def orbit_sum_dimension(table) -> int:
-    return sum(table.values())
+def dominant_part(table) -> dict:
+    """The entries of a weight table at its dominant (weakly decreasing) weights."""
+    return {w: c for w, c in table.items() if list(w) == sorted(w, reverse=True)}
+
+
+def orbit_expanded(table) -> dict:
+    """Every weight of a dominant table: each dimension copied to every
+    permutation of its weight, by ``itertools.permutations``."""
+    return {p: c for w, c in table.items() for p in set(permutations(w))}
+
+
+def assert_dominant_table(table, every, *context):
+    """``table`` holds the dominant weights of the every-weight table
+    ``every``, and expanding its orbits gives ``every`` back."""
+    assert table == dominant_part(every), context
+    assert orbit_expanded(table) == every, context
 
 
 def symmetric_orbit_ok(table, n) -> bool:

@@ -442,6 +442,35 @@ def test_main_value_error_below_run_job_is_validation_failure(
     assert "Traceback" not in captured.err
 
 
+def test_intersection_below_the_product_fails_containment(monkeypatch):
+    """At degree 3 the intersection of the three axes of Q^3 equals their
+    product.  One dimension less at the dominant weight (1,1,1) takes the
+    s[1,1,1] term out of the series, which stays a character with a linear
+    resolution, and only the containment verdict turns false."""
+    real = cli.intersection_ideal_character
+
+    def lowered(arr, n, d_max, caps):
+        char = real(arr, n, d_max, caps=caps)
+        char.weights[3][(1, 1, 1)] -= 1
+        return char
+
+    monkeypatch.setattr(cli, "intersection_ideal_character", lowered)
+    cfg = JobConfig(
+        arrangement=parse_arrangement(AXES3), max_degree=3, ideal="intersection",
+        oracle_degree=3, dim_v=3,
+    )
+    report = run_job(cfg)
+    verdicts = [e["product_contained_in_intersection"] for e in report["oracle"]["degrees"]]
+    assert verdicts == [True, True, False]
+    assert report["validations"] == {
+        "linear_resolution": True,
+        "oracle_containment": False,
+        "oracle_product_match": True,
+        "oracle_wedge_match": True,
+    }
+    assert report["status"] == "validation_failed"
+
+
 def test_main_size_cap_exit(tmp_path, monkeypatch):
     src = write_doc(tmp_path, {"ambient_dim": 5, "subspaces": [[[1, 0, 0, 0, 0]]]})
     argv = ["--input", src, "--max-degree", "2", "--oracle-check", "1", "--dim-v", "1"]

@@ -69,14 +69,24 @@ CASES = {
         "--max-degree", "5", "--ideal", "intersection", "--dim-v", "5",
         "--oracle-check", "5", "--side", "both",
     ]),
+    # the second seed-1 document of the intersection benchmark at n = D = 8,
+    # past the default caps: the series is peeled from dominant tables of
+    # up to eight parts, most of them filled by Kostka numbers
+    "intersection_seed1_n8": (EXIT_OK, [
+        "--ideal", "intersection", "--max-degree", "8", "--dim-v", "8",
+    ]),
 }
 
 DOCUMENTS = {
     "three_axes_oracle": "three_axes",
     "line_and_three_planes_n5": "line_and_three_planes",
+    "intersection_seed1_n8": "intersection_seed1",
 }
 
-ENVIRONMENTS = {"line_and_three_planes_n5": {"EQUISYZ_CAPS": "m=3,n=5,d=5,t=4"}}
+ENVIRONMENTS = {
+    "line_and_three_planes_n5": {"EQUISYZ_CAPS": "m=3,n=5,d=5,t=4"},
+    "intersection_seed1_n8": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
+}
 
 FORMATS = {"json": "json", "markdown": "md", "latex": "tex"}
 

@@ -13,6 +13,7 @@ from equisyz.errors import SizeCapError
 from equisyz.linalg import Subspace, row_reduce
 from equisyz.oracle import (
     DEFAULT_CAPS,
+    GradedCharacter,
     OracleCaps,
     _Echelon,
     _forms_per_factor,
@@ -21,18 +22,22 @@ from equisyz.oracle import (
     product_ideal_character,
     wedge_ideal_character,
 )
-from equisyz.schur import SchurSeries, sigma
+from equisyz.partitions import partitions_of
+from equisyz.schur import SchurSeries, from_weight_multiplicities, sigma
 
 from helpers import (
     all_weights_intersection,
     all_weights_span,
+    assert_dominant_table,
     axes,
+    orbit_expanded,
     origin_copies,
     worked_product_arrangements,
     plane_and_normal_line,
     pooled_arrangements,
     reference_intersection_weights,
     reference_span_weights,
+    ssyt_count,
     symmetric_orbit_ok,
 )
 
@@ -106,7 +111,7 @@ def test_echelon_keeps_primitive_rows_with_positive_pivots():
 
 def test_two_axes_degree_two_weights():
     char = product_ideal_character(axes(2), 2, 2)
-    assert char.weights[2] == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    assert_dominant_table(char.weights[2], {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert char.dimension(2) == 4
     assert character_to_schur(char, 2) == SchurSeries(
         {(2,): 1, (1, 1): 1}, degree=2
@@ -180,7 +185,7 @@ def test_no_quadric_vanishes_on_a_pencil_of_planes():
     arr = _pencil_and_line()
     char = intersection_ideal_character(arr, 4, 2)
     assert char.weights[2].get((2, 0, 0, 0), 0) == 0
-    assert char.weights[2] == reference_intersection_weights(arr, 4, 2)
+    assert_dominant_table(char.weights[2], reference_intersection_weights(arr, 4, 2))
 
 
 def test_intersection_job_with_rational_planes_exits_cleanly(tmp_path, capsys):
@@ -334,21 +339,21 @@ def _assert_oracles_match_references(arr, n, d_max):
     every_wedge = all_weights_span(arr, n, d_max, True)
     every_inter = all_weights_intersection(arr, n, d_max)
     for d in range(d_max + 1):
-        assert prod.weights[d] == every_prod[d], d
-        assert prod.weights[d] == reference_span_weights(arr, n, d, False), d
-        assert wedge.weights[d] == every_wedge[d], d
-        assert wedge.weights[d] == reference_span_weights(arr, n, d, True), d
-        assert inter.weights[d] == every_inter[d], d
-        assert inter.weights[d] == reference_intersection_weights(arr, n, d), d
+        assert_dominant_table(prod.weights[d], every_prod[d], d)
+        assert_dominant_table(prod.weights[d], reference_span_weights(arr, n, d, False), d)
+        assert_dominant_table(wedge.weights[d], every_wedge[d], d)
+        assert_dominant_table(wedge.weights[d], reference_span_weights(arr, n, d, True), d)
+        assert_dominant_table(inter.weights[d], every_inter[d], d)
+        assert_dominant_table(inter.weights[d], reference_intersection_weights(arr, n, d), d)
 
 
 @settings(max_examples=40, deadline=None)
 @given(arr=pooled_arrangements(), n=st.integers(min_value=1, max_value=3))
 def test_oracles_match_slow_reference(arr, n):
-    """Characters filled from their dominant weights equal the oracle's
-    every-weight loops, and the Fraction-elimination and dense
-    vanishing-condition references.  At n = 3 an orbit has up to six
-    weights, more than the cyclic shifts of its dominant one."""
+    """Dominant tables are the dominant weights of the oracle's every-weight
+    loops, and of the Fraction-elimination and dense vanishing-condition
+    references, and their orbits expand to those tables.  At n = 3 an orbit
+    has up to six weights, more than the cyclic shifts of its dominant one."""
     _assert_oracles_match_references(arr, n, 3)
 
 
@@ -382,8 +387,8 @@ def test_intersection_oracle_matches_span_nullspace_and_dense_references(arr, n)
     inter = intersection_ideal_character(arr, n, 3)
     every = all_weights_intersection(arr, n, 3)
     for d in range(4):
-        assert inter.weights[d] == every[d], d
-        assert inter.weights[d] == reference_intersection_weights(arr, n, d), d
+        assert_dominant_table(inter.weights[d], every[d], d)
+        assert_dominant_table(inter.weights[d], reference_intersection_weights(arr, n, d), d)
 
 
 @settings(max_examples=20, deadline=None)
@@ -396,18 +401,70 @@ def test_wedge_renaming_keeps_the_sorting_sign(arr):
     every = all_weights_span(arr, 3, 4, True)
     wedge = wedge_ideal_character(arr, 3, 4)
     for d in range(5):
-        assert wedge.weights[d] == every[d], d
-        assert wedge.weights[d] == reference_span_weights(arr, 3, d, True), d
+        assert_dominant_table(wedge.weights[d], every[d], d)
+        assert_dominant_table(wedge.weights[d], reference_span_weights(arr, 3, d, True), d)
 
 
 def test_weight_tables_are_symmetric():
-    for char in (
-        product_ideal_character(generic_lines(), 3, 3),
-        wedge_ideal_character(generic_lines(), 3, 3),
-        intersection_ideal_character(axes(3), 2, 3),
-    ):
+    """Every key of a character is a partition padded to length n, and the
+    every-weight reference it stands for is S_n-symmetric."""
+    lines = generic_lines()
+    cases = (
+        (product_ideal_character(lines, 3, 3), all_weights_span(lines, 3, 3, False)),
+        (wedge_ideal_character(lines, 3, 3), all_weights_span(lines, 3, 3, True)),
+        (intersection_ideal_character(axes(3), 2, 3), all_weights_intersection(axes(3), 2, 3)),
+    )
+    for char, every in cases:
         for d, table in char.weights.items():
-            assert symmetric_orbit_ok(table, char.n), d
+            for w in table:
+                assert len(w) == char.n and list(w) == sorted(w, reverse=True), (d, w)
+            assert symmetric_orbit_ok(every[d], char.n), d
+            assert_dominant_table(table, every[d], d)
+
+
+def _outcome(peel, *args):
+    try:
+        return peel(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dominant_and_every_weight_peels_agree(data):
+    """A character's dominant table and its orbit expansion, read by
+    ``GradedCharacter.schur`` and by ``from_weight_multiplicities``: the same
+    series for a nonnegative Schur combination, the same error for a
+    negative coefficient or for n < d, and the orbit-weighted dimension of
+    the dominant table is the size of the expanded one."""
+    n = data.draw(st.integers(min_value=1, max_value=5), label="n")
+    d = data.draw(st.integers(min_value=0, max_value=6), label="d")
+    shapes = partitions_of(d, max_parts=n)
+    coeffs = data.draw(
+        st.dictionaries(st.sampled_from(shapes), st.integers(min_value=-2, max_value=3)),
+        label="coeffs",
+    )
+    dominant = {}
+    for mu in shapes:
+        dim = sum(c * ssyt_count(lam, mu) for lam, c in coeffs.items())
+        if dim:
+            dominant[mu + (0,) * (n - len(mu))] = dim
+    char = GradedCharacter(n, {d: dominant})
+    every = orbit_expanded(dominant)
+    negative = [lam for lam in shapes if coeffs.get(lam, 0) < 0]
+    if n < d:
+        expected = f"need n >= d for a faithful expansion, got n={n}, d={d}"
+    elif negative:
+        lam = negative[0]
+        expected = (
+            f"not a polynomial character: multiplicity {coeffs[lam]} at weight "
+            f"{lam + (0,) * (n - len(lam))}"
+        )
+    else:
+        expected = SchurSeries(coeffs, degree=d)
+    assert _outcome(char.schur, d) == expected
+    assert _outcome(from_weight_multiplicities, every, d, n) == expected
+    assert char.dimension(d) == sum(every.values())
 
 
 def test_dimension_cross_check():

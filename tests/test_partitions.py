@@ -195,6 +195,15 @@ def test_kostka_rejects_content_that_is_not_nonnegative_integers(content):
         kostka_number((5, 4), content)
 
 
+@pytest.mark.parametrize("warm, content", [((2,), (2.0,)), ((1, 1), (True, True))])
+def test_kostka_checks_content_after_an_equal_key_is_cached(warm, content):
+    """(2.0,) == (2,) and (True, True) == (1, 1) as cache keys, so the
+    content must be checked before the cache is asked."""
+    assert kostka_number((2,), warm) == 1
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        kostka_number((2,), content)
+
+
 def test_kostka_drops_zeros_before_it_recurses():
     assert kostka_number((2, 1), (0,) * 500 + (1, 2)) == 1
     assert kostka_number((3, 1), (0,) * 500 + (1, 1, 0, 2)) == 2
