@@ -23,6 +23,7 @@ there are.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from operator import add, sub as subtract
 
 from .errors import SizeCapError
@@ -146,12 +147,12 @@ class Polymatroid:
 
     def rank_table(self) -> list[tuple[tuple[int, ...], int]]:
         """All (subset, rank) pairs ordered by size then lexicographically."""
-        out = []
-        for mask, rank in enumerate(self.ranks):
-            subset = tuple(i for i in range(self.ground_size) if mask >> i & 1)
-            out.append((subset, rank))
-        out.sort(key=lambda kv: (len(kv[0]), kv[0]))
-        return out
+        t = self.ground_size
+        return [
+            (subset, self.rank(subset))
+            for k in range(t + 1)
+            for subset in combinations(range(t), k)
+        ]
 
 
 @lru_cache(maxsize=4)

@@ -49,6 +49,7 @@ from .oracle import (
     DEFAULT_CAPS,
     GradedCharacter,
     OracleCaps,
+    _check_sizes,
     character_to_schur,
     intersection_ideal_character,
     product_ideal_character,
@@ -210,6 +211,12 @@ def _check_config(cfg: JobConfig):
             "intersection series is assembled from the oracle and needs "
             "--dim-v >= --max-degree"
         )
+    if needs_oracle:
+        # the oracle's caps, refused before the formula side runs
+        oracle_d = cfg.oracle_degree
+        if cfg.ideal == "intersection":
+            oracle_d = max(cfg.max_degree, oracle_d)
+        _check_sizes(cfg.arrangement, cfg.dim_v, oracle_d, cfg.caps)
 
 
 def _intersection_series(char: GradedCharacter, D: int) -> SchurSeries:
@@ -480,13 +487,14 @@ def render_markdown(report: dict) -> str:
 
 def render_latex(report: dict) -> str:
     inp = report["input"]
+    status = report["status"].replace("_", "\\_")  # a bare _ is a LaTeX error in text
     lines = [
         "% equisyz report",
         "\\section*{Arrangement report}",
         "\\begin{itemize}",
         f"\\item ambient dimension ${inp['ambient_dim']}$, "
         f"{len(inp['subspaces'])} subspaces, ideal: {inp['ideal']}",
-        f"\\item truncation degree ${inp['max_degree']}$, status: {report['status']}",
+        f"\\item truncation degree ${inp['max_degree']}$, status: {status}",
         "\\end{itemize}",
         "",
         "\\subsection*{Equivariant Hilbert series}",

@@ -6,7 +6,10 @@ lexicographically, j indexing W).  The degree-one part of the k-th linear
 ideal is spanned by a tensor e_i for a running over the annihilator of the
 k-th subspace - each such form has pure V-weight e_i, so every ideal in
 sight is graded by V-weights and both the polynomial and the exterior side
-can be row reduced one weight space at a time.
+can be row reduced one weight space at a time.  Both sides write a monomial
+as its sorted tuple of variables and share one multiply and one renaming
+of V-indices: the exterior side only adds the sign of re-sorting, and a
+repeated variable makes its monomial zero.
 
 This module measures the weight-space dimensions of product, intersection
 and wedge ideals by exact elimination, and eliminates only what it cannot
@@ -18,11 +21,13 @@ Sym(W tensor V) is the sum of the S_lam W tensor S_lam V, so every
 S_lam(V) in a product or intersection ideal has at most m rows: only
 dominant weights with at most m parts are eliminated, and the others follow
 from Kostka numbers.  The product and wedge ideals are generated in
-degree t, so each degree above t is spanned by the variables times the
-previous degree's basis.  The intersection ideal is not spanned at all:
-J_k(V) is the vanishing ideal of Y_k tensor V, so each weight space of the
-intersection is the common kernel of the restrictions to the Y_k tensor V,
-and its dimension is one exact rank of their stacked vanishing conditions.
+degree t, so degree t is spanned weight by weight by the products whose
+factors' V-indices order the weight's index multiset, and each degree
+above t by the variables times the previous degree's basis.  The
+intersection ideal is not spanned at all: J_k(V) is the vanishing ideal of
+Y_k tensor V, so each weight space of the intersection is the common
+kernel of the restrictions to the Y_k tensor V, and its dimension is one
+exact rank of their stacked vanishing conditions.
 With the polymatroid it shares only each subspace's normal rows and the
 fraction-free elimination kernel of ``equisyz.linalg``, which the tests
 check against the ``Fraction`` annihilator and RREF, so it stays an
@@ -34,13 +39,13 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, product as cartesian
+from itertools import chain, combinations_with_replacement, product as cartesian
 from math import comb, factorial, prod
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
 from .linalg import _Echelon, _integer_rows
-from .partitions import kostka_number, partitions_of
+from .partitions import kostka_number, orbit, partitions_of
 # from_weight_multiplicities is not called here.  perfbench/traced_job.py
 # wraps it through this module's name and reports a missing name as absent.
 from .schur import SchurSeries, from_dominant_weights, from_weight_multiplicities, kostka_peel
@@ -142,29 +147,21 @@ def _forms_per_factor(arr: Arrangement, n: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if total < 0:
-        return
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _poly_times_form(poly: dict, form: dict) -> dict:
+def _times_form(elem: dict, form: dict, exterior: bool) -> dict:
+    """elem times a linear form {var: coeff}.  A monomial of either algebra
+    is its sorted tuple of variables; on the exterior side each variable is
+    wedged on the right, so it takes the sign of the variables it passes,
+    and a repeated variable gives zero."""
     out: dict = {}
-    for mono, c in poly.items():
+    for mono, c in elem.items():
         for v, a in form.items():
-            key = list(mono)
-            key[v] += 1
-            key = tuple(key)
+            pos = bisect_left(mono, v)
+            if exterior:
+                if pos < len(mono) and mono[pos] == v:
+                    continue
+                if (len(mono) - pos) % 2:
+                    a = -a
+            key = mono[:pos] + (v,) + mono[pos:]
             val = out.get(key, 0) + c * a
             if val:
                 out[key] = val
@@ -173,57 +170,30 @@ def _poly_times_form(poly: dict, form: dict) -> dict:
     return out
 
 
-def _ext_times_form(elem: dict, form: dict) -> dict:
-    out: dict = {}
-    for mono, c in elem.items():
-        for v, a in form.items():
-            pos = bisect_left(mono, v)
-            if pos < len(mono) and mono[pos] == v:
-                continue  # repeated factor wedges to zero
-            sign = -1 if (len(mono) - pos) % 2 else 1
-            key = mono[:pos] + (v,) + mono[pos:]
-            val = out.get(key, 0) + sign * c * a
-            if val:
-                out[key] = val
-            else:
-                del out[key]
-    return out
-
-
-def _poly_renamed(poly: dict, perm) -> dict:
-    """poly with every z[j,k] renamed z[j,perm[k]]."""
-    n = len(perm)
-    src = [0] * len(next(iter(poly)))
-    for v in range(len(src)):
-        src[v - v % n + perm[v % n]] = v
-    return {tuple(mono[s] for s in src): c for mono, c in poly.items()}
-
-
-def _ext_renamed(elem: dict, perm) -> dict:
+def _renamed(elem: dict, perm, exterior: bool) -> dict:
     """elem with every z[j,k] renamed z[j,perm[k]]; each monomial is sorted
-    again and picks up the sign of that sorting permutation."""
+    again, and on the exterior side picks up the sign of that sorting."""
     n = len(perm)
     out = {}
     for mono, c in elem.items():
         vs = [v - v % n + perm[v % n] for v in mono]
-        swaps = sum(a > b for x, a in enumerate(vs) for b in vs[x + 1:])
-        out[tuple(sorted(vs))] = -c if swaps % 2 else c
+        if exterior and sum(a > b for x, a in enumerate(vs) for b in vs[x + 1:]) % 2:
+            c = -c
+        out[tuple(sorted(vs))] = c
     return out
 
 
 def _restriction_rows(basis: list[dict], m: int, e: int) -> list[dict]:
     """Sym^e of the restriction W* -> Y*, for Y spanned by the integer
     vectors ``basis``: z_j becomes sum_l basis[l][j] s_l.  One row per
-    monomial of degree e in the s_l, keyed by the index in
-    ``_compositions(e, m)`` of each degree-e monomial of W it reads."""
-    r = len(basis)
+    monomial of degree e in the s_l, keyed by the index of each degree-e
+    monomial of W it reads, in ``combinations_with_replacement`` order."""
     columns = [{l: b[j] for l, b in enumerate(basis) if j in b} for j in range(m)]
     rows: dict = {}
-    for idx, alpha in enumerate(_compositions(e, m)):
-        image = {(0,) * r: 1}
-        for j, a in enumerate(alpha):
-            for _ in range(a):
-                image = _poly_times_form(image, columns[j])
+    for idx, mono in enumerate(combinations_with_replacement(range(m), e)):
+        image = {(): 1}
+        for j in mono:
+            image = _times_form(image, columns[j], False)
         for beta, c in image.items():
             rows.setdefault(beta, {})[idx] = c
     return list(rows.values())
@@ -274,26 +244,25 @@ def _log_degree(name: str, d: int, n: int, eliminated: int, offered: int, kept: 
     )
 
 
-def _span_character(name, forms, m, n, d_max, rows, one, times, renamed):
+def _span_character(name, forms, m, n, d_max, rows, exterior):
     """Weight tables of the ideal generated by the products of one form per
-    factor, in the algebra with unit ``one``, product by a form ``times``
-    and V-index renaming ``renamed``.  Degree t is spanned by the products
-    of weight w; above it, I_{d,w} by z[j,i] times I_{d-1,w-e_i}, the stored
-    basis of the dominant permutation of w - e_i renamed into place.  Only
-    dominant weights with at most ``rows`` parts are eliminated."""
+    factor, in the exterior algebra if ``exterior`` and else in the
+    polynomial ring.  Degree t of weight w is spanned by the products whose
+    factors' V-indices are an ordering of w's index multiset; above it,
+    I_{d,w} by z[j,i] times I_{d-1,w-e_i}, the stored basis of the dominant
+    permutation of w - e_i renamed into place.  Only dominant weights with
+    at most ``rows`` parts are eliminated."""
     t = len(forms)
-    at_t: dict = {}
-    for combo in cartesian(*forms):
-        w = tuple(sum(i == k for i, _ in combo) for k in range(n))
-        at_t.setdefault(w, []).append(combo)
+    at_index = [[[f for i, f in factor if i == k] for k in range(n)] for factor in forms]
     prev: dict[Weight, list] = {}
 
     def products(w):
-        for combo in at_t.get(w, ()):
-            elem = one
-            for _, form in combo:
-                elem = times(elem, form)
-            yield elem
+        for order in orbit(tuple(i for i in range(n) for _ in range(w[i]))):
+            for combo in cartesian(*(at_index[k][i] for k, i in enumerate(order))):
+                elem = {(): 1}
+                for form in combo:
+                    elem = _times_form(elem, form, exterior)
+                yield elem
 
     def raised(w):
         for i in range(n):
@@ -302,9 +271,9 @@ def _span_character(name, forms, m, n, d_max, rows, one, times, renamed):
                 perm = sorted(range(n), key=lambda k: -u[k])
                 p = tuple(u[k] for k in perm)
                 for row in prev.get(p, ()):
-                    moved = row if p == u else renamed(row, perm)
+                    moved = row if p == u else _renamed(row, perm, exterior)
                     for j in range(m):
-                        yield times(moved, {j * n + i: 1})
+                        yield _times_form(moved, {j * n + i: 1}, exterior)
 
     weights: dict[int, dict[Weight, int]] = {}
     for d in range(d_max + 1):
@@ -343,10 +312,7 @@ def product_ideal_character(
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
     forms = _forms_per_factor(arr, n)
-    weights = _span_character(
-        "product", forms, m, n, d_max, min(n, m),
-        {(0,) * (m * n): 1}, _poly_times_form, _poly_renamed,
-    )
+    weights = _span_character("product", forms, m, n, d_max, min(n, m), False)
     return GradedCharacter(n=n, weights=weights)
 
 
@@ -406,11 +372,10 @@ def wedge_ideal_character(
     """Graded character of the wedge ideal J_1(V) ^ ... ^ J_t(V) in the
     exterior algebra on W tensor V.
 
-    Same spanning as the product, inside the exterior algebra: exterior
-    monomials are sorted variable tuples in the fixed (j,i)-lex variable
-    order, and every wedge and every renaming of V-indices tracks the
-    sorting sign.  Its S_lam'(V) can have up to d rows, so every dominant
-    weight is eliminated.
+    Same spanning as the product, inside the exterior algebra: every wedge
+    and every renaming of V-indices tracks the sign of sorting the
+    variables again.  Its S_lam'(V) can have up to d rows, so every
+    dominant weight is eliminated.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
@@ -419,7 +384,5 @@ def wedge_ideal_character(
             f"degree {d_max} exceeds the exterior top degree {m * n}"
         )
     forms = _forms_per_factor(arr, n)
-    weights = _span_character(
-        "wedge", forms, m, n, d_max, n, {(): 1}, _ext_times_form, _ext_renamed
-    )
+    weights = _span_character("wedge", forms, m, n, d_max, n, True)
     return GradedCharacter(n=n, weights=weights)

@@ -33,12 +33,7 @@ from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, Polymatroid, hilbert_product, polymatroid_of
 from equisyz.linalg import Subspace, _nullspace, row_reduce
-from equisyz.oracle import (
-    _Echelon,
-    _ext_times_form,
-    _forms_per_factor,
-    _poly_times_form,
-)
+from equisyz.oracle import _Echelon, _forms_per_factor
 from equisyz.partitions import conjugate
 from equisyz.schur import SchurSeries, one, sigma, times_sigma_power
 
@@ -333,6 +328,20 @@ def _times_form(poly: dict, form: dict, exterior: bool) -> dict:
     return {k: x for k, x in out.items() if x}
 
 
+def reference_renamed(elem: dict, perm, exterior: bool) -> dict:
+    """elem with every z[j,k] renamed z[j,perm[k]]: each monomial rebuilt
+    from its renamed variables, multiplied in one at a time."""
+    n = len(perm)
+    out: dict = {}
+    for mono, c in elem.items():
+        image = {(): c}
+        for v in mono:
+            image = _times_variable(image, v - v % n + perm[v % n], 1, exterior)
+        for key, a in image.items():
+            out[key] = out.get(key, 0) + a
+    return {k: x for k, x in out.items() if x}
+
+
 def reference_span_weights(arr: Arrangement, n: int, d: int, exterior: bool) -> dict:
     """Weight table of the degree-d piece of J_1(V)...J_t(V), or of the
     wedge ideal when ``exterior``: one form per factor times a monomial,
@@ -396,25 +405,14 @@ def reference_intersection_weights(arr: Arrangement, n: int, d: int) -> dict:
     return table
 
 
-def _weight_monomials(w, m: int, n: int):
-    """Exponent tuples (length m*n) of the polynomial monomials of weight w;
-    the every-weight references label their rows with these."""
-    for choice in product(*(compositions(wi, m) for wi in w)):
-        exp = [0] * (m * n)
-        for i, col in enumerate(choice):
-            for j, e in enumerate(col):
-                exp[j * n + i] = e
-        yield tuple(exp)
-
-
-def _exterior_weight_monomials(w, m: int, n: int):
-    """Sorted variable-index tuples of the exterior monomials of weight w."""
-    if any(wi > m for wi in w):
-        return
-    per_column = [list(combinations(range(m), wi)) for wi in w]
+def _weight_monomials(w, m: int, n: int, exterior: bool = False):
+    """Sorted variable-index tuples of the monomials of weight w, in the
+    exterior algebra when ``exterior``; the every-weight references label
+    their rows with these."""
+    pick = combinations if exterior else combinations_with_replacement
+    per_column = [list(pick(range(m), wi)) for wi in w]
     for choice in product(*per_column):
-        vars_ = [j * n + i for i, col in enumerate(choice) for j in col]
-        yield tuple(sorted(vars_))
+        yield tuple(sorted(j * n + i for i, col in enumerate(choice) for j in col))
 
 
 def all_weights_span(arr: Arrangement, n: int, d_max: int, exterior: bool) -> dict:
@@ -434,20 +432,12 @@ def all_weights_span(arr: Arrangement, n: int, d_max: int, exterior: bool) -> di
                 base[i] += 1
             for w_rest in compositions(d - t, n):
                 w = tuple(a + b for a, b in zip(base, w_rest))
-                if exterior:
-                    for emono in _exterior_weight_monomials(w_rest, m, n):
-                        elem = {(): 1}
-                        for form in [f for _, f in combo] + [{v: 1} for v in emono]:
-                            elem = _ext_times_form(elem, form)
-                        if elem:
-                            buckets.setdefault(w, _Echelon()).add(elem)
-                else:
-                    for mono in _weight_monomials(w_rest, m, n):
-                        poly = {mono: 1}
-                        for _, form in combo:
-                            poly = _poly_times_form(poly, form)
-                        if poly:
-                            buckets.setdefault(w, _Echelon()).add(poly)
+                for mono in _weight_monomials(w_rest, m, n, exterior):
+                    elem = {(): 1}
+                    for form in [f for _, f in combo] + [{v: 1} for v in mono]:
+                        elem = _times_form(elem, form, exterior)
+                    if elem:
+                        buckets.setdefault(w, _Echelon()).add(elem)
         weights[d] = {w: e.rank for w, e in buckets.items() if e.rank}
     return weights
 
@@ -473,7 +463,7 @@ def all_weights_intersection(arr: Arrangement, n: int, d_max: int) -> dict:
                     if w[i]:
                         w_minus = tuple(x - (k == i) for k, x in enumerate(w))
                         for mono in _weight_monomials(w_minus, m, n):
-                            poly = _poly_times_form({mono: 1}, form)
+                            poly = _times_form({mono: 1}, form, exterior=False)
                             span.add({column[key]: c for key, c in poly.items()})
                 if len(span.rows) < len(column):  # else its nullspace is zero
                     labels = range(len(column))

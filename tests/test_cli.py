@@ -490,6 +490,28 @@ def test_main_degree_past_the_cap_exits_at_once(tmp_path, capsys, monkeypatch):
     assert f"exceeds the truncation cap {MAX_DEGREE}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("caps, flags, message", [
+    ("", ["--ideal", "intersection", "--dim-v", "13"], "ambient dimension m = 32"),
+    ("", ["--oracle-check", "2", "--dim-v", "2"], "ambient dimension m = 32"),
+    ("m=32,n=13", ["--ideal", "intersection", "--dim-v", "13", "--oracle-check", "2"],
+     "maximum degree = 13"),
+])
+def test_main_oracle_cap_exits_before_the_formula_side(
+    tmp_path, capsys, monkeypatch, caps, flags, message
+):
+    """13 lines in Q^32 past an oracle cap exit 3 before the polymatroid is
+    built; an intersection job's oracle runs to --max-degree."""
+    monkeypatch.setenv("EQUISYZ_CAPS", caps)
+    started = []
+    monkeypatch.setattr(cli, "polymatroid_of", started.append)
+    m = MAX_AMBIENT_DIM
+    lines = [[[int(j == i) for j in range(m)]] for i in range(13)]
+    src = write_doc(tmp_path, {"ambient_dim": m, "subspaces": lines})
+    assert main(["--input", src, "--max-degree", "13", *flags]) == EXIT_CAP
+    assert started == []
+    assert f"{message} exceeds the oracle cap" in capsys.readouterr().err
+
+
 def test_main_ambient_dim_past_the_cap_exits_before_parsing(tmp_path, capsys, monkeypatch):
     """One dimension past MAX_AMBIENT_DIM exits 3 before any entry is read."""
     line = {"ambient_dim": MAX_AMBIENT_DIM, "subspaces": [[[1] * MAX_AMBIENT_DIM]]}

@@ -11,6 +11,7 @@ format, regenerate them with
 """
 
 import os
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -75,17 +76,24 @@ CASES = {
     "intersection_seed1_n8": (EXIT_OK, [
         "--ideal", "intersection", "--max-degree", "8", "--dim-v", "8",
     ]),
+    # the product and wedge oracles past the default caps, at n = D = 5 = t + 2:
+    # the wedge spans degree 5 from renamed stored bases of degree 4
+    "two_planes_and_line_d5": (EXIT_OK, [
+        "--max-degree", "5", "--side", "both", "--oracle-check", "5", "--dim-v", "5",
+    ]),
 }
 
 DOCUMENTS = {
     "three_axes_oracle": "three_axes",
     "line_and_three_planes_n5": "line_and_three_planes",
     "intersection_seed1_n8": "intersection_seed1",
+    "two_planes_and_line_d5": "two_planes_and_line",
 }
 
 ENVIRONMENTS = {
     "line_and_three_planes_n5": {"EQUISYZ_CAPS": "m=3,n=5,d=5,t=4"},
     "intersection_seed1_n8": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
+    "two_planes_and_line_d5": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
 }
 
 FORMATS = {"json": "json", "markdown": "md", "latex": "tex"}
@@ -106,6 +114,13 @@ def test_report_matches_golden(case, fmt, tmp_path, monkeypatch):
     assert _run(case, fmt, out) == CASES[case][0]
     expected = GOLDEN / f"{case}.out.{FORMATS[fmt]}"
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_latex_goldens_have_no_underscore_in_text_mode():
+    """A bare _ outside $...$ stops LaTeX with "Missing $ inserted"."""
+    for path in sorted(GOLDEN.glob("*.out.tex")):
+        text = re.sub(r"\$\$.*?\$\$|\$.*?\$", "", path.read_text(), flags=re.S)
+        assert not re.search(r"(?<!\\)_", text), path.name
 
 
 if __name__ == "__main__":

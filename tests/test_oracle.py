@@ -17,6 +17,8 @@ from equisyz.oracle import (
     OracleCaps,
     _Echelon,
     _forms_per_factor,
+    _renamed,
+    _times_form,
     character_to_schur,
     intersection_ideal_character,
     product_ideal_character,
@@ -26,6 +28,7 @@ from equisyz.partitions import partitions_of
 from equisyz.schur import SchurSeries, from_weight_multiplicities, sigma
 
 from helpers import (
+    _times_form as reference_times_form,
     all_weights_intersection,
     all_weights_span,
     assert_dominant_table,
@@ -36,6 +39,7 @@ from helpers import (
     plane_and_normal_line,
     pooled_arrangements,
     reference_intersection_weights,
+    reference_renamed,
     reference_span_weights,
     ssyt_count,
     symmetric_orbit_ok,
@@ -70,6 +74,24 @@ def test_coordinate_basis_forms_are_primitive_integers():
         assert all(type(c) is int for c in form.values())
         assert gcd(*form.values()) == 1
         assert form[min(form)] > 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_times_form_and_renamed_match_the_reference(data):
+    """Both algebras share one monomial type, the sorted variable tuple; the
+    exterior side adds the sorting sign and kills a repeated variable."""
+    exterior = data.draw(st.booleans())
+    m = data.draw(st.integers(min_value=1, max_value=3))
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    var = st.integers(min_value=0, max_value=m * n - 1)
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+    mono = st.lists(var, max_size=4, unique=exterior).map(lambda vs: tuple(sorted(vs)))
+    elem = data.draw(st.dictionaries(mono, coeff, max_size=5))
+    form = data.draw(st.dictionaries(var, coeff, max_size=4))
+    perm = data.draw(st.permutations(range(n)))
+    assert _times_form(elem, form, exterior) == reference_times_form(elem, form, exterior)
+    assert _renamed(elem, perm, exterior) == reference_renamed(elem, perm, exterior)
 
 
 # -- fraction-free elimination ---------------------------------------------------
