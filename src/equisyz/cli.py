@@ -595,7 +595,9 @@ def main(argv=None) -> int:
                 document = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
-        except ValueError as exc:  # also bytes that are not UTF-8
+        # ValueError also for bytes that are not UTF-8, RecursionError for
+        # arrays or objects nested deeper than the decoder recurses
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"{args.input} is not valid JSON: {exc}") from exc
         arrangement = parse_arrangement(document)
         cfg = JobConfig(

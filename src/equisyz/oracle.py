@@ -20,10 +20,11 @@ only the report lists the other weights of each orbit.  By Cauchy,
 Sym(W tensor V) is the sum of the S_lam W tensor S_lam V, so every
 S_lam(V) in a product or intersection ideal has at most m rows: only
 dominant weights with at most m parts are eliminated, and the others follow
-from Kostka numbers.  The product and wedge ideals are generated in
-degree t, so degree t is spanned weight by weight by the products whose
-factors' V-indices order the weight's index multiset, and each degree
-above t by the variables times the previous degree's basis.  The
+from Kostka numbers.  One rule spans the product and wedge ideals in every
+degree: I_0 is the unit and I_d = I_{d-1} J_d, J_d the d-th linear ideal
+up to t and the maximal ideal past it, so weight w of degree d is spanned
+by each normal row of step d at each V-index i times I_{d-1} at w - e_i;
+the partial products below t are GL(V)-stable and are not reported.  The
 intersection ideal is not spanned at all: J_k(V) is the vanishing ideal of
 Y_k tensor V, so each weight space of the intersection is the common
 kernel of the restrictions to the Y_k tensor V, and its dimension is one
@@ -44,8 +45,8 @@ from math import comb, factorial, prod
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
-from .linalg import _Echelon, _integer_rows
-from .partitions import kostka_number, orbit, partitions_of
+from .linalg import Subspace, _Echelon, _integer_rows
+from .partitions import kostka_number, partitions_of
 # from_weight_multiplicities is not called here.  perfbench/traced_job.py
 # wraps it through this module's name and reports a missing name as absent.
 from .schur import SchurSeries, from_dominant_weights, from_weight_multiplicities, kostka_peel
@@ -124,27 +125,6 @@ def character_to_schur(gc: GradedCharacter, d: int) -> SchurSeries:
 
 
 # -- coordinates -----------------------------------------------------------
-
-
-def _forms_per_factor(arr: Arrangement, n: int) -> tuple[tuple, ...]:
-    """Degree-one generators of each linear ideal in explicit coordinates.
-
-    Variable v = j*n + i stands for z[j,i] = w_j tensor v_i, in (j,i)-lex
-    order.  Each form is a pair (i, {var: coeff}): the tensor of a normal
-    row of the k-th subspace with e_i, so it has pure V-weight e_i.  Factor
-    k contributes (m - dim Y_k) * n forms.  The normal rows are the ones the
-    polymatroid stacks (``Subspace.normal_rows``): a basis of the
-    annihilator read off the RREF as coprime integers, so every spanning
-    row of the oracle is integral and no annihilator Subspace is built.
-    """
-    out = []
-    for sub in arr.subspaces:
-        forms = []
-        for coeffs in sub.normal_rows():
-            for i in range(n):
-                forms.append((i, {j * n + i: c for j, c in coeffs.items()}))
-        out.append(tuple(forms))
-    return tuple(out)
 
 
 def _times_form(elem: dict, form: dict, exterior: bool) -> dict:
@@ -231,66 +211,66 @@ def _support_filled(table: dict[Weight, int], d: int, n: int, rows: int):
     return out
 
 
-def _log_degree(name: str, d: int, n: int, eliminated: int, offered: int, kept: int):
+def _log_degree(name, d, n, eliminated, offered, kept, reported=True):
     # Until something imports logging, no handler can be listening; the CLI
     # imports it only under --verbose, so a quiet job never loads it.
     logging = sys.modules.get("logging")
     if logging is None:
         return
-    filled = len(partitions_of(d, max_parts=n)) - eliminated if eliminated else 0
+    filled = len(partitions_of(d, max_parts=n)) - eliminated if reported else 0
     logging.getLogger(__name__).info(
         "%s oracle degree %d: %d dominant weights eliminated, %d filled by "
         "Kostka, %d rows offered, %d kept", name, d, eliminated, filled, offered, kept
     )
 
 
-def _span_character(name, forms, m, n, d_max, rows, exterior):
-    """Weight tables of the ideal generated by the products of one form per
-    factor, in the exterior algebra if ``exterior`` and else in the
-    polynomial ring.  Degree t of weight w is spanned by the products whose
-    factors' V-indices are an ordering of w's index multiset; above it,
-    I_{d,w} by z[j,i] times I_{d-1,w-e_i}, the stored basis of the dominant
-    permutation of w - e_i renamed into place.  Only dominant weights with
-    at most ``rows`` parts are eliminated."""
-    t = len(forms)
-    at_index = [[[f for i, f in factor if i == k] for k in range(n)] for factor in forms]
-    prev: dict[Weight, list] = {}
+def _span_character(name, arr, n, d_max, rows, exterior):
+    """Weight tables of J_1(V)...J_t(V), or of the wedge ideal in the
+    exterior algebra if ``exterior``, one linear ideal at a time: I_0 is
+    the unit and I_d = I_{d-1} J_d, with J_d the maximal ideal past t, and
+    I_d is reported from d = t on.  I_{d,w} is spanned by each normal row
+    of step d placed at each V-index i times I_{d-1,w-e_i}, the stored
+    basis of the dominant permutation of w - e_i renamed into place.  Each
+    I_d is GL(V)-stable, so only dominant weights with at most ``rows``
+    parts are eliminated, and none when d_max < t leaves nothing to report."""
+    t = len(arr.subspaces)
+    steps = [sub.normal_rows() for sub in arr.subspaces]
+    maximal = Subspace(arr.ambient_dim).normal_rows()
+    prev: dict[Weight, list] = {(0,) * n: [{(): 1}]}  # the unit, the empty product
 
-    def products(w):
-        for order in orbit(tuple(i for i in range(n) for _ in range(w[i]))):
-            for combo in cartesian(*(at_index[k][i] for k, i in enumerate(order))):
-                elem = {(): 1}
-                for form in combo:
-                    elem = _times_form(elem, form, exterior)
-                yield elem
-
-    def raised(w):
+    def spanned(w, step):
+        if not any(w):  # degree 0, reported only when t = 0
+            yield from prev[w]
         for i in range(n):
             if w[i]:
                 u = w[:i] + (w[i] - 1,) + w[i + 1:]
                 perm = sorted(range(n), key=lambda k: -u[k])
                 p = tuple(u[k] for k in perm)
-                for row in prev.get(p, ()):
-                    moved = row if p == u else _renamed(row, perm, exterior)
-                    for j in range(m):
-                        yield _times_form(moved, {j * n + i: 1}, exterior)
+                forms = [{j * n + i: c for j, c in row.items()} for row in step]
+                for elem in prev.get(p, ()):
+                    moved = elem if p == u else _renamed(elem, perm, exterior)
+                    for form in forms:
+                        yield _times_form(moved, form, exterior)
 
     weights: dict[int, dict[Weight, int]] = {}
     for d in range(d_max + 1):
+        span = d >= t or (0 < d and d_max >= t)
+        dominant = _dominant_weights(d, n, rows) if span else []
+        step = steps[d - 1] if 0 < d <= t else maximal
         bases, offered = {}, 0
-        dominant = _dominant_weights(d, n, rows) if d >= t else []
         for w in dominant:
             ech = _Echelon()
-            for row in products(w) if d == t else raised(w):
+            for row in spanned(w, step):
                 if row:
                     offered += 1
                     ech.add(row)
             if ech.rank:
                 bases[w] = list(ech.rows.values())
         table = {w: len(basis) for w, basis in bases.items()}
-        _log_degree(name, d, n, len(dominant), offered, sum(table.values()))
-        weights[d] = _support_filled(table, d, n, rows)
-        prev = bases
+        _log_degree(name, d, n, len(dominant), offered, sum(table.values()), d >= t)
+        weights[d] = _support_filled(table, d, n, rows) if d >= t else {}
+        if span:
+            prev = bases
     return weights
 
 
@@ -302,17 +282,15 @@ def product_ideal_character(
 ) -> GradedCharacter:
     """Graded character of the product ideal J_1(V) ... J_t(V).
 
-    Degree t is spanned by the products of one basis form per factor, and
-    each degree above t by the variables times the previous degree's basis.
+    Degree d is spanned by the normal rows of the d-th factor, or by the
+    variables past t, times the basis of degree d - 1, from the unit up.
     Spanning vectors have pure V-weight and each dominant weight space with
     at most m parts is row reduced exactly.  By Cauchy, every S_lam(V) in
     the ideal has at most m rows, so the other dominant weights follow by
     Kostka numbers.
     """
     _check_sizes(arr, n, d_max, caps)
-    m = arr.ambient_dim
-    forms = _forms_per_factor(arr, n)
-    weights = _span_character("product", forms, m, n, d_max, min(n, m), False)
+    weights = _span_character("product", arr, n, d_max, min(n, arr.ambient_dim), False)
     return GradedCharacter(n=n, weights=weights)
 
 
@@ -383,6 +361,5 @@ def wedge_ideal_character(
         raise ValueError(
             f"degree {d_max} exceeds the exterior top degree {m * n}"
         )
-    forms = _forms_per_factor(arr, n)
-    weights = _span_character("wedge", forms, m, n, d_max, n, True)
+    weights = _span_character("wedge", arr, n, d_max, n, True)
     return GradedCharacter(n=n, weights=weights)

@@ -25,10 +25,10 @@ Partition = tuple[int, ...]
 
 def check_partition(parts) -> Partition:
     """Coerce to a tuple and check that it is weakly decreasing with
-    positive integer entries."""
+    positive integer entries; a bool is not one."""
     lam = tuple(parts)
     if not all(
-        isinstance(p, int) and p >= 1 and (i == 0 or lam[i - 1] >= p) for i, p in enumerate(lam)
+        type(p) is int and p >= 1 and (i == 0 or lam[i - 1] >= p) for i, p in enumerate(lam)
     ):
         raise ValueError(f"not a partition: {parts!r}")
     return lam
@@ -79,17 +79,20 @@ def partitions_of(d: int, max_parts: int | None = None) -> list[Partition]:
     return list(_partitions(d, d, limit))
 
 
-@cache
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^lam_{mu,nu}.
 
     Counts semistandard skew tableaux of shape lam/mu and content nu whose
     reverse reading word (rows right to left, top to bottom) is a lattice
     word.  Returns 0 when mu does not fit in lam or the sizes do not add up.
+    All three partitions are checked on every call, before the cache: it
+    would take (2.0,) or (True,) for the key (2,) or (1,).
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    nu = check_partition(nu)
+    return _lr(check_partition(lam), check_partition(mu), check_partition(nu))
+
+
+@cache
+def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     if sum(lam) != sum(mu) + sum(nu) or not contains(lam, mu):
         return 0
     if not nu:
@@ -126,6 +129,10 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         return total
 
     return fill(0)
+
+
+# the misses of the cache count the distinct evaluations
+lr_coefficient.cache_info = _lr.cache_info
 
 
 def strips(lam: Partition):

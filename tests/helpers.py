@@ -32,8 +32,7 @@ from itertools import combinations, combinations_with_replacement, groupby, perm
 from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, Polymatroid, hilbert_product, polymatroid_of
-from equisyz.linalg import Subspace, _nullspace, row_reduce
-from equisyz.oracle import _Echelon, _forms_per_factor
+from equisyz.linalg import Subspace, _Echelon, _nullspace, row_reduce
 from equisyz.partitions import conjugate
 from equisyz.schur import SchurSeries, one, sigma, times_sigma_power
 
@@ -287,6 +286,17 @@ class FractionEchelon:
         return False
 
 
+def forms_per_factor(arr: Arrangement, n: int) -> list:
+    """Each factor's degree-one forms as pairs (i, {var: coeff}): a normal
+    row of the subspace tensored with e_i, so of pure V-weight e_i, with
+    variable j*n + i standing for z[j,i].  Factor k has (m - dim Y_k) * n
+    of them, every coefficient an integer."""
+    return [
+        [(i, {j * n + i: c for j, c in row.items()}) for row in sub.normal_rows() for i in range(n)]
+        for sub in arr.subspaces
+    ]
+
+
 def _fraction_forms(arr: Arrangement, n: int):
     """Each factor's degree-one forms, with the annihilator's own Fraction
     coefficients; variable j*n + i is z[j,i]."""
@@ -422,7 +432,7 @@ def all_weights_span(arr: Arrangement, n: int, d_max: int, exterior: bool) -> di
     lands in, and every bucket row reduced."""
     m = arr.ambient_dim
     t = len(arr.subspaces)
-    forms = _forms_per_factor(arr, n)
+    forms = forms_per_factor(arr, n)
     weights = {}
     for d in range(d_max + 1):
         buckets: dict = {}
@@ -449,7 +459,7 @@ def all_weights_intersection(arr: Arrangement, n: int, d_max: int) -> dict:
     :class:`FractionEchelon`, its nullspace from the RREF of
     ``equisyz.linalg``, which also ranks the stacked nullspaces."""
     m = arr.ambient_dim
-    forms = _forms_per_factor(arr, n)
+    forms = forms_per_factor(arr, n)
     weights = {}
     for d in range(d_max + 1):
         table = {}

@@ -378,6 +378,16 @@ def test_main_malformed_json_is_input_error(tmp_path):
         assert main(["--input", str(path), "--max-degree", "3"]) == EXIT_INPUT
 
 
+def test_main_deeply_nested_json_is_input_error(tmp_path, capsys):
+    """The decoder raises RecursionError, not ValueError, past its depth."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(["--input", str(path), "--max-degree", "3"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path} is not valid JSON: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("target", ["missing/dir/r.json", "."])
 def test_main_unwritable_output_is_input_error(tmp_path, capsys, target):
     """A missing directory, or a directory in place of a file, exits 2."""

@@ -81,6 +81,12 @@ CASES = {
     "two_planes_and_line_d5": (EXIT_OK, [
         "--max-degree", "5", "--side", "both", "--oracle-check", "5", "--dim-v", "5",
     ]),
+    # a line, the origin, a plane and a line of Q^3: the product and wedge
+    # oracles multiply in one linear ideal per degree, and the second is the
+    # maximal ideal
+    "origin_between_lines": (EXIT_OK, [
+        "--max-degree", "4", "--side", "both", "--oracle-check", "4", "--dim-v", "4",
+    ]),
 }
 
 DOCUMENTS = {

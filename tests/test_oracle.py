@@ -16,7 +16,6 @@ from equisyz.oracle import (
     GradedCharacter,
     OracleCaps,
     _Echelon,
-    _forms_per_factor,
     _renamed,
     _times_form,
     character_to_schur,
@@ -33,6 +32,7 @@ from helpers import (
     all_weights_span,
     assert_dominant_table,
     axes,
+    forms_per_factor,
     orbit_expanded,
     origin_copies,
     worked_product_arrangements,
@@ -59,9 +59,9 @@ def test_coordinate_basis_form_counts():
     """Factor k carries (m - dim Y_k) * n pure-weight linear forms."""
     for arr in (axes(2), axes(3), plane_and_normal_line(), generic_lines()):
         for n in (1, 2, 3):
-            forms_per_factor = _forms_per_factor(arr, n)
-            assert len(forms_per_factor) == len(arr.subspaces)
-            for sub, forms in zip(arr.subspaces, forms_per_factor):
+            factors = forms_per_factor(arr, n)
+            assert len(factors) == len(arr.subspaces)
+            for sub, forms in zip(arr.subspaces, factors):
                 assert len(forms) == (arr.ambient_dim - sub.dim) * n
                 for i, form in forms:
                     assert 0 <= i < n
@@ -70,7 +70,7 @@ def test_coordinate_basis_form_counts():
 
 def test_coordinate_basis_forms_are_primitive_integers():
     arr = Arrangement(3, (Subspace(3, [["1/2", "2/3", 1]]),))
-    for i, form in _forms_per_factor(arr, 2)[0]:
+    for i, form in forms_per_factor(arr, 2)[0]:
         assert all(type(c) is int for c in form.values())
         assert gcd(*form.values()) == 1
         assert form[min(form)] > 0
@@ -399,6 +399,15 @@ def mixed_arrangements(draw):
     return Arrangement(3, subs)
 
 
+@settings(max_examples=20, deadline=None)
+@given(arr=mixed_arrangements())
+def test_oracles_match_slow_reference_on_mixed_arrangements(arr):
+    """Zero subspaces, lines, planes and a repeated member, t <= 4, at n = 2
+    up to degree 4: every step of the product and wedge, a linear ideal or
+    the maximal ideal past t, multiplies the partial product before it."""
+    _assert_oracles_match_references(arr, 2, 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(arr=mixed_arrangements(), n=st.integers(min_value=1, max_value=3))
 def test_intersection_oracle_matches_span_nullspace_and_dense_references(arr, n):
@@ -507,7 +516,8 @@ def _weyl(lam, n):
 def test_each_oracle_logs_its_counts_per_degree(caplog):
     """One INFO line per oracle and degree.  At m = 3 and n = 4 the product
     and intersection oracles fill (1,1,1,1) from Kostka numbers; the wedge
-    fills nothing."""
+    fills nothing.  Below t the lines count the partial products, which
+    are not reported, and nothing is eliminated when no degree is."""
     caplog.set_level(logging.INFO, logger="equisyz.oracle")
     prod = product_ideal_character(axes(3), 4, 4)
     wedge_ideal_character(axes(3), 4, 4)
@@ -517,6 +527,12 @@ def test_each_oracle_logs_its_counts_per_degree(caplog):
     assert lines[0] == (
         "product oracle degree 0: 0 dominant weights eliminated, 0 filled by "
         "Kostka, 0 rows offered, 0 kept"
+    )
+    # J_1 J_2 for the first two axes: 4 monomials of weight (2,0,0,0) and 7 of
+    # weight (1,1,0,0), from 2 forms times 2 rows at each of 3 V-index steps
+    assert lines[2] == (
+        "product oracle degree 2: 2 dominant weights eliminated, 0 filled by "
+        "Kostka, 12 rows offered, 11 kept"
     )
     eliminated = [(4, 0, 0, 0), (3, 1, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0)]
     kept = sum(prod.weights[4].get(w, 0) for w in eliminated)
@@ -530,6 +546,12 @@ def test_each_oracle_logs_its_counts_per_degree(caplog):
     assert lines[14].startswith(
         "intersection oracle degree 4: 4 dominant weights eliminated, 1 filled by "
     )
+    caplog.clear()
+    product_ideal_character(axes(3), 4, 2)
+    wedge_ideal_character(axes(3), 4, 2)
+    assert [r.getMessage().split(": ")[1] for r in caplog.records] == [
+        "0 dominant weights eliminated, 0 filled by Kostka, 0 rows offered, 0 kept"
+    ] * 6
 
 
 def test_determinism():

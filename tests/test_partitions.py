@@ -204,6 +204,15 @@ def test_kostka_checks_content_after_an_equal_key_is_cached(warm, content):
         kostka_number((2,), content)
 
 
+@pytest.mark.parametrize("args", [((2.0,), (1,), (1,)), ((2,), (True,), (1,))])
+def test_lr_checks_partitions_after_an_equal_key_is_cached(args):
+    """(2.0,) == (2,) and (True,) == (1,) as cache keys, so every partition
+    must be checked before the cache is asked."""
+    assert lr_coefficient((2,), (1,), (1,)) == 1
+    with pytest.raises(ValueError, match="not a partition"):
+        lr_coefficient(*args)
+
+
 def test_kostka_drops_zeros_before_it_recurses():
     assert kostka_number((2, 1), (0,) * 500 + (1, 2)) == 1
     assert kostka_number((3, 1), (0,) * 500 + (1, 1, 0, 2)) == 2
