@@ -30,7 +30,7 @@ from .errors import SizeCapError
 # intersect is not called here.  perfbench/traced_job.py counts the calls
 # through this module's name, where the formula side must read 0.
 from .linalg import Subspace, _reduce_into, intersect
-from .schur import SchurSeries, from_dense, graded_index, sigma_pass
+from .schur import SchurSeries, graded_index, sigma_pass
 
 # Cap on the number t of subspaces, checked before a document's vectors are
 # parsed.  The P table's 3^t subset sums set the t axis, about 3x per
@@ -201,7 +201,7 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
         )
-    return from_dense(_p_table(pm)[pm.as_mask(subset)], truncation)
+    return SchurSeries._make(_p_table(pm)[pm.as_mask(subset)], truncation)
 
 
 def _rank_buckets(ranks, dense, mask: int, sub: int, n: int) -> list:
@@ -294,4 +294,4 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
             h[: len(bucket)] = map(add, h, bucket)
     for _ in range(arr.ambient_dim - pm.ranks[full]):
         h = sigma_pass(h, below)
-    return from_dense(h, truncation, 1 if t % 2 else -1)
+    return SchurSeries._make(h if t % 2 else [-c for c in h], truncation)

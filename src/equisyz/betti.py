@@ -4,12 +4,14 @@ For a module generated in degree t with a linear resolution, the alternating
 Schur expansion of sigma^-m times its Hilbert series carries one column of
 Tor multiplicities per degree.  This module extracts those columns (and
 validates the sign pattern that linearity forces), computes regularity, and
-transposes tables to the exterior side by conjugating every index.
+transposes tables to the exterior side by conjugating every index.  A
+column is the signed slice of one degree of the series' dense vector over
+``schur.graded_index``, so it is checked and stored in the canonical order.
 """
 
 from __future__ import annotations
 
-from .schur import SchurSeries, graded_index, sigma_power_vector, times_sigma_power
+from .schur import SchurSeries, graded_index, times_sigma_power
 
 
 class LinearityError(ValueError):
@@ -41,7 +43,7 @@ class BettiTable:
 
     def __init__(self, t: int, columns: tuple[SchurSeries, ...]):
         for i, col in enumerate(columns):
-            for lam, c in col.coeffs.items():
+            for lam, c in col.items():
                 if sum(lam) != i + t:
                     raise ValueError(
                         f"column {i} has a term of degree {sum(lam)}, expected {i + t}"
@@ -89,7 +91,7 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
     if D < t:
         raise ValueError(f"series truncation {D} below generation degree {t}")
     parts, offsets, _, _ = graded_index(D)
-    reduced = sigma_power_vector(series, -ambient_dim)
+    reduced = times_sigma_power(series, -ambient_dim).vec
     for d in range(t):
         if any(reduced[offsets[d] : offsets[d + 1]]):
             raise GenerationDegreeError(
@@ -98,15 +100,13 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
             )
     columns = []
     for i in range(D - t + 1):
-        lo, hi = offsets[i + t], offsets[i + t + 1]
+        lo = offsets[i + t]
         sign = -1 if i % 2 else 1
-        column = {}
-        for lam, c in zip(parts[lo:hi], reduced[lo:hi]):
-            if c * sign < 0:
-                raise LinearityError(i + t, lam, c)
-            if c:
-                column[lam] = sign * c
-        columns.append(SchurSeries._make(column, D))
+        column = [sign * c for c in reduced[lo : offsets[i + t + 1]]]
+        for j, c in enumerate(column, lo):
+            if c < 0:
+                raise LinearityError(i + t, parts[j], sign * c)
+        columns.append(SchurSeries._make([0] * lo + column, D))
     return BettiTable(t, tuple(columns))
 
 
@@ -118,7 +118,7 @@ def regularity(table: BettiTable) -> int:
     The value restates the linear sign check of ``betti_from_series``; it
     is not an independent verdict on linearity.
     """
-    if not any(col.coeffs for col in table.columns):
+    if not any(table.columns):
         raise ValueError("empty Betti table has no regularity")
     return table.t
 

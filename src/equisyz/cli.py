@@ -220,11 +220,12 @@ def _check_config(cfg: JobConfig):
 
 
 def _intersection_series(char: GradedCharacter, D: int) -> SchurSeries:
-    coeffs = {}
+    # the degree-d part is zero below the positions of degree d, which
+    # start past the end of the lower degrees
+    vec = []
     for d in range(D + 1):
-        part = character_to_schur(char, d)
-        coeffs.update(part.coeffs)
-    return SchurSeries(coeffs, degree=D)
+        vec += character_to_schur(char, d).vec[len(vec):]
+    return SchurSeries._make(vec, D)
 
 
 def _oracle_section(

@@ -46,15 +46,6 @@ def contains(lam: Partition, mu: Partition) -> bool:
     return len(mu) <= len(lam) and all(mu[i] <= lam[i] for i in range(len(mu)))
 
 
-def partition_sort_key(lam: Partition):
-    """Sort key for the canonical total order: graded, then reverse-lex.
-
-    Within one degree, (d) comes first and (1,)*d last.  This is the order
-    used for every serialized coefficient list.
-    """
-    return (sum(lam), tuple(-p for p in lam))
-
-
 @cache
 def _partitions(d: int, max_part: int, max_parts: int) -> tuple[Partition, ...]:
     if d == 0:

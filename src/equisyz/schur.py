@@ -1,30 +1,34 @@
 """Degree-truncated symmetric functions in the Schur basis.
 
 A :class:`SchurSeries` is a finite integer combination of Schur functions
-``s_lam`` together with an explicit truncation degree D.  Every operation
-truncates its result, so a series is always an honest window (all degrees
-up to D are exact, nothing above D is stored).  The pipeline only ever
-multiplies by powers of sigma = 1 + s_1 + s_2 + ..., and does so on dense
-vectors over one cached index of the partitions of size <= D in graded
-order (``graded_index``).  By the Pieri rule (Macdonald, Symmetric
-Functions and Hall Polynomials, I.5) sigma adds every horizontal strip,
-so on that index it is a unitriangular 0/1 matrix: a sigma pass adds to
-each coefficient those of the partitions below it, and a sigma^-1 pass
-solves the same system by forward substitution.  The general product of
-two series, expanded with the Littlewood-Richardson rule, remains for
-the ring API.  ``omega`` conjugates every index, which is the
-symmetric-to-exterior transpose at the level of characters.
+``s_lam`` with an explicit truncation degree D, stored as one dense vector
+over ``graded_index``, the partitions in canonical graded order, trailing
+zeros cut.  Its terms come out in that order without a sort, truncations
+and graded parts are slices, sums and scalar multiples act entry by entry,
+and ``omega``, the symmetric-to-exterior transpose of characters, moves
+each entry to the index of its conjugate.  Every operation truncates its
+result, so all degrees up to D are exact and nothing above D is stored.
+A series builds the index only up to its highest nonzero degree, so a
+window of 60 holding s[1] is cheap, but a term past degree ~35 is not.
 
-Series are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
+The pipeline only ever multiplies by powers of sigma = 1 + s_1 + s_2 + ...
+By the Pieri rule (Macdonald, Symmetric Functions and Hall Polynomials,
+I.5) sigma adds every horizontal strip, a unitriangular 0/1 matrix on the
+index: a sigma pass adds to each coefficient those of the partitions below
+it, and a sigma^-1 pass is forward substitution.  The general product,
+by the Littlewood-Richardson rule, remains for the ring API.
+
+Series are immutable and all operations are pure, so values can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate
+from itertools import zip_longest
 from numbers import Real
 from operator import itemgetter
+from types import MappingProxyType
 
 from .partitions import (
     Partition,
@@ -34,7 +38,6 @@ from .partitions import (
     kostka_number,
     lr_coefficient,
     orbit,
-    partition_sort_key,
     partitions_of,
     strips,
     weyl_dimension,
@@ -84,9 +87,10 @@ def _is_integer(c) -> bool:
     return isinstance(c, Real) and not c % 1
 
 
-def _summed(pairs, degree: int) -> dict[Partition, int]:
-    """Coefficients of the (partition, coefficient) pairs of size at most
-    ``degree``, repeated partitions added and zero sums dropped.  A number
+def _summed(pairs, degree: int) -> list[int]:
+    """The (partition, coefficient) pairs of size at most ``degree`` as a
+    cut vector, repeated partitions added.  The vector runs over
+    ``graded_index`` of the highest degree with a nonzero sum.  A number
     with a fractional part is a ValueError, not truncated."""
     coeffs: dict[Partition, int] = {}
     for lam, c in pairs:
@@ -95,25 +99,55 @@ def _summed(pairs, degree: int) -> dict[Partition, int]:
             raise ValueError(f"coefficient {c!r} of s{list(lam)} is not an integer")
         if sum(lam) <= degree:
             coeffs[lam] = coeffs.get(lam, 0) + int(c)
-    return {lam: c for lam, c in coeffs.items() if c}
+    coeffs = {lam: c for lam, c in coeffs.items() if c}
+    _, offsets, index, _ = graded_index(max(map(sum, coeffs), default=0))
+    vec = [0] * offsets[-1]
+    for lam, c in coeffs.items():
+        vec[index[lam]] = c
+    return _cut(vec)
+
+
+def _cut(vec: list[int]) -> list[int]:
+    """vec with its trailing zeros removed, in place."""
+    while vec and not vec[-1]:
+        vec.pop()
+    return vec
+
+
+def _reach(vec: list[int]):
+    """``graded_index`` of the highest degree that ``vec`` reaches."""
+    d = 0
+    while graded_index(d)[1][-1] < len(vec):
+        d += 1
+    return graded_index(d)
+
+
+def _upto(vec: list[int], k: int) -> list[int]:
+    """The entries of degree <= k, a prefix of vec (vec itself if k is at
+    least its highest degree)."""
+    offsets = _reach(vec)[1]
+    return vec[: offsets[k + 1]] if k + 1 < len(offsets) else vec
 
 
 class SchurSeries:
-    """Truncated formal sum of Schur functions with exact integer coefficients."""
+    """Truncated formal sum of Schur functions with exact integer
+    coefficients: ``vec`` holds them over ``graded_index``, trailing zeros
+    cut, and ``degree`` is the truncation window."""
 
-    __slots__ = ("coeffs", "degree")
+    __slots__ = ("vec", "degree")
 
     def __init__(self, coeffs=None, *, degree: int):
         if degree < 0:
             raise ValueError("truncation degree must be nonnegative")
-        self.coeffs = _summed(coeffs.items() if coeffs else (), degree)
+        self.vec = _summed(coeffs.items() if coeffs else (), degree)
         self.degree = degree
 
     @classmethod
-    def _make(cls, coeffs: dict, degree: int) -> "SchurSeries":
-        # internal fast path: keys already canonical, zeros already dropped
+    def _make(cls, vec: list[int], degree: int) -> "SchurSeries":
+        # internal fast path: vec runs over graded_index no deeper than
+        # degree, and is taken over, its trailing zeros cut in place
         obj = object.__new__(cls)
-        obj.coeffs = coeffs
+        obj.vec = _cut(vec)
         obj.degree = degree
         return obj
 
@@ -122,23 +156,28 @@ class SchurSeries:
         """Build a series from (partition, coefficient) pairs; the
         coefficients of a repeated partition are added."""
         series = cls(degree=degree)
-        series.coeffs = _summed(pairs, degree)
+        series.vec = _summed(pairs, degree)
         return series
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """The nonzero coefficients as a read-only mapping, in canonical order."""
+        return MappingProxyType(dict(self.items()))
+
     def coefficient(self, lam) -> int:
-        return self.coeffs.get(tuple(lam), 0)
+        i = _reach(self.vec)[2].get(check_partition(lam), len(self.vec))
+        return self.vec[i] if i < len(self.vec) else 0
 
     def min_degree(self) -> int | None:
         """Lowest degree with a nonzero coefficient, or None for the zero series."""
-        if not self.coeffs:
-            return None
-        return min(sum(lam) for lam in self.coeffs)
+        return next((sum(lam) for lam, _ in self.items()), None)
 
     def items(self) -> list[tuple[Partition, int]]:
-        """Coefficients in the canonical partition order."""
-        return sorted(self.coeffs.items(), key=lambda kv: partition_sort_key(kv[0]))
+        """Nonzero coefficients in the canonical order of ``graded_index``."""
+        parts = _reach(self.vec)[0]
+        return [(parts[i], c) for i, c in enumerate(self.vec) if c]
 
     def to_pairs(self) -> list[list]:
         """JSON-ready [[partition-as-list, coefficient], ...] in canonical order."""
@@ -151,23 +190,23 @@ class SchurSeries:
         return f"<SchurSeries {self.pretty()} (deg <= {self.degree})>"
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.vec)
 
     def __eq__(self, other) -> bool:
         # equality of coefficient data; the truncation window is not compared
         if isinstance(other, int):
-            return self.coeffs == ({(): other} if other else {})
+            return self.vec == ([other] if other else [])
         if isinstance(other, SchurSeries):
-            return self.coeffs == other.coeffs
+            return self.vec == other.vec
         return NotImplemented
 
-    __hash__ = None  # mutable dict inside; value semantics only
+    __hash__ = None  # mutable list inside; value semantics only
 
     # -- ring operations -------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return SchurSeries._make({(): other} if other else {}, self.degree)
+            return SchurSeries._make([other], self.degree)
         if isinstance(other, SchurSeries):
             return other
         return None
@@ -177,21 +216,13 @@ class SchurSeries:
         if rhs is None:
             return NotImplemented
         degree = min(self.degree, rhs.degree)
-        out = {k: c for k, c in self.coeffs.items() if sum(k) <= degree}
-        for k, c in rhs.coeffs.items():
-            if sum(k) > degree:
-                continue
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return SchurSeries._make(out, degree)
+        pairs = zip_longest(_upto(self.vec, degree), _upto(rhs.vec, degree), fillvalue=0)
+        return SchurSeries._make([a + b for a, b in pairs], degree)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SchurSeries._make({k: -c for k, c in self.coeffs.items()}, self.degree)
+        return SchurSeries._make([-c for c in self.vec], self.degree)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -207,30 +238,17 @@ class SchurSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return SchurSeries._make({}, self.degree)
-            return SchurSeries._make(
-                {k: c * other for k, c in self.coeffs.items()}, self.degree
-            )
+            return SchurSeries._make([c * other for c in self.vec], self.degree)
         if not isinstance(other, SchurSeries):
             return NotImplemented
-        degree = min(self.degree, other.degree)
-        acc: dict[Partition, int] = {}
-        for mu, a in self.coeffs.items():
-            dmu = sum(mu)
-            if dmu > degree:
-                continue
-            for nu, b in other.coeffs.items():
-                if dmu + sum(nu) > degree:
-                    continue
-                ab = a * b
-                for lam, c in _pair_product(mu, nu):
-                    v = acc.get(lam, 0) + ab * c
-                    if v:
-                        acc[lam] = v
-                    else:
-                        del acc[lam]
-        return SchurSeries._make(acc, degree)
+        degree, right = min(self.degree, other.degree), other.items()
+        terms = []
+        for mu, a in self.items():
+            for nu, b in right:
+                if sum(mu) + sum(nu) > degree:
+                    break  # the terms come in increasing degree
+                terms += [(lam, a * b * c) for lam, c in _pair_product(mu, nu)]
+        return SchurSeries._make(_summed(terms, degree), degree)
 
     __rmul__ = __mul__
 
@@ -239,7 +257,7 @@ class SchurSeries:
             return NotImplemented
         if k < 0:
             return self.invert() ** (-k)
-        out = SchurSeries._make({(): 1}, self.degree)
+        out = SchurSeries._make([1], self.degree)
         for _ in range(k):
             out = out * self
         return out
@@ -250,7 +268,7 @@ class SchurSeries:
         Only defined when the constant term is +1 or -1 (the units of the
         integer coefficient ring); computed degree by degree.
         """
-        c0 = self.coeffs.get((), 0)
+        c0 = self.coefficient(())
         if c0 not in (1, -1):
             raise ValueError(
                 "series is not invertible: constant term must be +1 or -1, "
@@ -258,51 +276,45 @@ class SchurSeries:
             )
         D = self.degree
         f_parts = [self.graded_part(d) for d in range(D + 1)]
-        g_parts = [SchurSeries._make({(): c0}, D)]
+        g_parts = [SchurSeries._make([c0], D)]
         for d in range(1, D + 1):
-            s = SchurSeries._make({}, D)
+            s = SchurSeries._make([], D)
             for e in range(1, d + 1):
                 if f_parts[e]:
                     s = s + f_parts[e] * g_parts[d - e]
             g_parts.append((-c0) * s)
-        total: dict[Partition, int] = {}
-        for part in g_parts:
-            total.update(part.coeffs)
-        return SchurSeries._make(total, D)
+        return sum(g_parts[1:], g_parts[0])
 
     # -- structural operations ---------------------------------------------
 
     def omega(self) -> "SchurSeries":
-        """The involution sending s_lam to s_{lam'} (conjugate every index)."""
-        return SchurSeries._make(
-            {conjugate(k): c for k, c in self.coeffs.items()}, self.degree
-        )
+        """The involution sending s_lam to s_{lam'}: every entry moves to
+        the index of its conjugate, which has the same degree."""
+        parts, offsets, index, _ = _reach(self.vec)
+        out = [0] * offsets[-1]
+        for i, c in enumerate(self.vec):
+            if c:
+                out[index[conjugate(parts[i])]] = c
+        return SchurSeries._make(out, self.degree)
 
     def truncate(self, k: int) -> "SchurSeries":
         """Sub-series of degree <= k; the truncation window stays at D."""
         if not 0 <= k <= self.degree:
             raise ValueError(f"truncation bound {k} outside 0..{self.degree}")
-        return SchurSeries._make(
-            {lam: c for lam, c in self.coeffs.items() if sum(lam) <= k}, self.degree
-        )
+        return SchurSeries._make(_upto(self.vec, k), self.degree)
 
     def graded_part(self, d: int) -> "SchurSeries":
-        """Homogeneous degree-d component."""
+        """Homogeneous degree-d component: the slice of degree d."""
         if not 0 <= d <= self.degree:
             raise ValueError(f"degree {d} outside 0..{self.degree}")
-        return SchurSeries._make(
-            {lam: c for lam, c in self.coeffs.items() if sum(lam) == d}, self.degree
-        )
+        low = len(_upto(self.vec, d - 1))
+        return SchurSeries._make([0] * low + _upto(self.vec, d)[low:], self.degree)
 
     def dimension(self, n: int, d: int) -> int:
         """Dimension of the degree-d part evaluated in n variables."""
-        if not 0 <= d <= self.degree:
-            raise ValueError(f"degree {d} outside 0..{self.degree}")
-        return sum(
-            c * weyl_dimension(lam, n)
-            for lam, c in self.coeffs.items()
-            if sum(lam) == d
-        )
+        if n < 1:
+            raise ValueError("n must be positive")
+        return sum(c * weyl_dimension(lam, n) for lam, c in self.graded_part(d).items())
 
 
 def zero(degree: int) -> SchurSeries:
@@ -332,19 +344,24 @@ def graded_index(D: int):
     itemgetter of the positions of the lam != mu = parts[j] for which mu/lam
     is a horizontal strip, the ``strips(mu)`` before mu itself.  Each such
     lam is smaller than mu, so it comes first.  On these vectors sigma is
-    the unitriangular 0/1 matrix I + below (Pieri, Macdonald I.5).
+    the unitriangular 0/1 matrix I + below (Pieri, Macdonald I.5).  The
+    index of D extends a copy of that of D - 1, so building it caches every
+    smaller one.
     """
-    parts = [lam for d in range(D + 1) for lam in partitions_of(d)]
-    offsets = [0, *accumulate(len(partitions_of(d)) for d in range(D + 1))]
-    # a strip source has the length of mu, so it ends in at most one zero
-    index = {key: i for i, lam in enumerate(parts) for key in (lam, lam + (0,))}
-    below = [itemgetter(slice(0, 0))]
-    for mu in parts[1:]:
+    if not D:
+        return [()], [0, 1], {(): 0, (0,): 0}, [itemgetter(slice(0))]
+    parts, offsets, index, below = graded_index(D - 1)
+    parts, offsets, index, below = [*parts], [*offsets], {**index}, [*below]
+    for mu in partitions_of(D):
+        index[mu] = index[mu + (0,)] = len(parts)
+        parts.append(mu)
+        # a strip source has the length of mu, so it ends in at most one zero
         src = list(map(index.__getitem__, strips(mu)))[:-1]  # the last is mu
         # a one-index itemgetter would return a scalar, not a tuple
         below.append(
             itemgetter(*src) if src[1:] else itemgetter(slice(src[0], src[0] + 1))
         )
+    offsets.append(len(parts))
     return parts, offsets, index, below
 
 
@@ -363,30 +380,16 @@ def sigma_inverse_pass(v: list[int], below) -> list[int]:
     return x
 
 
-def from_dense(v, degree: int, sign: int = 1) -> SchurSeries:
-    """A vector over ``graded_index(degree)`` (or a prefix of it) as a
-    series in a window of ``degree``, every coefficient times ``sign``."""
-    parts = graded_index(degree)[0]
-    return SchurSeries._make({parts[i]: sign * c for i, c in enumerate(v) if c}, degree)
-
-
-def sigma_power_vector(series: SchurSeries, k: int) -> list[int]:
-    """series * sigma^k truncated at ``series.degree``, as a vector over
-    ``graded_index(series.degree)``: |k| passes of sigma (k > 0) or of
-    sigma^-1 (k < 0)."""
-    _, offsets, index, below = graded_index(series.degree)
-    v = [0] * offsets[-1]
-    for lam, c in series.coeffs.items():
-        v[index[lam]] = c
+def times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
+    """series * sigma^k truncated at ``series.degree``: |k| passes of sigma
+    (k > 0) or of sigma^-1 (k < 0) on its vector, padded to the whole of
+    ``graded_index(series.degree)``."""
+    _, offsets, _, below = graded_index(series.degree)
+    v = series.vec + [0] * (offsets[-1] - len(series.vec))
     step = sigma_pass if k > 0 else sigma_inverse_pass
     for _ in range(abs(k)):
         v = step(v, below)
-    return v
-
-
-def times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
-    """series * sigma^k truncated at ``series.degree``, by ``sigma_power_vector``."""
-    return from_dense(sigma_power_vector(series, k), series.degree)
+    return SchurSeries._make(v, series.degree)
 
 
 def kostka_peel(dims, d: int, n: int, max_parts: int) -> dict[Partition, int]:

@@ -22,7 +22,9 @@ inversion and the dense passes of sigma.  The Pieri kernel that the dense
 index replaced is kept as well: dict series, every term's horizontal or
 signed vertical strips built from its rows, and the first strip
 enumeration (vertical strips as conjugates of the conjugate's horizontal
-strips), to certify the strip lists of ``graded_index``.
+strips), to certify the strip lists of ``graded_index``.  So is the dict
+that held a series before its dense vector, ``DictSeries``, to certify the
+vector's order, slices and entrywise operations.
 """
 
 from fractions import Fraction
@@ -201,6 +203,7 @@ def peel_weight_table(table, d, n) -> dict:
     return out
 
 
+@cache
 def schur_product_coefficients(mu, nu) -> dict:
     """Expansion of s_mu * s_nu derived purely from weight tables."""
     d = sum(mu) + sum(nu)
@@ -487,6 +490,53 @@ def all_weights_intersection(arr: Arrangement, n: int, d_max: int) -> dict:
 
 
 # -- slow references for the formula side ------------------------------------
+
+
+class DictSeries:
+    """A truncated Schur series as a dict of its nonzero coefficients, the
+    representation before the dense vector: every operation rebuilds the
+    dict from (partition, coefficient) pairs, summed and truncated."""
+
+    def __init__(self, pairs, degree: int):
+        coeffs: dict = {}
+        for lam, c in pairs:
+            if sum(lam) <= degree:
+                coeffs[lam] = coeffs.get(lam, 0) + c
+        self.coeffs = {lam: c for lam, c in coeffs.items() if c}
+        self.degree = degree
+
+    def items(self) -> list:
+        """Sorted by size, then by the negated parts (reverse-lex)."""
+        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), [-p for p in kv[0]]))
+
+    def __add__(self, other):
+        pairs = [*self.coeffs.items(), *other.coeffs.items()]
+        return DictSeries(pairs, min(self.degree, other.degree))
+
+    def scaled(self, k: int):
+        return DictSeries([(lam, k * c) for lam, c in self.coeffs.items()], self.degree)
+
+    def __mul__(self, other):
+        pairs = [
+            (lam, a * b * c)
+            for mu, a in self.coeffs.items()
+            for nu, b in other.coeffs.items()
+            if sum(mu) + sum(nu) <= min(self.degree, other.degree)
+            for lam, c in schur_product_coefficients(mu, nu).items()
+        ]
+        return DictSeries(pairs, min(self.degree, other.degree))
+
+    def omega(self):
+        return DictSeries([(conjugate(lam), c) for lam, c in self.coeffs.items()], self.degree)
+
+    def truncate(self, k: int):
+        return DictSeries(self.coeffs.items(), k)
+
+    def graded_part(self, d: int):
+        return DictSeries([(lam, c) for lam, c in self.coeffs.items() if sum(lam) == d], d)
+
+    def min_degree(self):
+        return min(map(sum, self.coeffs), default=None)
 
 
 def reference_horizontal_strips(lam, budget: int) -> list:

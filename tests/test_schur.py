@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from equisyz.schur import (
 )
 
 from helpers import (
+    DictSeries,
     compositions,
     reference_pieri_terms,
     reference_sigma_power,
@@ -77,6 +79,38 @@ def test_constructor_drops_zeros_and_high_degrees():
 def test_constructor_rejects_bad_partition():
     with pytest.raises(ValueError):
         series({(1, 2): 1}, 3)
+
+
+def test_coefficient_checks_its_partition():
+    """A bool, a float part or a padding zero is not a partition; they read
+    as s[1], s[2] and 0 before the check, and (2, 0) is a key of the
+    dense index."""
+    s = series({(1,): 5, (2,): 3}, 2)
+    for bad in ([True], (2.0,), (2, 0)):
+        with pytest.raises(ValueError, match="not a partition"):
+            s.coefficient(bad)
+    assert (s.coefficient([1]), s.coefficient((2,)), s.coefficient((1, 1))) == (5, 3, 0)
+    assert s.coefficient((7, 3)) == 0
+
+
+def test_dimension_checks_n_in_every_degree():
+    """n < 1 is refused also in a degree without terms, where the sum was empty."""
+    s = series({(1,): 5, (2,): 3}, 2)
+    for n, d in ((0, 1), (0, 0), (-3, 0)):
+        with pytest.raises(ValueError, match="n must be positive"):
+            s.dimension(n, d)
+    assert (s.dimension(2, 0), s.dimension(2, 1)) == (0, 10)
+
+
+def test_a_wide_window_builds_no_index_past_its_terms():
+    """The index of degree 60 would take far longer than a second: a series
+    builds it only up to its highest nonzero degree."""
+    start = perf_counter()
+    assert one(60) + 1 == 2
+    s = SchurSeries({(1,): 2}, degree=60)
+    assert s.truncate(1) == s.graded_part(1) == s.omega() == s
+    assert (s == 2) is False
+    assert perf_counter() - start < 1
 
 
 def test_addition_identities():
@@ -447,6 +481,41 @@ def test_invert_succeeds_iff_unit_and_roundtrips(data):
     else:
         with pytest.raises(ValueError):
             f.invert()
+
+
+SMALL_POOL = [lam for d in range(7) for lam in partitions_of(d)]
+PAIRS = st.lists(
+    st.tuples(st.sampled_from(SMALL_POOL), st.integers(min_value=-3, max_value=3)),
+    max_size=6,
+)
+WINDOWS = st.integers(min_value=0, max_value=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PAIRS, PAIRS, WINDOWS, WINDOWS, st.integers(min_value=-3, max_value=3), st.data())
+def test_dense_series_matches_the_dict_reference(p, q, wf, wg, k, data):
+    """Every operation on the dense vector against the dict series it
+    replaced, on random pairs with repeats, zero sums and terms above the
+    window; items() comes out in the reference's sorted order."""
+    f, g = SchurSeries.from_pairs(p, degree=wf), SchurSeries.from_pairs(q, degree=wg)
+    rf, rg = DictSeries(p, wf), DictSeries(q, wg)
+    assert f.items() == rf.items() and g.items() == rg.items()
+    assert (f + g).items() == (rf + rg).items() and (f + g).degree == min(wf, wg)
+    assert (f - g).items() == (rf + rg.scaled(-1)).items()
+    assert (k * f).items() == (f * k).items() == rf.scaled(k).items()
+    assert f.omega().items() == rf.omega().items()
+    j = data.draw(st.integers(min_value=0, max_value=wf))
+    assert f.truncate(j).items() == rf.truncate(j).items() and f.truncate(j).degree == wf
+    assert f.graded_part(j).items() == rf.graded_part(j).items()
+    assert [f.coefficient(lam) for lam in SMALL_POOL] == [
+        rf.coeffs.get(lam, 0) for lam in SMALL_POOL
+    ]
+    assert f.min_degree() == rf.min_degree()
+    assert (f == g) == (rf.coeffs == rg.coeffs)
+    assert f == SchurSeries.from_pairs(f.to_pairs(), degree=6)
+    assert (f * g).items() == (rf * rg).items()
+    unit = f - f.coefficient(()) + data.draw(st.sampled_from((1, -1)))
+    assert unit * unit.invert() == 1
 
 
 # -- serialization ---------------------------------------------------------
