@@ -30,6 +30,7 @@ from .oracle import (
     GradedCharacter,
     OracleCaps,
     character_to_schur,
+    from_weight_multiplicities,
     intersection_ideal_character,
     product_ideal_character,
     wedge_ideal_character,
@@ -42,12 +43,7 @@ from .partitions import (
     partitions_of,
     weyl_dimension,
 )
-from .schur import (
-    SchurSeries,
-    from_weight_multiplicities,
-    sigma,
-    times_sigma_power,
-)
+from .schur import SchurSeries, sigma, times_sigma_power
 
 __version__ = "0.1.0"
 

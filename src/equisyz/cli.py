@@ -25,6 +25,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .arrangements import (
@@ -220,12 +221,10 @@ def _check_config(cfg: JobConfig):
 
 
 def _intersection_series(char: GradedCharacter, D: int) -> SchurSeries:
-    # the degree-d part is zero below the positions of degree d, which
-    # start past the end of the lower degrees
-    vec = []
-    for d in range(D + 1):
-        vec += character_to_schur(char, d).vec[len(vec):]
-    return SchurSeries._make(vec, D)
+    return SchurSeries.from_pairs(
+        chain.from_iterable(character_to_schur(char, d).items() for d in range(D + 1)),
+        degree=D,
+    )
 
 
 def _oracle_section(

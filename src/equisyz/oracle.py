@@ -15,12 +15,15 @@ This module measures the weight-space dimensions of product, intersection
 and wedge ideals by exact elimination, and eliminates only what it cannot
 deduce.  Every such ideal is GL(V)-stable, so the Weyl group S_n permutes
 its weight spaces, and the dominant weights (partitions of d padded to
-length n) determine each graded piece: a character keeps only those, and
-only the report lists the other weights of each orbit.  By Cauchy,
+length n) determine each graded piece.  Kostka numbers are unitriangular
+(Macdonald, Symmetric Functions and Hall Polynomials, I.6), so one peel
+turns the eliminated dominant dimensions into Schur coefficients, which
+is all a character holds; its weights are derived from them for the report.
+This module owns both directions of that conversion.  By Cauchy,
 Sym(W tensor V) is the sum of the S_lam W tensor S_lam V, so every
 S_lam(V) in a product or intersection ideal has at most m rows: only
-dominant weights with at most m parts are eliminated, and the others follow
-from Kostka numbers.  One rule spans the product and wedge ideals in every
+dominant weights with at most m parts are eliminated, and the peel needs
+no others.  One rule spans the product and wedge ideals in every
 degree: I_0 is the unit and I_d = I_{d-1} J_d, J_d the d-th linear ideal
 up to t and the maximal ideal past it, so weight w of degree d is spanned
 by each normal row of step d at each V-index i times I_{d-1} at w - e_i;
@@ -40,16 +43,15 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import namedtuple
+from functools import cached_property
 from itertools import chain, combinations_with_replacement, product as cartesian
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
 from .linalg import Subspace, _Echelon, _integer_rows
-from .partitions import kostka_number, partitions_of
-# from_weight_multiplicities is not called here.  perfbench/traced_job.py
-# wraps it through this module's name and reports a missing name as absent.
-from .schur import SchurSeries, from_dominant_weights, from_weight_multiplicities, kostka_peel
+from .partitions import Partition, kostka_number, orbit, partitions_of, weyl_dimension
+from .schur import SchurSeries, _is_integer
 
 Weight = tuple[int, ...]
 
@@ -86,42 +88,116 @@ def _check_sizes(arr: Arrangement, n: int, d_max: int, caps: OracleCaps):
 
 
 class GradedCharacter:
-    """Per-degree dominant weight tables of a graded GL(V) representation.
+    """Per-degree Schur coefficients of a graded GL(V) representation in
+    n = dim V variables.
 
-    ``weights[d]`` maps each dominant V-weight of degree d (a partition of d
-    padded with zeros to length n) to the exact dimension of its weight
-    space; zero dimensions are omitted.  S_n permutes the weight spaces, so
-    every other weight has the dimension of the dominant weight in its orbit
-    (``partitions.orbit`` lists that orbit).
+    ``coeffs[d]`` maps each partition lam of d to c_lam, zeros omitted, in
+    the peel order of :func:`kostka_peel`.  ``weights``, derived on first
+    read, maps each degree to its dominant weight table: each partition mu
+    of d with at most n parts, padded with zeros to length n, to the
+    dimension sum c_lam K_{lam mu} of its weight space, zeros omitted.  S_n
+    permutes the weight spaces, so every other weight has the dimension of
+    the dominant weight in its orbit (``partitions.orbit`` lists that orbit).
     """
 
-    def __init__(self, n: int, weights: dict[int, dict[Weight, int]]):
+    def __init__(self, n: int, coeffs: dict[int, dict[Partition, int]]):
         self.n = n
-        self.weights = weights
+        self.coeffs = coeffs
 
     def __eq__(self, other):
         if not isinstance(other, GradedCharacter):
             return NotImplemented
-        return self.n == other.n and self.weights == other.weights
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    @cached_property
+    def weights(self) -> dict[int, dict[Weight, int]]:
+        n, weights = self.n, {}
+        for d, coeffs in self.coeffs.items():
+            table = weights[d] = {}
+            for mu in partitions_of(d, max_parts=n):
+                dim = sum(c * kostka_number(lam, mu) for lam, c in coeffs.items())
+                if dim:
+                    table[mu + (0,) * (n - len(mu))] = dim
+        return weights
 
     def dimension(self, d: int) -> int:
-        """Each dominant dimension times its orbit's size, a multinomial."""
-        return sum(
-            dim * factorial(self.n) // prod(factorial(w.count(x)) for x in set(w))
-            for w, dim in self.weights.get(d, {}).items()
-        )
+        return sum(c * weyl_dimension(lam, self.n) for lam, c in self.coeffs.get(d, {}).items())
 
     def min_degree(self) -> int | None:
-        nonzero = [d for d, table in self.weights.items() if table]
+        nonzero = [d for d, coeffs in self.coeffs.items() if coeffs]
         return min(nonzero) if nonzero else None
 
     def schur(self, d: int) -> SchurSeries:
-        return from_dominant_weights(self.weights.get(d, {}), d, self.n)
+        return _polynomial(self.coeffs.get(d, {}), d, self.n)
 
 
 def character_to_schur(gc: GradedCharacter, d: int) -> SchurSeries:
     """Faithful Schur expansion of the degree-d piece (requires n >= d)."""
     return gc.schur(d)
+
+
+def _polynomial(coeffs: dict[Partition, int], d: int, n: int) -> SchurSeries:
+    """The degree-d series of the coefficients peeled from a character in n
+    variables.  Requires n >= d so all partitions of d are visible.  Raises
+    ValueError when some coefficient is negative - i.e. when it is not a
+    polynomial character; the first negative one in peeling order is named."""
+    if n < d:
+        raise ValueError(f"need n >= d for a faithful expansion, got n={n}, d={d}")
+    for lam, c in coeffs.items():
+        if c < 0:
+            raise ValueError(
+                "not a polynomial character: multiplicity "
+                f"{c} at weight {lam + (0,) * (n - len(lam))}"
+            )
+    return SchurSeries(coeffs, degree=d)
+
+
+def kostka_peel(dims, d: int, n: int, max_parts: int) -> dict[Partition, int]:
+    """Schur coefficients c_lam, for lam with at most ``max_parts`` parts, of
+    a degree-d character whose dominant weights (length n) have dimensions
+    ``dims``, missing meaning zero.  K_{nu lam} != 0 needs nu to dominate
+    lam, so Kostka is unitriangular in decreasing lex order: c_lam is
+    dims[lam] minus the c_nu K_{nu lam} of the nu peeled before it.  They
+    come back in that order, zeros omitted."""
+    coeffs: dict[Partition, int] = {}
+    for lam in partitions_of(d, max_parts=max_parts):
+        c = dims.get(lam + (0,) * (n - len(lam)), 0) - sum(
+            cn * kostka_number(nu, lam) for nu, cn in coeffs.items()
+        )
+        if c:
+            coeffs[lam] = c
+    return coeffs
+
+
+def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
+    """Recover a degree-d Schur expansion from weight multiplicities in n variables.
+
+    ``weights`` maps length-n compositions of d, with entries of type int,
+    to weight-space dimensions (missing keys mean zero).  Every weight and
+    multiplicity is checked, and the table must be constant on each S_n
+    orbit (each distinct orbit is walked once); then :func:`kostka_peel`
+    reads its dominant weights, which needs n >= d, and the first negative
+    coefficient is named.  Every failure is a ValueError.
+    """
+    table: dict[tuple[int, ...], int] = {}
+    for w, mult in weights.items():
+        w = tuple(w)
+        if len(w) != n or any(type(x) is not int or x < 0 for x in w) or sum(w) != d:
+            raise ValueError(f"weight {w!r} is not a composition of {d} into {n} parts")
+        if not _is_integer(mult):
+            raise ValueError(f"multiplicity {mult!r} at weight {w} is not an integer")
+        if mult:
+            table[w] = table.get(w, 0) + int(mult)
+
+    # symmetry check over whole permutation orbits
+    for canon in {tuple(sorted(w, reverse=True)) for w in table}:
+        vals = {table.get(w, 0) for w in orbit(canon)}
+        if len(vals) != 1:
+            raise ValueError(
+                f"weight multiplicities are not symmetric on the orbit of {canon}"
+            )
+
+    return _polynomial(kostka_peel(table, d, n, n), d, n)
 
 
 # -- coordinates -----------------------------------------------------------
@@ -195,22 +271,6 @@ def _dominant_weights(d: int, n: int, parts: int) -> list[Weight]:
     return [lam + (0,) * (n - len(lam)) for lam in partitions_of(d, max_parts=parts)]
 
 
-def _support_filled(table: dict[Weight, int], d: int, n: int, rows: int):
-    """Complete the dominant weights of a representation whose S_lam(V)
-    have at most ``rows`` rows, from those with at most ``rows`` parts: the
-    c_lam are peeled by ``kostka_peel``, and then mu gets sum c_lam K_{lam mu}."""
-    if n <= rows:
-        return table
-    coeffs = kostka_peel(table, d, n, rows)
-    out = dict(table)
-    for mu in partitions_of(d, max_parts=n):
-        if len(mu) > rows:
-            dim = sum(c * kostka_number(lam, mu) for lam, c in coeffs.items())
-            if dim:
-                out[mu + (0,) * (n - len(mu))] = dim
-    return out
-
-
 def _log_degree(name, d, n, eliminated, offered, kept, reported=True):
     # Until something imports logging, no handler can be listening; the CLI
     # imports it only under --verbose, so a quiet job never loads it.
@@ -225,14 +285,15 @@ def _log_degree(name, d, n, eliminated, offered, kept, reported=True):
 
 
 def _span_character(name, arr, n, d_max, rows, exterior):
-    """Weight tables of J_1(V)...J_t(V), or of the wedge ideal in the
+    """Schur coefficients of J_1(V)...J_t(V), or of the wedge ideal in the
     exterior algebra if ``exterior``, one linear ideal at a time: I_0 is
     the unit and I_d = I_{d-1} J_d, with J_d the maximal ideal past t, and
     I_d is reported from d = t on.  I_{d,w} is spanned by each normal row
     of step d placed at each V-index i times I_{d-1,w-e_i}, the stored
     basis of the dominant permutation of w - e_i renamed into place.  Each
     I_d is GL(V)-stable, so only dominant weights with at most ``rows``
-    parts are eliminated, and none when d_max < t leaves nothing to report."""
+    parts are eliminated and peeled, and none when d_max < t leaves nothing
+    to report."""
     t = len(arr.subspaces)
     steps = [sub.normal_rows() for sub in arr.subspaces]
     maximal = Subspace(arr.ambient_dim).normal_rows()
@@ -252,7 +313,7 @@ def _span_character(name, arr, n, d_max, rows, exterior):
                     for form in forms:
                         yield _times_form(moved, form, exterior)
 
-    weights: dict[int, dict[Weight, int]] = {}
+    coeffs: dict[int, dict[Partition, int]] = {}
     for d in range(d_max + 1):
         span = d >= t or (0 < d and d_max >= t)
         dominant = _dominant_weights(d, n, rows) if span else []
@@ -268,10 +329,10 @@ def _span_character(name, arr, n, d_max, rows, exterior):
                 bases[w] = list(ech.rows.values())
         table = {w: len(basis) for w, basis in bases.items()}
         _log_degree(name, d, n, len(dominant), offered, sum(table.values()), d >= t)
-        weights[d] = _support_filled(table, d, n, rows) if d >= t else {}
+        coeffs[d] = kostka_peel(table, d, n, rows) if d >= t else {}
         if span:
             prev = bases
-    return weights
+    return coeffs
 
 
 # -- characters --------------------------------------------------------------
@@ -286,12 +347,12 @@ def product_ideal_character(
     variables past t, times the basis of degree d - 1, from the unit up.
     Spanning vectors have pure V-weight and each dominant weight space with
     at most m parts is row reduced exactly.  By Cauchy, every S_lam(V) in
-    the ideal has at most m rows, so the other dominant weights follow by
-    Kostka numbers.
+    the ideal has at most m rows, so those weights give every Schur
+    coefficient.
     """
     _check_sizes(arr, n, d_max, caps)
-    weights = _span_character("product", arr, n, d_max, min(n, arr.ambient_dim), False)
-    return GradedCharacter(n=n, weights=weights)
+    coeffs = _span_character("product", arr, n, d_max, min(n, arr.ambient_dim), False)
+    return GradedCharacter(n, coeffs)
 
 
 def intersection_ideal_character(
@@ -309,8 +370,8 @@ def intersection_ideal_character(
     monomials are labelled by their mixed-radix index.  Elimination stops
     once the rank reaches the number of monomials.  Only dominant weights
     with at most m parts are eliminated: by Cauchy, every S_lam(V) inside
-    Sym(W tensor V) has at most m rows, so the other dominant weights
-    follow by Kostka numbers.
+    Sym(W tensor V) has at most m rows, so those weights give every Schur
+    coefficient.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
@@ -318,7 +379,7 @@ def intersection_ideal_character(
         [_restriction_rows(_integer_rows(sub.basis), m, e) for e in range(d_max + 1)]
         for sub in arr.subspaces
     ]
-    weights: dict[int, dict[Weight, int]] = {}
+    coeffs: dict[int, dict[Partition, int]] = {}
     for d in range(d_max + 1):
         table: dict[Weight, int] = {}
         dominant = _dominant_weights(d, n, min(n, m))
@@ -340,8 +401,8 @@ def intersection_ideal_character(
             if ambient > stack.rank:
                 table[w] = ambient - stack.rank
         _log_degree("intersection", d, n, len(dominant), offered, kept)
-        weights[d] = _support_filled(table, d, n, m)
-    return GradedCharacter(n=n, weights=weights)
+        coeffs[d] = kostka_peel(table, d, n, min(n, m))
+    return GradedCharacter(n, coeffs)
 
 
 def wedge_ideal_character(
@@ -361,5 +422,5 @@ def wedge_ideal_character(
         raise ValueError(
             f"degree {d_max} exceeds the exterior top degree {m * n}"
         )
-    weights = _span_character("wedge", arr, n, d_max, n, True)
-    return GradedCharacter(n=n, weights=weights)
+    coeffs = _span_character("wedge", arr, n, d_max, n, True)
+    return GradedCharacter(n, coeffs)

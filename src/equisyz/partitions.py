@@ -63,9 +63,13 @@ def partitions_of(d: int, max_parts: int | None = None) -> list[Partition]:
     """All partitions of ``d``, optionally with at most ``max_parts`` parts.
 
     Listed in the canonical within-degree order (reverse-lexicographic).
+    Both arguments are checked before the cache: it would take 2.0 or True
+    for the key 2 or 1.
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    if type(d) is not int or d < 0:
+        raise ValueError(f"d must be a nonnegative int, got {d!r}")
+    if max_parts is not None and type(max_parts) is not int:
+        raise ValueError(f"max_parts must be an int or None, got {max_parts!r}")
     limit = d if max_parts is None else max(0, min(max_parts, d))
     return list(_partitions(d, d, limit))
 

@@ -16,7 +16,9 @@ By the Pieri rule (Macdonald, Symmetric Functions and Hall Polynomials,
 I.5) sigma adds every horizontal strip, a unitriangular 0/1 matrix on the
 index: a sigma pass adds to each coefficient those of the partitions below
 it, and a sigma^-1 pass is forward substitution.  The general product,
-by the Littlewood-Richardson rule, remains for the ring API.
+by the Littlewood-Richardson rule, remains for the ring API.  This module
+holds series only: weight tables and their Schur coefficients convert in
+``equisyz.oracle``, the one place that reads weights.
 
 Series are immutable and all operations are pure, so values can be shared
 freely across threads.
@@ -35,9 +37,7 @@ from .partitions import (
     check_partition,
     conjugate,
     contains,
-    kostka_number,
     lr_coefficient,
-    orbit,
     partitions_of,
     strips,
     weyl_dimension,
@@ -137,8 +137,8 @@ class SchurSeries:
     __slots__ = ("vec", "degree")
 
     def __init__(self, coeffs=None, *, degree: int):
-        if degree < 0:
-            raise ValueError("truncation degree must be nonnegative")
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"truncation degree must be nonnegative and an int, got {degree!r}")
         self.vec = _summed(coeffs.items() if coeffs else (), degree)
         self.degree = degree
 
@@ -348,6 +348,8 @@ def graded_index(D: int):
     index of D extends a copy of that of D - 1, so building it caches every
     smaller one.
     """
+    if D < 0:
+        raise ValueError(f"index degree must be nonnegative, got {D!r}")
     if not D:
         return [()], [0, 1], {(): 0, (0,): 0}, [itemgetter(slice(0))]
     parts, offsets, index, below = graded_index(D - 1)
@@ -390,71 +392,3 @@ def times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
     for _ in range(abs(k)):
         v = step(v, below)
     return SchurSeries._make(v, series.degree)
-
-
-def kostka_peel(dims, d: int, n: int, max_parts: int) -> dict[Partition, int]:
-    """Schur coefficients c_lam, for lam with at most ``max_parts`` parts, of
-    a degree-d character whose dominant weights (length n) have dimensions
-    ``dims``, missing meaning zero.  K_{nu lam} != 0 needs nu to dominate
-    lam, so Kostka is unitriangular in decreasing lex order: c_lam is
-    dims[lam] minus the c_nu K_{nu lam} of the nu peeled before it.  They
-    come back in that order, zeros omitted."""
-    coeffs: dict[Partition, int] = {}
-    for lam in partitions_of(d, max_parts=max_parts):
-        c = dims.get(lam + (0,) * (n - len(lam)), 0) - sum(
-            cn * kostka_number(nu, lam) for nu, cn in coeffs.items()
-        )
-        if c:
-            coeffs[lam] = c
-    return coeffs
-
-
-def from_dominant_weights(dims, d: int, n: int) -> SchurSeries:
-    """The degree-d Schur expansion of a character in n variables, peeled by
-    :func:`kostka_peel` from the dimensions ``dims`` of its dominant weights
-    (partitions of d padded to length n, unchecked; missing means zero).
-    Requires n >= d so all partitions of d are visible.  Raises ValueError
-    when some coefficient comes out negative - i.e. when it is not a
-    polynomial character; the first negative one in peeling order is named.
-    """
-    if n < d:
-        raise ValueError(f"need n >= d for a faithful expansion, got n={n}, d={d}")
-    coeffs = kostka_peel(dims, d, n, n)
-    for lam, c in coeffs.items():
-        if c < 0:
-            raise ValueError(
-                "not a polynomial character: multiplicity "
-                f"{c} at weight {lam + (0,) * (n - len(lam))}"
-            )
-    return SchurSeries(coeffs, degree=d)
-
-
-def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
-    """Recover a degree-d Schur expansion from weight multiplicities in n variables.
-
-    ``weights`` maps length-n compositions of d to weight-space dimensions
-    (missing keys mean zero).  Every weight and multiplicity is checked, and
-    the table must be constant on each S_n orbit (each distinct orbit is
-    walked once); then its dominant weights go to
-    :func:`from_dominant_weights`, which needs n >= d and names the first
-    negative coefficient.  Every failure is a ValueError.
-    """
-    table: dict[tuple[int, ...], int] = {}
-    for w, mult in weights.items():
-        w = tuple(w)
-        if len(w) != n or any(x < 0 for x in w) or sum(w) != d:
-            raise ValueError(f"weight {w!r} is not a composition of {d} into {n} parts")
-        if not _is_integer(mult):
-            raise ValueError(f"multiplicity {mult!r} at weight {w} is not an integer")
-        if mult:
-            table[w] = table.get(w, 0) + int(mult)
-
-    # symmetry check over whole permutation orbits
-    for canon in {tuple(sorted(w, reverse=True)) for w in table}:
-        vals = {table.get(w, 0) for w in orbit(canon)}
-        if len(vals) != 1:
-            raise ValueError(
-                f"weight multiplicities are not symmetric on the orbit of {canon}"
-            )
-
-    return from_dominant_weights(table, d, n)

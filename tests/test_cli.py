@@ -452,6 +452,27 @@ def test_main_value_error_below_run_job_is_validation_failure(
     assert "Traceback" not in captured.err
 
 
+def test_an_intersection_job_without_oracle_check_derives_no_weights(monkeypatch):
+    """Only the oracle section of the report reads weights, so the character
+    that gives an intersection job its series keeps its Schur coefficients
+    and derives no weight table unless asked."""
+    real = cli.intersection_ideal_character
+    built = []
+
+    def recorded(arr, n, d_max, caps):
+        built.append(real(arr, n, d_max, caps=caps))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "intersection_ideal_character", recorded)
+    cfg = JobConfig(
+        arrangement=parse_arrangement(AXES3), max_degree=3, ideal="intersection", dim_v=3
+    )
+    run_job(cfg)
+    (char,) = built
+    assert "weights" not in vars(char)
+    assert char.weights[3] and "weights" in vars(char)
+
+
 def test_intersection_below_the_product_fails_containment(monkeypatch):
     """At degree 3 the intersection of the three axes of Q^3 equals their
     product.  One dimension less at the dominant weight (1,1,1) takes the
@@ -461,7 +482,7 @@ def test_intersection_below_the_product_fails_containment(monkeypatch):
 
     def lowered(arr, n, d_max, caps):
         char = real(arr, n, d_max, caps=caps)
-        char.weights[3][(1, 1, 1)] -= 1
+        char.coeffs[3][(1, 1, 1)] -= 1
         return char
 
     monkeypatch.setattr(cli, "intersection_ideal_character", lowered)

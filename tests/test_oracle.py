@@ -19,12 +19,13 @@ from equisyz.oracle import (
     _renamed,
     _times_form,
     character_to_schur,
+    from_weight_multiplicities,
     intersection_ideal_character,
     product_ideal_character,
     wedge_ideal_character,
 )
 from equisyz.partitions import partitions_of
-from equisyz.schur import SchurSeries, from_weight_multiplicities, sigma
+from equisyz.schur import SchurSeries, sigma
 
 from helpers import (
     _times_form as reference_times_form,
@@ -463,24 +464,27 @@ def _outcome(peel, *args):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_dominant_and_every_weight_peels_agree(data):
-    """A character's dominant table and its orbit expansion, read by
-    ``GradedCharacter.schur`` and by ``from_weight_multiplicities``: the same
-    series for a nonnegative Schur combination, the same error for a
-    negative coefficient or for n < d, and the orbit-weighted dimension of
-    the dominant table is the size of the expanded one."""
+    """A character built from drawn Schur coefficients derives the dominant
+    table that tableau counting gives; ``GradedCharacter.schur`` and
+    ``from_weight_multiplicities`` on that table's orbit expansion give the
+    same series for a nonnegative combination, the same error for a
+    negative coefficient or for n < d, and the dimension is the size of
+    the expanded table."""
     n = data.draw(st.integers(min_value=1, max_value=5), label="n")
     d = data.draw(st.integers(min_value=0, max_value=6), label="d")
     shapes = partitions_of(d, max_parts=n)
-    coeffs = data.draw(
+    drawn = data.draw(
         st.dictionaries(st.sampled_from(shapes), st.integers(min_value=-2, max_value=3)),
         label="coeffs",
     )
+    coeffs = {lam: drawn[lam] for lam in shapes if drawn.get(lam)}  # peel order
     dominant = {}
     for mu in shapes:
         dim = sum(c * ssyt_count(lam, mu) for lam, c in coeffs.items())
         if dim:
             dominant[mu + (0,) * (n - len(mu))] = dim
-    char = GradedCharacter(n, {d: dominant})
+    char = GradedCharacter(n, {d: coeffs})
+    assert char.weights[d] == dominant
     every = orbit_expanded(dominant)
     negative = [lam for lam in shapes if coeffs.get(lam, 0) < 0]
     if n < d:

@@ -69,6 +69,18 @@ def test_partitions_of_rejects_negative():
         partitions_of(-1)
 
 
+@pytest.mark.parametrize("args", [(2.0,), (True,), (3, 1.5), (2, True)])
+def test_partitions_of_checks_its_arguments_after_an_equal_key_is_cached(args):
+    """2.0 == 2 and True == 1 as cache keys: partitions_of(2.0) answered
+    from the entry of 2 once that existed, partitions_of(True) gave [(1,)],
+    and 1.5 parts admitted (1, 1, 1)."""
+    assert partitions_of(2) == [(2,), (1, 1)]
+    assert partitions_of(3, 1) == [(3,)]
+    assert partitions_of(1) == [(1,)]
+    with pytest.raises(ValueError):
+        partitions_of(*args)
+
+
 # -- Littlewood-Richardson ---------------------------------------------------
 
 

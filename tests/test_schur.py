@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisyz.oracle import _support_filled
+from equisyz.betti import betti_from_series
+from equisyz.oracle import GradedCharacter, from_weight_multiplicities, kostka_peel
 from equisyz.partitions import kostka_number, partitions_of
 from equisyz.schur import (
     SchurSeries,
     format_terms,
-    from_weight_multiplicities,
     graded_index,
     one,
     sigma,
@@ -74,6 +74,25 @@ def test_sigma_examples():
 def test_constructor_drops_zeros_and_high_degrees():
     f = series({(1,): 0, (2,): 3, (3, 3): 1}, 2)
     assert f.coeffs == {(2,): 3}
+
+
+@pytest.mark.parametrize("degree", [2.5, True, -1])
+def test_the_truncation_window_is_a_nonnegative_int(degree):
+    """A window of 2.5 or True was accepted, and a sigma pass over 2.5 then
+    recursed in graded_index until RecursionError."""
+    with pytest.raises(ValueError, match="truncation degree must be nonnegative"):
+        SchurSeries({(1,): 1}, degree=degree)
+    with pytest.raises(ValueError, match="truncation degree must be nonnegative"):
+        SchurSeries.from_pairs([((1,), 1)], degree=degree)
+
+
+@pytest.mark.parametrize("D", [-1, 2.5])
+def test_graded_index_refuses_a_negative_degree_before_recursing(D):
+    """2.5 recurses down to -0.5; both used to end in RecursionError."""
+    with pytest.raises(ValueError, match="index degree must be nonnegative"):
+        graded_index(D)
+    with pytest.raises(ValueError, match="index degree must be nonnegative"):
+        times_sigma_power(SchurSeries._make([0, 1], D), 1)
 
 
 def test_constructor_rejects_bad_partition():
@@ -366,8 +385,9 @@ def test_from_weights_roundtrip():
     """Left inverse of expanding a Schur function into weights, d <= 5.
 
     Then random nonnegative sums of s_lam with at most r < n rows: the
-    expansion returns their coefficients, and the support fill completes
-    every dominant weight from those with at most r parts.
+    expansion returns their coefficients, and so does the peel of the
+    dominant weights with at most r parts, from which a character derives
+    every dominant weight.
     """
     for d in range(1, 6):
         n = d
@@ -386,7 +406,7 @@ def test_from_weights_roundtrip():
         assert from_weight_multiplicities(table, d, n) == series(coeffs, d)
         dominant = {w: c for w, c in table.items() if list(w) == sorted(w, reverse=True)}
         few_parts = {w: c for w, c in dominant.items() if len(w) - w.count(0) <= r}
-        assert _support_filled(few_parts, d, n, r) == dominant
+        assert GradedCharacter(n, {d: kostka_peel(few_parts, d, n, r)}).weights[d] == dominant
 
 
 def test_from_weights_in_twelve_variables():
@@ -432,6 +452,17 @@ def test_from_weights_rejects_small_n():
 def test_from_weights_rejects_bad_weight():
     with pytest.raises(ValueError):
         from_weight_multiplicities({(1, 0, 0): 1}, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{(0.5, 0.5): 3}, {(1.0, 0.0): 1, (0.0, 1.0): 1}, {(True, False): 1, (False, True): 1}],
+)
+def test_from_weights_rejects_a_weight_entry_that_is_not_an_int(weights):
+    """(0.5, 0.5) was read as the zero series, and the float and bool
+    weights of degree one as s[1]."""
+    with pytest.raises(ValueError, match="is not a composition of 1 into 2 parts"):
+        from_weight_multiplicities(weights, 1, 2)
 
 
 # -- ring properties -----------------------------------------------------------
