@@ -30,7 +30,7 @@ from .errors import SizeCapError
 # intersect is not called here.  perfbench/traced_job.py counts the calls
 # through this module's name, where the formula side must read 0.
 from .linalg import Subspace, _reduce_into, intersect
-from .schur import SchurSeries, graded_index, sigma_pass
+from .schur import SchurSeries, check_window, graded_index, sigma_pass
 
 # Cap on the number t of subspaces, checked before a document's vectors are
 # parsed.  The P table's 3^t subset sums set the t axis, about 3x per
@@ -132,7 +132,7 @@ class Polymatroid:
         self._p_values: list[list[int]] | None = None
 
     def as_mask(self, subset) -> int:
-        if isinstance(subset, int):
+        if type(subset) is int:  # a bool is no mask: iterating it is a TypeError
             mask = subset
         else:
             mask = 0
@@ -197,6 +197,7 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
     P of the empty set is 1; otherwise P(B) is the degree <= |B|-1 part of
       - sum over proper subsets C of (-1)^(|B|-|C|) sigma^(rk B - rk C) P(C).
     """
+    check_window(truncation)
     if truncation < pm.ground_size:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
@@ -278,6 +279,7 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
     buckets, then m - rk E more.
     """
     t = len(arr.subspaces)
+    check_window(truncation)
     if truncation < t:
         raise ValueError(
             f"truncation degree {truncation} below generation degree {t}"

@@ -3,7 +3,8 @@
 Reads a JSON arrangement description, runs the pipeline (polymatroid ->
 Hilbert series -> Betti table -> transpose -> regularity), optionally
 verifies against the brute-force oracle, and writes a deterministic report
-as JSON, Markdown or LaTeX.
+as JSON, Markdown or LaTeX.  By Cauchy an intersection series does not depend on
+dim V, so it is read at dim V = D; an oracle check runs at --dim-v or its degree.
 
 Input schema::
 
@@ -151,8 +152,9 @@ def caps_from_env(environ=None) -> OracleCaps:
     return OracleCaps(**updates)
 
 
-# ideal: product | intersection; side: symmetric | exterior | both;
-# oracle_degree 0 disables oracle checks; output_format: json | markdown | latex
+# ideal: product | intersection; side: symmetric | exterior | both; output_format:
+# json | markdown | latex; oracle_degree 0 disables oracle checks, which run at
+# dim V = dim_v, or at dim V = oracle_degree if dim_v is 0
 JobConfig = namedtuple(
     "JobConfig",
     "arrangement max_degree ideal side oracle_degree dim_v output_format caps",
@@ -195,29 +197,19 @@ def _check_config(cfg: JobConfig):
             f"--oracle-check degree must be nonnegative (0 disables), got {cfg.oracle_degree}"
         )
     if cfg.dim_v < 0:
-        raise InputError(
-            f"--dim-v must be nonnegative (0 means no oracle), got {cfg.dim_v}"
-        )
-    needs_oracle = cfg.oracle_degree > 0 or cfg.ideal == "intersection"
-    if needs_oracle and cfg.dim_v < 1:
-        raise InputError("oracle-backed computations need --dim-v >= 1")
+        raise InputError(f"--dim-v must be nonnegative (0 derives it), got {cfg.dim_v}")
     if cfg.oracle_degree > cfg.max_degree:
         raise InputError("--oracle-check degree cannot exceed --max-degree")
-    if cfg.oracle_degree > 0 and cfg.dim_v < cfg.oracle_degree:
+    if 0 < cfg.dim_v < cfg.oracle_degree:
         raise InputError(
             "faithful oracle comparison needs --dim-v >= --oracle-check degree"
         )
-    if cfg.ideal == "intersection" and cfg.dim_v < cfg.max_degree:
-        raise InputError(
-            "intersection series is assembled from the oracle and needs "
-            "--dim-v >= --max-degree"
-        )
-    if needs_oracle:
-        # the oracle's caps, refused before the formula side runs
-        oracle_d = cfg.oracle_degree
-        if cfg.ideal == "intersection":
-            oracle_d = max(cfg.max_degree, oracle_d)
-        _check_sizes(cfg.arrangement, cfg.dim_v, oracle_d, cfg.caps)
+    # the oracle's caps, refused before the formula side runs
+    if cfg.ideal == "intersection":
+        _check_sizes(cfg.arrangement, max(cfg.max_degree, 1), cfg.max_degree, cfg.caps)
+    if cfg.oracle_degree > 0:
+        n = cfg.dim_v or cfg.oracle_degree
+        _check_sizes(cfg.arrangement, n, cfg.oracle_degree, cfg.caps)
 
 
 def _intersection_series(char: GradedCharacter, D: int) -> SchurSeries:
@@ -234,7 +226,7 @@ def _oracle_section(
     validations: dict,
 ) -> dict:
     arr = cfg.arrangement
-    n = cfg.dim_v
+    n = cfg.dim_v or cfg.oracle_degree
     d_max = cfg.oracle_degree
     t = len(arr.subspaces)
     section = {"dim_v": n, "max_degree": d_max, "degrees": []}
@@ -253,6 +245,8 @@ def _oracle_section(
         wedge_ideal_character(arr, n, d_max, caps=cfg.caps) if want_wedge else None
     )
 
+    if intersection_char is not None:  # its coefficients do not depend on n
+        intersection_char = GradedCharacter(n, intersection_char.coeffs)
     all_product_ok = True
     all_wedge_ok = True
     all_contained = True
@@ -313,16 +307,13 @@ def run_job(cfg: JobConfig) -> dict:
         hseries = hilbert_product(arr, D)
         generation_degree = t
     else:
-        intersection_char = intersection_ideal_character(
-            arr, cfg.dim_v, D, caps=cfg.caps
-        )
+        intersection_char = intersection_ideal_character(arr, max(D, 1), D, caps=cfg.caps)
         hseries = _intersection_series(intersection_char, D)
-        lowest = hseries.min_degree()
-        if lowest is None:
+        generation_degree = hseries.min_degree()
+        if generation_degree is None:
             raise InputError(
                 f"intersection ideal is zero up to degree {D}; nothing to resolve"
             )
-        generation_degree = lowest
 
     report = {
         "schema": "equisyz-report/1",
@@ -556,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify against the brute-force oracle up to this degree (0 disables)",
     )
     parser.add_argument(
-        "--dim-v", type=int, default=0, help="dimension of V for oracle computations"
+        "--dim-v", type=int, default=0, help="dim V for --oracle-check (default: D_MAX)"
     )
     parser.add_argument(
         "--format", choices=("json", "markdown", "latex"), default="json"

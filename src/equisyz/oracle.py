@@ -69,10 +69,10 @@ DEFAULT_CAPS = OracleCaps()
 
 
 def _check_sizes(arr: Arrangement, n: int, d_max: int, caps: OracleCaps):
-    if n < 1:
-        raise ValueError("dim V must be positive")
-    if d_max < 0:
-        raise ValueError("maximum degree must be nonnegative")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dim V must be positive and an int, got {n!r}")
+    if type(d_max) is not int or d_max < 0:
+        raise ValueError(f"maximum degree must be nonnegative and an int, got {d_max!r}")
     checks = (
         ("ambient dimension m", arr.ambient_dim, caps.ambient_dim),
         ("dim V", n, caps.dim_v),
@@ -371,7 +371,8 @@ def intersection_ideal_character(
     once the rank reaches the number of monomials.  Only dominant weights
     with at most m parts are eliminated: by Cauchy, every S_lam(V) inside
     Sym(W tensor V) has at most m rows, so those weights give every Schur
-    coefficient.
+    coefficient, and the ideal is a sum of S_lam W-parts tensor S_lam V, so
+    c_lam does not depend on n: every n >= min(d_max, m) gives these coeffs.
     """
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim

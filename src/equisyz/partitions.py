@@ -196,8 +196,8 @@ def weyl_dimension(lam: Partition, n: int) -> int:
     Hook content formula: product over cells of (n + col - row) / hook.
     Zero when lam has more than n rows.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be positive and an int, got {n!r}")
     lam = check_partition(lam)
     if len(lam) > n:
         return 0

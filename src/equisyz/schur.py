@@ -129,6 +129,12 @@ def _upto(vec: list[int], k: int) -> list[int]:
     return vec[: offsets[k + 1]] if k + 1 < len(offsets) else vec
 
 
+def check_window(degree):
+    """A truncation window is an int >= 0, and not a bool."""
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"truncation degree must be nonnegative and an int, got {degree!r}")
+
+
 class SchurSeries:
     """Truncated formal sum of Schur functions with exact integer
     coefficients: ``vec`` holds them over ``graded_index``, trailing zeros
@@ -137,8 +143,7 @@ class SchurSeries:
     __slots__ = ("vec", "degree")
 
     def __init__(self, coeffs=None, *, degree: int):
-        if type(degree) is not int or degree < 0:
-            raise ValueError(f"truncation degree must be nonnegative and an int, got {degree!r}")
+        check_window(degree)
         self.vec = _summed(coeffs.items() if coeffs else (), degree)
         self.degree = degree
 
@@ -312,8 +317,8 @@ class SchurSeries:
 
     def dimension(self, n: int, d: int) -> int:
         """Dimension of the degree-d part evaluated in n variables."""
-        if n < 1:
-            raise ValueError("n must be positive")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be positive and an int, got {n!r}")
         return sum(c * weyl_dimension(lam, n) for lam, c in self.graded_part(d).items())
 
 

@@ -204,6 +204,15 @@ def test_mask_validation():
         pm.rank([5])
 
 
+def test_a_bool_is_no_subset():
+    """True is an int, but read as mask 1 it named subspace 0."""
+    pm = polymatroid_of(axes(2))
+    for subset in (True, False):
+        with pytest.raises(TypeError):
+            pm.rank(subset)
+    assert (pm.rank(1), pm.rank([0])) == (1, 1)
+
+
 # -- correction polynomial -----------------------------------------------------
 
 
@@ -235,6 +244,18 @@ def test_p_requires_degree_at_least_ground_size():
     pm = polymatroid_of(axes(3))
     with pytest.raises(ValueError):
         p_polynomial(pm, [0], 2)
+
+
+@pytest.mark.parametrize("truncation", [4.5, 4.0, True, -1])
+def test_formula_side_truncation_is_a_nonnegative_int(truncation):
+    """A float or bool window passed through unchecked: 4.5 spread into every
+    series built from the result, and 4.0 failed deep in the partition code."""
+    pm = polymatroid_of(axes(1))
+    message = "truncation degree must be nonnegative and an int"
+    with pytest.raises(ValueError, match=message):
+        p_polynomial(pm, [0], truncation)
+    with pytest.raises(ValueError, match=message):
+        hilbert_product(axes(1), truncation)
 
 
 # -- Hilbert series ------------------------------------------------------------

@@ -149,10 +149,13 @@ def test_job_rejects_full_space_member():
         run_job(cfg)
 
 
-def test_job_rejects_oracle_without_dim_v():
+def test_oracle_job_without_dim_v_checks_at_its_degree():
+    """With no --dim-v, the oracle check runs at dim V = --oracle-check."""
     cfg = JobConfig(parse_arrangement(AXES2), max_degree=3, oracle_degree=2)
-    with pytest.raises(InputError):
-        run_job(cfg)
+    report = run_job(cfg)
+    assert report["status"] == "ok"
+    assert report["oracle"]["dim_v"] == 2
+    assert report == run_job(cfg._replace(dim_v=2))
 
 
 def test_intersection_job_three_axes():
@@ -174,8 +177,9 @@ def test_intersection_job_three_axes():
 
 
 def test_intersection_job_computes_its_character_once(monkeypatch):
-    """The series and the oracle section share one intersection character;
-    the section reads its degrees up to --oracle-check."""
+    """The series and the oracle section share one intersection character,
+    made at dim V = D whatever --dim-v is; the section reads its degrees up
+    to --oracle-check at dim V = --dim-v."""
     calls = []
     real = cli.intersection_ideal_character
 
@@ -189,20 +193,23 @@ def test_intersection_job_computes_its_character_once(monkeypatch):
         max_degree=3,
         ideal="intersection",
         oracle_degree=2,
-        dim_v=3,
+        dim_v=4,
     )
     report = run_job(cfg)
-    assert len(calls) == 1
+    assert [args[1:3] for args in calls] == [(3, 3)]
+    assert report["oracle"]["dim_v"] == 4
     assert [e["degree"] for e in report["oracle"]["degrees"]] == [1, 2]
     assert report["validations"]["oracle_containment"] is True
 
 
-def test_intersection_job_requires_enough_dim_v():
-    cfg = JobConfig(
-        parse_arrangement(AXES3), max_degree=4, ideal="intersection", dim_v=2
-    )
-    with pytest.raises(InputError):
-        run_job(cfg)
+def test_intersection_job_reads_its_series_at_dim_v_d():
+    """The intersection series does not depend on dim V, so a job reads it
+    at dim V = D, whatever --dim-v says when there is no oracle check."""
+    cfg = JobConfig(parse_arrangement(AXES3), max_degree=4, ideal="intersection")
+    report = run_job(cfg)
+    assert report["status"] == "ok"
+    for dim_v in (2, 4):
+        assert run_job(cfg._replace(dim_v=dim_v)) == report
 
 
 def test_nonlinear_intersection_reported_not_swallowed():
@@ -500,6 +507,32 @@ def test_intersection_below_the_product_fails_containment(monkeypatch):
         "oracle_wedge_match": True,
     }
     assert report["status"] == "validation_failed"
+
+
+def test_main_intersection_job_in_degree_zero(tmp_path, capsys):
+    """t = 0 and D = 0: the series is read at dim V = 1, not 0, and the
+    report is the one --dim-v 1 gives."""
+    src = write_doc(tmp_path, {"ambient_dim": 1, "subspaces": []})
+    argv = ["--input", src, "--max-degree", "0", "--ideal", "intersection"]
+    outputs = []
+    for flags in ([], ["--dim-v", "1"]):
+        assert main(argv + flags) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0].out)["hilbert_series"]["terms"] == [[[], 1]]
+
+
+def test_main_intersection_job_ignores_dim_v_past_the_cap(tmp_path, capsys):
+    """Without --oracle-check an intersection job reads no --dim-v, so one
+    past the n cap exits 0; with --oracle-check it exits 3."""
+    src = write_doc(tmp_path, AXES3)
+    argv = ["--input", src, "--max-degree", "3", "--ideal", "intersection"]
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr()
+    assert main(argv + ["--dim-v", "5"]) == EXIT_OK
+    assert capsys.readouterr() == plain
+    assert main(argv + ["--dim-v", "5", "--oracle-check", "3"]) == EXIT_CAP
+    assert "dim V = 5 exceeds the oracle cap 4" in capsys.readouterr().err
 
 
 def test_main_size_cap_exit(tmp_path, monkeypatch):

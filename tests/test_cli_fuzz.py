@@ -76,7 +76,7 @@ def flags(draw):
     check = draw(at_most_d) if draw(st.booleans()) else 0
     if check:
         argv += ["--oracle-check", str(check)]
-    if intersection or check or rarely(draw):
+    if (intersection or check) and draw(st.booleans()) or rarely(draw):
         argv += ["--dim-v", str(draw(at_least_d))]
     if rarely(draw):
         argv += draw(st.sampled_from([["--bogus"], ["--dim-v", "x"], ["--format", "yaml"]]))

@@ -33,6 +33,7 @@ from helpers import (
     all_weights_span,
     assert_dominant_table,
     axes,
+    dominant_part,
     forms_per_factor,
     orbit_expanded,
     origin_copies,
@@ -351,6 +352,23 @@ def test_intersection_series_independent_of_dim_v():
         assert character_to_schur(small, d) == character_to_schur(large, d), d
 
 
+@settings(max_examples=20, deadline=None)
+@given(arr=pooled_arrangements(), d=st.integers(min_value=0, max_value=4))
+def test_intersection_coefficients_do_not_depend_on_dim_v(arr, d):
+    """By Cauchy, every n >= min(d, m) gives the coefficients that n = d + 1
+    gives, and read at n they give the dominant weights of the dense
+    reference at n: a job reads its series at one n and checks at another."""
+    caps = OracleCaps(dim_v=5)
+    coeffs = intersection_ideal_character(arr, d + 1, d, caps=caps).coeffs
+    for n in range(max(min(d, arr.ambient_dim), 1), d + 2):
+        char = intersection_ideal_character(arr, n, d, caps=caps)
+        assert char.coeffs == coeffs, n
+        weights = GradedCharacter(n, coeffs).weights
+        assert weights == char.weights, n
+        if n <= 3:
+            assert weights[d] == dominant_part(reference_intersection_weights(arr, n, d))
+
+
 # -- cross checks --------------------------------------------------------------
 
 
@@ -574,6 +592,19 @@ def test_min_degree():
 
 
 # -- caps ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("oracle", [
+    product_ideal_character, intersection_ideal_character, wedge_ideal_character
+])
+def test_oracles_take_int_sizes(oracle):
+    """A float or bool dim V or degree is a ValueError, not a TypeError deep
+    in the spanning or a wrong message about max_parts."""
+    for n, d in ((2.0, 2), (True, 2), (2, 2.0), (2, True)):
+        with pytest.raises(ValueError, match="must be (positive|nonnegative) and an int"):
+            oracle(axes(2), n, d)
+    with pytest.raises(ValueError, match="dim V must be positive"):
+        oracle(axes(2), 0, 2)
 
 
 def test_caps_rejected_with_named_size():

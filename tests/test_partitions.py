@@ -271,5 +271,9 @@ def _compositions(total, parts):
 
 
 def test_weyl_dimension_rejects_bad_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be positive"):
         weyl_dimension((1,), 0)
+    # 2.5 gave 4.0 and True gave 1
+    for n in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="n must be positive and an int"):
+            weyl_dimension((2,), n)

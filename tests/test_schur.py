@@ -118,6 +118,10 @@ def test_dimension_checks_n_in_every_degree():
     for n, d in ((0, 1), (0, 0), (-3, 0)):
         with pytest.raises(ValueError, match="n must be positive"):
             s.dimension(n, d)
+    # 2.5 variables gave a dimension of 4.0 in degree 2
+    for n, d in ((2.5, 2), (2.5, 0), (True, 1)):
+        with pytest.raises(ValueError, match="n must be positive and an int"):
+            s.dimension(n, d)
     assert (s.dimension(2, 0), s.dimension(2, 1)) == (0, 10)
 
 
