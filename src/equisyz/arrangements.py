@@ -7,41 +7,46 @@ JPAA 2007).  The identity
     sigma^(m - rk A) P(A) = sum over B in A of (-1)^|B| H(B)
 
 inverts on the Boolean lattice to H = sum over B of (-1)^|B| sigma^(m - rk B) P(B).
-Each correction polynomial P(B) lives at its own degree |B| - 1, and the
-P of every subset is built in one pass in mask order, whatever the
-truncation degree.  Both work on the dense integer vectors of
+The product of |B| linear ideals is generated in degree |B| (Conca and
+Herzog), so H(B) has no term below degree |B|; that is the recursion
+that gives each correction polynomial P(B) at its own degree |B| - 1.
+It costs 3^t submask sums over every subset, but only the non-spanning
+ones, rk C < rk E, need it.  A spanning subset contributes only below
+its own size, so P of a spanning subset and H follow from the
+non-spanning table in closed form, with binomial weights and a
+truncation.  Everything works on the dense integer vectors of
 ``schur.graded_index``, over the partitions in the canonical graded
-order, so a truncation is a slice.  One routine, ``_rank_buckets``, sums
-the P of the subsets of a mask into one vector per rank: the proper
-subsets of B for P(B), and every subset of the whole arrangement for H.
-Both sum_r sigma^(rk B - r) bucket_r for P(B), at degree |B| - 1, and
-sum_r sigma^(m - r) Q_r for H, at degree D, are evaluated by Horner's
-rule in sigma: one pass of sigma per unit of rank, however many buckets
-there are.
+order, so a truncation is a slice.  ``_rank_buckets`` sums the P of the
+subsets of a mask into one vector per rank, and ``_horner`` evaluates
+sum_r sigma^(top - r) bucket_r by Horner's rule in sigma: one pass of
+sigma per unit of rank, however many buckets there are.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from operator import add, sub as subtract
 
 from .errors import SizeCapError
 # intersect is not called here.  perfbench/traced_job.py counts the calls
 # through this module's name, where the formula side must read 0.
 from .linalg import Subspace, _reduce_into, intersect
-from .schur import SchurSeries, check_window, graded_index, sigma_pass
+from .schur import SchurSeries, _cut, check_window, graded_index, sigma_pass
 
 # Cap on the number t of subspaces, checked before a document's vectors are
-# parsed.  The P table's 3^t subset sums set the t axis, about 3x per
-# subspace.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at
-# D = t: product-wide-shaped arrangements (m = 4) take 0.5, 1.2 and 3.4 s
-# at t = 11, 12 and 13, and t lines in Q^32 0.5, 1.2 and 3.0 s, most of it
-# the subset sums.  The three caps compound: at m = 32, D = 24 t
-# hyperplanes take 1.2, 1.1, 1.7, 2.2, 3.6, 5.5 and 9.5 s at t = 1, 2, 4,
-# 8, 11, 12 and 13, so t, not D, now sets the joint worst case; at t = 13
-# the exact ranks, the subset sums and the P table's passes of sigma each
-# take a share.
+# parsed.  The P table's 3^t subset sums run only over the non-spanning
+# subsets, rk C < rk E, so the t axis is set by how late an arrangement
+# spans.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at D = t:
+# product-wide-shaped arrangements (m = 4) take 0.06, 0.08 and 0.10 s at
+# t = 11, 12 and 13, and t lines in Q^32 0.07, 0.09 and 0.12 s.  The worst
+# case is a generic arrangement, where only the whole arrangement spans:
+# t hyperplanes of Q^32 take 1.0, 1.8 and 3.7 s, and at t = 13 the exact
+# ranks take 2.1 s of it, the subset sums 0.9 s and the parse 0.5 s.  The
+# three caps compound: at m = 32, D = 24 t hyperplanes take 0.5, 0.6, 0.6,
+# 0.9, 1.5, 2.2 and 4.1 s at t = 1, 2, 4, 8, 11, 12 and 13, so t, not D,
+# sets the joint worst case.
 MAX_GROUND_SET = 13
 # Cap on the ambient dimension m, checked before a document's vectors are
 # parsed.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at
@@ -111,15 +116,18 @@ class Polymatroid:
 
     ``ranks[mask]`` is evaluated for every mask at construction, and must
     be 0 on the empty set and monotone, so no subset outranks a superset.
-    The table of correction polynomials P, one dense vector per mask (see
-    ``_p_table``), is built on first use and shared by ``p_polynomial`` and
-    ``hilbert_product``.
+    The table of correction polynomials P, one dense vector per
+    non-spanning mask (see ``_p_table``), is built on first use and shared
+    by ``p_polynomial`` and ``hilbert_product``.
     """
 
     def __init__(self, ground_size: int, rank_source):
         if ground_size < 0:
             raise ValueError("ground size must be nonnegative")
         ranks = [rank_source(mask) for mask in range(1 << ground_size)]
+        for mask, rank in enumerate(ranks):
+            if type(rank) is not int:  # a float or bool rank is no rank
+                raise ValueError(f"rank of mask {mask} must be an int, got {rank!r}")
         if ranks[0] != 0 or any(
             ranks[mask & ~(1 << i)] > rank
             for mask, rank in enumerate(ranks)
@@ -129,7 +137,7 @@ class Polymatroid:
             raise ValueError("rank function must be 0 on the empty set and monotone")
         self.ground_size = ground_size
         self.ranks = ranks
-        self._p_values: list[list[int]] | None = None
+        self._p_values: list | None = None
 
     def as_mask(self, subset) -> int:
         if type(subset) is int:  # a bool is no mask: iterating it is a TypeError
@@ -137,6 +145,10 @@ class Polymatroid:
         else:
             mask = 0
             for i in subset:
+                if type(i) is not int or not 0 <= i < self.ground_size:
+                    raise ValueError(
+                        f"subset element {i!r} outside ground set of size {self.ground_size}"
+                    )
                 mask |= 1 << i
         if not 0 <= mask < (1 << self.ground_size):
             raise ValueError(f"subset {subset!r} outside ground set of size {self.ground_size}")
@@ -196,87 +208,127 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
 
     P of the empty set is 1; otherwise P(B) is the degree <= |B|-1 part of
       - sum over proper subsets C of (-1)^(|B|-|C|) sigma^(rk B - rk C) P(C).
+    A non-spanning B has its P in ``_p_table``; a spanning one takes
+    ``_spanning_p``, or is 1 when its rank is 0.
     """
     check_window(truncation)
     if truncation < pm.ground_size:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
         )
-    return SchurSeries._make(_p_table(pm)[pm.as_mask(subset)], truncation)
+    mask = pm.as_mask(subset)
+    p = _p_table(pm)[mask]
+    if p is None:
+        p = _spanning_p(pm, mask) if pm.ranks[mask] else [1]
+    return SchurSeries._make(p, truncation)
 
 
-def _rank_buckets(ranks, dense, mask: int, sub: int, n: int) -> list:
-    """The submasks C of ``mask``, from ``sub`` down to the empty set, summed
-    by rank: bucket_r is the sum of -(-1)^(|mask| - |C|) P(C) over the C of
-    rank r, a dense vector of length n, or None if there is none.  Each P(C)
-    is a C-level slice update of the prefix that holds it."""
+def _rank_buckets(keys, dense, mask: int, sub: int, n: int) -> list:
+    """The submasks C of ``mask`` that have a P in ``dense``, from ``sub``
+    down to the empty set, summed by ``keys[C]``, their rank or a (size,
+    rank) index: bucket_k is the sum of -(-1)^(|mask| - |C|) P(C) over the
+    C with key k < keys[mask] + 1, a dense vector of length n, or None if
+    there is none.  Each P(C) is a C-level slice update of the prefix that
+    holds it."""
     size = mask.bit_count()
-    buckets: list = [None] * (ranks[mask] + 1)
+    buckets: list = [None] * (keys[mask] + 1)
     while True:
         p = dense[sub]
         if p:
-            r = ranks[sub]
-            if buckets[r] is None:
-                buckets[r] = [0] * n
+            k = keys[sub]
+            if buckets[k] is None:
+                buckets[k] = [0] * n
             op = add if (size - sub.bit_count()) % 2 else subtract
-            buckets[r][: len(p)] = map(op, buckets[r], p)
+            buckets[k][: len(p)] = map(op, buckets[k], p)
         if sub == 0:
             return buckets
         sub = (sub - 1) & mask
 
 
-def _p_table(pm: Polymatroid) -> list[list[int]]:
-    """P(B) at its own degree |B| - 1 (degree 0 for the empty set), for every
-    mask in increasing order, as a dense vector of ``graded_index`` with its
-    trailing zeros cut: each proper subset of B is a smaller mask, so its P
-    is already in the table.  Built once per polymatroid.
+def _horner(buckets: list, n: int, below, powers: list) -> list[int]:
+    """sum over r of sigma^(top - r) * buckets[r], top = len(buckets) - 1,
+    as a dense vector of length n, by Horner's rule in sigma.  buckets[0]
+    is a constant c (a subset of rank 0 has P = 1), so Horner starts at the
+    first nonempty bucket r > 0 from c * sigma^r, cached in ``powers``, and
+    takes top - r passes of sigma for any number of buckets."""
+    c = buckets[0][0] if buckets[0] else 0
+    r = next((r for r in range(1, len(buckets)) if buckets[r] is not None), len(buckets) - 1)
+    while len(powers) <= r:
+        powers.append(sigma_pass(powers[-1], below))
+    acc = [c * x for x in powers[r][:n]]
+    for i in range(max(r, 1), len(buckets)):
+        if i > r:
+            acc = sigma_pass(acc, below)
+        if buckets[i] is not None:
+            acc[: len(buckets[i])] = map(add, acc, buckets[i])
+    return acc
 
-    The proper subsets of B are summed into their rank buckets by
-    ``_rank_buckets``, which folds in the outer minus sign of the
-    recursion.  The sum over r of sigma^(rk B - r) * bucket_r is then taken
-    by Horner's rule in sigma.  bucket_0 is a constant c: a subset of rank 0
-    has only subsets of rank 0, so its own P is its bucket_0, a constant by
-    induction from P(empty set) = 1.  So Horner starts at the first nonempty
-    bucket r > 0 from c * sigma^r, each sigma^r built once per table, and
-    takes rk B - r passes of sigma for any number of buckets.
+
+def _p_table(pm: Polymatroid) -> list:
+    """P(C) for every non-spanning mask C, rk C < rk E, and for the empty
+    set, at its own degree |C| - 1 (degree 0 for the empty set): a dense
+    vector of ``graded_index`` with its trailing zeros cut, in increasing
+    mask order, and None at every other mask.  Built once per polymatroid.
+
+    The non-spanning masks are a down-set, so the proper subsets of such a
+    C are smaller masks already in the table.  ``_rank_buckets`` sums them
+    by rank, folding in the outer minus sign of the recursion, and
+    ``_horner`` takes the sum over r of sigma^(rk C - r) * bucket_r.
     """
     if pm._p_values is None:
         ranks = pm.ranks
         _, offsets, _, below = graded_index(max(pm.ground_size - 1, 0))
-        powers = [[1] + [0] * (offsets[-1] - 1)]  # sigma^r, as far as needed
-        dense = [[1]]
+        powers = [[1] + [0] * (offsets[-1] - 1)]
+        dense: list = [None] * len(ranks)
+        dense[0] = [1]
         for mask in range(1, len(ranks)):
-            n = offsets[mask.bit_count()]
-            buckets = _rank_buckets(ranks, dense, mask, (mask - 1) & mask, n)
-            c = buckets[0][0]
-            buckets[0] = None
-            r = next((r for r, b in enumerate(buckets) if b is not None), ranks[mask])
-            while len(powers) <= r:
-                powers.append(sigma_pass(powers[-1], below))
-            acc = [c * x for x in powers[r][:n]]
-            for i, bucket in enumerate(buckets[r:]):
-                if i:
-                    acc = sigma_pass(acc, below)
-                if bucket is not None:
-                    acc = list(map(add, acc, bucket))
-            while acc and not acc[-1]:
-                acc.pop()
-            dense.append(acc)
+            if ranks[mask] < ranks[-1]:
+                n = offsets[mask.bit_count()]
+                buckets = _rank_buckets(ranks, dense, mask, (mask - 1) & mask, n)
+                dense[mask] = _cut(_horner(buckets, n, below, powers))
         pm._p_values = dense
     return pm._p_values
+
+
+def _spanning_p(pm: Polymatroid, mask: int) -> list[int]:
+    """P(B) of a spanning mask B of rank > 0, in closed form from the table:
+    with [x]_j the degree-j part of x, P(B) is the sum over C in B with
+    rk C < rk B and over |C| <= j < |B| of
+      (-1)^j binom(|B| - |C| - 1, j - |C|) [(-1)^|C| sigma^(rk B - rk C) P(C)]_j.
+    At each D in B the sum over C in D of (-1)^|C| sigma^(rk B - rk C) P(C)
+    has no part below |D|, and its spanning terms lie below |D|; Moebius
+    inversion over D leaves the binomials, using only monotonicity.  The C
+    are summed by size and rank, one Horner pass in sigma per size.
+    """
+    size, top = mask.bit_count(), pm.ranks[mask]
+    _, offsets, _, below = graded_index(size - 1)
+    n = offsets[-1]
+    keys = [r + (top + 1) * c.bit_count() for c, r in enumerate(pm.ranks)]
+    buckets = _rank_buckets(keys, _p_table(pm), mask, mask, n)
+    powers = [[1] + [0] * (n - 1)]
+    p = [0] * n
+    for s in range(size):
+        if any(group := buckets[s * (top + 1) : (s + 1) * (top + 1)]):
+            y = _horner(group, n, below, powers)
+            for j in range(s, size):  # bucket terms are (-1)^(|B| + 1 + |C|) P(C)
+                w = (-1) ** (size + 1 + j) * comb(size - s - 1, j - s)
+                lo, hi = offsets[j], offsets[j + 1]
+                p[lo:hi] = [a + w * b for a, b in zip(p[lo:hi], y[lo:hi])]
+    return _cut(p)
 
 
 def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
     """Equivariant Hilbert series of the product ideal of the arrangement.
 
     By Moebius inversion of sigma^(m - rk A) P(A) = sum over B of
-    (-1)^|B| H(B), H = sum over r of sigma^(m - r) Q_r, where Q_r is the sum
-    of (-1)^|B| P(B) over the subsets B of rank r.  These are the P table's
-    rank buckets over every subset of the whole arrangement E, E included:
-    Q_r = (-1)^(t+1) bucket_r.  The sum over r is taken by Horner's rule in
-    sigma on the dense vector of ``graded_index(truncation)``, which must be
-    at least the generation degree t: rk E passes of sigma between the
-    buckets, then m - rk E more.
+    (-1)^|B| H(B), H = (-1)^t sum over C of (-1)^|C| sigma^(m - rk C) P(C).
+    H has no term below degree t, and a spanning C contributes only there,
+    so with rho = rk E, H is (-1)^t sigma^(m - rho) times the part of degree
+    >= t of the sum over the C in the P table of (-1)^|C| sigma^(rho - rk C)
+    P(C).  That sum is the table's rank buckets over every subset of E,
+    taken by ``_horner`` on the dense vector of ``graded_index(truncation)``,
+    which must be at least the generation degree t: rho passes of sigma,
+    the degrees below t cleared, then m - rho more passes.
     """
     t = len(arr.subspaces)
     check_window(truncation)
@@ -286,14 +338,11 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
         )
     pm = polymatroid_of(arr)
     _, offsets, _, below = graded_index(truncation)
+    n = offsets[-1]
     full = (1 << t) - 1
     buckets = _rank_buckets(pm.ranks, _p_table(pm), full, full, offsets[max(t, 1)])
-    h = [0] * offsets[-1]
-    for r, bucket in enumerate(buckets):
-        if r:
-            h = sigma_pass(h, below)
-        if bucket is not None:
-            h[: len(bucket)] = map(add, h, bucket)
+    h = _horner(buckets, n, below, [[1] + [0] * (n - 1)])
+    h[: offsets[t]] = [0] * offsets[t]
     for _ in range(arr.ambient_dim - pm.ranks[full]):
         h = sigma_pass(h, below)
     return SchurSeries._make(h if t % 2 else [-c for c in h], truncation)

@@ -199,9 +199,12 @@ def test_rank_table_ordering():
 
 
 def test_mask_validation():
+    """-1 ended in a negative shift count, True named subspace 1 and 1.0
+    raised a raw TypeError."""
     pm = polymatroid_of(axes(2))
-    with pytest.raises(ValueError):
-        pm.rank([5])
+    for subset in ([5], [-1], (True,), [1.0]):
+        with pytest.raises(ValueError, match="outside ground set"):
+            pm.rank(subset)
 
 
 def test_a_bool_is_no_subset():
@@ -388,6 +391,82 @@ def test_p_polynomial_matches_subset_recursion(arr, extra):
         assert got.degree == D
 
 
+# -- the closed forms on the spanning subsets -------------------------------------
+
+
+def _assert_matches_reference(pm, D):
+    memo = {}
+    for mask in range(1 << pm.ground_size):
+        assert p_polynomial(pm, mask, D) == reference_p(pm, mask, D, memo), mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arr=st.sampled_from((3, 4)).flatmap(
+        lambda m: pooled_arrangements(m=m, dims=(0, 1), min_t=1, max_t=6)
+    ),
+    extra=st.integers(min_value=0, max_value=2),
+)
+def test_closed_forms_on_zero_subspaces_and_lines(arr, extra):
+    """Zero subspaces and lines of Q^3 or Q^4 span early, so most masks take
+    the spanning formula and H most of its truncation."""
+    D = len(arr) + extra
+    _assert_matches_reference(polymatroid_of(arr), D)
+    assert hilbert_product(arr, D) == reference_hilbert_product(arr, D)
+
+
+@st.composite
+def monotone_rank_functions(draw):
+    """Monotone ranks from 0 on at most six elements, each mask its largest
+    lower neighbour plus 0, 1 or 2: mostly not submodular."""
+    t = draw(st.integers(min_value=0, max_value=6))
+    ranks = [0] * (1 << t)
+    for mask in range(1, 1 << t):
+        lower = max(ranks[mask & ~(1 << i)] for i in range(t) if mask >> i & 1)
+        ranks[mask] = lower + draw(st.integers(min_value=0, max_value=2))
+    return Polymatroid(t, ranks.__getitem__)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pm=monotone_rank_functions(), extra=st.integers(min_value=0, max_value=2))
+def test_spanning_formula_needs_only_monotone_ranks(pm, extra):
+    _assert_matches_reference(pm, pm.ground_size + extra)
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [Arrangement(2, ()), RANK_EXAMPLES[2]],
+    ids=["t = 0", "a rank-0 factor"],
+)
+def test_closed_forms_on_edge_arrangements(arr):
+    D = len(arr) + 1
+    _assert_matches_reference(polymatroid_of(arr), D)
+    assert hilbert_product(arr, D) == reference_hilbert_product(arr, D)
+
+
+def test_rank_zero_arrangement():
+    """Every subspace the whole space: rk E = 0, the P table holds only the
+    empty set, P is 1 throughout and the product ideal is zero."""
+    for m, t in ((1, 1), (2, 3), (3, 4)):
+        whole = Subspace(m, [[int(i == j) for j in range(m)] for i in range(m)])
+        arr = Arrangement(m, (whole,) * t)
+        pm = polymatroid_of(arr)
+        assert all(p_polynomial(pm, mask, t) == 1 for mask in range(1 << t))
+        assert hilbert_product(arr, t + 1) == 0
+
+
+def test_thirteen_zero_subspaces():
+    """Only the empty set is non-spanning: H = sigma^3 from degree 13 on."""
+    arr = Arrangement(3, (Subspace(3),) * 13)
+    s3 = sigma_power(15, 3)
+    assert hilbert_product(arr, 15) == s3 - s3.truncate(12)
+
+
+def test_thirteen_lines_in_the_plane():
+    arr = Arrangement(2, tuple(Subspace(2, [[1, k]]) for k in range(13)))
+    assert lines_first_disagreement(arr, 15) is None
+
+
 def test_rank_examples_have_the_intended_shape():
     zeros, lines, whole = (polymatroid_of(arr) for arr in RANK_EXAMPLES)
     assert zeros.rank([0]) == zeros.rank([0, 3]) == 4  # rk B > |B|
@@ -449,6 +528,18 @@ def test_ground_set_cap():
 def test_rank_source_must_be_monotone_from_zero(ranks):
     with pytest.raises(ValueError, match="monotone"):
         Polymatroid(2, ranks.__getitem__)
+
+
+@pytest.mark.parametrize(
+    "source, mask",
+    [(lambda m: 1.0 if m else 0, 1), (lambda m: "1" if m else 0, 1), (bool, 0)],
+    ids=["float", "str", "bool"],
+)
+def test_rank_source_must_give_ints(source, mask):
+    """A float rank failed later in p_polynomial, a str one in the
+    monotonicity check, and bool ranks were kept as bools."""
+    with pytest.raises(ValueError, match=f"rank of mask {mask} must be an int"):
+        Polymatroid(2, source)
 
 
 def test_custom_polymatroid_rank_source():
