@@ -85,8 +85,8 @@ class Arrangement:
     __slots__ = ("ambient_dim", "subspaces")
 
     def __init__(self, ambient_dim: int, subspaces: tuple[Subspace, ...]):
-        if ambient_dim < 1:
-            raise ValueError("ambient dimension must be positive")
+        if type(ambient_dim) is not int or ambient_dim < 1:  # a bool is no size
+            raise ValueError(f"ambient dimension must be a positive int, got {ambient_dim!r}")
         for s in subspaces:
             if s.ambient_dim != ambient_dim:
                 raise ValueError("subspace ambient dimension mismatch")
@@ -122,8 +122,8 @@ class Polymatroid:
     """
 
     def __init__(self, ground_size: int, rank_source):
-        if ground_size < 0:
-            raise ValueError("ground size must be nonnegative")
+        if type(ground_size) is not int or ground_size < 0:  # a bool is no size
+            raise ValueError(f"ground size must be a nonnegative int, got {ground_size!r}")
         ranks = [rank_source(mask) for mask in range(1 << ground_size)]
         for mask, rank in enumerate(ranks):
             if type(rank) is not int:  # a float or bool rank is no rank
@@ -277,7 +277,7 @@ def _p_table(pm: Polymatroid) -> list:
     """
     if pm._p_values is None:
         ranks = pm.ranks
-        _, offsets, _, below = graded_index(max(pm.ground_size - 1, 0))
+        _, offsets, _, below, _ = graded_index(max(pm.ground_size - 1, 0))
         powers = [[1] + [0] * (offsets[-1] - 1)]
         dense: list = [None] * len(ranks)
         dense[0] = [1]
@@ -301,7 +301,7 @@ def _spanning_p(pm: Polymatroid, mask: int) -> list[int]:
     are summed by size and rank, one Horner pass in sigma per size.
     """
     size, top = mask.bit_count(), pm.ranks[mask]
-    _, offsets, _, below = graded_index(size - 1)
+    _, offsets, _, below, _ = graded_index(size - 1)
     n = offsets[-1]
     keys = [r + (top + 1) * c.bit_count() for c, r in enumerate(pm.ranks)]
     buckets = _rank_buckets(keys, _p_table(pm), mask, mask, n)
@@ -337,7 +337,7 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
             f"truncation degree {truncation} below generation degree {t}"
         )
     pm = polymatroid_of(arr)
-    _, offsets, _, below = graded_index(truncation)
+    _, offsets, _, below, _ = graded_index(truncation)
     n = offsets[-1]
     full = (1 << t) - 1
     buckets = _rank_buckets(pm.ranks, _p_table(pm), full, full, offsets[max(t, 1)])

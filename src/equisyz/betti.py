@@ -90,7 +90,7 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
     D = series.degree
     if D < t:
         raise ValueError(f"series truncation {D} below generation degree {t}")
-    parts, offsets, _, _ = graded_index(D)
+    parts, offsets, _, _, _ = graded_index(D)
     reduced = times_sigma_power(series, -ambient_dim).vec
     for d in range(t):
         if any(reduced[offsets[d] : offsets[d + 1]]):

@@ -1,17 +1,18 @@
 """Exact rational linear algebra for subspaces of Q^m.
 
 Two exact eliminations live here.  The kernel is fraction-free: sparse
-integer rows in an incremental echelon (``_Echelon``, ``_reduce_into``),
-which takes every rank the pipeline needs: the polymatroid's, the
-oracle's, and the span of every spanning set.  The ``Fraction`` RREF
-(``row_reduce``) gives subspaces their canonical form: a subspace is
-stored as the nonzero rows of the RREF of at most m spanning vectors, so
-equality of subspaces is equality of representations and subspaces can
-be used as dictionary keys.  ``Subspace.normal_rows`` reads a basis of
-the annihilator off that RREF, as primitive integer rows, with no further
-elimination; the polymatroid and the oracle both take their linear forms
-from it.  ``intersect`` and ``Subspace.annihilator`` build new subspaces
-on the RREF and stay as the tests' slow reference.
+rows of nonzero ``int`` entries in an incremental echelon (``_Echelon``,
+``_reduce_into``), which takes every rank the pipeline needs: the
+polymatroid's, the oracle's, and the span of every spanning set.  A
+rational vector becomes such a row in one place, ``_integer_row``.  The
+``Fraction`` RREF (``row_reduce``) gives subspaces their canonical form: a
+subspace is stored as the nonzero rows of the RREF of at most m spanning
+vectors, so equality of subspaces is equality of representations and
+subspaces can be used as dictionary keys.  ``Subspace.normal_rows`` reads
+a basis of the annihilator off that RREF, as primitive integer rows, with
+no further elimination; the polymatroid and the oracle both take their
+linear forms from it.  ``intersect`` and ``Subspace.annihilator`` build
+new subspaces on the RREF and stay as the tests' slow reference.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ Vector = tuple[Fraction, ...]
 class _Echelon:
     """Incremental row echelon form over sparse integer rows, fraction-free.
 
-    Rows are dicts keyed by basis labels (any totally ordered hashables);
-    the pivot of a row is its smallest label.  Rational entries are scaled
-    to integers on entry, and elimination cross-multiplies instead of
-    dividing, so every coefficient stays an exact ``int``: fraction-free
-    elimination as in Bareiss (Math. Comp. 22, 1968), except that each row
-    is divided by the gcd of its entries rather than by the previous pivot.
-    A stored row is primitive, with a positive pivot, and is reduced only
-    forward, against the rows of smaller pivot: ``add`` never touches the
-    rows already stored.  The oracles and the polymatroid read only the
-    rank; ``Subspace`` reads the kept rows of a spanning set.  No
-    nullspace is taken here.
+    Rows are dicts keyed by basis labels (any totally ordered hashables)
+    whose entries are all nonzero ``int``s; ``_integer_row`` makes one of a
+    rational vector.  The pivot of a row is its smallest label.
+    Elimination cross-multiplies instead of dividing, so every coefficient
+    stays an exact ``int``: fraction-free elimination as in Bareiss (Math.
+    Comp. 22, 1968), except that each row is divided by the gcd of its
+    entries rather than by the previous pivot.  A stored row is primitive,
+    with a positive pivot, and is reduced only forward, against the rows of
+    smaller pivot: ``add`` never touches the rows already stored.  The
+    oracles and the polymatroid read only the rank; ``Subspace`` reads the
+    kept rows of a spanning set.  No nullspace is taken here.
     """
 
     def __init__(self):
@@ -54,11 +55,10 @@ class _Echelon:
 
 
 def _reduce_into(rows: dict, row: dict) -> bool:
-    """Reduce ``row`` against the echelon ``rows`` (pivot label -> primitive
-    row) and store it there if it is independent.  ``row`` is not changed."""
-    work = {k: v for k, v in row.items() if v}
-    if any(type(v) is not int for v in work.values()):
-        work = _integral(work)
+    """Reduce ``row``, a sparse row of nonzero ``int``s, against the echelon
+    ``rows`` (pivot label -> primitive row) and store it there if it is
+    independent.  ``row`` is not changed."""
+    work = dict(row)
     while work:
         lead = min(work)
         piv = rows.get(lead)
@@ -71,8 +71,9 @@ def _reduce_into(rows: dict, row: dict) -> bool:
 
 def _eliminate(work: dict, piv: dict, lead) -> dict:
     """b*work - a*piv for the smallest b > 0 that clears ``lead``, made
-    primitive; ``piv`` has a positive entry at ``lead``.  ``work`` is
-    consumed: the result may be the same dict, updated in place."""
+    primitive when b != 1; ``piv`` has a positive entry at ``lead``.
+    ``work`` is consumed: the result may be the same dict, updated in
+    place."""
     a = work[lead]
     b = piv[lead]
     g = gcd(a, b)
@@ -93,20 +94,13 @@ def _eliminate(work: dict, piv: dict, lead) -> dict:
     return out
 
 
-def _integral(row: dict) -> dict:
-    """Scale a rational row by the lcm of its denominators."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return {k: int(v * den) for k, v in row.items()}
-
-
-def _integer_rows(vectors) -> list[dict]:
-    """Each nonzero rational vector as a sparse row {index: entry} of
-    coprime integers, its first entry positive; it spans the same line."""
-    out = []
-    for a in vectors:
-        coeffs = _integral({j: c for j, c in enumerate(a) if c})
-        out.append(_primitive(coeffs, min(coeffs)))
-    return out
+def _integer_row(vector) -> dict:
+    """A nonzero rational vector as a sparse row {index: entry} of coprime
+    integers, its first entry positive; it spans the same line."""
+    row = {j: c for j, c in enumerate(vector) if c}
+    den = lcm(*(c.denominator for c in row.values()))
+    ints = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+    return _primitive(ints, min(row))
 
 
 def _primitive(row: dict, lead) -> dict:
@@ -182,8 +176,7 @@ def _spanning_rows(vectors, m: int) -> list[list[int]]:
     of them."""
     rows: dict = {}
     for vec in vectors:
-        _reduce_into(rows, dict(enumerate(vec)))
-        if len(rows) == m:
+        if any(vec) and _reduce_into(rows, _integer_row(vec)) and len(rows) == m:
             break
     return [[row.get(j, 0) for j in range(m)] for row in rows.values()]
 
@@ -202,8 +195,8 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, vectors=()):
-        if ambient_dim < 1:
-            raise ValueError("ambient dimension must be positive")
+        if type(ambient_dim) is not int or ambient_dim < 1:  # a bool is no size
+            raise ValueError(f"ambient dimension must be a positive int, got {ambient_dim!r}")
         rows = [[Fraction(x) for x in row] for row in vectors]
         for row in rows:
             if len(row) != ambient_dim:
@@ -234,7 +227,7 @@ class Subspace:
         """A basis of the annihilator as primitive integer rows {index: entry},
         one per free column of the RREF; read as linear forms they vanish
         exactly on the subspace.  No elimination is run."""
-        return _integer_rows(_nullspace(self.basis, self.ambient_dim))
+        return [_integer_row(v) for v in _nullspace(self.basis, self.ambient_dim)]
 
     def annihilator(self) -> "Subspace":
         """Vectors orthogonal to the subspace; read as linear forms they

@@ -49,7 +49,7 @@ from math import comb, prod
 
 from .arrangements import Arrangement
 from .errors import SizeCapError
-from .linalg import Subspace, _Echelon, _integer_rows
+from .linalg import Subspace, _Echelon, _integer_row
 from .partitions import Partition, kostka_number, orbit, partitions_of, weyl_dimension
 from .schur import SchurSeries, _is_integer
 
@@ -377,7 +377,7 @@ def intersection_ideal_character(
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
     restrictions = [
-        [_restriction_rows(_integer_rows(sub.basis), m, e) for e in range(d_max + 1)]
+        [_restriction_rows([*map(_integer_row, sub.basis)], m, e) for e in range(d_max + 1)]
         for sub in arr.subspaces
     ]
     coeffs: dict[int, dict[Partition, int]] = {}

@@ -5,8 +5,8 @@ A :class:`SchurSeries` is a finite integer combination of Schur functions
 over ``graded_index``, the partitions in canonical graded order, trailing
 zeros cut.  Its terms come out in that order without a sort, truncations
 and graded parts are slices, sums and scalar multiples act entry by entry,
-and ``omega``, the symmetric-to-exterior transpose of characters, moves
-each entry to the index of its conjugate.  Every operation truncates its
+and ``omega``, the symmetric-to-exterior transpose of characters, gathers
+each entry from the index of its conjugate.  Every operation truncates its
 result, so all degrees up to D are exact and nothing above D is stored.
 A series builds the index only up to its highest nonzero degree, so a
 window of 60 holding s[1] is cheap, but a term past degree ~35 is not.
@@ -35,7 +35,6 @@ from types import MappingProxyType
 from .partitions import (
     Partition,
     check_partition,
-    conjugate,
     contains,
     lr_coefficient,
     partitions_of,
@@ -100,7 +99,7 @@ def _summed(pairs, degree: int) -> list[int]:
         if sum(lam) <= degree:
             coeffs[lam] = coeffs.get(lam, 0) + int(c)
     coeffs = {lam: c for lam, c in coeffs.items() if c}
-    _, offsets, index, _ = graded_index(max(map(sum, coeffs), default=0))
+    _, offsets, index, _, _ = graded_index(max(map(sum, coeffs), default=0))
     vec = [0] * offsets[-1]
     for lam, c in coeffs.items():
         vec[index[lam]] = c
@@ -293,14 +292,11 @@ class SchurSeries:
     # -- structural operations ---------------------------------------------
 
     def omega(self) -> "SchurSeries":
-        """The involution sending s_lam to s_{lam'}: every entry moves to
-        the index of its conjugate, which has the same degree."""
-        parts, offsets, index, _ = _reach(self.vec)
-        out = [0] * offsets[-1]
-        for i, c in enumerate(self.vec):
-            if c:
-                out[index[conjugate(parts[i])]] = c
-        return SchurSeries._make(out, self.degree)
+        """The involution sending s_lam to s_{lam'}: each entry is read from
+        the position of its conjugate, which has the same degree."""
+        _, offsets, _, _, conjugates = _reach(self.vec)
+        vec = self.vec + [0] * (offsets[-1] - len(self.vec))
+        return SchurSeries._make([vec[j] for j in conjugates], self.degree)
 
     def truncate(self, k: int) -> "SchurSeries":
         """Sub-series of degree <= k; the truncation window stays at D."""
@@ -340,7 +336,7 @@ def sigma(degree: int) -> SchurSeries:
 @cache
 def graded_index(D: int):
     """The partitions of size <= D as one dense index: ``(parts, offsets,
-    index, below)``.
+    index, below, conjugates)``.
 
     ``parts`` lists them in the canonical graded order, and degree d holds
     the positions ``offsets[d]:offsets[d + 1]``, so a series of degree d is
@@ -349,16 +345,18 @@ def graded_index(D: int):
     itemgetter of the positions of the lam != mu = parts[j] for which mu/lam
     is a horizontal strip, the ``strips(mu)`` before mu itself.  Each such
     lam is smaller than mu, so it comes first.  On these vectors sigma is
-    the unitriangular 0/1 matrix I + below (Pieri, Macdonald I.5).  The
-    index of D extends a copy of that of D - 1, so building it caches every
-    smaller one.
+    the unitriangular 0/1 matrix I + below (Pieri, Macdonald I.5).
+    ``conjugates[j]`` is the position of the conjugate of parts[j], which
+    has the same size.  The index of D extends a copy of that of D - 1, so
+    building it caches every smaller one.
     """
     if D < 0:
         raise ValueError(f"index degree must be nonnegative, got {D!r}")
     if not D:
-        return [()], [0, 1], {(): 0, (0,): 0}, [itemgetter(slice(0))]
-    parts, offsets, index, below = graded_index(D - 1)
-    parts, offsets, index, below = [*parts], [*offsets], {**index}, [*below]
+        return [()], [0, 1], {(): 0, (0,): 0}, [itemgetter(slice(0))], [0]
+    parts, offsets, index, below, conjugates = graded_index(D - 1)
+    parts, offsets, index = [*parts], [*offsets], {**index}
+    below, conjugates = [*below], [*conjugates]
     for mu in partitions_of(D):
         index[mu] = index[mu + (0,)] = len(parts)
         parts.append(mu)
@@ -369,7 +367,11 @@ def graded_index(D: int):
             itemgetter(*src) if src[1:] else itemgetter(slice(src[0], src[0] + 1))
         )
     offsets.append(len(parts))
-    return parts, offsets, index, below
+    for mu in parts[offsets[-2]:]:
+        # mu' is len(mu) followed by the conjugate of mu less its first column
+        rest = parts[conjugates[index[tuple([p - 1 for p in mu if p > 1])]]]
+        conjugates.append(index[(len(mu),) + rest])
+    return parts, offsets, index, below, conjugates
 
 
 def sigma_pass(v: list[int], below) -> list[int]:
@@ -391,7 +393,7 @@ def times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
     """series * sigma^k truncated at ``series.degree``: |k| passes of sigma
     (k > 0) or of sigma^-1 (k < 0) on its vector, padded to the whole of
     ``graded_index(series.degree)``."""
-    _, offsets, _, below = graded_index(series.degree)
+    _, offsets, _, below, _ = graded_index(series.degree)
     v = series.vec + [0] * (offsets[-1] - len(series.vec))
     step = sigma_pass if k > 0 else sigma_inverse_pass
     for _ in range(abs(k)):

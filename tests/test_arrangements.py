@@ -542,6 +542,20 @@ def test_rank_source_must_give_ints(source, mask):
         Polymatroid(2, source)
 
 
+@pytest.mark.parametrize("size", [True, 2.0])
+def test_arrangement_ambient_dimension_must_be_a_positive_int(size):
+    """True and 2.0 were accepted."""
+    with pytest.raises(ValueError, match="ambient dimension must be a positive int"):
+        Arrangement(size, ())
+
+
+@pytest.mark.parametrize("size", [True, 2.0])
+def test_ground_size_must_be_a_nonnegative_int(size):
+    """True was accepted as a ground set of one, and 2.0 raised a TypeError."""
+    with pytest.raises(ValueError, match="ground size must be a nonnegative int"):
+        Polymatroid(size, lambda mask: min(mask.bit_count(), 1))
+
+
 def test_custom_polymatroid_rank_source():
     pm = Polymatroid(2, lambda mask: min(mask.bit_count(), 1))
     assert pm.rank(3) == 1

@@ -133,6 +133,15 @@ def test_invalid_entry_past_full_rank_is_rejected():
         Subspace(2, [[1, 0], [0, 1], ["x", 0]])
 
 
+@pytest.mark.parametrize(
+    "size, vectors", [(2.0, [[1, 0]]), (True, [[1]]), (2.5, [])]
+)
+def test_ambient_dimension_must_be_a_positive_int(size, vectors):
+    """2.0 raised a TypeError, and True and 2.5 were accepted."""
+    with pytest.raises(ValueError, match="ambient dimension must be a positive int"):
+        Subspace(size, vectors)
+
+
 def test_contains():
     s = Subspace(3, [[1, 1, 0]])
     assert s.contains([2, 2, 0])

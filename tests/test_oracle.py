@@ -1,6 +1,5 @@
 import json
 import logging
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -108,7 +107,7 @@ def _dense(rows, labels):
 def test_echelon_rank(data):
     ncols = data.draw(st.integers(min_value=1, max_value=7))
     labels = list(range(ncols))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = st.integers(min_value=-6, max_value=6).filter(bool)
     row = st.dictionaries(st.sampled_from(labels), entry, max_size=ncols)
     first = data.draw(st.lists(row, max_size=8))
     later = data.draw(st.lists(row, max_size=4))
@@ -124,9 +123,9 @@ def test_echelon_rank(data):
 def test_echelon_keeps_primitive_rows_with_positive_pivots():
     ech = _Echelon()
     assert ech.add({0: 2, 1: 4, 2: -6})
-    assert ech.add({0: Fraction(1, 2), 1: Fraction(-1, 3)})
+    assert ech.add({0: 3, 1: -2})
     assert not ech.add({0: 3, 1: 6, 2: -9})
-    assert not ech.add({0: 0})
+    assert not ech.add({})
     assert ech.rows == {0: {0: 1, 1: 2, 2: -3}, 1: {1: 8, 2: -9}}
 
 

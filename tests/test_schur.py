@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from equisyz.betti import betti_from_series
 from equisyz.oracle import GradedCharacter, from_weight_multiplicities, kostka_peel
-from equisyz.partitions import kostka_number, partitions_of
+from equisyz.partitions import conjugate, kostka_number, partitions_of
 from equisyz.schur import (
     SchurSeries,
     format_terms,
@@ -225,7 +225,7 @@ def test_sigma_power_matches_lr_chain():
 
 def _sources(index, mu):
     """The partitions that the graded index lists below mu."""
-    parts, _, positions, below = index
+    parts, _, positions, below, _ = index
     return sorted(parts[i] for i in below[positions[mu]](range(len(parts))))
 
 
@@ -235,13 +235,14 @@ def test_graded_index_lists_the_horizontal_strips_below_each_partition():
     strip source has the length of mu, so it ends in at most one zero: the
     index keys each partition plain and with one trailing zero, no more."""
     index = graded_index(10)
-    parts, offsets, positions, _ = index
+    parts, offsets, positions, _, conjugates = index
     assert parts == [lam for d in range(11) for lam in partitions_of(d)]
     sizes = [len(partitions_of(d)) for d in range(11)]
     assert offsets == [sum(sizes[:d]) for d in range(12)]
     assert len(positions) == 2 * len(parts)
     for j, mu in enumerate(parts):
         assert positions[mu] == positions[mu + (0,)] == j
+        assert parts[conjugates[j]] == conjugate(mu)
         want = sorted(
             lam
             for lam in parts[: offsets[sum(mu)]]
