@@ -33,7 +33,7 @@ from .errors import SizeCapError
 # intersect is not called here.  perfbench/traced_job.py counts the calls
 # through this module's name, where the formula side must read 0.
 from .linalg import Subspace, _reduce_into, intersect
-from .schur import SchurSeries, _cut, check_window, graded_index, sigma_pass
+from .schur import SchurSeries, _cut, check_nonnegative_int, graded_index, sigma_pass
 
 # Cap on the number t of subspaces, checked before a document's vectors are
 # parsed.  The P table's 3^t subset sums run only over the non-spanning
@@ -211,7 +211,7 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
     A non-spanning B has its P in ``_p_table``; a spanning one takes
     ``_spanning_p``, or is 1 when its rank is 0.
     """
-    check_window(truncation)
+    check_nonnegative_int(truncation, "truncation degree")
     if truncation < pm.ground_size:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
@@ -331,7 +331,7 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
     the degrees below t cleared, then m - rho more passes.
     """
     t = len(arr.subspaces)
-    check_window(truncation)
+    check_nonnegative_int(truncation, "truncation degree")
     if truncation < t:
         raise ValueError(
             f"truncation degree {truncation} below generation degree {t}"

@@ -11,7 +11,7 @@ column is the signed slice of one degree of the series' dense vector over
 
 from __future__ import annotations
 
-from .schur import SchurSeries, graded_index, times_sigma_power
+from .schur import SchurSeries, check_nonnegative_int, graded_index, times_sigma_power
 
 
 class LinearityError(ValueError):
@@ -42,6 +42,7 @@ class BettiTable:
     __slots__ = ("t", "columns")
 
     def __init__(self, t: int, columns: tuple[SchurSeries, ...]):
+        check_nonnegative_int(t, "generation degree")
         for i, col in enumerate(columns):
             for lam, c in col.items():
                 if sum(lam) != i + t:
@@ -83,10 +84,8 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
     multiplicity is nonnegative.  The slice is in the canonical order, so a
     LinearityError names the first wrong sign in that order.
     """
-    if t < 0:
-        raise ValueError("generation degree must be nonnegative")
-    if ambient_dim < 0:
-        raise ValueError("ambient dimension must be nonnegative")
+    check_nonnegative_int(t, "generation degree")
+    check_nonnegative_int(ambient_dim, "ambient dimension")
     D = series.degree
     if D < t:
         raise ValueError(f"series truncation {D} below generation degree {t}")
@@ -133,8 +132,7 @@ def series_from_betti(table: BettiTable, ambient_dim: int) -> SchurSeries:
     of the columns, one product for the whole table."""
     if not table.columns:
         raise ValueError("empty Betti table")
-    if ambient_dim < 0:
-        raise ValueError("ambient dimension must be nonnegative")
+    check_nonnegative_int(ambient_dim, "ambient dimension")
     D = table.columns[0].degree
     total = SchurSeries({}, degree=D)
     for i, col in enumerate(table.columns):

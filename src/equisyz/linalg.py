@@ -1,18 +1,22 @@
 """Exact rational linear algebra for subspaces of Q^m.
 
-Two exact eliminations live here.  The kernel is fraction-free: sparse
-rows of nonzero ``int`` entries in an incremental echelon (``_Echelon``,
+One exact elimination runs here, and it is fraction-free: sparse rows of
+nonzero ``int`` entries in an incremental echelon (``_Echelon``,
 ``_reduce_into``), which takes every rank the pipeline needs: the
 polymatroid's, the oracle's, and the span of every spanning set.  A
-rational vector becomes such a row in one place, ``_integer_row``.  The
-``Fraction`` RREF (``row_reduce``) gives subspaces their canonical form: a
-subspace is stored as the nonzero rows of the RREF of at most m spanning
-vectors, so equality of subspaces is equality of representations and
-subspaces can be used as dictionary keys.  ``Subspace.normal_rows`` reads
-a basis of the annihilator off that RREF, as primitive integer rows, with
+rational vector becomes such a row in one place, ``_integer_row``.  A
+subspace is stored as the nonzero rows of its RREF, which is unique, so
+equality of subspaces is equality of representations and subspaces can
+be used as dictionary keys.  ``Subspace`` reads that RREF off the
+kernel's echelon of at most m spanning rows: back-substitute, then divide
+each row by its pivot.  ``Subspace.normal_rows`` reads a basis of the
+annihilator off the RREF's free columns, as primitive integer rows, with
 no further elimination; the polymatroid and the oracle both take their
 linear forms from it.  ``intersect`` and ``Subspace.annihilator`` build
-new subspaces on the RREF and stay as the tests' slow reference.
+new subspaces from normal rows and stay as the tests' slow reference.
+``row_reduce``, a ``Fraction`` Gauss-Jordan elimination, is only the
+reference the tests and the benchmark's checks compare against: no
+function here calls it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ class _Echelon:
     entries rather than by the previous pivot.  A stored row is primitive,
     with a positive pivot, and is reduced only forward, against the rows of
     smaller pivot: ``add`` never touches the rows already stored.  The
-    oracles and the polymatroid read only the rank; ``Subspace`` reads the
-    kept rows of a spanning set.  No nullspace is taken here.
+    oracles and the polymatroid read only the rank; ``_rref`` reduces the
+    kept rows of a spanning set backward too, into the subspace's RREF.
     """
 
     def __init__(self):
@@ -112,11 +116,12 @@ def _primitive(row: dict, lead) -> dict:
     return {k: v // g for k, v in row.items()} if g != 1 else row
 
 
-# -- the Fraction RREF and canonical subspaces ---------------------------------
+# -- the reference RREF and canonical subspaces --------------------------------
 
 
 def row_reduce(rows) -> tuple[tuple[Vector, ...], int]:
-    """Reduced row echelon form and rank, computed exactly.
+    """Reduced row echelon form and rank, computed exactly by ``Fraction``
+    Gauss-Jordan elimination: the reference for ``Subspace``'s RREF.
 
     Returns a matrix of the same shape with unit pivots, zeros above and
     below every pivot, and zero rows collected at the bottom.
@@ -145,50 +150,31 @@ def row_reduce(rows) -> tuple[tuple[Vector, ...], int]:
     return tuple(tuple(row) for row in mat), pivot_row
 
 
-def _pivot_columns(rref_rows) -> list[int]:
-    pivots = []
-    for row in rref_rows:
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is not None:
-            pivots.append(lead)
-    return pivots
-
-
-def _nullspace(rref_rows, ncols: int) -> list[Vector]:
-    """Basis of the right nullspace of a matrix already in RREF."""
-    pivots = _pivot_columns(rref_rows)
-    pivot_set = set(pivots)
-    out = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rref_rows[r][free]
-        out.append(tuple(vec))
-    return out
-
-
-def _spanning_rows(vectors, m: int) -> list[list[int]]:
-    """At most m integer rows with the same span as the rational
-    ``vectors``: the rows the kernel keeps, and it stops once it holds m
-    of them."""
+def _rref(vectors, m: int) -> tuple[Vector, ...]:
+    """The nonzero RREF rows of the span of ``vectors``: the kernel keeps at
+    most m rows, back-substitution clears each pivot column from the rows
+    above it, last pivot first, and each row is divided by its pivot."""
     rows: dict = {}
     for vec in vectors:
         if any(vec) and _reduce_into(rows, _integer_row(vec)) and len(rows) == m:
             break
-    return [[row.get(j, 0) for j in range(m)] for row in rows.values()]
+    for p in sorted(rows, reverse=True):
+        for q in rows:
+            if q < p and p in rows[q]:
+                rows[q] = _eliminate(rows[q], rows[p], p)
+    return tuple(
+        tuple(Fraction(row.get(j, 0), row[p]) for j in range(m)) for p, row in sorted(rows.items())
+    )
 
 
 class Subspace:
     """A linear subspace of Q^m in canonical form.
 
     ``Subspace(m, vectors)`` is the span of the given vectors (none for the
-    zero subspace).  Every entry is read as a ``Fraction``; the kernel
-    then thins the vectors to at most m rows with the same span, these
-    are row-reduced once, and ``basis`` holds the nonzero RREF rows, so
-    two Subspace values compare equal exactly when they are the same
+    zero subspace).  Every entry is read as a ``Fraction``; the integer
+    kernel then keeps at most m independent rows of the vectors, and
+    ``basis`` holds the nonzero RREF rows read off them (``_rref``), so two
+    Subspace values compare equal exactly when they are the same
     subspace.  Hashed by value, so never mutated.
     """
 
@@ -203,9 +189,8 @@ class Subspace:
                 raise ValueError(
                     f"vector length {len(row)} differs from ambient dimension {ambient_dim}"
                 )
-        rref, rank = row_reduce(_spanning_rows(rows, ambient_dim))
         self.ambient_dim = ambient_dim
-        self.basis = rref[:rank]
+        self.basis = _rref(rows, ambient_dim)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -225,14 +210,22 @@ class Subspace:
 
     def normal_rows(self) -> list[dict]:
         """A basis of the annihilator as primitive integer rows {index: entry},
-        one per free column of the RREF; read as linear forms they vanish
-        exactly on the subspace.  No elimination is run."""
-        return [_integer_row(v) for v in _nullspace(self.basis, self.ambient_dim)]
+        one per free column of ``basis``: its unit vector less that column of
+        the RREF at the pivots.  Read as linear forms they vanish exactly on
+        the subspace.  No elimination is run."""
+        m = self.ambient_dim
+        at = {row.index(1): row for row in self.basis}  # a row's first nonzero is its pivot, 1
+        return [
+            _integer_row([-at[j][free] if j in at else int(j == free) for j in range(m)])
+            for free in range(m)
+            if free not in at
+        ]
 
     def annihilator(self) -> "Subspace":
         """Vectors orthogonal to the subspace; read as linear forms they
         vanish exactly on it.  Has dimension m - dim."""
-        return Subspace(self.ambient_dim, _nullspace(self.basis, self.ambient_dim))
+        m = self.ambient_dim
+        return Subspace(m, [[row.get(j, 0) for j in range(m)] for row in self.normal_rows()])
 
 
 def intersect(subspaces) -> Subspace:

@@ -34,8 +34,9 @@ kernel of the restrictions to the Y_k tensor V, and its dimension is one
 exact rank of their stacked vanishing conditions.
 With the polymatroid it shares only each subspace's normal rows and the
 fraction-free elimination kernel of ``equisyz.linalg``, which the tests
-check against the ``Fraction`` annihilator and RREF, so it stays an
-independent check on the series formulas.
+check against the reference ``Fraction`` RREF (``row_reduce``) and the
+nullspace read off it, so it stays an independent check on the series
+formulas.
 """
 
 from __future__ import annotations

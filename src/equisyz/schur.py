@@ -128,10 +128,11 @@ def _upto(vec: list[int], k: int) -> list[int]:
     return vec[: offsets[k + 1]] if k + 1 < len(offsets) else vec
 
 
-def check_window(degree):
-    """A truncation window is an int >= 0, and not a bool."""
-    if type(degree) is not int or degree < 0:
-        raise ValueError(f"truncation degree must be nonnegative and an int, got {degree!r}")
+def check_nonnegative_int(value, name: str):
+    """A truncation window, a generation degree or an ambient dimension is
+    an int >= 0, and not a bool."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be nonnegative and an int, got {value!r}")
 
 
 class SchurSeries:
@@ -142,7 +143,7 @@ class SchurSeries:
     __slots__ = ("vec", "degree")
 
     def __init__(self, coeffs=None, *, degree: int):
-        check_window(degree)
+        check_nonnegative_int(degree, "truncation degree")
         self.vec = _summed(coeffs.items() if coeffs else (), degree)
         self.degree = degree
 
@@ -300,14 +301,14 @@ class SchurSeries:
 
     def truncate(self, k: int) -> "SchurSeries":
         """Sub-series of degree <= k; the truncation window stays at D."""
-        if not 0 <= k <= self.degree:
-            raise ValueError(f"truncation bound {k} outside 0..{self.degree}")
+        if type(k) is not int or not 0 <= k <= self.degree:
+            raise ValueError(f"truncation bound must be an int in 0..{self.degree}, got {k!r}")
         return SchurSeries._make(_upto(self.vec, k), self.degree)
 
     def graded_part(self, d: int) -> "SchurSeries":
         """Homogeneous degree-d component: the slice of degree d."""
-        if not 0 <= d <= self.degree:
-            raise ValueError(f"degree {d} outside 0..{self.degree}")
+        if type(d) is not int or not 0 <= d <= self.degree:
+            raise ValueError(f"degree must be an int in 0..{self.degree}, got {d!r}")
         low = len(_upto(self.vec, d - 1))
         return SchurSeries._make([0] * low + _upto(self.vec, d)[low:], self.degree)
 
@@ -393,6 +394,8 @@ def times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
     """series * sigma^k truncated at ``series.degree``: |k| passes of sigma
     (k > 0) or of sigma^-1 (k < 0) on its vector, padded to the whole of
     ``graded_index(series.degree)``."""
+    if type(k) is not int:
+        raise ValueError(f"sigma exponent must be an int, got {k!r}")
     _, offsets, _, below, _ = graded_index(series.degree)
     v = series.vec + [0] * (offsets[-1] - len(series.vec))
     step = sigma_pass if k > 0 else sigma_inverse_pass

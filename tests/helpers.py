@@ -15,7 +15,7 @@ intersection loop takes each factor's nullspace and ranks their stack
 with ``FractionEchelon`` and the ``Fraction`` RREF of ``equisyz.linalg``,
 so it shares no elimination code with the oracle's restriction ranks.  The
 formula side keeps its first implementation here too: the polymatroid
-ranks by the ``Fraction`` RREF of the stacked annihilators, the subset
+ranks by the ``Fraction`` RREF of the stacked nullspaces, the subset
 recursions for P and H at full truncation degree, and powers of sigma as
 chains of general Littlewood-Richardson products, to certify the Moebius
 inversion and the dense passes of sigma.  The Pieri kernel that the dense
@@ -24,7 +24,9 @@ signed vertical strips built from its rows, and the first strip
 enumeration (vertical strips as conjugates of the conjugate's horizontal
 strips), to certify the strip lists of ``graded_index``.  So is the dict
 that held a series before its dense vector, ``DictSeries``, to certify the
-vector's order, slices and entrywise operations.
+vector's order, slices and entrywise operations.  ``row_reduce`` and the
+nullspace read off its RREF, ``_nullspace``, are the references for the
+RREF and the normal rows that ``Subspace`` reads off the integer kernel.
 """
 
 from fractions import Fraction
@@ -34,7 +36,7 @@ from itertools import combinations, combinations_with_replacement, groupby, perm
 from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, Polymatroid, hilbert_product, polymatroid_of
-from equisyz.linalg import Subspace, _Echelon, _nullspace, row_reduce
+from equisyz.linalg import Subspace, _Echelon, row_reduce
 from equisyz.partitions import conjugate
 from equisyz.schur import SchurSeries, one, sigma, times_sigma_power
 
@@ -289,6 +291,23 @@ class FractionEchelon:
         return False
 
 
+def _nullspace(rref_rows, ncols: int) -> list[tuple]:
+    """Basis of the right nullspace of a matrix already in ``Fraction`` RREF,
+    one vector per free column: the reference for ``Subspace.normal_rows``
+    and ``Subspace.annihilator``."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rref_rows if any(row)]
+    out = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -rref_rows[r][free]
+        out.append(tuple(vec))
+    return out
+
+
 def forms_per_factor(arr: Arrangement, n: int) -> list:
     """Each factor's degree-one forms as pairs (i, {var: coeff}): a normal
     row of the subspace tensored with e_i, so of pure V-weight e_i, with
@@ -301,12 +320,13 @@ def forms_per_factor(arr: Arrangement, n: int) -> list:
 
 
 def _fraction_forms(arr: Arrangement, n: int):
-    """Each factor's degree-one forms, with the annihilator's own Fraction
-    coefficients; variable j*n + i is z[j,i]."""
+    """Each factor's degree-one forms, with the Fraction coefficients of the
+    annihilator's RREF, taken by ``row_reduce``; variable j*n + i is z[j,i]."""
+    m = arr.ambient_dim
     return [
         [
             {j * n + i: c for j, c in enumerate(a) if c}
-            for a in sub.annihilator().basis
+            for a in row_reduce(_nullspace(sub.basis, m))[0]
             for i in range(n)
         ]
         for sub in arr.subspaces
@@ -671,8 +691,9 @@ def lines_first_disagreement(arr: Arrangement, truncation: int) -> int | None:
 
 def reference_ranks(arr: Arrangement) -> list[int]:
     """Polymatroid ranks by the ``Fraction`` RREF: for every mask, the
-    ``row_reduce`` rank of the annihilator bases of its subspaces stacked."""
-    normals = [s.annihilator().basis for s in arr.subspaces]
+    ``row_reduce`` rank of the ``Fraction`` nullspaces of its subspaces'
+    bases stacked."""
+    normals = [_nullspace(s.basis, arr.ambient_dim) for s in arr.subspaces]
     ranks = []
     for mask in range(1 << len(normals)):
         rows = [row for i, basis in enumerate(normals) if mask >> i & 1 for row in basis]

@@ -139,6 +139,34 @@ def test_regularity_reads_degrees_not_t():
         BettiTable(2, (col0, col1))  # column 1 must sit in degree 3
 
 
+SQUARE = sigma(4) ** 2 - 1  # the maximal ideal of K[W tensor V], dim W = 2
+
+# A bool generation degree gave a table whose t and regularity were True,
+# BettiTable took a float t, and a float size raised a TypeError.
+BAD_SIZES = {
+    "t=True": (lambda: betti_from_series(SQUARE, 2, True), "generation degree"),
+    "t=1.0": (lambda: betti_from_series(SQUARE, 2, 1.0), "generation degree"),
+    "m=True": (lambda: betti_from_series(SQUARE, True, 1), "ambient dimension"),
+    "m=2.0": (lambda: betti_from_series(SQUARE, 2.0, 1), "ambient dimension"),
+    "table t=True": (lambda: BettiTable(True, ()), "generation degree"),
+    "table t=1.0": (lambda: BettiTable(1.0, ()), "generation degree"),
+    "reconstruct m=True": (
+        lambda: series_from_betti(betti_from_series(SQUARE, 2, 1), True), "ambient dimension"
+    ),
+    "reconstruct m=2.0": (
+        lambda: series_from_betti(betti_from_series(SQUARE, 2, 1), 2.0), "ambient dimension"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SIZES)
+def test_sizes_must_be_nonnegative_ints(case):
+    call, name = BAD_SIZES[case]
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative and an int"):
+        call()
+    assert series_from_betti(betti_from_series(SQUARE, 2, 1), 2) == SQUARE
+
+
 # -- transpose ---------------------------------------------------------------
 
 

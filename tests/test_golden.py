@@ -87,6 +87,14 @@ CASES = {
     "origin_between_lines": (EXIT_OK, [
         "--max-degree", "4", "--side", "both", "--oracle-check", "4", "--dim-v", "4",
     ]),
+    # four subspaces of Q^4 spanned redundantly: more vectors than their
+    # dimension, zero vectors, dependent rows, "p/q" entries and pivots that
+    # arrive in decreasing column order; the last is the origin, spanned by
+    # zero vectors alone.  The report's bases are their RREFs, and the oracle
+    # takes its linear forms from their normal rows.
+    "redundant_spanning": (EXIT_OK, [
+        "--max-degree", "6", "--side", "both", "--oracle-check", "4", "--dim-v", "4",
+    ]),
 }
 
 DOCUMENTS = {

@@ -1,17 +1,25 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisyz import linalg
-from equisyz.linalg import Subspace, intersect, row_reduce
+from equisyz import cli, linalg
+from equisyz.linalg import Subspace, _integer_row, intersect, row_reduce
+
+from helpers import _nullspace
 
 
 def F(x):
     return Fraction(x)
+
+
+def refuse_row_reduce(rows):
+    raise AssertionError("row_reduce called")
 
 
 def full(m):
@@ -95,24 +103,53 @@ def test_constructor_canonicalises_input():
         Subspace(2, [[1, 0], [1]])
 
 
-def test_constructor_row_reduces_once(monkeypatch):
-    calls = []
+def test_subspaces_never_row_reduce(monkeypatch):
+    """Construction, normal rows and annihilators read the integer kernel
+    alone, and the kernel stops reducing once it holds m rows."""
+    kept = []
+    reduce_into = linalg._reduce_into
 
-    def counted(rows):
-        calls.append(rows)
-        return row_reduce(rows)
+    def counted(rows, row):
+        independent = reduce_into(rows, row)
+        kept.append(len(rows))
+        return independent
 
-    monkeypatch.setattr(linalg, "row_reduce", counted)
+    monkeypatch.setattr(linalg, "row_reduce", refuse_row_reduce)
+    monkeypatch.setattr(linalg, "_reduce_into", counted)
     a = Subspace(3, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert len(calls) == 1
-    assert len(calls[0]) == 2  # the kernel keeps only independent rows
-    intersect([a, Subspace(3, [[1, 0, 0], [0, 0, 1]])])
-    assert len(calls) == 6  # two annihilators, the stacked normals, one more annihilator
-    # more than m vectors are thinned to at most m rows too
+    assert kept == [1, 1, 2]  # the kernel keeps only independent rows
+    assert a.basis == ((1, 0, 1), (0, 1, 1))
+    assert a.normal_rows() == [{0: 1, 1: 1, 2: -1}]
+    assert a.annihilator() == Subspace(3, [[1, 1, -1]])
+    # more than m vectors: the fifth is never reduced, and at most m rows are kept
+    kept.clear()
     tall = Subspace(2, [[1, 2], [2, 4], [3, 6], [0, 1], ["1/2", 5]])
-    assert len(calls) == 7
-    assert len(calls[-1]) == 2
+    assert kept == [1, 1, 1, 2]
     assert tall == Subspace(2, [[1, 0], [0, 1]])
+
+
+def test_no_function_in_src_calls_row_reduce(monkeypatch):
+    """``row_reduce`` is only the tests' reference: subspaces, intersections
+    and whole jobs run with it raising."""
+    for name in ("_spanning_rows", "_nullspace", "_pivot_columns"):
+        assert not hasattr(linalg, name)
+    monkeypatch.setattr(linalg, "row_reduce", refuse_row_reduce)
+    plane = Subspace(3, [[0, 1, "1/2"], [0, 0, 0], [1, 1, 1], [2, 3, "5/2"]])
+    line = Subspace(3, [[1, "-1/3", 0]])
+    assert intersect([plane, line]).dim == 0
+    assert plane.contains([1, 0, "1/2"]) and plane.annihilator().dim == 1
+    golden = Path(__file__).resolve().parent / "golden"
+    product = cli.JobConfig(
+        cli.parse_arrangement(json.loads((golden / "redundant_spanning.json").read_text())),
+        max_degree=4, oracle_degree=4, dim_v=4,
+    )
+    report = cli.run_job(product)
+    assert report["status"] == "ok" and all(report["validations"].values())
+    intersection = cli.JobConfig(
+        cli.parse_arrangement(json.loads((golden / "line_and_three_planes.json").read_text())),
+        max_degree=4, ideal="intersection", dim_v=4,
+    )
+    assert cli.run_job(intersection)["status"] == "ok"
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,6 +162,35 @@ def test_spanning_set_has_the_rref_basis(data):
     )
     rref, rank = row_reduce(rows)
     assert Subspace(m, rows).basis == rref[:rank]
+
+
+@st.composite
+def spanning_sets(draw):
+    """m and vectors of Q^m: "p/q" strings, zero vectors, more vectors than
+    m, a dependent combination, and at times the later pivots first."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -3, "1/2", "-2/3", "5/3", F("3/4")])
+    vec = st.lists(entry, min_size=m, max_size=m)
+    vectors = draw(st.lists(st.one_of(vec, st.just([0] * m)), max_size=2 * m + 2))
+    if len(vectors) >= 2 and draw(st.booleans()):
+        c = draw(st.sampled_from([F(1), F(-2), F("1/3")]))
+        vectors.append([c * F(x) + F(y) for x, y in zip(vectors[0], vectors[1])])
+    if draw(st.booleans()):
+        vectors.sort(key=lambda v: -next((j for j, x in enumerate(v) if F(x)), m))
+    return m, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_sets())
+def test_normal_rows_and_annihilator_match_the_fraction_reference(case):
+    m, vectors = case
+    rref, rank = row_reduce(vectors)
+    s = Subspace(m, vectors)
+    assert s.basis == rref[:rank]
+    nullspace = _nullspace(rref[:rank], m)
+    assert s.normal_rows() == [_integer_row(v) for v in nullspace]
+    ann, ann_rank = row_reduce(nullspace)
+    assert s.annihilator().basis == ann[:ann_rank]
 
 
 def test_invalid_entry_past_full_rank_is_rejected():
@@ -190,7 +256,7 @@ def test_normal_rows_are_a_primitive_basis_of_the_annihilator():
             assert all(type(c) is int for c in row.values())
             assert math.gcd(*row.values()) == 1 and row[min(row)] > 0
         dense = [[row.get(j, 0) for j in range(m)] for row in rows]
-        assert Subspace(m, dense) == s.annihilator()
+        assert Subspace(m, dense) == Subspace(m, _nullspace(s.basis, m))
 
 
 # -- intersections ----------------------------------------------------------

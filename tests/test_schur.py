@@ -95,6 +95,28 @@ def test_graded_index_refuses_a_negative_degree_before_recursing(D):
         times_sigma_power(SchurSeries._make([0, 1], D), 1)
 
 
+H = SchurSeries({(1,): 2, (2,): 1, (1, 1): 3}, degree=2)
+
+# times_sigma_power and truncate raised a TypeError on a float and took
+# True as 1; graded_part took True as degree 1 and 1.0 as 1.
+NOT_INTS = {
+    "sigma^1.5": (lambda: times_sigma_power(H, 1.5), "sigma exponent must be an int"),
+    "sigma^True": (lambda: times_sigma_power(H, True), "sigma exponent must be an int"),
+    "truncate(1.0)": (lambda: H.truncate(1.0), "truncation bound must be an int"),
+    "truncate(True)": (lambda: H.truncate(True), "truncation bound must be an int"),
+    "graded_part(True)": (lambda: H.graded_part(True), "degree must be an int"),
+    "graded_part(1.0)": (lambda: H.graded_part(1.0), "degree must be an int"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INTS)
+def test_exponents_bounds_and_degrees_must_be_ints(case):
+    call, message = NOT_INTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert H.graded_part(1) == H.truncate(1) == SchurSeries({(1,): 2}, degree=2)
+
+
 def test_constructor_rejects_bad_partition():
     with pytest.raises(ValueError):
         series({(1, 2): 1}, 3)
