@@ -23,18 +23,8 @@ from .betti import (
     series_from_betti,
     transpose_table,
 )
-from .errors import SizeCapError
-from .linalg import Subspace, intersect, row_reduce
-from .oracle import (
-    DEFAULT_CAPS,
-    GradedCharacter,
-    OracleCaps,
-    character_to_schur,
-    from_weight_multiplicities,
-    intersection_ideal_character,
-    product_ideal_character,
-    wedge_ideal_character,
-)
+from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError
+from .linalg import Subspace, intersect
 from .partitions import (
     Partition,
     conjugate,
@@ -46,6 +36,26 @@ from .partitions import (
 from .schur import SchurSeries, sigma, times_sigma_power
 
 __version__ = "0.1.0"
+
+# Read from equisyz.oracle on first use (PEP 562), so that importing the
+# package, or a product job's CLI, never loads the oracle.
+_ORACLE_NAMES = frozenset({
+    "GradedCharacter",
+    "character_to_schur",
+    "from_weight_multiplicities",
+    "intersection_ideal_character",
+    "product_ideal_character",
+    "wedge_ideal_character",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Arrangement",
@@ -74,7 +84,6 @@ __all__ = [
     "polymatroid_of",
     "product_ideal_character",
     "regularity",
-    "row_reduce",
     "series_from_betti",
     "sigma",
     "times_sigma_power",

@@ -22,12 +22,11 @@ import argparse
 import errno
 import json
 import os
-import re
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .arrangements import (
     MAX_AMBIENT_DIM,
@@ -45,18 +44,8 @@ from .betti import (
     regularity,
     transpose_table,
 )
-from .errors import SizeCapError
-from .linalg import Subspace
-from .oracle import (
-    DEFAULT_CAPS,
-    GradedCharacter,
-    OracleCaps,
-    _check_sizes,
-    character_to_schur,
-    intersection_ideal_character,
-    product_ideal_character,
-    wedge_ideal_character,
-)
+from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError
+from .linalg import Subspace, read_rational, scaled_numerators
 from .partitions import orbit
 from .schur import SchurSeries, format_terms
 
@@ -67,30 +56,49 @@ EXIT_CAP = 3
 
 CAPS_ENV_VAR = "EQUISYZ_CAPS"
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# The oracle's entry points are bound in this module's globals when a job
+# first needs them, so a product job without --oracle-check never imports
+# equisyz.oracle.  run_job and _oracle_section call them through these
+# globals, where a caller may have replaced them.
+_ORACLE_NAMES = (
+    "character_to_schur",
+    "intersection_ideal_character",
+    "product_ideal_character",
+    "wedge_ideal_character",
+)
+
+
+def _import_oracle():
+    """Import equisyz.oracle and bind its entry points here, keeping any
+    binding already made."""
+    from . import oracle
+
+    names = globals()
+    for name in _ORACLE_NAMES:
+        names.setdefault(name, getattr(oracle, name))
+    return oracle
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        _import_oracle()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InputError(Exception):
     """Malformed document, configuration or flag combination."""
 
 
-def _parse_entry(value) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"entry {value!r} is not a rational number")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        # Fraction alone also reads decimals and exponents, and builds
-        # 10**exponent for "1e10000000" before any check can stop it
-        try:
-            if not _RATIONAL.fullmatch(value):
-                raise ValueError(value)
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"entry {value!r} is not a rational number") from exc
-    raise InputError(
-        f"entry {value!r} is not a rational number (use integers or 'p/q' strings)"
-    )
+def _parse_entry(value) -> tuple[int, int]:
+    """(numerator, denominator) of a document entry, an int or a "p/q"
+    string, under the library's one grammar (``linalg.read_rational``)."""
+    try:
+        return read_rational(value)
+    except ValueError as exc:
+        raise InputError(
+            f"entry {value!r} is not a rational number (use integers or 'p/q' strings)"
+        ) from exc
 
 
 def parse_arrangement(document) -> Arrangement:
@@ -119,7 +127,7 @@ def parse_arrangement(document) -> Arrangement:
                 raise InputError(
                     f"subspace {idx}: vector {vec!r} does not have length {m}"
                 )
-            parsed.append([_parse_entry(x) for x in vec])
+            parsed.append(scaled_numerators([_parse_entry(x) for x in vec]))
         subspaces.append(Subspace(m, parsed))
     return Arrangement(m, tuple(subspaces))
 
@@ -163,7 +171,17 @@ JobConfig = namedtuple(
 
 
 def _subspace_doc(sub: Subspace) -> list[list[str]]:
-    return [[str(x) for x in row] for row in sub.basis]
+    """The RREF of ``sub``, each entry written in lowest terms as
+    ``str(Fraction)`` writes it, read off the integer echelon."""
+    doc = []
+    for row in sub.echelon:
+        piv = next(filter(None, row))
+        entries = []
+        for c in row:
+            g = gcd(c, piv)
+            entries.append(str(c // g) if g == piv else f"{c // g}/{piv // g}")
+        doc.append(entries)
+    return doc
 
 
 def _weights_doc(table: dict) -> list[list]:
@@ -206,13 +224,14 @@ def _check_config(cfg: JobConfig):
         )
     # the oracle's caps, refused before the formula side runs
     if cfg.ideal == "intersection":
-        _check_sizes(cfg.arrangement, max(cfg.max_degree, 1), cfg.max_degree, cfg.caps)
+        D = cfg.max_degree
+        _import_oracle()._check_sizes(cfg.arrangement, max(D, 1), D, cfg.caps)
     if cfg.oracle_degree > 0:
         n = cfg.dim_v or cfg.oracle_degree
-        _check_sizes(cfg.arrangement, n, cfg.oracle_degree, cfg.caps)
+        _import_oracle()._check_sizes(cfg.arrangement, n, cfg.oracle_degree, cfg.caps)
 
 
-def _intersection_series(char: GradedCharacter, D: int) -> SchurSeries:
+def _intersection_series(char, D: int) -> SchurSeries:
     return SchurSeries.from_pairs(
         chain.from_iterable(character_to_schur(char, d).items() for d in range(D + 1)),
         degree=D,
@@ -222,7 +241,7 @@ def _intersection_series(char: GradedCharacter, D: int) -> SchurSeries:
 def _oracle_section(
     cfg: JobConfig,
     hseries: SchurSeries,
-    intersection_char: GradedCharacter | None,
+    intersection_char,
     validations: dict,
 ) -> dict:
     arr = cfg.arrangement
@@ -246,7 +265,7 @@ def _oracle_section(
     )
 
     if intersection_char is not None:  # its coefficients do not depend on n
-        intersection_char = GradedCharacter(n, intersection_char.coeffs)
+        intersection_char = _import_oracle().GradedCharacter(n, intersection_char.coeffs)
     all_product_ok = True
     all_wedge_ok = True
     all_contained = True
@@ -381,6 +400,10 @@ def _json(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if type(value) is list and type(value[0]) in (list, dict):
+            text = _rows_json(value, pad)
+            if text is not None:
+                return text
         items = [int.__repr__(x) if type(x) is int else _json(x, inner) for x in value]
         return f"[{inner}{sep.join(items)}{pad}]"
     if isinstance(value, dict):
@@ -392,6 +415,36 @@ def _json(value, pad: str) -> str:
         ]
         return f"{{{inner}{sep.join(items)}{pad}}}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_RANK_ROW = {"rank", "subset"}
+
+
+def _rows_json(rows: list, pad: str) -> str | None:
+    """``rows`` as ``_json`` writes it at ``pad``, one template per row, when
+    it is a list of [list of ints, int] pairs (Schur terms, weights) or of
+    {"rank": int, "subset": list of ints} rows (the polymatroid's ranks);
+    None for any other list."""
+    i1 = pad + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    sep = "," + i3
+    out = []
+    for row in rows:
+        if type(row) is list and len(row) == 2:
+            ints, c = row
+        elif type(row) is dict and row.keys() == _RANK_ROW:
+            c, ints = row["rank"], row["subset"]
+        else:
+            return None
+        if type(c) is not int or type(ints) is not list or not all(type(x) is int for x in ints):
+            return None
+        body = f"[{i3}{sep.join(map(str, ints))}{i2}]" if ints else "[]"
+        if type(row) is list:
+            out.append(f"[{i2}{body},{i2}{c}{i1}]")
+        else:
+            out.append(f'{{{i2}"rank": {c},{i2}"subset": {body}{i1}}}')
+    return f"[{i1}{(',' + i1).join(out)}{pad}]"
 
 
 def render_json(report: dict) -> str:

@@ -3,28 +3,68 @@
 One exact elimination runs here, and it is fraction-free: sparse rows of
 nonzero ``int`` entries in an incremental echelon (``_Echelon``,
 ``_reduce_into``), which takes every rank the pipeline needs: the
-polymatroid's, the oracle's, and the span of every spanning set.  A
-rational vector becomes such a row in one place, ``_integer_row``.  A
-subspace is stored as the nonzero rows of its RREF, which is unique, so
-equality of subspaces is equality of representations and subspaces can
-be used as dictionary keys.  ``Subspace`` reads that RREF off the
-kernel's echelon of at most m spanning rows: back-substitute, then divide
-each row by its pivot.  ``Subspace.normal_rows`` reads a basis of the
-annihilator off the RREF's free columns, as primitive integer rows, with
-no further elimination; the polymatroid and the oracle both take their
-linear forms from it.  ``intersect`` and ``Subspace.annihilator`` build
-new subspaces from normal rows and stay as the tests' slow reference.
-``row_reduce``, a ``Fraction`` Gauss-Jordan elimination, is only the
-reference the tests and the benchmark's checks compare against: no
-function here calls it.
+polymatroid's, the oracle's, and the span of every spanning set.
+Rationals become integers where they enter: ``read_rational`` reads one
+entry (a non-bool ``int``, a ``numbers.Rational`` such as a ``Fraction``,
+or a "p/q" string) as a numerator and a denominator, and
+``scaled_numerators`` scales a vector by the lcm of its denominators, so
+no job builds a ``Fraction``.  A subspace is stored as its canonical
+integer echelon (``Subspace.echelon``): the kernel's echelon of at most m
+spanning rows, back-substituted so that every pivot column is zero outside
+its own row, each row primitive with a positive pivot.  Each row is then
+the one such multiple of a row of the RREF, so the form is unique:
+equality of subspaces is equality of representations, and subspaces can be
+used as dictionary keys.  ``Subspace.normal_rows`` reads a basis of the
+annihilator off its free columns, as primitive integer rows, with no
+further elimination; the polymatroid and the oracle both take their linear
+forms from it.  ``intersect`` and ``Subspace.annihilator`` build new
+subspaces from normal rows and stay as the tests' slow reference.
+``Subspace.basis`` (the ``Fraction`` RREF) and ``row_reduce`` (a
+``Fraction`` Gauss-Jordan elimination) are for the tests and the
+benchmark's checks: no function here calls them, and each imports
+``fractions`` only when it runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from math import gcd, lcm
+from numbers import Rational
 
-Vector = tuple[Fraction, ...]
+# "p" or "p/q" in ASCII digits with an optional sign: no decimals, exponents,
+# spaces or underscores, which Fraction() or int() would also read
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_rational(value) -> tuple[int, int]:
+    """A vector entry as (numerator, denominator), the denominator positive.
+
+    An entry is a non-bool ``int``, a ``numbers.Rational`` such as a
+    ``Fraction``, or a string "p" or "p/q" (``_RATIONAL``).  Anything else is
+    a ValueError: a float, whose binary value is not the decimal it prints
+    as, a bool, "0.5" or "1e3", a zero denominator, or more digits than
+    ``int()`` converts.
+    """
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match:
+            num, den = match.groups()
+            den = int(den) if den else 1
+            if den:
+                return int(num), den
+    elif isinstance(value, Rational) and not isinstance(value, bool):
+        return int(value.numerator), int(value.denominator)
+    raise ValueError(f"entry {value!r} is not a rational number")
+
+
+def scaled_numerators(entries) -> list[int]:
+    """(numerator, denominator) pairs as the integer vector they make times
+    the lcm of the denominators; it spans the same line."""
+    entries = list(entries)
+    den = lcm(*(d for _, d in entries))
+    return [n * (den // d) for n, d in entries]
 
 
 # -- the fraction-free kernel ------------------------------------------------
@@ -42,8 +82,9 @@ class _Echelon:
     entries rather than by the previous pivot.  A stored row is primitive,
     with a positive pivot, and is reduced only forward, against the rows of
     smaller pivot: ``add`` never touches the rows already stored.  The
-    oracles and the polymatroid read only the rank; ``_rref`` reduces the
-    kept rows of a spanning set backward too, into the subspace's RREF.
+    oracles and the polymatroid read only the rank; ``_echelon`` reduces the
+    kept rows of a spanning set backward too, into the subspace's canonical
+    echelon.
     """
 
     def __init__(self):
@@ -99,12 +140,11 @@ def _eliminate(work: dict, piv: dict, lead) -> dict:
 
 
 def _integer_row(vector) -> dict:
-    """A nonzero rational vector as a sparse row {index: entry} of coprime
-    integers, its first entry positive; it spans the same line."""
-    row = {j: c for j, c in enumerate(vector) if c}
-    den = lcm(*(c.denominator for c in row.values()))
-    ints = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
-    return _primitive(ints, min(row))
+    """A nonzero rational vector, its entries read by ``read_rational``, as a
+    sparse row {index: entry} of coprime integers, its first entry positive;
+    it spans the same line."""
+    row = {j: c for j, c in enumerate(scaled_numerators(map(read_rational, vector))) if c}
+    return _primitive(row, min(row))
 
 
 def _primitive(row: dict, lead) -> dict:
@@ -119,13 +159,15 @@ def _primitive(row: dict, lead) -> dict:
 # -- the reference RREF and canonical subspaces --------------------------------
 
 
-def row_reduce(rows) -> tuple[tuple[Vector, ...], int]:
+def row_reduce(rows) -> tuple[tuple[tuple, ...], int]:
     """Reduced row echelon form and rank, computed exactly by ``Fraction``
-    Gauss-Jordan elimination: the reference for ``Subspace``'s RREF.
+    Gauss-Jordan elimination: the reference for ``Subspace``'s echelon.
 
     Returns a matrix of the same shape with unit pivots, zeros above and
     below every pivot, and zero rows collected at the bottom.
     """
+    from fractions import Fraction  # only the tests and the benchmark's checks call this
+
     mat = [[Fraction(x) for x in row] for row in rows]
     if not mat:
         return (), 0
@@ -150,10 +192,11 @@ def row_reduce(rows) -> tuple[tuple[Vector, ...], int]:
     return tuple(tuple(row) for row in mat), pivot_row
 
 
-def _rref(vectors, m: int) -> tuple[Vector, ...]:
-    """The nonzero RREF rows of the span of ``vectors``: the kernel keeps at
-    most m rows, back-substitution clears each pivot column from the rows
-    above it, last pivot first, and each row is divided by its pivot."""
+def _echelon(vectors, m: int) -> tuple[tuple[int, ...], ...]:
+    """The canonical integer echelon of the span of the integer ``vectors``:
+    the kernel keeps at most m rows, back-substitution clears each pivot
+    column from the rows above it, last pivot first, and each row is made
+    primitive with a positive pivot.  Rows come in pivot order, dense."""
     rows: dict = {}
     for vec in vectors:
         if any(vec) and _reduce_into(rows, _integer_row(vec)) and len(rows) == m:
@@ -163,63 +206,94 @@ def _rref(vectors, m: int) -> tuple[Vector, ...]:
             if q < p and p in rows[q]:
                 rows[q] = _eliminate(rows[q], rows[p], p)
     return tuple(
-        tuple(Fraction(row.get(j, 0), row[p]) for j in range(m)) for p, row in sorted(rows.items())
+        tuple(row.get(j, 0) for j in range(m))
+        for row in (_primitive(rows[p], p) for p in sorted(rows))
     )
+
+
+def _pivot(row) -> int:
+    """The column of the first nonzero entry of a dense row."""
+    return next(j for j, c in enumerate(row) if c)
 
 
 class Subspace:
     """A linear subspace of Q^m in canonical form.
 
     ``Subspace(m, vectors)`` is the span of the given vectors (none for the
-    zero subspace).  Every entry is read as a ``Fraction``; the integer
-    kernel then keeps at most m independent rows of the vectors, and
-    ``basis`` holds the nonzero RREF rows read off them (``_rref``), so two
-    Subspace values compare equal exactly when they are the same
-    subspace.  Hashed by value, so never mutated.
+    zero subspace).  Every entry is read by ``read_rational`` and each
+    vector is scaled to integers; the integer kernel then keeps at most m
+    independent rows of them, and ``echelon`` holds the canonical integer
+    echelon read off those (``_echelon``): one dense tuple of coprime ints
+    per basis vector, in pivot order, each pivot positive and its column
+    zero in every other row.  It is unique, so two Subspace values compare
+    equal exactly when they are the same subspace.  Hashed by value, so
+    never mutated.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "echelon", "_basis")
 
     def __init__(self, ambient_dim: int, vectors=()):
         if type(ambient_dim) is not int or ambient_dim < 1:  # a bool is no size
             raise ValueError(f"ambient dimension must be a positive int, got {ambient_dim!r}")
-        rows = [[Fraction(x) for x in row] for row in vectors]
+        rows = [scaled_numerators(map(read_rational, vec)) for vec in vectors]
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(
                     f"vector length {len(row)} differs from ambient dimension {ambient_dim}"
                 )
         self.ambient_dim = ambient_dim
-        self.basis = _rref(rows, ambient_dim)
+        self.echelon = _echelon(rows, ambient_dim)
+        self._basis = None
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.echelon == other.echelon
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.echelon))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.echelon)
+
+    @property
+    def basis(self) -> tuple[tuple, ...]:
+        """The nonzero rows of the RREF as tuples of ``Fraction``: each row of
+        ``echelon`` divided by its pivot.  Built on first access; no job
+        reads it."""
+        if self._basis is None:
+            from fractions import Fraction
+
+            basis = []
+            for row in self.echelon:
+                piv = row[_pivot(row)]
+                basis.append(tuple(Fraction(c, piv) for c in row))
+            self._basis = tuple(basis)
+        return self._basis
 
     def contains(self, vector) -> bool:
-        m = self.ambient_dim
-        return Subspace(m, self.basis + (vector,)).dim == self.dim
+        return Subspace(self.ambient_dim, self.echelon + (vector,)).dim == self.dim
 
     def normal_rows(self) -> list[dict]:
         """A basis of the annihilator as primitive integer rows {index: entry},
-        one per free column of ``basis``: its unit vector less that column of
-        the RREF at the pivots.  Read as linear forms they vanish exactly on
-        the subspace.  No elimination is run."""
+        one per free column of ``echelon``: its unit vector less that column
+        of the RREF at the pivots, times the lcm of the pivots it divides by.
+        Read as linear forms they vanish exactly on the subspace.  No
+        elimination is run."""
         m = self.ambient_dim
-        at = {row.index(1): row for row in self.basis}  # a row's first nonzero is its pivot, 1
-        return [
-            _integer_row([-at[j][free] if j in at else int(j == free) for j in range(m)])
-            for free in range(m)
-            if free not in at
-        ]
+        at = {_pivot(row): row for row in self.echelon}
+        normals = []
+        for free in range(m):
+            if free in at:
+                continue
+            den = lcm(*(row[p] for p, row in at.items() if row[free]))
+            vec = [0] * m
+            vec[free] = den
+            for p, row in at.items():
+                vec[p] = -row[free] * (den // row[p])
+            normals.append(_integer_row(vec))
+        return normals
 
     def annihilator(self) -> "Subspace":
         """Vectors orthogonal to the subspace; read as linear forms they
@@ -242,5 +316,5 @@ def intersect(subspaces) -> Subspace:
         raise ValueError("ambient dimension mismatch between subspaces")
     if len(subs) == 1:
         return subs[0]
-    normals = [row for s in subs for row in s.annihilator().basis]
+    normals = [row for s in subs for row in s.annihilator().echelon]
     return Subspace(m, normals).annihilator()

@@ -32,41 +32,29 @@ intersection ideal is not spanned at all: J_k(V) is the vanishing ideal of
 Y_k tensor V, so each weight space of the intersection is the common
 kernel of the restrictions to the Y_k tensor V, and its dimension is one
 exact rank of their stacked vanishing conditions.
-With the polymatroid it shares only each subspace's normal rows and the
-fraction-free elimination kernel of ``equisyz.linalg``, which the tests
-check against the reference ``Fraction`` RREF (``row_reduce``) and the
-nullspace read off it, so it stays an independent check on the series
-formulas.
+With the polymatroid it shares only each subspace's integer echelon and
+normal rows and the fraction-free elimination kernel of ``equisyz.linalg``,
+which the tests check against the reference ``Fraction`` RREF
+(``row_reduce``) and the nullspace read off it, so it stays an independent
+check on the series formulas.  ``OracleCaps`` and ``DEFAULT_CAPS`` are
+defined in ``equisyz.errors`` and re-exported here.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from collections import namedtuple
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, product as cartesian
 from math import comb, prod
 
 from .arrangements import Arrangement
-from .errors import SizeCapError
-from .linalg import Subspace, _Echelon, _integer_row
+from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError
+from .linalg import Subspace, _Echelon
 from .partitions import Partition, kostka_number, orbit, partitions_of, weyl_dimension
 from .schur import SchurSeries, _is_integer
 
 Weight = tuple[int, ...]
-
-
-OracleCaps = namedtuple(
-    "OracleCaps", "ambient_dim dim_v degree subspaces", defaults=(4, 4, 4, 4)
-)
-OracleCaps.__doc__ = """Size limits for the brute-force computations.
-
-The weight-space matrices grow combinatorially, so every entry point
-refuses inputs beyond these bounds instead of silently hanging.
-"""
-
-DEFAULT_CAPS = OracleCaps()
 
 
 def _check_sizes(arr: Arrangement, n: int, d_max: int, caps: OracleCaps):
@@ -240,12 +228,13 @@ def _renamed(elem: dict, perm, exterior: bool) -> dict:
     return out
 
 
-def _restriction_rows(basis: list[dict], m: int, e: int) -> list[dict]:
+def _restriction_rows(basis, m: int, e: int) -> list[dict]:
     """Sym^e of the restriction W* -> Y*, for Y spanned by the integer
-    vectors ``basis``: z_j becomes sum_l basis[l][j] s_l.  One row per
-    monomial of degree e in the s_l, keyed by the index of each degree-e
-    monomial of W it reads, in ``combinations_with_replacement`` order."""
-    columns = [{l: b[j] for l, b in enumerate(basis) if j in b} for j in range(m)]
+    vectors ``basis`` (``Subspace.echelon``): z_j becomes sum_l basis[l][j]
+    s_l.  One row per monomial of degree e in the s_l, keyed by the index of
+    each degree-e monomial of W it reads, in ``combinations_with_replacement``
+    order."""
+    columns = [{l: b[j] for l, b in enumerate(basis) if b[j]} for j in range(m)]
     rows: dict = {}
     for idx, mono in enumerate(combinations_with_replacement(range(m), e)):
         image = {(): 1}
@@ -378,7 +367,7 @@ def intersection_ideal_character(
     _check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
     restrictions = [
-        [_restriction_rows([*map(_integer_row, sub.basis)], m, e) for e in range(d_max + 1)]
+        [_restriction_rows(sub.echelon, m, e) for e in range(d_max + 1)]
         for sub in arr.subspaces
     ]
     coeffs: dict[int, dict[Partition, int]] = {}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from equisyz.cli import (
     run_job,
 )
 from equisyz.errors import SizeCapError
+from equisyz.linalg import Subspace, row_reduce, scaled_numerators
 from equisyz.oracle import OracleCaps
 
 AXES2 = {"ambient_dim": 2, "subspaces": [[[1, 0]], [[0, 1]]]}
@@ -62,10 +64,50 @@ def test_parse_rejects_non_rational_entries():
         parse_arrangement({"ambient_dim": 1, "subspaces": [[[0.5]]]})
     with pytest.raises(InputError):
         parse_arrangement({"ambient_dim": 1, "subspaces": [[["x"]]]})
-    # Fraction reads these; the document format has no decimals or exponents
-    for entry in ("0.5", "1e10000000"):
+    # Fraction reads these; the document format has no decimals or exponents.
+    # int() refuses more digits than the interpreter converts (4300 by default)
+    for entry in ("0.5", "1e10000000", "1/0", " 1", "1_000", True, None,
+                  "9" * 5000, "1/" + "9" * 5000):
         with pytest.raises(InputError, match="is not a rational number"):
             parse_arrangement({"ambient_dim": 2, "subspaces": [[[entry, 1]]]})
+
+
+@st.composite
+def document_vectors(draw):
+    """m and vectors of Q^m as a document writes them: ints, and "p/q"
+    strings with signs, leading zeros and terms not in lowest form."""
+    m = draw(st.integers(min_value=1, max_value=4))
+
+    def entry():
+        num = draw(st.integers(min_value=-30, max_value=30))
+        if draw(st.booleans()):
+            return num
+        factor = draw(st.integers(min_value=1, max_value=4))
+        den = draw(st.integers(min_value=1, max_value=12)) * factor
+        sign = draw(st.sampled_from(["", "+", "-"])) if num >= 0 else "-"
+        zeros = "0" * draw(st.integers(min_value=0, max_value=2))
+        tail = f"/{zeros}{den}" if den > 1 or draw(st.booleans()) else ""
+        return f"{sign}{zeros}{abs(num) * factor}{tail}"
+
+    count = draw(st.integers(min_value=0, max_value=2 * m))
+    return m, [[entry() for _ in range(m)] for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(document_vectors())
+def test_parse_writes_the_fraction_rref_of_its_vectors(case):
+    """The parse reads each vector into integers; the report's subspace
+    strings are then ``str(Fraction)`` of the reference RREF of the same
+    vectors, and the Subspace of the integer rows is the Subspace of the
+    Fraction vectors."""
+    m, vectors = case
+    rows = [scaled_numerators(map(cli._parse_entry, vec)) for vec in vectors]
+    assert all(type(c) is int for row in rows for c in row)
+    parsed = parse_arrangement({"ambient_dim": m, "subspaces": [vectors]}).subspaces[0]
+    assert parsed == Subspace(m, rows)
+    rref, rank = row_reduce(vectors)
+    assert cli._subspace_doc(parsed) == [[str(x) for x in row] for row in rref[:rank]]
+    assert parsed == Subspace(m, [[Fraction(x) for x in vec] for vec in vectors])
 
 
 def test_parse_rejects_bad_schema():
@@ -286,8 +328,21 @@ _JSON_SCALARS = (
     | st.integers(min_value=-(10**40), max_value=-(10**18))
     | st.text()
 )
+# lists shaped like Schur terms and rank rows, and near misses to them: a
+# bool, None or str for an int, a tuple for a list, a third item or key
+_ALMOST_INT = st.integers(min_value=-3, max_value=12) | st.sampled_from([True, False, None, "1"])
+_ALMOST_INTS = st.lists(st.integers(min_value=0, max_value=9), max_size=3) | st.lists(
+    _ALMOST_INT, max_size=3
+) | st.tuples(st.integers())
+_ROW_SHAPED = st.lists(
+    st.lists(_ALMOST_INTS | _ALMOST_INT, min_size=1, max_size=3)
+    | st.fixed_dictionaries({"rank": _ALMOST_INT, "subset": _ALMOST_INTS})
+    | st.dictionaries(st.sampled_from(["rank", "subset", "x"]), _ALMOST_INTS | _ALMOST_INT),
+    min_size=1,
+    max_size=4,
+)
 _JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
+    _JSON_SCALARS | _ROW_SHAPED,
     lambda inner: st.lists(inner)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(), inner),
@@ -295,11 +350,11 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_JSON_VALUES)
 def test_json_writer_matches_json_dumps_on_nested_values(value):
     # non-ASCII and control characters, empty containers, large negative
-    # ints and bools beside ints
+    # ints, bools beside ints, and lists the row templates nearly fit
     assert render_json(value) == _dumps(value)
 
 
@@ -340,19 +395,20 @@ def test_main_verbose_leaves_the_report_alone(tmp_path):
     assert quiet.read_bytes() == loud.read_bytes()
 
 
+def python(*args):
+    """A fresh interpreter that imports this checkout's ``src``."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, path])))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def test_start_up_imports_and_verbose_logging(tmp_path):
     """``import equisyz.cli`` loads none of dataclasses, inspect and logging
     beyond a bare interpreter's modules; ``--verbose`` loads logging, writes
     one equisyz.oracle line per oracle and degree, and leaves the report alone."""
-    src_dir = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, path])))
-
-    def python(*args):
-        return subprocess.run(
-            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
-        )
-
     listing = "import sys; print(*sorted(sys.modules))"
     bare = set(python("-c", listing).stdout.split())
     loaded = set(python("-c", "import equisyz.cli; " + listing).stdout.split())
@@ -372,6 +428,33 @@ def test_start_up_imports_and_verbose_logging(tmp_path):
     assert [message.split(":")[0] for _, _, message in records] == [
         f"{oracle} oracle degree {d}" for oracle in ("product", "wedge") for d in range(3)
     ]
+
+
+def test_a_job_imports_only_what_it_runs(tmp_path):
+    """A product job's ``main`` loads neither the oracle nor ``fractions`` nor
+    ``decimal``; an intersection job loads the oracle but not ``fractions``."""
+    axes = [[["1/2", 0, 0]], [[0, "-2/3", 0]], [[0, 0, 3]]]
+    src = write_doc(tmp_path, {"ambient_dim": 3, "subspaces": axes})
+    out = str(tmp_path / "report.json")
+    script = (
+        "import sys\n"
+        "from equisyz.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(sys.modules))\n"
+    )
+
+    def loaded(*flags):
+        run = python("-c", script, "--input", src, "--max-degree", "4", "--output", out, *flags)
+        code, *modules = run.stdout.split()
+        assert (code, run.stderr) == (str(EXIT_OK), "")
+        return set(modules)
+
+    product = loaded()
+    assert "equisyz.cli" in product
+    assert not product & {"equisyz.oracle", "fractions", "decimal"}
+    intersection = loaded("--ideal", "intersection")
+    assert "equisyz.oracle" in intersection
+    assert "fractions" not in intersection
 
 
 def test_main_missing_file_is_input_error(tmp_path):

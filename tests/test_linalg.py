@@ -193,6 +193,16 @@ def test_normal_rows_and_annihilator_match_the_fraction_reference(case):
     assert s.annihilator().basis == ann[:ann_rank]
 
 
+@pytest.mark.parametrize("entry", [0.1, 2.0, True, "1e3", "0.5", " 1", "1_0", "1/0", None, [1]])
+def test_subspace_reads_entries_as_the_cli_does(entry):
+    """The library and the CLI read one entry grammar: a non-bool int, a
+    Fraction or a "p/q" string.  A float was stored as its binary value,
+    True read as 1 and "1e3" as 1000."""
+    with pytest.raises(ValueError, match="is not a rational number"):
+        Subspace(2, [[entry, 1]])
+    assert Subspace(2, [[Fraction(-3, 6), "+02/04"]]) == Subspace(2, [[-1, 1]])
+
+
 def test_invalid_entry_past_full_rank_is_rejected():
     # the kernel stops reducing at rank m, but every entry is still read
     with pytest.raises(ValueError):
