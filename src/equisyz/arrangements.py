@@ -158,12 +158,14 @@ class Polymatroid:
         return self.ranks[self.as_mask(subset)]
 
     def rank_table(self) -> list[tuple[tuple[int, ...], int]]:
-        """All (subset, rank) pairs ordered by size then lexicographically."""
+        """All (subset, rank) pairs ordered by size then lexicographically;
+        each subset's mask is the sum of the same combination of its bits."""
         t = self.ground_size
+        bits = [1 << i for i in range(t)]
         return [
-            (subset, self.rank(subset))
+            (subset, self.ranks[mask])
             for k in range(t + 1)
-            for subset in combinations(range(t), k)
+            for subset, mask in zip(combinations(range(t), k), map(sum, combinations(bits, k)))
         ]
 
 

@@ -11,7 +11,8 @@ Input schema::
     {"ambient_dim": m, "subspaces": [[vec, ...], ...]}
 
 where each subspace is a list of spanning vectors (an empty list is the
-zero subspace) and entries are integers or "p/q" strings.
+zero subspace) and entries are integers or "p/q" strings.  The parse checks
+the document's shape and caps; ``Subspace`` reads the entries.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 size cap.
 """
@@ -45,7 +46,7 @@ from .betti import (
     transpose_table,
 )
 from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError
-from .linalg import Subspace, read_rational, scaled_numerators
+from .linalg import Subspace
 from .partitions import orbit
 from .schur import SchurSeries, format_terms
 
@@ -90,17 +91,6 @@ class InputError(Exception):
     """Malformed document, configuration or flag combination."""
 
 
-def _parse_entry(value) -> tuple[int, int]:
-    """(numerator, denominator) of a document entry, an int or a "p/q"
-    string, under the library's one grammar (``linalg.read_rational``)."""
-    try:
-        return read_rational(value)
-    except ValueError as exc:
-        raise InputError(
-            f"entry {value!r} is not a rational number (use integers or 'p/q' strings)"
-        ) from exc
-
-
 def parse_arrangement(document) -> Arrangement:
     """Validate an arrangement document and build the Arrangement."""
     if not isinstance(document, dict):
@@ -121,14 +111,16 @@ def parse_arrangement(document) -> Arrangement:
     for idx, vectors in enumerate(raw_subspaces):
         if not isinstance(vectors, list):
             raise InputError(f"subspace {idx} must be a list of vectors")
-        parsed = []
         for vec in vectors:
             if not isinstance(vec, list) or len(vec) != m:
                 raise InputError(
                     f"subspace {idx}: vector {vec!r} does not have length {m}"
                 )
-            parsed.append(scaled_numerators([_parse_entry(x) for x in vec]))
-        subspaces.append(Subspace(m, parsed))
+        # with m and every length checked, Subspace refuses only an entry
+        try:
+            subspaces.append(Subspace(m, vectors))
+        except ValueError as exc:
+            raise InputError(f"{exc} (use integers or 'p/q' strings)") from exc
     return Arrangement(m, tuple(subspaces))
 
 
@@ -160,13 +152,13 @@ def caps_from_env(environ=None) -> OracleCaps:
     return OracleCaps(**updates)
 
 
-# ideal: product | intersection; side: symmetric | exterior | both; output_format:
-# json | markdown | latex; oracle_degree 0 disables oracle checks, which run at
-# dim V = dim_v, or at dim V = oracle_degree if dim_v is 0
+# ideal: product | intersection; side: symmetric | exterior | both;
+# oracle_degree 0 disables oracle checks, which run at dim V = dim_v, or at
+# dim V = oracle_degree if dim_v is 0
 JobConfig = namedtuple(
     "JobConfig",
-    "arrangement max_degree ideal side oracle_degree dim_v output_format caps",
-    defaults=("product", "both", 0, 0, "json", DEFAULT_CAPS),
+    "arrangement max_degree ideal side oracle_degree dim_v caps",
+    defaults=("product", "both", 0, 0, DEFAULT_CAPS),
 )
 
 
@@ -196,8 +188,6 @@ def _check_config(cfg: JobConfig):
         raise InputError(f"unknown ideal kind {cfg.ideal!r}")
     if cfg.side not in ("symmetric", "exterior", "both"):
         raise InputError(f"unknown side {cfg.side!r}")
-    if cfg.output_format not in ("json", "markdown", "latex"):
-        raise InputError(f"unknown output format {cfg.output_format!r}")
     if cfg.max_degree < t:
         raise InputError(
             f"truncation below generation degree: max degree {cfg.max_degree} < t = {t}"
@@ -651,7 +641,6 @@ def main(argv=None) -> int:
             side=args.side,
             oracle_degree=args.oracle_check,
             dim_v=args.dim_v,
-            output_format=args.format,
             caps=caps,
         )
         if args.output:

@@ -4,25 +4,25 @@ One exact elimination runs here, and it is fraction-free: sparse rows of
 nonzero ``int`` entries in an incremental echelon (``_Echelon``,
 ``_reduce_into``), which takes every rank the pipeline needs: the
 polymatroid's, the oracle's, and the span of every spanning set.
-Rationals become integers where they enter: ``read_rational`` reads one
-entry (a non-bool ``int``, a ``numbers.Rational`` such as a ``Fraction``,
-or a "p/q" string) as a numerator and a denominator, and
-``scaled_numerators`` scales a vector by the lcm of its denominators, so
-no job builds a ``Fraction``.  A subspace is stored as its canonical
-integer echelon (``Subspace.echelon``): the kernel's echelon of at most m
-spanning rows, back-substituted so that every pivot column is zero outside
-its own row, each row primitive with a positive pivot.  Each row is then
-the one such multiple of a row of the RREF, so the form is unique:
-equality of subspaces is equality of representations, and subspaces can be
-used as dictionary keys.  ``Subspace.normal_rows`` reads a basis of the
-annihilator off its free columns, as primitive integer rows, with no
-further elimination; the polymatroid and the oracle both take their linear
-forms from it.  ``intersect`` and ``Subspace.annihilator`` build new
-subspaces from normal rows and stay as the tests' slow reference.
-``Subspace.basis`` (the ``Fraction`` RREF) and ``row_reduce`` (a
-``Fraction`` Gauss-Jordan elimination) are for the tests and the
-benchmark's checks: no function here calls them, and each imports
-``fractions`` only when it runs.
+Rationals become integers in ``Subspace``, once: it reads each entry
+(``read_rational``: a non-bool ``int``, a ``numbers.Rational`` such as a
+``Fraction``, or a "p/q" string) as a numerator and a denominator and
+scales each vector by the lcm of its denominators (``scaled_numerators``),
+so the kernel takes integers only and no job builds a ``Fraction``.  A
+subspace is stored as its canonical integer echelon (``Subspace.echelon``):
+the kernel's echelon of at most m spanning rows, back-substituted so that
+every pivot column is zero outside its own row, each row primitive with a
+positive pivot.  Each row is then the one such multiple of a row of the
+RREF, so the form is unique: equality of subspaces is equality of
+representations, and subspaces can be used as dictionary keys.
+``Subspace.normal_rows`` reads a basis of the annihilator off its free
+columns, as primitive integer rows, with no further elimination; the
+polymatroid and the oracle both take their linear forms from it.
+``intersect`` and ``Subspace.annihilator`` build new subspaces from normal
+rows and stay as the tests' slow reference.  ``Subspace.basis`` (the
+``Fraction`` RREF) and ``row_reduce`` (a ``Fraction`` Gauss-Jordan
+elimination) are for the tests and the benchmark's checks: no function
+here calls them, and each imports ``fractions`` only when it runs.
 """
 
 from __future__ import annotations
@@ -51,9 +51,12 @@ def read_rational(value) -> tuple[int, int]:
         match = _RATIONAL.fullmatch(value)
         if match:
             num, den = match.groups()
-            den = int(den) if den else 1
+            try:  # int() refuses more digits than the interpreter converts
+                num, den = int(num), int(den or 1)
+            except ValueError:
+                den = 0
             if den:
-                return int(num), den
+                return num, den
     elif isinstance(value, Rational) and not isinstance(value, bool):
         return int(value.numerator), int(value.denominator)
     raise ValueError(f"entry {value!r} is not a rational number")
@@ -74,8 +77,8 @@ class _Echelon:
     """Incremental row echelon form over sparse integer rows, fraction-free.
 
     Rows are dicts keyed by basis labels (any totally ordered hashables)
-    whose entries are all nonzero ``int``s; ``_integer_row`` makes one of a
-    rational vector.  The pivot of a row is its smallest label.
+    whose entries are all nonzero ``int``s; ``_integer_row`` makes one of an
+    integer vector.  The pivot of a row is its smallest label.
     Elimination cross-multiplies instead of dividing, so every coefficient
     stays an exact ``int``: fraction-free elimination as in Bareiss (Math.
     Comp. 22, 1968), except that each row is divided by the gcd of its
@@ -140,10 +143,9 @@ def _eliminate(work: dict, piv: dict, lead) -> dict:
 
 
 def _integer_row(vector) -> dict:
-    """A nonzero rational vector, its entries read by ``read_rational``, as a
-    sparse row {index: entry} of coprime integers, its first entry positive;
-    it spans the same line."""
-    row = {j: c for j, c in enumerate(scaled_numerators(map(read_rational, vector))) if c}
+    """A nonzero integer vector as a sparse row {index: entry} of coprime
+    integers, its first entry positive; it spans the same line."""
+    row = {j: c for j, c in enumerate(vector) if c}
     return _primitive(row, min(row))
 
 
@@ -220,8 +222,9 @@ class Subspace:
     """A linear subspace of Q^m in canonical form.
 
     ``Subspace(m, vectors)`` is the span of the given vectors (none for the
-    zero subspace).  Every entry is read by ``read_rational`` and each
-    vector is scaled to integers; the integer kernel then keeps at most m
+    zero subspace).  It is the one reader of entries: each is read once by
+    ``read_rational`` (a ValueError names a refused one) and each vector is
+    scaled to integers; the integer kernel then keeps at most m
     independent rows of them, and ``echelon`` holds the canonical integer
     echelon read off those (``_echelon``): one dense tuple of coprime ints
     per basis vector, in pivot order, each pivot positive and its column

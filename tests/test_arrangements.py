@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -196,6 +197,21 @@ def test_pipeline_builds_no_annihilator(monkeypatch):
 def test_rank_table_ordering():
     pm = polymatroid_of(axes(2))
     assert [s for s, _ in pm.rank_table()] == [(), (0,), (1,), (0, 1)]
+    # the rows read the ranks at masks built beside the subsets: on t = 6
+    # subspaces whose subsets take every rank 0-4 they are what rank() reads
+    spans = (
+        [],
+        [[1, 0, 0, 0]],
+        [[0, 1, 0, 0], [0, 0, 1, 0]],
+        [[1, 1, 1, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        [[0, 0, 0, 1], [1, 2, 3, 0]],
+    )
+    pm = polymatroid_of(Arrangement(4, tuple(Subspace(4, vecs) for vecs in spans)))
+    subsets = [s for k in range(7) for s in combinations(range(6), k)]
+    table = pm.rank_table()
+    assert table == [(s, pm.rank(s)) for s in subsets]
+    assert {rank for _, rank in table} == {0, 1, 2, 3, 4}
 
 
 def test_mask_validation():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisyz import cli
+from equisyz import cli, linalg
 from equisyz.arrangements import MAX_AMBIENT_DIM, MAX_DEGREE, MAX_GROUND_SET, polymatroid_of
 from equisyz.cli import (
     EXIT_CAP,
@@ -26,7 +26,7 @@ from equisyz.cli import (
     run_job,
 )
 from equisyz.errors import SizeCapError
-from equisyz.linalg import Subspace, row_reduce, scaled_numerators
+from equisyz.linalg import Subspace, read_rational, row_reduce, scaled_numerators
 from equisyz.oracle import OracleCaps
 
 AXES2 = {"ambient_dim": 2, "subspaces": [[[1, 0]], [[0, 1]]]}
@@ -68,8 +68,11 @@ def test_parse_rejects_non_rational_entries():
     # int() refuses more digits than the interpreter converts (4300 by default)
     for entry in ("0.5", "1e10000000", "1/0", " 1", "1_000", True, None,
                   "9" * 5000, "1/" + "9" * 5000):
-        with pytest.raises(InputError, match="is not a rational number"):
+        with pytest.raises(InputError) as info:
             parse_arrangement({"ambient_dim": 2, "subspaces": [[[entry, 1]]]})
+        assert str(info.value) == (
+            f"entry {entry!r} is not a rational number (use integers or 'p/q' strings)"
+        )
 
 
 @st.composite
@@ -101,7 +104,7 @@ def test_parse_writes_the_fraction_rref_of_its_vectors(case):
     vectors, and the Subspace of the integer rows is the Subspace of the
     Fraction vectors."""
     m, vectors = case
-    rows = [scaled_numerators(map(cli._parse_entry, vec)) for vec in vectors]
+    rows = [scaled_numerators(map(read_rational, vec)) for vec in vectors]
     assert all(type(c) is int for row in rows for c in row)
     parsed = parse_arrangement({"ambient_dim": m, "subspaces": [vectors]}).subspaces[0]
     assert parsed == Subspace(m, rows)
@@ -457,6 +460,29 @@ def test_a_job_imports_only_what_it_runs(tmp_path):
     assert "fractions" not in intersection
 
 
+def test_a_job_reads_each_entry_once(tmp_path, monkeypatch):
+    """``Subspace`` is the one reader: a product job reads every entry of its
+    document once, in document order, a dependent vector included.  The
+    parse, ``Subspace`` and the kernel each read every entry before."""
+    subspaces = [
+        [["1/2", 0, 0, 0]],
+        [[0, "-2/3", 0, 1], [1, 1, "4/6", 0]],
+        [[0, 0, 3, 0], [1, 0, 0, 0], ["-5/2", 0, 1, 0], [0, 1, 0, 0]],
+        [],
+    ]
+    src = write_doc(tmp_path, {"ambient_dim": 4, "subspaces": subspaces})
+    read = []
+
+    def counted(value):
+        read.append(value)
+        return read_rational(value)
+
+    monkeypatch.setattr(linalg, "read_rational", counted)
+    out = str(tmp_path / "report.json")
+    assert main(["--input", src, "--max-degree", "4", "--output", out]) == EXIT_OK
+    assert read == [x for vectors in subspaces for vec in vectors for x in vec]
+
+
 def test_main_missing_file_is_input_error(tmp_path):
     assert main(["--input", str(tmp_path / "nope.json"), "--max-degree", "3"]) == EXIT_INPUT
 
@@ -660,11 +686,12 @@ def test_main_oracle_cap_exits_before_the_formula_side(
 
 
 def test_main_ambient_dim_past_the_cap_exits_before_parsing(tmp_path, capsys, monkeypatch):
-    """One dimension past MAX_AMBIENT_DIM exits 3 before any entry is read."""
+    """One dimension past MAX_AMBIENT_DIM exits 3 before any subspace is
+    built, so before any entry is read."""
     line = {"ambient_dim": MAX_AMBIENT_DIM, "subspaces": [[[1] * MAX_AMBIENT_DIM]]}
     assert parse_arrangement(line).ambient_dim == MAX_AMBIENT_DIM
     parsed = []
-    monkeypatch.setattr(cli, "_parse_entry", parsed.append)
+    monkeypatch.setattr(cli, "Subspace", lambda *args: parsed.append(args))
     m = MAX_AMBIENT_DIM + 1
     src = write_doc(tmp_path, {"ambient_dim": m, "subspaces": [[["x"] * m]]})
     assert main(["--input", src, "--max-degree", "1"]) == EXIT_CAP
@@ -673,11 +700,12 @@ def test_main_ambient_dim_past_the_cap_exits_before_parsing(tmp_path, capsys, mo
 
 
 def test_main_subspace_count_past_the_cap_exits_before_parsing(tmp_path, capsys, monkeypatch):
-    """One subspace past MAX_GROUND_SET exits 3 before any entry is read."""
+    """One subspace past MAX_GROUND_SET exits 3 before any subspace is
+    built, so before any entry is read."""
     origins = {"ambient_dim": 1, "subspaces": [[]] * MAX_GROUND_SET}
     assert len(parse_arrangement(origins)) == MAX_GROUND_SET
     parsed = []
-    monkeypatch.setattr(cli, "_parse_entry", parsed.append)
+    monkeypatch.setattr(cli, "Subspace", lambda *args: parsed.append(args))
     t = MAX_GROUND_SET + 1
     src = write_doc(tmp_path, {"ambient_dim": 1, "subspaces": [[["x"]]] * t})
     assert main(["--input", src, "--max-degree", str(t)]) == EXIT_CAP

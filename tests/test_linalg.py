@@ -188,16 +188,25 @@ def test_normal_rows_and_annihilator_match_the_fraction_reference(case):
     s = Subspace(m, vectors)
     assert s.basis == rref[:rank]
     nullspace = _nullspace(rref[:rank], m)
-    assert s.normal_rows() == [_integer_row(v) for v in nullspace]
+    scaled = []
+    for v in nullspace:
+        den = math.lcm(*(x.denominator for x in v))
+        scaled.append([int(x * den) for x in v])
+    assert s.normal_rows() == [_integer_row(v) for v in scaled]
     ann, ann_rank = row_reduce(nullspace)
     assert s.annihilator().basis == ann[:ann_rank]
 
 
-@pytest.mark.parametrize("entry", [0.1, 2.0, True, "1e3", "0.5", " 1", "1_0", "1/0", None, [1]])
+@pytest.mark.parametrize("entry", [
+    0.1, 2.0, True, "1e3", "0.5", " 1", "1_0", "1/0", None, [1],
+    pytest.param("9" * 5000, id="5000-digit numerator"),
+    pytest.param("1/" + "9" * 5000, id="5000-digit denominator"),
+])
 def test_subspace_reads_entries_as_the_cli_does(entry):
     """The library and the CLI read one entry grammar: a non-bool int, a
     Fraction or a "p/q" string.  A float was stored as its binary value,
-    True read as 1 and "1e3" as 1000."""
+    True read as 1 and "1e3" as 1000, and more digits than int() converts
+    (4300 by default) raised Python's own "Exceeds the limit" text."""
     with pytest.raises(ValueError, match="is not a rational number"):
         Subspace(2, [[entry, 1]])
     assert Subspace(2, [[Fraction(-3, 6), "+02/04"]]) == Subspace(2, [[-1, 1]])
