@@ -222,15 +222,15 @@ class Subspace:
     """A linear subspace of Q^m in canonical form.
 
     ``Subspace(m, vectors)`` is the span of the given vectors (none for the
-    zero subspace).  It is the one reader of entries: each is read once by
-    ``read_rational`` (a ValueError names a refused one) and each vector is
-    scaled to integers; the integer kernel then keeps at most m
-    independent rows of them, and ``echelon`` holds the canonical integer
-    echelon read off those (``_echelon``): one dense tuple of coprime ints
-    per basis vector, in pivot order, each pivot positive and its column
-    zero in every other row.  It is unique, so two Subspace values compare
-    equal exactly when they are the same subspace.  Hashed by value, so
-    never mutated.
+    zero subspace), each a list or tuple.  It is the one reader of entries:
+    each is read once by ``read_rational`` (a ValueError names a refused
+    entry or vector) and each vector is scaled to integers; the integer
+    kernel then keeps at most m independent rows of them, and ``echelon``
+    holds the canonical integer echelon read off those (``_echelon``): one
+    dense tuple of coprime ints per basis vector, in pivot order, each
+    pivot positive and its column zero in every other row.  It is unique,
+    so two Subspace values compare equal exactly when they are the same
+    subspace.  Hashed by value, so never mutated.
     """
 
     __slots__ = ("ambient_dim", "echelon", "_basis")
@@ -238,7 +238,11 @@ class Subspace:
     def __init__(self, ambient_dim: int, vectors=()):
         if type(ambient_dim) is not int or ambient_dim < 1:  # a bool is no size
             raise ValueError(f"ambient dimension must be a positive int, got {ambient_dim!r}")
-        rows = [scaled_numerators(map(read_rational, vec)) for vec in vectors]
+        rows = []
+        for vec in vectors:
+            if not isinstance(vec, (list, tuple)):  # a str or dict is iterable too
+                raise ValueError(f"vector {vec!r} is not a list or tuple of entries")
+            rows.append(scaled_numerators(map(read_rational, vec)))
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(

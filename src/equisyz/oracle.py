@@ -1,15 +1,22 @@
 """Brute-force graded characters of arrangement ideals in explicit coordinates.
 
 Given an arrangement in W = Q^m and a second space V of dimension n, the
-polynomial ring on W tensor V has m*n variables z[j,i] (ordered (j,i)
-lexicographically, j indexing W).  The degree-one part of the k-th linear
-ideal is spanned by a tensor e_i for a running over the annihilator of the
-k-th subspace - each such form has pure V-weight e_i, so every ideal in
-sight is graded by V-weights and both the polynomial and the exterior side
-can be row reduced one weight space at a time.  Both sides write a monomial
-as its sorted tuple of variables and share one multiply and one renaming
-of V-indices: the exterior side only adds the sign of re-sorting, and a
-repeated variable makes its monomial zero.
+polynomial ring on W tensor V has m*n variables z[j,i], j indexing W.  The
+degree-one part of the k-th linear ideal is spanned by a tensor e_i for a
+running over the normal rows of the k-th subspace - each such form has
+pure V-weight e_i, so every ideal in sight is graded by V-weights and both
+the polynomial and the exterior side are row reduced one weight space at
+a time.  Both pack a monomial into one int: one block of m fields per
+V-index, z[j,i] in field i*m + m-1-j, a field max(d, 1).bit_length() bits
+wide in Sym and one bit in the exterior algebra, whose monomials wedge
+their variables in field order.  A product by a variable adds its key, a
+renaming of V-indices moves whole blocks, and the exterior side adds only
+signs.  Comparing keys as ints is a lex monomial order, so the pivot of a
+product (its smallest key) is the product of its factors' pivots (Cox,
+Little, O'Shea, Ideals, Varieties, and Algorithms, 2.2).  A normal row's
+largest column is its free one, and with W reversed in each block that
+variable is its pivot: distinct forms lead with distinct variables, so
+their products rarely collide in the elimination.
 
 This module measures the weight-space dimensions of product, intersection
 and wedge ideals by exact elimination, and eliminates only what it cannot
@@ -43,7 +50,6 @@ defined in ``equisyz.errors`` and re-exported here.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, product as cartesian
 from math import comb, prod
@@ -193,20 +199,19 @@ def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
 
 
 def _times_form(elem: dict, form: dict, exterior: bool) -> dict:
-    """elem times a linear form {var: coeff}.  A monomial of either algebra
-    is its sorted tuple of variables; on the exterior side each variable is
-    wedged on the right, so it takes the sign of the variables it passes,
-    and a repeated variable gives zero."""
+    """elem times a linear form {variable: coeff}, in packed keys: a
+    variable's key is 1 in its field, so a product by it adds its key.  On
+    the exterior side a set bit gives zero, and the variable wedged on the
+    right passes every variable above it, one sign each."""
     out: dict = {}
-    for mono, c in elem.items():
+    for k, c in elem.items():
         for v, a in form.items():
-            pos = bisect_left(mono, v)
             if exterior:
-                if pos < len(mono) and mono[pos] == v:
+                if k & v:
                     continue
-                if (len(mono) - pos) % 2:
+                if (k & -v).bit_count() & 1:
                     a = -a
-            key = mono[:pos] + (v,) + mono[pos:]
+            key = k + v
             val = out.get(key, 0) + c * a
             if val:
                 out[key] = val
@@ -215,29 +220,34 @@ def _times_form(elem: dict, form: dict, exterior: bool) -> dict:
     return out
 
 
-def _renamed(elem: dict, perm, exterior: bool) -> dict:
-    """elem with every z[j,k] renamed z[j,perm[k]]; each monomial is sorted
-    again, and on the exterior side picks up the sign of that sorting."""
-    n = len(perm)
+def _renamed(elem: dict, perm, width: int, exterior: bool) -> dict:
+    """elem with every z[j,k] renamed z[j,perm[k]]: the block of ``width``
+    bits of V-index k moves to block perm[k].  On the exterior side each
+    block passes the variables of the blocks already moved above it."""
+    mask = (1 << width) - 1
     out = {}
-    for mono, c in elem.items():
-        vs = [v - v % n + perm[v % n] for v in mono]
-        if exterior and sum(a > b for x, a in enumerate(vs) for b in vs[x + 1:]) % 2:
-            c = -c
-        out[tuple(sorted(vs))] = c
+    for k, c in elem.items():
+        key = 0
+        for i, to in enumerate(perm):
+            block = k >> i * width & mask
+            if exterior and (key >> to * width).bit_count() * block.bit_count() & 1:
+                c = -c
+            key |= block << to * width
+        out[key] = c
     return out
 
 
 def _restriction_rows(basis, m: int, e: int) -> list[dict]:
     """Sym^e of the restriction W* -> Y*, for Y spanned by the integer
     vectors ``basis`` (``Subspace.echelon``): z_j becomes sum_l basis[l][j]
-    s_l.  One row per monomial of degree e in the s_l, keyed by the index of
-    each degree-e monomial of W it reads, in ``combinations_with_replacement``
-    order."""
-    columns = [{l: b[j] for l, b in enumerate(basis) if b[j]} for j in range(m)]
+    s_l, s_l the field l of a packed monomial.  One row per monomial of
+    degree e in the s_l, keyed by the index of each degree-e monomial of W
+    it reads, in ``combinations_with_replacement`` order."""
+    bits = max(e, 1).bit_length()
+    columns = [{1 << l * bits: b[j] for l, b in enumerate(basis) if b[j]} for j in range(m)]
     rows: dict = {}
     for idx, mono in enumerate(combinations_with_replacement(range(m), e)):
-        image = {(): 1}
+        image = {0: 1}
         for j in mono:
             image = _times_form(image, columns[j], False)
         for beta, c in image.items():
@@ -284,10 +294,11 @@ def _span_character(name, arr, n, d_max, rows, exterior):
     I_d is GL(V)-stable, so only dominant weights with at most ``rows``
     parts are eliminated and peeled, and none when d_max < t leaves nothing
     to report."""
-    t = len(arr.subspaces)
+    t, m = len(arr.subspaces), arr.ambient_dim
+    bits = 1 if exterior else max(d_max, 1).bit_length()
     steps = [sub.normal_rows() for sub in arr.subspaces]
-    maximal = Subspace(arr.ambient_dim).normal_rows()
-    prev: dict[Weight, list] = {(0,) * n: [{(): 1}]}  # the unit, the empty product
+    maximal = Subspace(m).normal_rows()
+    prev: dict[Weight, list] = {(0,) * n: [{0: 1}]}  # the unit, the empty product
 
     def spanned(w, step):
         if not any(w):  # degree 0, reported only when t = 0
@@ -297,9 +308,11 @@ def _span_character(name, arr, n, d_max, rows, exterior):
                 u = w[:i] + (w[i] - 1,) + w[i + 1:]
                 perm = sorted(range(n), key=lambda k: -u[k])
                 p = tuple(u[k] for k in perm)
-                forms = [{j * n + i: c for j, c in row.items()} for row in step]
+                forms = [
+                    {1 << (i * m + m - 1 - j) * bits: c for j, c in row.items()} for row in step
+                ]
                 for elem in prev.get(p, ()):
-                    moved = elem if p == u else _renamed(elem, perm, exterior)
+                    moved = elem if p == u else _renamed(elem, perm, m * bits, exterior)
                     for form in forms:
                         yield _times_form(moved, form, exterior)
 

@@ -27,8 +27,13 @@ that held a series before its dense vector, ``DictSeries``, to certify the
 vector's order, slices and entrywise operations.  ``row_reduce`` and the
 nullspace read off its RREF, ``_nullspace``, are the references for the
 RREF and the normal rows that ``Subspace`` reads off the integer kernel.
+The product and wedge spanning on sorted variable tuples, before the
+oracle packed its monomials into ints, is kept as ``tuple_span_coeffs``
+with its product ``tuple_times_form`` and renaming ``tuple_renamed``, to
+certify the packed keys, their order and their signs.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, groupby, permutations, product
@@ -37,6 +42,7 @@ from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, Polymatroid, hilbert_product, polymatroid_of
 from equisyz.linalg import Subspace, _Echelon, row_reduce
+from equisyz.oracle import _dominant_weights, kostka_peel
 from equisyz.partitions import conjugate
 from equisyz.schur import SchurSeries, one, sigma, times_sigma_power
 
@@ -507,6 +513,92 @@ def all_weights_intersection(arr: Arrangement, n: int, d_max: int) -> dict:
                 table[w] = dim
         weights[d] = table
     return weights
+
+
+def tuple_times_form(elem: dict, form: dict, exterior: bool) -> dict:
+    """elem times a linear form {var: coeff}, the oracle's product before its
+    monomials were packed.  A monomial of either algebra is its sorted tuple
+    of variables (variable j*n + i is z[j,i]); on the exterior side each
+    variable is wedged on the right, so it takes the sign of the variables
+    it passes, and a repeated variable gives zero."""
+    out: dict = {}
+    for mono, c in elem.items():
+        for v, a in form.items():
+            pos = bisect_left(mono, v)
+            if exterior:
+                if pos < len(mono) and mono[pos] == v:
+                    continue
+                if (len(mono) - pos) % 2:
+                    a = -a
+            key = mono[:pos] + (v,) + mono[pos:]
+            val = out.get(key, 0) + c * a
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+    return out
+
+
+def tuple_renamed(elem: dict, perm, exterior: bool) -> dict:
+    """elem with every z[j,k] renamed z[j,perm[k]], on sorted variable
+    tuples; each monomial is sorted again, and on the exterior side picks up
+    the sign of that sorting."""
+    n = len(perm)
+    out = {}
+    for mono, c in elem.items():
+        vs = [v - v % n + perm[v % n] for v in mono]
+        if exterior and sum(a > b for x, a in enumerate(vs) for b in vs[x + 1:]) % 2:
+            c = -c
+        out[tuple(sorted(vs))] = c
+    return out
+
+
+def tuple_span_coeffs(arr: Arrangement, n: int, d_max: int, rows: int, exterior: bool) -> dict:
+    """Schur coefficients by degree of the product ideal, or of the wedge
+    ideal if ``exterior``, as the oracle spanned them on sorted variable
+    tuples: I_0 is the unit and I_d = I_{d-1} J_d, J_d the maximal ideal
+    past t, and I_{d,w} is spanned by each normal row of step d at each
+    V-index i times the stored basis of the dominant permutation of
+    w - e_i, renamed into place.  Only dominant weights with at most
+    ``rows`` parts are eliminated; the reference for the packed monomials
+    of ``equisyz.oracle``."""
+    t = len(arr.subspaces)
+    steps = [sub.normal_rows() for sub in arr.subspaces]
+    maximal = Subspace(arr.ambient_dim).normal_rows()
+    prev: dict = {(0,) * n: [{(): 1}]}
+
+    def spanned(w, step):
+        if not any(w):
+            yield from prev[w]
+        for i in range(n):
+            if w[i]:
+                u = w[:i] + (w[i] - 1,) + w[i + 1:]
+                perm = sorted(range(n), key=lambda k: -u[k])
+                p = tuple(u[k] for k in perm)
+                forms = [{j * n + i: c for j, c in row.items()} for row in step]
+                for elem in prev.get(p, ()):
+                    moved = elem if p == u else tuple_renamed(elem, perm, exterior)
+                    for form in forms:
+                        yield tuple_times_form(moved, form, exterior)
+
+    coeffs: dict = {}
+    for d in range(d_max + 1):
+        span = d >= t or (0 < d and d_max >= t)
+        dominant = _dominant_weights(d, n, rows) if span else []
+        step = steps[d - 1] if 0 < d <= t else maximal
+        bases = {}
+        for w in dominant:
+            ech = _Echelon()
+            for row in spanned(w, step):
+                if row:
+                    ech.add(row)
+            if ech.rank:
+                bases[w] = list(ech.rows.values())
+        table = {w: len(basis) for w, basis in bases.items()}
+        coeffs[d] = kostka_peel(table, d, n, rows) if d >= t else {}
+        if span:
+            prev = bases
+    return coeffs
 
 
 # -- slow references for the formula side ------------------------------------

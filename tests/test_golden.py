@@ -81,6 +81,12 @@ CASES = {
     "two_planes_and_line_d5": (EXIT_OK, [
         "--max-degree", "5", "--side", "both", "--oracle-check", "5", "--dim-v", "5",
     ]),
+    # the product and wedge oracles at n = D = 6 = t + 3, past the default
+    # caps: three steps of the maximal ideal on packed monomials, each
+    # product's pivot led by its form's free column
+    "two_planes_and_line_n6": (EXIT_OK, [
+        "--max-degree", "6", "--side", "both", "--oracle-check", "6", "--dim-v", "6",
+    ]),
     # a line, the origin, a plane and a line of Q^3: the product and wedge
     # oracles multiply in one linear ideal per degree, and the second is the
     # maximal ideal
@@ -102,12 +108,14 @@ DOCUMENTS = {
     "line_and_three_planes_n5": "line_and_three_planes",
     "intersection_seed1_n8": "intersection_seed1",
     "two_planes_and_line_d5": "two_planes_and_line",
+    "two_planes_and_line_n6": "two_planes_and_line",
 }
 
 ENVIRONMENTS = {
     "line_and_three_planes_n5": {"EQUISYZ_CAPS": "m=3,n=5,d=5,t=4"},
     "intersection_seed1_n8": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
     "two_planes_and_line_d5": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
+    "two_planes_and_line_n6": {"EQUISYZ_CAPS": "m=6,n=12,d=12,t=6"},
 }
 
 FORMATS = {"json": "json", "markdown": "md", "latex": "tex"}

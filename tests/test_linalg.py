@@ -218,6 +218,24 @@ def test_invalid_entry_past_full_rank_is_rejected():
         Subspace(2, [[1, 0], [0, 1], ["x", 0]])
 
 
+def test_str_vector_is_refused_not_read_digit_by_digit():
+    """"12" was read as the vector (1, 2)."""
+    with pytest.raises(ValueError, match=r"vector '12' is not a list or tuple of entries"):
+        Subspace(2, ["12"])
+
+
+def test_dict_vector_is_refused_not_read_by_its_keys():
+    """A dict was read by its keys: {"1/2": 0, 3: 1} gave the vector (1, 6)."""
+    with pytest.raises(ValueError, match=r"vector \{'1/2': 0, 3: 1\} is not a list or tuple"):
+        Subspace(2, [{"1/2": 0, 3: 1}])
+
+
+def test_int_vector_is_a_value_error():
+    """An int in place of a vector raised a raw TypeError."""
+    with pytest.raises(ValueError, match="vector 5 is not a list or tuple of entries"):
+        Subspace(2, [5])
+
+
 @pytest.mark.parametrize(
     "size, vectors", [(2.0, [[1, 0]]), (True, [[1]]), (2.5, [])]
 )

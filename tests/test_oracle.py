@@ -3,7 +3,7 @@ import logging
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, hilbert_product
@@ -44,6 +44,9 @@ from helpers import (
     reference_span_weights,
     ssyt_count,
     symmetric_orbit_ok,
+    tuple_renamed,
+    tuple_span_coeffs,
+    tuple_times_form,
 )
 
 
@@ -77,22 +80,91 @@ def test_coordinate_basis_forms_are_primitive_integers():
         assert form[min(form)] > 0
 
 
-@settings(max_examples=120, deadline=None)
+def _decoded(elem: dict, m: int, n: int, bits: int, exterior: bool) -> dict:
+    """Packed keys read back as sorted variable tuples, variable j*n + i for
+    z[j,i] in field i*m + m-1-j; an exterior monomial wedges its variables
+    in field order, so it takes the sign of sorting them by variable."""
+    out = {}
+    for key, c in elem.items():
+        vs = []
+        for field in range(m * n):
+            i, j = divmod(field, m)
+            vs += [(m - 1 - j) * n + i] * (key >> field * bits & (1 << bits) - 1)
+        if exterior and sum(a > b for x, a in enumerate(vs) for b in vs[x + 1:]) % 2:
+            c = -c
+        out[tuple(sorted(vs))] = c
+    return out
+
+
+def _variable(v: int, m: int, n: int, bits: int) -> int:
+    """The packed key of variable v = j*n + i, z[j,i]."""
+    j, i = divmod(v, n)
+    return 1 << (i * m + m - 1 - j) * bits
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_times_form_and_renamed_match_the_reference(data):
-    """Both algebras share one monomial type, the sorted variable tuple; the
-    exterior side adds the sorting sign and kills a repeated variable."""
+def test_packed_product_and_renaming_match_the_tuple_reference(data):
+    """A packed element, read back through the decoder, times a form or
+    renamed by a random permutation of V-indices, equals the sorted-tuple
+    product and renaming and the references they were checked against."""
     exterior = data.draw(st.booleans())
     m = data.draw(st.integers(min_value=1, max_value=3))
-    n = data.draw(st.integers(min_value=1, max_value=3))
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    bits = 1 if exterior else data.draw(st.integers(min_value=5, max_value=12)).bit_length()
     var = st.integers(min_value=0, max_value=m * n - 1)
     coeff = st.integers(min_value=-3, max_value=3).filter(bool)
     mono = st.lists(var, max_size=4, unique=exterior).map(lambda vs: tuple(sorted(vs)))
     elem = data.draw(st.dictionaries(mono, coeff, max_size=5))
     form = data.draw(st.dictionaries(var, coeff, max_size=4))
     perm = data.draw(st.permutations(range(n)))
-    assert _times_form(elem, form, exterior) == reference_times_form(elem, form, exterior)
-    assert _renamed(elem, perm, exterior) == reference_renamed(elem, perm, exterior)
+    packed = {}
+    for key, c in elem.items():
+        k = sum(_variable(v, m, n, bits) for v in key)
+        packed[k] = _decoded({k: c}, m, n, bits, exterior)[key]  # the sign is an involution
+    assert _decoded(packed, m, n, bits, exterior) == elem
+    pform = {_variable(v, m, n, bits): c for v, c in form.items()}
+    product = _decoded(_times_form(packed, pform, exterior), m, n, bits, exterior)
+    assert product == tuple_times_form(elem, form, exterior)
+    assert product == reference_times_form(elem, form, exterior)
+    renamed = _decoded(_renamed(packed, perm, m * bits, exterior), m, n, bits, exterior)
+    assert renamed == tuple_renamed(elem, perm, exterior)
+    assert renamed == reference_renamed(elem, perm, exterior)
+
+
+@st.composite
+def span_cases(draw):
+    """A pooled arrangement of Q^m, m <= 3, of proper subspaces from the
+    zero subspace up, now and then with one member repeated, at n <= 5 and
+    degree d <= 5."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    subs = draw(pooled_arrangements(m=m, dims=tuple(range(m)), min_t=1, max_t=3)).subspaces
+    if draw(st.booleans()):
+        subs += (draw(st.sampled_from(subs)),)
+    n = draw(st.integers(min_value=1, max_value=5))
+    return Arrangement(m, subs), n, draw(st.integers(min_value=0, max_value=5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=span_cases())
+@example(case=(Arrangement(3, (
+    Subspace(3), Subspace(3, [[1, 1, 0], [0, 1, 2]]), Subspace(3, [[1, -1, 1]]),
+    Subspace(3, [[1, -1, 1]]),
+)), 5, 5))
+@example(case=(Arrangement(2, (Subspace(2, [[1, 0], [0, 1]]), Subspace(2))), 2, 3))
+def test_span_oracles_match_the_tuple_reference(case):
+    """The product and wedge oracles on packed monomials give the Schur
+    coefficients of the same spanning on sorted variable tuples.  The
+    examples hold the zero subspace, a repeated line and the whole space,
+    whose ideal is zero and has no normal row."""
+    arr, n, d = case
+    m = arr.ambient_dim
+    caps = OracleCaps(3, 5, 5, 4)
+    prod = product_ideal_character(arr, n, d, caps)
+    assert prod.coeffs == tuple_span_coeffs(arr, n, d, min(n, m), False)
+    d = min(d, m * n)  # the exterior top degree
+    wedge = wedge_ideal_character(arr, n, d, caps)
+    assert wedge.coeffs == tuple_span_coeffs(arr, n, d, n, True)
 
 
 # -- fraction-free elimination ---------------------------------------------------
