@@ -4,7 +4,8 @@ Reads a JSON arrangement description, runs the pipeline (polymatroid ->
 Hilbert series -> Betti table -> transpose -> regularity), optionally
 verifies against the brute-force oracle, and writes a deterministic report
 as JSON, Markdown or LaTeX.  By Cauchy an intersection series does not depend on
-dim V, so it is read at dim V = D; an oracle check runs at --dim-v or its degree.
+dim V once every partition of at most m parts is visible, so it is read at
+dim V = min(D, m); an oracle check runs at --dim-v or its degree.
 
 Input schema::
 
@@ -25,7 +26,6 @@ import json
 import os
 import sys
 from collections import namedtuple
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -45,7 +45,7 @@ from .betti import (
     regularity,
     transpose_table,
 )
-from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError
+from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError, check_sizes
 from .linalg import Subspace
 from .partitions import orbit
 from .schur import SchurSeries, format_terms
@@ -121,6 +121,8 @@ def parse_arrangement(document) -> Arrangement:
             subspaces.append(Subspace(m, vectors))
         except ValueError as exc:
             raise InputError(f"{exc} (use integers or 'p/q' strings)") from exc
+        except SizeCapError as exc:
+            raise SizeCapError(f"subspace {idx}: {exc}") from exc
     return Arrangement(m, tuple(subspaces))
 
 
@@ -215,17 +217,15 @@ def _check_config(cfg: JobConfig):
     # the oracle's caps, refused before the formula side runs
     if cfg.ideal == "intersection":
         D = cfg.max_degree
-        _import_oracle()._check_sizes(cfg.arrangement, max(D, 1), D, cfg.caps)
+        n = max(1, min(D, cfg.arrangement.ambient_dim))  # as run_job reads it
+        check_sizes(cfg.arrangement, n, D, cfg.caps)
     if cfg.oracle_degree > 0:
         n = cfg.dim_v or cfg.oracle_degree
-        _import_oracle()._check_sizes(cfg.arrangement, n, cfg.oracle_degree, cfg.caps)
+        check_sizes(cfg.arrangement, n, cfg.oracle_degree, cfg.caps)
 
 
 def _intersection_series(char, D: int) -> SchurSeries:
-    return SchurSeries.from_pairs(
-        chain.from_iterable(character_to_schur(char, d).items() for d in range(D + 1)),
-        degree=D,
-    )
+    return char.series
 
 
 def _oracle_section(
@@ -234,6 +234,7 @@ def _oracle_section(
     intersection_char,
     validations: dict,
 ) -> dict:
+    oracle = _import_oracle()
     arr = cfg.arrangement
     n = cfg.dim_v or cfg.oracle_degree
     d_max = cfg.oracle_degree
@@ -254,8 +255,8 @@ def _oracle_section(
         wedge_ideal_character(arr, n, d_max, caps=cfg.caps) if want_wedge else None
     )
 
-    if intersection_char is not None:  # its coefficients do not depend on n
-        intersection_char = _import_oracle().GradedCharacter(n, intersection_char.coeffs)
+    if intersection_char is not None:  # its series does not depend on n
+        intersection_char = oracle.GradedCharacter(n, intersection_char.series)
     all_product_ok = True
     all_wedge_ok = True
     all_contained = True
@@ -316,7 +317,8 @@ def run_job(cfg: JobConfig) -> dict:
         hseries = hilbert_product(arr, D)
         generation_degree = t
     else:
-        intersection_char = intersection_ideal_character(arr, max(D, 1), D, caps=cfg.caps)
+        _import_oracle()
+        intersection_char = intersection_ideal_character(arr, max(1, min(D, m)), D, caps=cfg.caps)
         hseries = _intersection_series(intersection_char, D)
         generation_degree = hseries.min_degree()
         if generation_degree is None:

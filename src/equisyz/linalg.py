@@ -31,6 +31,8 @@ import re
 from math import gcd, lcm
 from numbers import Rational
 
+from .errors import SizeCapError
+
 # "p" or "p/q" in ASCII digits with an optional sign: no decimals, exponents,
 # spaces or underscores, which Fraction() or int() would also read
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -213,6 +215,17 @@ def _echelon(vectors, m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+# Cap on the digits of one subspace's entries, numerators and denominators
+# summed, an integer's denominator 1 included.  The report writes each RREF
+# entry in lowest terms, a ratio of two minors of the scaled spanning rows,
+# and by Hadamard's bound such a minor has fewer digits than the subspace's
+# entries plus (r/2) log10 m + 1 for r <= m rows: at most 4275 at m = 32,
+# so no written int passes the 4300 digits that Python converts to str by
+# default.  Python 3.11.7 on 2 shared x86-64 cores, single cold jobs at the
+# cap: a line of Q^32 whose RREF entry has 4188 digits takes 0.10 s.
+MAX_SUBSPACE_DIGITS = 4250
+
+
 def _pivot(row) -> int:
     """The column of the first nonzero entry of a dense row."""
     return next(j for j, c in enumerate(row) if c)
@@ -224,7 +237,9 @@ class Subspace:
     ``Subspace(m, vectors)`` is the span of the given vectors (none for the
     zero subspace), each a list or tuple.  It is the one reader of entries:
     each is read once by ``read_rational`` (a ValueError names a refused
-    entry or vector) and each vector is scaled to integers; the integer
+    entry or vector), entries of more than ``MAX_SUBSPACE_DIGITS`` digits
+    in all are a SizeCapError before any elimination, and each vector is
+    scaled to integers; the integer
     kernel then keeps at most m independent rows of them, and ``echelon``
     holds the canonical integer echelon read off those (``_echelon``): one
     dense tuple of coprime ints per basis vector, in pivot order, each
@@ -238,16 +253,23 @@ class Subspace:
     def __init__(self, ambient_dim: int, vectors=()):
         if type(ambient_dim) is not int or ambient_dim < 1:  # a bool is no size
             raise ValueError(f"ambient dimension must be a positive int, got {ambient_dim!r}")
-        rows = []
+        rows, digits = [], 0
         for vec in vectors:
             if not isinstance(vec, (list, tuple)):  # a str or dict is iterable too
                 raise ValueError(f"vector {vec!r} is not a list or tuple of entries")
-            rows.append(scaled_numerators(map(read_rational, vec)))
+            entries = [read_rational(x) for x in vec]
+            digits += sum(len(str(abs(n))) + len(str(d)) for n, d in entries)
+            rows.append(scaled_numerators(entries))
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(
                     f"vector length {len(row)} differs from ambient dimension {ambient_dim}"
                 )
+        if digits > MAX_SUBSPACE_DIGITS:
+            raise SizeCapError(
+                f"entries of {digits} digits exceed the cap of "
+                f"{MAX_SUBSPACE_DIGITS} digits per subspace"
+            )
         self.ambient_dim = ambient_dim
         self.echelon = _echelon(rows, ambient_dim)
         self._basis = None

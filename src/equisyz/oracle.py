@@ -24,9 +24,10 @@ deduce.  Every such ideal is GL(V)-stable, so the Weyl group S_n permutes
 its weight spaces, and the dominant weights (partitions of d padded to
 length n) determine each graded piece.  Kostka numbers are unitriangular
 (Macdonald, Symmetric Functions and Hall Polynomials, I.6), so one peel
-turns the eliminated dominant dimensions into Schur coefficients, which
-is all a character holds; its weights are derived from them for the report.
-This module owns both directions of that conversion.  By Cauchy,
+turns the eliminated dominant dimensions into Schur coefficients.  Every
+degree's peel goes into one ``SchurSeries``, which is all a character
+holds; its weights are derived from it for the report.  This module owns
+both directions of that conversion.  By Cauchy,
 Sym(W tensor V) is the sum of the S_lam W tensor S_lam V, so every
 S_lam(V) in a product or intersection ideal has at most m rows: only
 dominant weights with at most m parts are eliminated, and the peel needs
@@ -44,7 +45,9 @@ normal rows and the fraction-free elimination kernel of ``equisyz.linalg``,
 which the tests check against the reference ``Fraction`` RREF
 (``row_reduce``) and the nullspace read off it, so it stays an independent
 check on the series formulas.  ``OracleCaps`` and ``DEFAULT_CAPS`` are
-defined in ``equisyz.errors`` and re-exported here.
+defined in ``equisyz.errors`` and re-exported here; so is ``check_sizes``,
+which every entry point runs first and the CLI runs before the formula
+side, with no need to import this module.
 """
 
 from __future__ import annotations
@@ -55,96 +58,60 @@ from itertools import chain, combinations_with_replacement, product as cartesian
 from math import comb, prod
 
 from .arrangements import Arrangement
-from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError
+from .errors import DEFAULT_CAPS, OracleCaps, check_sizes
 from .linalg import Subspace, _Echelon
-from .partitions import Partition, kostka_number, orbit, partitions_of, weyl_dimension
+from .partitions import Partition, kostka_number, orbit, partitions_of
 from .schur import SchurSeries, _is_integer
 
 Weight = tuple[int, ...]
 
 
-def _check_sizes(arr: Arrangement, n: int, d_max: int, caps: OracleCaps):
-    if type(n) is not int or n < 1:
-        raise ValueError(f"dim V must be positive and an int, got {n!r}")
-    if type(d_max) is not int or d_max < 0:
-        raise ValueError(f"maximum degree must be nonnegative and an int, got {d_max!r}")
-    checks = (
-        ("ambient dimension m", arr.ambient_dim, caps.ambient_dim),
-        ("dim V", n, caps.dim_v),
-        ("maximum degree", d_max, caps.degree),
-        ("arrangement size t", len(arr.subspaces), caps.subspaces),
-    )
-    for label, value, cap in checks:
-        if value > cap:
-            raise SizeCapError(
-                f"{label} = {value} exceeds the oracle cap {cap} "
-                "(pass explicit OracleCaps, or set EQUISYZ_CAPS for the CLI)"
-            )
-
-
 class GradedCharacter:
-    """Per-degree Schur coefficients of a graded GL(V) representation in
-    n = dim V variables.
+    """A graded GL(V) representation in n = dim V variables: ``series``
+    holds its Schur coefficients c_lam in every degree up to its truncation
+    degree.
 
-    ``coeffs[d]`` maps each partition lam of d to c_lam, zeros omitted, in
-    the peel order of :func:`kostka_peel`.  ``weights``, derived on first
-    read, maps each degree to its dominant weight table: each partition mu
-    of d with at most n parts, padded with zeros to length n, to the
-    dimension sum c_lam K_{lam mu} of its weight space, zeros omitted.  S_n
-    permutes the weight spaces, so every other weight has the dimension of
-    the dominant weight in its orbit (``partitions.orbit`` lists that orbit).
+    ``weights``, derived on first read, maps each such degree d to its
+    dominant weight table: each partition mu of d with at most n parts,
+    padded with zeros to length n, to the dimension sum c_lam K_{lam mu} of
+    its weight space, zeros omitted.  S_n permutes the weight spaces, so
+    every other weight has the dimension of the dominant weight in its
+    orbit (``partitions.orbit`` lists that orbit).
     """
 
-    def __init__(self, n: int, coeffs: dict[int, dict[Partition, int]]):
+    def __init__(self, n: int, series: SchurSeries):
         self.n = n
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedCharacter):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        self.series = series
 
     @cached_property
     def weights(self) -> dict[int, dict[Weight, int]]:
         n, weights = self.n, {}
-        for d, coeffs in self.coeffs.items():
+        for d in range(self.series.degree + 1):
+            coeffs = self.series.graded_part(d).items()
             table = weights[d] = {}
             for mu in partitions_of(d, max_parts=n):
-                dim = sum(c * kostka_number(lam, mu) for lam, c in coeffs.items())
+                dim = sum(c * kostka_number(lam, mu) for lam, c in coeffs)
                 if dim:
                     table[mu + (0,) * (n - len(mu))] = dim
         return weights
 
-    def dimension(self, d: int) -> int:
-        return sum(c * weyl_dimension(lam, self.n) for lam, c in self.coeffs.get(d, {}).items())
-
-    def min_degree(self) -> int | None:
-        nonzero = [d for d, coeffs in self.coeffs.items() if coeffs]
-        return min(nonzero) if nonzero else None
-
-    def schur(self, d: int) -> SchurSeries:
-        return _polynomial(self.coeffs.get(d, {}), d, self.n)
-
 
 def character_to_schur(gc: GradedCharacter, d: int) -> SchurSeries:
-    """Faithful Schur expansion of the degree-d piece (requires n >= d)."""
-    return gc.schur(d)
-
-
-def _polynomial(coeffs: dict[Partition, int], d: int, n: int) -> SchurSeries:
-    """The degree-d series of the coefficients peeled from a character in n
-    variables.  Requires n >= d so all partitions of d are visible.  Raises
-    ValueError when some coefficient is negative - i.e. when it is not a
-    polynomial character; the first negative one in peeling order is named."""
+    """The degree-d part of ``gc.series`` as a faithful Schur expansion.
+    Requires n >= d so all partitions of d are visible.  Raises ValueError
+    when some coefficient is negative - i.e. when it is not a polynomial
+    character; the first negative one in canonical order is named."""
+    n = gc.n
     if n < d:
         raise ValueError(f"need n >= d for a faithful expansion, got n={n}, d={d}")
-    for lam, c in coeffs.items():
+    part = gc.series.graded_part(d)
+    for lam, c in part.items():
         if c < 0:
             raise ValueError(
                 "not a polynomial character: multiplicity "
                 f"{c} at weight {lam + (0,) * (n - len(lam))}"
             )
-    return SchurSeries(coeffs, degree=d)
+    return part
 
 
 def kostka_peel(dims, d: int, n: int, max_parts: int) -> dict[Partition, int]:
@@ -192,7 +159,8 @@ def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
                 f"weight multiplicities are not symmetric on the orbit of {canon}"
             )
 
-    return _polynomial(kostka_peel(table, d, n, n), d, n)
+    series = SchurSeries(kostka_peel(table, d, n, n), degree=d)
+    return character_to_schur(GradedCharacter(n, series), d)
 
 
 # -- coordinates -----------------------------------------------------------
@@ -285,7 +253,7 @@ def _log_degree(name, d, n, eliminated, offered, kept, reported=True):
 
 
 def _span_character(name, arr, n, d_max, rows, exterior):
-    """Schur coefficients of J_1(V)...J_t(V), or of the wedge ideal in the
+    """The character of J_1(V)...J_t(V), or of the wedge ideal in the
     exterior algebra if ``exterior``, one linear ideal at a time: I_0 is
     the unit and I_d = I_{d-1} J_d, with J_d the maximal ideal past t, and
     I_d is reported from d = t on.  I_{d,w} is spanned by each normal row
@@ -293,7 +261,7 @@ def _span_character(name, arr, n, d_max, rows, exterior):
     basis of the dominant permutation of w - e_i renamed into place.  Each
     I_d is GL(V)-stable, so only dominant weights with at most ``rows``
     parts are eliminated and peeled, and none when d_max < t leaves nothing
-    to report."""
+    to report: every peel goes into the one series of the character."""
     t, m = len(arr.subspaces), arr.ambient_dim
     bits = 1 if exterior else max(d_max, 1).bit_length()
     steps = [sub.normal_rows() for sub in arr.subspaces]
@@ -316,7 +284,7 @@ def _span_character(name, arr, n, d_max, rows, exterior):
                     for form in forms:
                         yield _times_form(moved, form, exterior)
 
-    coeffs: dict[int, dict[Partition, int]] = {}
+    coeffs: dict[Partition, int] = {}
     for d in range(d_max + 1):
         span = d >= t or (0 < d and d_max >= t)
         dominant = _dominant_weights(d, n, rows) if span else []
@@ -332,10 +300,11 @@ def _span_character(name, arr, n, d_max, rows, exterior):
                 bases[w] = list(ech.rows.values())
         table = {w: len(basis) for w, basis in bases.items()}
         _log_degree(name, d, n, len(dominant), offered, sum(table.values()), d >= t)
-        coeffs[d] = kostka_peel(table, d, n, rows) if d >= t else {}
+        if d >= t:
+            coeffs.update(kostka_peel(table, d, n, rows))
         if span:
             prev = bases
-    return coeffs
+    return GradedCharacter(n, SchurSeries(coeffs, degree=d_max))
 
 
 # -- characters --------------------------------------------------------------
@@ -353,9 +322,8 @@ def product_ideal_character(
     the ideal has at most m rows, so those weights give every Schur
     coefficient.
     """
-    _check_sizes(arr, n, d_max, caps)
-    coeffs = _span_character("product", arr, n, d_max, min(n, arr.ambient_dim), False)
-    return GradedCharacter(n, coeffs)
+    check_sizes(arr, n, d_max, caps)
+    return _span_character("product", arr, n, d_max, min(n, arr.ambient_dim), False)
 
 
 def intersection_ideal_character(
@@ -375,15 +343,15 @@ def intersection_ideal_character(
     with at most m parts are eliminated: by Cauchy, every S_lam(V) inside
     Sym(W tensor V) has at most m rows, so those weights give every Schur
     coefficient, and the ideal is a sum of S_lam W-parts tensor S_lam V, so
-    c_lam does not depend on n: every n >= min(d_max, m) gives these coeffs.
+    c_lam does not depend on n: every n >= min(d_max, m) gives this series.
     """
-    _check_sizes(arr, n, d_max, caps)
+    check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
     restrictions = [
         [_restriction_rows(sub.echelon, m, e) for e in range(d_max + 1)]
         for sub in arr.subspaces
     ]
-    coeffs: dict[int, dict[Partition, int]] = {}
+    coeffs: dict[Partition, int] = {}
     for d in range(d_max + 1):
         table: dict[Weight, int] = {}
         dominant = _dominant_weights(d, n, min(n, m))
@@ -405,8 +373,8 @@ def intersection_ideal_character(
             if ambient > stack.rank:
                 table[w] = ambient - stack.rank
         _log_degree("intersection", d, n, len(dominant), offered, kept)
-        coeffs[d] = kostka_peel(table, d, n, min(n, m))
-    return GradedCharacter(n, coeffs)
+        coeffs.update(kostka_peel(table, d, n, min(n, m)))
+    return GradedCharacter(n, SchurSeries(coeffs, degree=d_max))
 
 
 def wedge_ideal_character(
@@ -420,11 +388,10 @@ def wedge_ideal_character(
     variables again.  Its S_lam'(V) can have up to d rows, so every
     dominant weight is eliminated.
     """
-    _check_sizes(arr, n, d_max, caps)
+    check_sizes(arr, n, d_max, caps)
     m = arr.ambient_dim
     if d_max > m * n:
         raise ValueError(
             f"degree {d_max} exceeds the exterior top degree {m * n}"
         )
-    coeffs = _span_character("wedge", arr, n, d_max, n, True)
-    return GradedCharacter(n, coeffs)
+    return _span_character("wedge", arr, n, d_max, n, True)

@@ -233,7 +233,7 @@ def test_criterion_6_regularity_transfer():
         n = 4
         d_max = min(4, m * n)
         char = wedge_ideal_character(arr, n, d_max)
-        assert char.min_degree() == t, name
+        assert char.series.min_degree() == t, name
         table = transpose_table(
             betti_from_series(hilbert_product(arr, 4), m, t)
         )

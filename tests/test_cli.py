@@ -26,8 +26,15 @@ from equisyz.cli import (
     run_job,
 )
 from equisyz.errors import SizeCapError
-from equisyz.linalg import Subspace, read_rational, row_reduce, scaled_numerators
-from equisyz.oracle import OracleCaps
+from equisyz.linalg import (
+    MAX_SUBSPACE_DIGITS,
+    Subspace,
+    read_rational,
+    row_reduce,
+    scaled_numerators,
+)
+from equisyz.oracle import GradedCharacter, OracleCaps
+from equisyz.schur import SchurSeries
 
 AXES2 = {"ambient_dim": 2, "subspaces": [[[1, 0]], [[0, 1]]]}
 ORIGIN2 = {"ambient_dim": 1, "subspaces": [[], []]}
@@ -223,8 +230,8 @@ def test_intersection_job_three_axes():
 
 def test_intersection_job_computes_its_character_once(monkeypatch):
     """The series and the oracle section share one intersection character,
-    made at dim V = D whatever --dim-v is; the section reads its degrees up
-    to --oracle-check at dim V = --dim-v."""
+    made at dim V = min(D, m) whatever --dim-v is; the section reads its
+    degrees up to --oracle-check at dim V = --dim-v."""
     calls = []
     real = cli.intersection_ideal_character
 
@@ -249,7 +256,8 @@ def test_intersection_job_computes_its_character_once(monkeypatch):
 
 def test_intersection_job_reads_its_series_at_dim_v_d():
     """The intersection series does not depend on dim V, so a job reads it
-    at dim V = D, whatever --dim-v says when there is no oracle check."""
+    at dim V = min(D, m), whatever --dim-v says when there is no oracle
+    check."""
     cfg = JobConfig(parse_arrangement(AXES3), max_degree=4, ideal="intersection")
     report = run_job(cfg)
     assert report["status"] == "ok"
@@ -597,9 +605,8 @@ def test_intersection_below_the_product_fails_containment(monkeypatch):
     real = cli.intersection_ideal_character
 
     def lowered(arr, n, d_max, caps):
-        char = real(arr, n, d_max, caps=caps)
-        char.coeffs[3][(1, 1, 1)] -= 1
-        return char
+        series = real(arr, n, d_max, caps=caps).series
+        return GradedCharacter(n, series - SchurSeries({(1, 1, 1): 1}, degree=d_max))
 
     monkeypatch.setattr(cli, "intersection_ideal_character", lowered)
     cfg = JobConfig(
@@ -642,6 +649,64 @@ def test_main_intersection_job_ignores_dim_v_past_the_cap(tmp_path, capsys):
     assert capsys.readouterr() == plain
     assert main(argv + ["--dim-v", "5", "--oracle-check", "3"]) == EXIT_CAP
     assert "dim V = 5 exceeds the oracle cap 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_cap, code", [(3, EXIT_OK), (2, EXIT_CAP)])
+def test_main_intersection_job_needs_an_n_cap_of_min_d_m(capsys, monkeypatch, n_cap, code):
+    """Four subspaces of Q^3 at D = 8: every partition of at most m = 3
+    parts is visible at dim V = 3, so an n cap of 3 gives the report an n
+    cap of 8 gives, and an n cap of 2 exits 3."""
+    golden = Path(__file__).resolve().parent / "golden"
+    monkeypatch.setenv("EQUISYZ_CAPS", f"m=6,n={n_cap},d=8,t=6")
+    argv = ["--input", str(golden / "intersection_seed1.json"), "--ideal", "intersection"]
+    assert main(argv + ["--max-degree", "8"]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert out == (golden / "intersection_seed1_n8.out.json").read_text()
+    else:
+        assert err == (
+            "size cap: dim V = 3 exceeds the oracle cap 2 "
+            "(pass explicit OracleCaps, or set EQUISYZ_CAPS for the CLI)\n"
+        )
+
+
+def _line_of_digits(digits: int) -> list:
+    """A line of Q^32 whose entries have ``digits`` digits, numerators and
+    denominators summed (30 zeros over 1 take 60): its RREF entry p*q has
+    digits - 62."""
+    q = int("7" * ((digits - 62) // 2))
+    p = int("9" * (digits - 62 - len(str(q))))
+    return [f"1/{q}", str(p)] + [0] * 30
+
+
+def test_main_subspace_digit_cap(tmp_path, capsys, monkeypatch):
+    """A subspace whose entries pass MAX_SUBSPACE_DIGITS in all exits 3
+    with the cap named, before any elimination; at the cap the job runs and
+    writes an RREF entry of 4188 digits.  29 vectors of Q^32 with 200-digit
+    entries once ran 5 s and exited 1 with Python's own text, as the RREF
+    they make passes the 4300 digits an int converts to str."""
+    import random
+
+    m = MAX_AMBIENT_DIM
+    rng = random.Random(12)
+    wide = [[str(rng.randrange(10 ** 199, 10 ** 200)) for _ in range(m)] for _ in range(29)]
+    at_cap = _line_of_digits(MAX_SUBSPACE_DIGITS)
+    src = write_doc(tmp_path, {"ambient_dim": m, "subspaces": [[at_cap]]})
+    assert main(["--input", src, "--max-degree", "1"]) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out)["input"]["subspaces"][0]
+    assert max(len(x) for x in row) == MAX_SUBSPACE_DIGITS - 62
+    eliminated = []
+    monkeypatch.setattr(linalg, "_echelon", lambda *args: eliminated.append(args))
+    for vectors, digits in (([_line_of_digits(MAX_SUBSPACE_DIGITS + 1)], 4251), (wide, 186528)):
+        src = write_doc(tmp_path, {"ambient_dim": m, "subspaces": [[[1] + [0] * 31], vectors]})
+        assert main(["--input", src, "--max-degree", "2"]) == EXIT_CAP
+        assert capsys.readouterr().err == (
+            f"size cap: subspace 1: entries of {digits} digits exceed the cap of "
+            f"{MAX_SUBSPACE_DIGITS} digits per subspace\n"
+        )
+    assert len(eliminated) == 2  # the first subspace's, twice
+    with pytest.raises(SizeCapError, match="entries of 186528 digits exceed the cap"):
+        Subspace(m, wide)
 
 
 def test_main_size_cap_exit(tmp_path, monkeypatch):

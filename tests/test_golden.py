@@ -41,8 +41,9 @@ CASES = {
     "two_planes_and_line": (EXIT_OK, [
         "--max-degree", "4", "--side", "both", "--oracle-check", "4", "--dim-v", "4",
     ]),
-    # an intersection job at n = 4 > m = 3: its series is the oracle's, so
-    # the Kostka fill of the intersection oracle reaches the report
+    # an intersection job checked at n = 4 > m = 3: its series is the
+    # oracle's, read at n = min(D, m) = 3, and the intersection weights the
+    # report lists at n = 4 are derived from it by Kostka numbers
     "line_and_three_planes": (EXIT_OK, [
         "--max-degree", "4", "--ideal", "intersection", "--dim-v", "4",
         "--oracle-check", "4", "--side", "both",
@@ -70,9 +71,9 @@ CASES = {
         "--max-degree", "5", "--ideal", "intersection", "--dim-v", "5",
         "--oracle-check", "5", "--side", "both",
     ]),
-    # the second seed-1 document of the intersection benchmark at n = D = 8,
-    # past the default caps: the series is peeled from dominant tables of
-    # up to eight parts, most of them filled by Kostka numbers
+    # the second seed-1 document of the intersection benchmark at D = 8,
+    # past the default caps: the series is read at dim V = min(D, m) = 3,
+    # whatever --dim-v says, so an n cap of 3 gives this report too
     "intersection_seed1_n8": (EXIT_OK, [
         "--ideal", "intersection", "--max-degree", "8", "--dim-v", "8",
     ]),
