@@ -40,8 +40,8 @@ __version__ = "0.1.0"
 # Read from equisyz.oracle on first use (PEP 562), so that importing the
 # package, or a product job's CLI, never loads the oracle.
 _ORACLE_NAMES = frozenset({
-    "GradedCharacter",
     "character_to_schur",
+    "dominant_weights",
     "from_weight_multiplicities",
     "intersection_ideal_character",
     "product_ideal_character",
@@ -62,7 +62,6 @@ __all__ = [
     "BettiTable",
     "DEFAULT_CAPS",
     "GenerationDegreeError",
-    "GradedCharacter",
     "LinearityError",
     "OracleCaps",
     "Partition",
@@ -73,6 +72,7 @@ __all__ = [
     "betti_from_series",
     "character_to_schur",
     "conjugate",
+    "dominant_weights",
     "from_weight_multiplicities",
     "hilbert_product",
     "intersect",

@@ -5,7 +5,8 @@ Hilbert series -> Betti table -> transpose -> regularity), optionally
 verifies against the brute-force oracle, and writes a deterministic report
 as JSON, Markdown or LaTeX.  By Cauchy an intersection series does not depend on
 dim V once every partition of at most m parts is visible, so it is read at
-dim V = min(D, m); an oracle check runs at --dim-v or its degree.
+dim V = min(D, m); an oracle check runs at --dim-v or its degree, and the
+report derives the weights of each degree it writes at that dim V.
 
 Input schema::
 
@@ -217,72 +218,65 @@ def _check_config(cfg: JobConfig):
     # the oracle's caps, refused before the formula side runs
     if cfg.ideal == "intersection":
         D = cfg.max_degree
-        n = max(1, min(D, cfg.arrangement.ambient_dim))  # as run_job reads it
+        n = max(1, min(D, cfg.arrangement.ambient_dim))  # as _intersection_series reads it
         check_sizes(cfg.arrangement, n, D, cfg.caps)
     if cfg.oracle_degree > 0:
         n = cfg.dim_v or cfg.oracle_degree
         check_sizes(cfg.arrangement, n, cfg.oracle_degree, cfg.caps)
 
 
-def _intersection_series(char, D: int) -> SchurSeries:
-    return char.series
+def _intersection_series(cfg: JobConfig) -> SchurSeries:
+    """The intersection ideal's series to degree D, from the oracle at
+    dim V = min(D, m): its coefficients do not depend on dim V."""
+    _import_oracle()
+    D = cfg.max_degree
+    n = max(1, min(D, cfg.arrangement.ambient_dim))
+    return intersection_ideal_character(cfg.arrangement, n, D, caps=cfg.caps)
 
 
-def _oracle_section(
-    cfg: JobConfig,
-    hseries: SchurSeries,
-    intersection_char,
-    validations: dict,
-) -> dict:
+def _oracle_section(cfg: JobConfig, hseries: SchurSeries, validations: dict) -> dict:
     oracle = _import_oracle()
     arr = cfg.arrangement
     n = cfg.dim_v or cfg.oracle_degree
     d_max = cfg.oracle_degree
     t = len(arr.subspaces)
     section = {"dim_v": n, "max_degree": d_max, "degrees": []}
+    intersection = cfg.ideal == "intersection"
 
     # The wedge ideal is the transpose of the *product* ideal, so both the
     # product and the wedge verdicts compare against the product formula,
     # whatever kind of series the job itself is about.
-    if cfg.ideal == "product":
-        product_formula = hseries
-    else:
-        product_formula = hilbert_product(arr, max(t, d_max))
+    product_formula = hilbert_product(arr, max(t, d_max)) if intersection else hseries
 
-    product_char = product_ideal_character(arr, n, d_max, caps=cfg.caps)
+    product = product_ideal_character(arr, n, d_max, caps=cfg.caps)
     want_wedge = cfg.side in ("exterior", "both")
-    wedge_char = (
-        wedge_ideal_character(arr, n, d_max, caps=cfg.caps) if want_wedge else None
-    )
-
-    if intersection_char is not None:  # its series does not depend on n
-        intersection_char = oracle.GradedCharacter(n, intersection_char.series)
+    wedge = wedge_ideal_character(arr, n, d_max, caps=cfg.caps) if want_wedge else None
     all_product_ok = True
     all_wedge_ok = True
     all_contained = True
-    dlow = 1 if cfg.ideal == "intersection" else t
+    dlow = 1 if intersection else t
     for d in range(dlow, d_max + 1):
         entry = {"degree": d}
-        oracle_schur = character_to_schur(product_char, d)
+        oracle_schur = character_to_schur(product, n, d)
         formula = product_formula.graded_part(d)
-        entry["product_weights"] = _weights_doc(product_char.weights.get(d, {}))
+        pw = oracle.dominant_weights(product, n, d)
+        entry["product_weights"] = _weights_doc(pw)
         entry["product_schur"] = oracle_schur.to_pairs()
         entry["formula_schur"] = formula.to_pairs()
         ok = oracle_schur == formula
         entry["product_matches_formula"] = ok
         all_product_ok &= ok
         if want_wedge:
-            wedge_schur = character_to_schur(wedge_char, d)
-            entry["wedge_weights"] = _weights_doc(wedge_char.weights.get(d, {}))
+            wedge_schur = character_to_schur(wedge, n, d)
+            entry["wedge_weights"] = _weights_doc(oracle.dominant_weights(wedge, n, d))
             entry["wedge_schur"] = wedge_schur.to_pairs()
             expected = formula.omega()
             entry["wedge_expected"] = expected.to_pairs()
             ok = wedge_schur == expected
             entry["wedge_matches_transpose"] = ok
             all_wedge_ok &= ok
-        if intersection_char is not None:
-            iw = intersection_char.weights.get(d, {})
-            pw = product_char.weights.get(d, {})
+        if intersection:  # the job's series is the oracle's, whatever its n
+            iw = oracle.dominant_weights(hseries, n, d)
             # both tables are S_n-symmetric, so their dominant weights decide
             contained = all(iw.get(w, 0) >= dim for w, dim in pw.items())
             entry["intersection_weights"] = _weights_doc(iw)
@@ -293,7 +287,7 @@ def _oracle_section(
     validations["oracle_product_match"] = all_product_ok
     if want_wedge:
         validations["oracle_wedge_match"] = all_wedge_ok
-    if intersection_char is not None:
+    if intersection:
         validations["oracle_containment"] = all_contained
     return section
 
@@ -312,14 +306,11 @@ def run_job(cfg: JobConfig) -> dict:
     ]
     p_series = p_polynomial(pm, (1 << t) - 1, D)
 
-    intersection_char = None
     if cfg.ideal == "product":
         hseries = hilbert_product(arr, D)
         generation_degree = t
     else:
-        _import_oracle()
-        intersection_char = intersection_ideal_character(arr, max(1, min(D, m)), D, caps=cfg.caps)
-        hseries = _intersection_series(intersection_char, D)
+        hseries = _intersection_series(cfg)
         generation_degree = hseries.min_degree()
         if generation_degree is None:
             raise InputError(
@@ -362,7 +353,7 @@ def run_job(cfg: JobConfig) -> dict:
     report["regularity"] = regs
 
     if cfg.oracle_degree > 0:
-        report["oracle"] = _oracle_section(cfg, hseries, intersection_char, validations)
+        report["oracle"] = _oracle_section(cfg, hseries, validations)
     else:
         report["oracle"] = None
 

@@ -224,6 +224,10 @@ def _echelon(vectors, m: int) -> tuple[tuple[int, ...], ...]:
 # default.  Python 3.11.7 on 2 shared x86-64 cores, single cold jobs at the
 # cap: a line of Q^32 whose RREF entry has 4188 digits takes 0.10 s.
 MAX_SUBSPACE_DIGITS = 4250
+# An int longer than this many bits is at least 2**_CAP_BITS > 10**4250, so
+# it is past the cap by itself; every shorter one has at most 4251 digits,
+# which str() counts.
+_CAP_BITS = (10**MAX_SUBSPACE_DIGITS).bit_length()
 
 
 def _pivot(row) -> int:
@@ -258,6 +262,11 @@ class Subspace:
             if not isinstance(vec, (list, tuple)):  # a str or dict is iterable too
                 raise ValueError(f"vector {vec!r} is not a list or tuple of entries")
             entries = [read_rational(x) for x in vec]
+            if any(max(abs(n), d).bit_length() > _CAP_BITS for n, d in entries):
+                raise SizeCapError(
+                    f"an entry of more than {MAX_SUBSPACE_DIGITS} digits exceeds "
+                    f"the cap of {MAX_SUBSPACE_DIGITS} digits per subspace"
+                )
             digits += sum(len(str(abs(n))) + len(str(d)) for n, d in entries)
             rows.append(scaled_numerators(entries))
         for row in rows:

@@ -25,8 +25,9 @@ its weight spaces, and the dominant weights (partitions of d padded to
 length n) determine each graded piece.  Kostka numbers are unitriangular
 (Macdonald, Symmetric Functions and Hall Polynomials, I.6), so one peel
 turns the eliminated dominant dimensions into Schur coefficients.  Every
-degree's peel goes into one ``SchurSeries``, which is all a character
-holds; its weights are derived from it for the report.  This module owns
+degree's peel goes into one ``SchurSeries``, which each entry point
+returns; ``dominant_weights`` derives one degree's weight table from it at
+any n, so the report derives only the degrees it writes.  This module owns
 both directions of that conversion.  By Cauchy,
 Sym(W tensor V) is the sum of the S_lam W tensor S_lam V, so every
 S_lam(V) in a product or intersection ideal has at most m rows: only
@@ -53,7 +54,6 @@ side, with no need to import this module.
 from __future__ import annotations
 
 import sys
-from functools import cached_property
 from itertools import chain, combinations_with_replacement, product as cartesian
 from math import comb, prod
 
@@ -66,45 +66,32 @@ from .schur import SchurSeries, _is_integer
 Weight = tuple[int, ...]
 
 
-class GradedCharacter:
-    """A graded GL(V) representation in n = dim V variables: ``series``
-    holds its Schur coefficients c_lam in every degree up to its truncation
-    degree.
-
-    ``weights``, derived on first read, maps each such degree d to its
-    dominant weight table: each partition mu of d with at most n parts,
-    padded with zeros to length n, to the dimension sum c_lam K_{lam mu} of
-    its weight space, zeros omitted.  S_n permutes the weight spaces, so
+def dominant_weights(series: SchurSeries, n: int, d: int) -> dict[Weight, int]:
+    """The dominant weight table of degree d of ``series``, a character in
+    n = dim V variables: each partition mu of d with at most n parts,
+    padded with zeros to length n, maps to the dimension sum c_lam K_{lam mu}
+    of its weight space, zeros omitted.  S_n permutes the weight spaces, so
     every other weight has the dimension of the dominant weight in its
     orbit (``partitions.orbit`` lists that orbit).
     """
-
-    def __init__(self, n: int, series: SchurSeries):
-        self.n = n
-        self.series = series
-
-    @cached_property
-    def weights(self) -> dict[int, dict[Weight, int]]:
-        n, weights = self.n, {}
-        for d in range(self.series.degree + 1):
-            coeffs = self.series.graded_part(d).items()
-            table = weights[d] = {}
-            for mu in partitions_of(d, max_parts=n):
-                dim = sum(c * kostka_number(lam, mu) for lam, c in coeffs)
-                if dim:
-                    table[mu + (0,) * (n - len(mu))] = dim
-        return weights
+    coeffs = series.graded_part(d).items()
+    table = {}
+    for mu in partitions_of(d, max_parts=n):
+        dim = sum(c * kostka_number(lam, mu) for lam, c in coeffs)
+        if dim:
+            table[mu + (0,) * (n - len(mu))] = dim
+    return table
 
 
-def character_to_schur(gc: GradedCharacter, d: int) -> SchurSeries:
-    """The degree-d part of ``gc.series`` as a faithful Schur expansion.
-    Requires n >= d so all partitions of d are visible.  Raises ValueError
-    when some coefficient is negative - i.e. when it is not a polynomial
-    character; the first negative one in canonical order is named."""
-    n = gc.n
+def character_to_schur(series: SchurSeries, n: int, d: int) -> SchurSeries:
+    """The degree-d part of ``series``, a character in n = dim V variables,
+    as a faithful Schur expansion.  Requires n >= d so all partitions of d
+    are visible.  Raises ValueError when some coefficient is negative - i.e.
+    when it is not a polynomial character; the first negative one in
+    canonical order is named."""
     if n < d:
         raise ValueError(f"need n >= d for a faithful expansion, got n={n}, d={d}")
-    part = gc.series.graded_part(d)
+    part = series.graded_part(d)
     for lam, c in part.items():
         if c < 0:
             raise ValueError(
@@ -159,8 +146,7 @@ def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
                 f"weight multiplicities are not symmetric on the orbit of {canon}"
             )
 
-    series = SchurSeries(kostka_peel(table, d, n, n), degree=d)
-    return character_to_schur(GradedCharacter(n, series), d)
+    return character_to_schur(SchurSeries(kostka_peel(table, d, n, n), degree=d), n, d)
 
 
 # -- coordinates -----------------------------------------------------------
@@ -261,7 +247,7 @@ def _span_character(name, arr, n, d_max, rows, exterior):
     basis of the dominant permutation of w - e_i renamed into place.  Each
     I_d is GL(V)-stable, so only dominant weights with at most ``rows``
     parts are eliminated and peeled, and none when d_max < t leaves nothing
-    to report: every peel goes into the one series of the character."""
+    to report: every peel goes into the one series returned."""
     t, m = len(arr.subspaces), arr.ambient_dim
     bits = 1 if exterior else max(d_max, 1).bit_length()
     steps = [sub.normal_rows() for sub in arr.subspaces]
@@ -304,7 +290,7 @@ def _span_character(name, arr, n, d_max, rows, exterior):
             coeffs.update(kostka_peel(table, d, n, rows))
         if span:
             prev = bases
-    return GradedCharacter(n, SchurSeries(coeffs, degree=d_max))
+    return SchurSeries(coeffs, degree=d_max)
 
 
 # -- characters --------------------------------------------------------------
@@ -312,15 +298,17 @@ def _span_character(name, arr, n, d_max, rows, exterior):
 
 def product_ideal_character(
     arr: Arrangement, n: int, d_max: int, caps: OracleCaps = DEFAULT_CAPS
-) -> GradedCharacter:
-    """Graded character of the product ideal J_1(V) ... J_t(V).
+) -> SchurSeries:
+    """The ``SchurSeries`` of the product ideal J_1(V) ... J_t(V) to degree
+    d_max, eliminated at n = dim V.
 
     Degree d is spanned by the normal rows of the d-th factor, or by the
     variables past t, times the basis of degree d - 1, from the unit up.
     Spanning vectors have pure V-weight and each dominant weight space with
     at most m parts is row reduced exactly.  By Cauchy, every S_lam(V) in
     the ideal has at most m rows, so those weights give every Schur
-    coefficient.
+    coefficient; the ideal is a sum of S_lam W-parts tensor S_lam V, so
+    c_lam does not depend on n: every n >= min(d_max, m) gives this series.
     """
     check_sizes(arr, n, d_max, caps)
     return _span_character("product", arr, n, d_max, min(n, arr.ambient_dim), False)
@@ -328,8 +316,9 @@ def product_ideal_character(
 
 def intersection_ideal_character(
     arr: Arrangement, n: int, d_max: int, caps: OracleCaps = DEFAULT_CAPS
-) -> GradedCharacter:
-    """Graded character of the intersection ideal J_1(V) cap ... cap J_t(V).
+) -> SchurSeries:
+    """The ``SchurSeries`` of the intersection ideal J_1(V) cap ... cap
+    J_t(V) to degree d_max, eliminated at n = dim V.
 
     J_k(V) is the vanishing ideal of Y_k tensor V, so its weight-w piece is
     the kernel of the restriction Sym(W tensor V)_w -> Sym(Y_k tensor V)_w,
@@ -374,14 +363,14 @@ def intersection_ideal_character(
                 table[w] = ambient - stack.rank
         _log_degree("intersection", d, n, len(dominant), offered, kept)
         coeffs.update(kostka_peel(table, d, n, min(n, m)))
-    return GradedCharacter(n, SchurSeries(coeffs, degree=d_max))
+    return SchurSeries(coeffs, degree=d_max)
 
 
 def wedge_ideal_character(
     arr: Arrangement, n: int, d_max: int, caps: OracleCaps = DEFAULT_CAPS
-) -> GradedCharacter:
-    """Graded character of the wedge ideal J_1(V) ^ ... ^ J_t(V) in the
-    exterior algebra on W tensor V.
+) -> SchurSeries:
+    """The ``SchurSeries`` of the wedge ideal J_1(V) ^ ... ^ J_t(V) in the
+    exterior algebra on W tensor V to degree d_max, eliminated at n = dim V.
 
     Same spanning as the product, inside the exterior algebra: every wedge
     and every renaming of V-indices tracks the sign of sorting the

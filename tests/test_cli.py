@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equisyz import cli, linalg
+from equisyz import cli, linalg, oracle
 from equisyz.arrangements import MAX_AMBIENT_DIM, MAX_DEGREE, MAX_GROUND_SET, polymatroid_of
 from equisyz.cli import (
     EXIT_CAP,
@@ -33,7 +33,7 @@ from equisyz.linalg import (
     row_reduce,
     scaled_numerators,
 )
-from equisyz.oracle import GradedCharacter, OracleCaps
+from equisyz.oracle import OracleCaps
 from equisyz.schur import SchurSeries
 
 AXES2 = {"ambient_dim": 2, "subspaces": [[[1, 0]], [[0, 1]]]}
@@ -563,7 +563,7 @@ def test_main_negative_dim_v_is_input_error(tmp_path, capsys):
 def test_main_value_error_below_run_job_is_validation_failure(
     tmp_path, capsys, monkeypatch
 ):
-    def broken(char, d):
+    def broken(series, n, d):
         raise ValueError("weight table is no character")
 
     monkeypatch.setattr(cli, "character_to_schur", broken)
@@ -576,25 +576,31 @@ def test_main_value_error_below_run_job_is_validation_failure(
     assert "Traceback" not in captured.err
 
 
-def test_an_intersection_job_without_oracle_check_derives_no_weights(monkeypatch):
-    """Only the oracle section of the report reads weights, so the character
-    that gives an intersection job its series keeps its Schur coefficients
-    and derives no weight table unless asked."""
-    real = cli.intersection_ideal_character
-    built = []
+@pytest.mark.parametrize("doc, ideal, expected", [
+    (AXES3, "intersection", [(3, 1), (3, 2)]),  # degrees 1..oracle_degree
+    (AXES2, "product", [(3, 2)]),  # degrees t..oracle_degree
+], ids=["intersection", "product"])
+def test_the_report_derives_weights_only_for_the_degrees_it_writes(
+    monkeypatch, doc, ideal, expected
+):
+    """Only the oracle section of the report reads weights, and it derives
+    the table of each degree it writes at the check's dim V: none without
+    --oracle-check, and none above its degree, though the job's series
+    runs to degree 3."""
+    real = oracle.dominant_weights
+    asked = []
 
-    def recorded(arr, n, d_max, caps):
-        built.append(real(arr, n, d_max, caps=caps))
-        return built[-1]
+    def recorded(series, n, d):
+        asked.append((n, d))
+        return real(series, n, d)
 
-    monkeypatch.setattr(cli, "intersection_ideal_character", recorded)
-    cfg = JobConfig(
-        arrangement=parse_arrangement(AXES3), max_degree=3, ideal="intersection", dim_v=3
-    )
+    monkeypatch.setattr(oracle, "dominant_weights", recorded)
+    cfg = JobConfig(arrangement=parse_arrangement(doc), max_degree=3, ideal=ideal, dim_v=3)
     run_job(cfg)
-    (char,) = built
-    assert "weights" not in vars(char)
-    assert char.weights[3] and "weights" in vars(char)
+    assert asked == []
+    report = run_job(cfg._replace(oracle_degree=2))
+    assert sorted(set(asked)) == expected
+    assert [e["degree"] for e in report["oracle"]["degrees"]] == [d for _, d in expected]
 
 
 def test_intersection_below_the_product_fails_containment(monkeypatch):
@@ -605,8 +611,7 @@ def test_intersection_below_the_product_fails_containment(monkeypatch):
     real = cli.intersection_ideal_character
 
     def lowered(arr, n, d_max, caps):
-        series = real(arr, n, d_max, caps=caps).series
-        return GradedCharacter(n, series - SchurSeries({(1, 1, 1): 1}, degree=d_max))
+        return real(arr, n, d_max, caps=caps) - SchurSeries({(1, 1, 1): 1}, degree=d_max)
 
     monkeypatch.setattr(cli, "intersection_ideal_character", lowered)
     cfg = JobConfig(

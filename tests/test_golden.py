@@ -36,6 +36,13 @@ CASES = {
         "--max-degree", "3", "--ideal", "intersection", "--oracle-check", "3",
         "--dim-v", "3",
     ]),
+    # an intersection job checked at n = 5, above both the oracle's read at
+    # n = min(D, m) = 3 and the check degree 3: the intersection weights the
+    # report lists at n = 5 are derived from the series degree by degree
+    "three_axes_n5": (EXIT_OK, [
+        "--max-degree", "4", "--ideal", "intersection", "--oracle-check", "3",
+        "--dim-v", "5", "--side", "both",
+    ]),
     # n = 4 > m = 3 and D = 4 > t = 3: the oracles' support fill and their
     # spanning from the previous degree both run
     "two_planes_and_line": (EXIT_OK, [
@@ -106,6 +113,7 @@ CASES = {
 
 DOCUMENTS = {
     "three_axes_oracle": "three_axes",
+    "three_axes_n5": "three_axes",
     "line_and_three_planes_n5": "line_and_three_planes",
     "intersection_seed1_n8": "intersection_seed1",
     "two_planes_and_line_d5": "two_planes_and_line",
@@ -113,6 +121,7 @@ DOCUMENTS = {
 }
 
 ENVIRONMENTS = {
+    "three_axes_n5": {"EQUISYZ_CAPS": "m=4,n=5,d=4,t=4"},
     "line_and_three_planes_n5": {"EQUISYZ_CAPS": "m=3,n=5,d=5,t=4"},
     "intersection_seed1_n8": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
     "two_planes_and_line_d5": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},

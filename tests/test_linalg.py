@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equisyz import cli, linalg
+from equisyz.errors import SizeCapError
 from equisyz.linalg import Subspace, _integer_row, intersect, row_reduce
 
 from helpers import _nullspace
@@ -210,6 +211,27 @@ def test_subspace_reads_entries_as_the_cli_does(entry):
     with pytest.raises(ValueError, match="is not a rational number"):
         Subspace(2, [[entry, 1]])
     assert Subspace(2, [[Fraction(-3, 6), "+02/04"]]) == Subspace(2, [[-1, 1]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [10**5000, -(10**5000), Fraction(10**5000), Fraction(1, 10**5000)],
+    ids=["int", "negative int", "Fraction", "Fraction denominator"],
+)
+def test_an_entry_past_the_digit_cap_by_its_bit_length_is_a_size_cap_error(entry):
+    """An int of more than the 4300 digits that str() converts ended in
+    Python's own ValueError, as the digit cap counted it with str(): its bit
+    length alone puts it past the cap.  An entry just short of that keeps
+    its exact count."""
+    cap = linalg.MAX_SUBSPACE_DIGITS
+    with pytest.raises(
+        SizeCapError,
+        match=f"^an entry of more than {cap} digits exceeds the cap of {cap} digits per subspace$",
+    ):
+        Subspace(2, [[entry, 1]])
+    longest = 2 ** (10**cap).bit_length() - 1  # 4251 digits
+    with pytest.raises(SizeCapError, match=f"^entries of 4254 digits exceed the cap of {cap}"):
+        Subspace(2, [[longest, 1]])
 
 
 def test_invalid_entry_past_full_rank_is_rejected():
