@@ -59,10 +59,6 @@ class BettiTable:
             return NotImplemented
         return self.t == other.t and self.columns == other.columns
 
-    @property
-    def max_index(self) -> int:
-        return len(self.columns) - 1
-
     def to_dict(self) -> dict:
         """JSON-ready representation with columns in homological order."""
         return {

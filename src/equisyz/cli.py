@@ -3,10 +3,9 @@
 Reads a JSON arrangement description, runs the pipeline (polymatroid ->
 Hilbert series -> Betti table -> transpose -> regularity), optionally
 verifies against the brute-force oracle, and writes a deterministic report
-as JSON, Markdown or LaTeX.  By Cauchy an intersection series does not depend on
-dim V once every partition of at most m parts is visible, so it is read at
-dim V = min(D, m); an oracle check runs at --dim-v or its degree, and the
-report derives the weights of each degree it writes at that dim V.
+as JSON, Markdown or LaTeX.  Each oracle works out its own dim V, the least
+that shows its whole series; an oracle check lists the weights of each
+degree it writes at --dim-v, or at its degree without one.
 
 Input schema::
 
@@ -46,7 +45,7 @@ from .betti import (
     regularity,
     transpose_table,
 )
-from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError, check_sizes
+from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError, check_sizes, oracle_dim_v
 from .linalg import Subspace
 from .partitions import orbit
 from .schur import SchurSeries, format_terms
@@ -156,8 +155,8 @@ def caps_from_env(environ=None) -> OracleCaps:
 
 
 # ideal: product | intersection; side: symmetric | exterior | both;
-# oracle_degree 0 disables oracle checks, which run at dim V = dim_v, or at
-# dim V = oracle_degree if dim_v is 0
+# oracle_degree 0 disables oracle checks, whose report lists weights at
+# dim V = dim_v, or at dim V = oracle_degree if dim_v is 0
 JobConfig = namedtuple(
     "JobConfig",
     "arrangement max_degree ideal side oracle_degree dim_v caps",
@@ -215,29 +214,29 @@ def _check_config(cfg: JobConfig):
         raise InputError(
             "faithful oracle comparison needs --dim-v >= --oracle-check degree"
         )
-    # the oracle's caps, refused before the formula side runs
+    # the oracle's caps, refused before the formula side runs; an oracle
+    # check's oracles run at no larger dim V than the one its report lists
     if cfg.ideal == "intersection":
-        D = cfg.max_degree
-        n = max(1, min(D, cfg.arrangement.ambient_dim))  # as _intersection_series reads it
-        check_sizes(cfg.arrangement, n, D, cfg.caps)
+        oracle_dim_v(cfg.arrangement, cfg.max_degree, cfg.caps)
     if cfg.oracle_degree > 0:
         n = cfg.dim_v or cfg.oracle_degree
         check_sizes(cfg.arrangement, n, cfg.oracle_degree, cfg.caps)
+    if cfg.ideal == "product" and 0 < cfg.oracle_degree < t:
+        raise InputError(
+            f"oracle check below generation degree: --oracle-check {cfg.oracle_degree} < t = {t}"
+        )
 
 
 def _intersection_series(cfg: JobConfig) -> SchurSeries:
-    """The intersection ideal's series to degree D, from the oracle at
-    dim V = min(D, m): its coefficients do not depend on dim V."""
+    """The intersection ideal's series to degree D, from the oracle."""
     _import_oracle()
-    D = cfg.max_degree
-    n = max(1, min(D, cfg.arrangement.ambient_dim))
-    return intersection_ideal_character(cfg.arrangement, n, D, caps=cfg.caps)
+    return intersection_ideal_character(cfg.arrangement, cfg.max_degree, caps=cfg.caps)
 
 
 def _oracle_section(cfg: JobConfig, hseries: SchurSeries, validations: dict) -> dict:
     oracle = _import_oracle()
     arr = cfg.arrangement
-    n = cfg.dim_v or cfg.oracle_degree
+    n = cfg.dim_v or cfg.oracle_degree  # the dim V the report lists weights at
     d_max = cfg.oracle_degree
     t = len(arr.subspaces)
     section = {"dim_v": n, "max_degree": d_max, "degrees": []}
@@ -248,9 +247,9 @@ def _oracle_section(cfg: JobConfig, hseries: SchurSeries, validations: dict) -> 
     # whatever kind of series the job itself is about.
     product_formula = hilbert_product(arr, max(t, d_max)) if intersection else hseries
 
-    product = product_ideal_character(arr, n, d_max, caps=cfg.caps)
+    product = product_ideal_character(arr, d_max, caps=cfg.caps)
     want_wedge = cfg.side in ("exterior", "both")
-    wedge = wedge_ideal_character(arr, n, d_max, caps=cfg.caps) if want_wedge else None
+    wedge = wedge_ideal_character(arr, d_max, caps=cfg.caps) if want_wedge else None
     all_product_ok = True
     all_wedge_ok = True
     all_contained = True
@@ -275,7 +274,7 @@ def _oracle_section(cfg: JobConfig, hseries: SchurSeries, validations: dict) -> 
             ok = wedge_schur == expected
             entry["wedge_matches_transpose"] = ok
             all_wedge_ok &= ok
-        if intersection:  # the job's series is the oracle's, whatever its n
+        if intersection:  # the job's series is the oracle's
             iw = oracle.dominant_weights(hseries, n, d)
             # both tables are S_n-symmetric, so their dominant weights decide
             contained = all(iw.get(w, 0) >= dim for w, dim in pw.items())
@@ -583,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify against the brute-force oracle up to this degree (0 disables)",
     )
     parser.add_argument(
-        "--dim-v", type=int, default=0, help="dim V for --oracle-check (default: D_MAX)"
+        "--dim-v", type=int, default=0, help="dim V of --oracle-check's weights (default: D_MAX)"
     )
     parser.add_argument(
         "--format", choices=("json", "markdown", "latex"), default="json"

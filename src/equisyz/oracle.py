@@ -19,36 +19,33 @@ variable is its pivot: distinct forms lead with distinct variables, so
 their products rarely collide in the elimination.
 
 This module measures the weight-space dimensions of product, intersection
-and wedge ideals by exact elimination, and eliminates only what it cannot
-deduce.  Every such ideal is GL(V)-stable, so the Weyl group S_n permutes
-its weight spaces, and the dominant weights (partitions of d padded to
-length n) determine each graded piece.  Kostka numbers are unitriangular
-(Macdonald, Symmetric Functions and Hall Polynomials, I.6), so one peel
-turns the eliminated dominant dimensions into Schur coefficients.  Every
-degree's peel goes into one ``SchurSeries``, which each entry point
-returns; ``dominant_weights`` derives one degree's weight table from it at
-any n, so the report derives only the degrees it writes.  This module owns
-both directions of that conversion.  By Cauchy,
-Sym(W tensor V) is the sum of the S_lam W tensor S_lam V, so every
-S_lam(V) in a product or intersection ideal has at most m rows: only
-dominant weights with at most m parts are eliminated, and the peel needs
-no others.  One rule spans the product and wedge ideals in every
-degree: I_0 is the unit and I_d = I_{d-1} J_d, J_d the d-th linear ideal
-up to t and the maximal ideal past it, so weight w of degree d is spanned
-by each normal row of step d at each V-index i times I_{d-1} at w - e_i;
-the partial products below t are GL(V)-stable and are not reported.  The
-intersection ideal is not spanned at all: J_k(V) is the vanishing ideal of
-Y_k tensor V, so each weight space of the intersection is the common
-kernel of the restrictions to the Y_k tensor V, and its dimension is one
-exact rank of their stacked vanishing conditions.
-With the polymatroid it shares only each subspace's integer echelon and
-normal rows and the fraction-free elimination kernel of ``equisyz.linalg``,
-which the tests check against the reference ``Fraction`` RREF
-(``row_reduce``) and the nullspace read off it, so it stays an independent
-check on the series formulas.  ``OracleCaps`` and ``DEFAULT_CAPS`` are
-defined in ``equisyz.errors`` and re-exported here; so is ``check_sizes``,
-which every entry point runs first and the CLI runs before the formula
-side, with no need to import this module.
+and wedge ideals by exact elimination.  Every such ideal is GL(V)-stable,
+so the Weyl group S_n permutes its weight spaces, and the dominant weights
+(partitions of d padded to length n) determine each graded piece.  Each
+entry point eliminates at the least n that shows its whole series, which
+``errors.oracle_dim_v`` works out: min(d_max, m) for the product and
+intersection ideals, d_max for the wedge.  Kostka numbers are
+unitriangular (Macdonald, Symmetric Functions and Hall Polynomials, I.6),
+so one peel turns the eliminated dominant dimensions into Schur
+coefficients.  Every degree's peel goes into the one ``SchurSeries`` each
+entry point returns; ``dominant_weights`` derives one degree's weight
+table from it at any n, so the report derives only the degrees it writes.
+One rule spans the product and wedge ideals in every degree: I_0 is the
+unit and I_d = I_{d-1} J_d, J_d the d-th linear ideal up to t and the
+maximal ideal past it, so weight w of degree d is spanned by each normal
+row of step d at each V-index i times I_{d-1} at w - e_i; the partial
+products below t are GL(V)-stable and are not reported.  The intersection
+ideal is not spanned at all: J_k(V) is the vanishing ideal of Y_k tensor
+V, so each weight space of the intersection is the common kernel of the
+restrictions to the Y_k tensor V, and its dimension is one exact rank of
+their stacked vanishing conditions.  With the polymatroid it shares only
+each subspace's integer echelon and normal rows and the fraction-free
+elimination kernel of ``equisyz.linalg``, which the tests check against
+the reference ``Fraction`` RREF (``row_reduce``) and the nullspace read
+off it, so it stays an independent check on the series formulas.
+``OracleCaps``, ``DEFAULT_CAPS`` and ``oracle_dim_v`` are defined in
+``equisyz.errors``, so the CLI checks an oracle's sizes without importing
+this module.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from itertools import chain, combinations_with_replacement, product as cartesian
 from math import comb, prod
 
 from .arrangements import Arrangement
-from .errors import DEFAULT_CAPS, OracleCaps, check_sizes
+from .errors import DEFAULT_CAPS, OracleCaps, oracle_dim_v
 from .linalg import Subspace, _Echelon
 from .partitions import Partition, kostka_number, orbit, partitions_of
 from .schur import SchurSeries, _is_integer
@@ -101,15 +98,15 @@ def character_to_schur(series: SchurSeries, n: int, d: int) -> SchurSeries:
     return part
 
 
-def kostka_peel(dims, d: int, n: int, max_parts: int) -> dict[Partition, int]:
-    """Schur coefficients c_lam, for lam with at most ``max_parts`` parts, of
-    a degree-d character whose dominant weights (length n) have dimensions
-    ``dims``, missing meaning zero.  K_{nu lam} != 0 needs nu to dominate
+def kostka_peel(dims, d: int, n: int) -> dict[Partition, int]:
+    """Schur coefficients c_lam, for lam with at most n parts, of a degree-d
+    character whose dominant weights (length n) have dimensions ``dims``,
+    missing meaning zero.  K_{nu lam} != 0 needs nu to dominate
     lam, so Kostka is unitriangular in decreasing lex order: c_lam is
     dims[lam] minus the c_nu K_{nu lam} of the nu peeled before it.  They
     come back in that order, zeros omitted."""
     coeffs: dict[Partition, int] = {}
-    for lam in partitions_of(d, max_parts=max_parts):
+    for lam in partitions_of(d, max_parts=n):
         c = dims.get(lam + (0,) * (n - len(lam)), 0) - sum(
             cn * kostka_number(nu, lam) for nu, cn in coeffs.items()
         )
@@ -146,7 +143,7 @@ def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
                 f"weight multiplicities are not symmetric on the orbit of {canon}"
             )
 
-    return character_to_schur(SchurSeries(kostka_peel(table, d, n, n), degree=d), n, d)
+    return character_to_schur(SchurSeries(kostka_peel(table, d, n), degree=d), n, d)
 
 
 # -- coordinates -----------------------------------------------------------
@@ -220,34 +217,33 @@ def _kronecker_rows(per_column: list[list[dict]], strides: list[int]):
         yield row
 
 
-def _dominant_weights(d: int, n: int, parts: int) -> list[Weight]:
-    """Partitions of d with at most ``parts`` parts, padded with zeros to length n."""
-    return [lam + (0,) * (n - len(lam)) for lam in partitions_of(d, max_parts=parts)]
+def _dominant_weights(d: int, n: int) -> list[Weight]:
+    """Partitions of d with at most n parts, padded with zeros to length n."""
+    return [lam + (0,) * (n - len(lam)) for lam in partitions_of(d, max_parts=n)]
 
 
-def _log_degree(name, d, n, eliminated, offered, kept, reported=True):
+def _log_degree(name, d, eliminated, offered, kept):
     # Until something imports logging, no handler can be listening; the CLI
     # imports it only under --verbose, so a quiet job never loads it.
     logging = sys.modules.get("logging")
-    if logging is None:
-        return
-    filled = len(partitions_of(d, max_parts=n)) - eliminated if reported else 0
-    logging.getLogger(__name__).info(
-        "%s oracle degree %d: %d dominant weights eliminated, %d filled by "
-        "Kostka, %d rows offered, %d kept", name, d, eliminated, filled, offered, kept
-    )
+    if logging is not None:
+        logging.getLogger(__name__).info(
+            "%s oracle degree %d: %d dominant weights eliminated, %d rows offered, "
+            "%d kept", name, d, eliminated, offered, kept
+        )
 
 
-def _span_character(name, arr, n, d_max, rows, exterior):
+def _span_character(name, arr, d_max, caps, exterior):
     """The character of J_1(V)...J_t(V), or of the wedge ideal in the
     exterior algebra if ``exterior``, one linear ideal at a time: I_0 is
     the unit and I_d = I_{d-1} J_d, with J_d the maximal ideal past t, and
     I_d is reported from d = t on.  I_{d,w} is spanned by each normal row
     of step d placed at each V-index i times I_{d-1,w-e_i}, the stored
     basis of the dominant permutation of w - e_i renamed into place.  Each
-    I_d is GL(V)-stable, so only dominant weights with at most ``rows``
-    parts are eliminated and peeled, and none when d_max < t leaves nothing
-    to report: every peel goes into the one series returned."""
+    I_d is GL(V)-stable, so only its dominant weights are eliminated, and
+    none when d_max < t leaves nothing to report: every peel goes into the
+    one series returned."""
+    n = oracle_dim_v(arr, d_max, caps, exterior)
     t, m = len(arr.subspaces), arr.ambient_dim
     bits = 1 if exterior else max(d_max, 1).bit_length()
     steps = [sub.normal_rows() for sub in arr.subspaces]
@@ -273,7 +269,7 @@ def _span_character(name, arr, n, d_max, rows, exterior):
     coeffs: dict[Partition, int] = {}
     for d in range(d_max + 1):
         span = d >= t or (0 < d and d_max >= t)
-        dominant = _dominant_weights(d, n, rows) if span else []
+        dominant = _dominant_weights(d, n) if span else []
         step = steps[d - 1] if 0 < d <= t else maximal
         bases, offered = {}, 0
         for w in dominant:
@@ -285,9 +281,9 @@ def _span_character(name, arr, n, d_max, rows, exterior):
             if ech.rank:
                 bases[w] = list(ech.rows.values())
         table = {w: len(basis) for w, basis in bases.items()}
-        _log_degree(name, d, n, len(dominant), offered, sum(table.values()), d >= t)
+        _log_degree(name, d, len(dominant), offered, sum(table.values()))
         if d >= t:
-            coeffs.update(kostka_peel(table, d, n, rows))
+            coeffs.update(kostka_peel(table, d, n))
         if span:
             prev = bases
     return SchurSeries(coeffs, degree=d_max)
@@ -297,28 +293,24 @@ def _span_character(name, arr, n, d_max, rows, exterior):
 
 
 def product_ideal_character(
-    arr: Arrangement, n: int, d_max: int, caps: OracleCaps = DEFAULT_CAPS
+    arr: Arrangement, d_max: int, caps: OracleCaps = DEFAULT_CAPS
 ) -> SchurSeries:
     """The ``SchurSeries`` of the product ideal J_1(V) ... J_t(V) to degree
-    d_max, eliminated at n = dim V.
+    d_max, eliminated at dim V = min(d_max, m).
 
     Degree d is spanned by the normal rows of the d-th factor, or by the
     variables past t, times the basis of degree d - 1, from the unit up.
-    Spanning vectors have pure V-weight and each dominant weight space with
-    at most m parts is row reduced exactly.  By Cauchy, every S_lam(V) in
-    the ideal has at most m rows, so those weights give every Schur
-    coefficient; the ideal is a sum of S_lam W-parts tensor S_lam V, so
-    c_lam does not depend on n: every n >= min(d_max, m) gives this series.
+    Spanning vectors have pure V-weight and each dominant weight space is
+    row reduced exactly.
     """
-    check_sizes(arr, n, d_max, caps)
-    return _span_character("product", arr, n, d_max, min(n, arr.ambient_dim), False)
+    return _span_character("product", arr, d_max, caps, False)
 
 
 def intersection_ideal_character(
-    arr: Arrangement, n: int, d_max: int, caps: OracleCaps = DEFAULT_CAPS
+    arr: Arrangement, d_max: int, caps: OracleCaps = DEFAULT_CAPS
 ) -> SchurSeries:
     """The ``SchurSeries`` of the intersection ideal J_1(V) cap ... cap
-    J_t(V) to degree d_max, eliminated at n = dim V.
+    J_t(V) to degree d_max, eliminated at dim V = min(d_max, m).
 
     J_k(V) is the vanishing ideal of Y_k tensor V, so its weight-w piece is
     the kernel of the restriction Sym(W tensor V)_w -> Sym(Y_k tensor V)_w,
@@ -328,13 +320,9 @@ def intersection_ideal_character(
     weight w it is the Kronecker product over i of Sym^{w_i} of the
     restriction W* -> Y_k*, written in an integer basis of Y_k; the source
     monomials are labelled by their mixed-radix index.  Elimination stops
-    once the rank reaches the number of monomials.  Only dominant weights
-    with at most m parts are eliminated: by Cauchy, every S_lam(V) inside
-    Sym(W tensor V) has at most m rows, so those weights give every Schur
-    coefficient, and the ideal is a sum of S_lam W-parts tensor S_lam V, so
-    c_lam does not depend on n: every n >= min(d_max, m) gives this series.
+    once the rank reaches the number of monomials.
     """
-    check_sizes(arr, n, d_max, caps)
+    n = oracle_dim_v(arr, d_max, caps)
     m = arr.ambient_dim
     restrictions = [
         [_restriction_rows(sub.echelon, m, e) for e in range(d_max + 1)]
@@ -343,7 +331,7 @@ def intersection_ideal_character(
     coeffs: dict[Partition, int] = {}
     for d in range(d_max + 1):
         table: dict[Weight, int] = {}
-        dominant = _dominant_weights(d, n, min(n, m))
+        dominant = _dominant_weights(d, n)
         offered = kept = 0
         for w in dominant:
             column_sizes = [comb(wi + m - 1, m - 1) for wi in w if wi]
@@ -361,26 +349,20 @@ def intersection_ideal_character(
             kept += stack.rank
             if ambient > stack.rank:
                 table[w] = ambient - stack.rank
-        _log_degree("intersection", d, n, len(dominant), offered, kept)
-        coeffs.update(kostka_peel(table, d, n, min(n, m)))
+        _log_degree("intersection", d, len(dominant), offered, kept)
+        coeffs.update(kostka_peel(table, d, n))
     return SchurSeries(coeffs, degree=d_max)
 
 
 def wedge_ideal_character(
-    arr: Arrangement, n: int, d_max: int, caps: OracleCaps = DEFAULT_CAPS
+    arr: Arrangement, d_max: int, caps: OracleCaps = DEFAULT_CAPS
 ) -> SchurSeries:
     """The ``SchurSeries`` of the wedge ideal J_1(V) ^ ... ^ J_t(V) in the
-    exterior algebra on W tensor V to degree d_max, eliminated at n = dim V.
+    exterior algebra on W tensor V to degree d_max, eliminated at
+    dim V = d_max.
 
     Same spanning as the product, inside the exterior algebra: every wedge
     and every renaming of V-indices tracks the sign of sorting the
-    variables again.  Its S_lam'(V) can have up to d rows, so every
-    dominant weight is eliminated.
+    variables again.
     """
-    check_sizes(arr, n, d_max, caps)
-    m = arr.ambient_dim
-    if d_max > m * n:
-        raise ValueError(
-            f"degree {d_max} exceeds the exterior top degree {m * n}"
-        )
-    return _span_character("wedge", arr, n, d_max, n, True)
+    return _span_character("wedge", arr, d_max, caps, True)

@@ -553,15 +553,15 @@ def tuple_renamed(elem: dict, perm, exterior: bool) -> dict:
     return out
 
 
-def tuple_span_coeffs(arr: Arrangement, n: int, d_max: int, rows: int, exterior: bool) -> dict:
+def tuple_span_coeffs(arr: Arrangement, n: int, d_max: int, exterior: bool) -> dict:
     """Schur coefficients by degree of the product ideal, or of the wedge
     ideal if ``exterior``, as the oracle spanned them on sorted variable
     tuples: I_0 is the unit and I_d = I_{d-1} J_d, J_d the maximal ideal
     past t, and I_{d,w} is spanned by each normal row of step d at each
     V-index i times the stored basis of the dominant permutation of
-    w - e_i, renamed into place.  Only dominant weights with at most
-    ``rows`` parts are eliminated; the reference for the packed monomials
-    of ``equisyz.oracle``."""
+    w - e_i, renamed into place, and every dominant weight at n is
+    eliminated; the reference for the packed monomials of
+    ``equisyz.oracle``."""
     t = len(arr.subspaces)
     steps = [sub.normal_rows() for sub in arr.subspaces]
     maximal = Subspace(arr.ambient_dim).normal_rows()
@@ -584,7 +584,7 @@ def tuple_span_coeffs(arr: Arrangement, n: int, d_max: int, rows: int, exterior:
     coeffs: dict = {}
     for d in range(d_max + 1):
         span = d >= t or (0 < d and d_max >= t)
-        dominant = _dominant_weights(d, n, rows) if span else []
+        dominant = _dominant_weights(d, n) if span else []
         step = steps[d - 1] if 0 < d <= t else maximal
         bases = {}
         for w in dominant:
@@ -595,7 +595,7 @@ def tuple_span_coeffs(arr: Arrangement, n: int, d_max: int, rows: int, exterior:
             if ech.rank:
                 bases[w] = list(ech.rows.values())
         table = {w: len(basis) for w, basis in bases.items()}
-        coeffs[d] = kostka_peel(table, d, n, rows) if d >= t else {}
+        coeffs[d] = kostka_peel(table, d, n) if d >= t else {}
         if span:
             prev = bases
     return coeffs

@@ -202,8 +202,8 @@ def test_criterion_4_oracle_equivalence():
         t = len(arr)
         h = hilbert_product(arr, 4) if t <= 4 else None
         for d in range(1, 5):
-            char = product_ideal_character(arr, max(d, 1), d)
-            assert character_to_schur(char, max(d, 1), d) == h.graded_part(d), (name, d)
+            char = product_ideal_character(arr, d)
+            assert character_to_schur(char, d, d) == h.graded_part(d), (name, d)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
@@ -212,14 +212,10 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_omega_duality():
     for name, arr in worked_product_arrangements():
         h = hilbert_product(arr, 4)
-        m = arr.ambient_dim
         for d in range(1, 5):
-            n = max(d, 1)
-            if d > m * n:
-                continue
-            char = wedge_ideal_character(arr, n, d)
+            char = wedge_ideal_character(arr, d)
             expected = h.graded_part(d).omega()
-            assert character_to_schur(char, n, d) == expected, (name, d)
+            assert character_to_schur(char, d, d) == expected, (name, d)
 
 
 # -- 6: regularity transfer to the exterior side ----------------------------------
@@ -230,9 +226,7 @@ def test_criterion_6_regularity_transfer():
     for name, arr in worked_product_arrangements():
         t = len(arr)
         m = arr.ambient_dim
-        n = 4
-        d_max = min(4, m * n)
-        char = wedge_ideal_character(arr, n, d_max)
+        char = wedge_ideal_character(arr, 4)
         assert char.min_degree() == t, name
         table = transpose_table(
             betti_from_series(hilbert_product(arr, 4), m, t)

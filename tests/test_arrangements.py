@@ -187,9 +187,9 @@ def test_pipeline_builds_no_annihilator(monkeypatch):
     polymatroid_of.cache_clear()
     assert polymatroid_of(arr).ranks == expected
     characters = [
-        product_ideal_character(arr, n, d),
-        wedge_ideal_character(arr, n, d),
-        intersection_ideal_character(arr, n, d),
+        product_ideal_character(arr, d),
+        wedge_ideal_character(arr, d),
+        intersection_ideal_character(arr, d),
     ]
     for char, every in zip(characters, weights):
         assert_dominant_table(dominant_weights(char, n, d), every)
@@ -511,7 +511,7 @@ def test_oracle_equivalence_small():
         t = len(arr)
         h = hilbert_product(arr, 3) if t <= 3 else None
         for d in range(t, 4):
-            char = product_ideal_character(arr, d, d)
+            char = product_ideal_character(arr, d)
             assert character_to_schur(char, d, d) == h.graded_part(d), (arr, d)
 
 

@@ -230,8 +230,8 @@ def test_intersection_job_three_axes():
 
 def test_intersection_job_computes_its_character_once(monkeypatch):
     """The series and the oracle section share one intersection character,
-    made at dim V = min(D, m) whatever --dim-v is; the section reads its
-    degrees up to --oracle-check at dim V = --dim-v."""
+    made to degree D whatever --dim-v is; the section reads its degrees up
+    to --oracle-check at dim V = --dim-v."""
     calls = []
     real = cli.intersection_ideal_character
 
@@ -248,16 +248,16 @@ def test_intersection_job_computes_its_character_once(monkeypatch):
         dim_v=4,
     )
     report = run_job(cfg)
-    assert [args[1:3] for args in calls] == [(3, 3)]
+    assert [args[1:] for args in calls] == [(3,)]
     assert report["oracle"]["dim_v"] == 4
     assert [e["degree"] for e in report["oracle"]["degrees"]] == [1, 2]
     assert report["validations"]["oracle_containment"] is True
 
 
 def test_intersection_job_reads_its_series_at_dim_v_d():
-    """The intersection series does not depend on dim V, so a job reads it
-    at dim V = min(D, m), whatever --dim-v says when there is no oracle
-    check."""
+    """The intersection series does not depend on dim V, so its oracle
+    eliminates at dim V = min(D, m), whatever --dim-v says when there is
+    no oracle check."""
     cfg = JobConfig(parse_arrangement(AXES3), max_degree=4, ideal="intersection")
     report = run_job(cfg)
     assert report["status"] == "ok"
@@ -560,6 +560,28 @@ def test_main_negative_dim_v_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_main_product_oracle_check_below_t_is_input_error(capsys):
+    """A product job's oracle check compares degrees t and up, so one below
+    t = 3 compared nothing yet reported both matches; it exits 2 and names
+    t.  At t it runs, and an intersection job's check below t compares
+    degrees 1 and 2; that job exits 1 for its series, which has no linear
+    resolution."""
+    src = str(Path(__file__).resolve().parent / "golden" / "two_planes_and_line.json")
+    argv = ["--input", src, "--max-degree", "4", "--oracle-check"]
+    assert main(argv + ["2"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: oracle check below generation degree: --oracle-check 2 < t = 3\n"
+    )
+    assert main(argv + ["3"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [e["degree"] for e in report["oracle"]["degrees"]] == [3]
+    assert main(argv + ["2", "--ideal", "intersection"]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert [e["degree"] for e in report["oracle"]["degrees"]] == [1, 2]
+
+
 def test_main_value_error_below_run_job_is_validation_failure(
     tmp_path, capsys, monkeypatch
 ):
@@ -610,8 +632,8 @@ def test_intersection_below_the_product_fails_containment(monkeypatch):
     resolution, and only the containment verdict turns false."""
     real = cli.intersection_ideal_character
 
-    def lowered(arr, n, d_max, caps):
-        return real(arr, n, d_max, caps=caps) - SchurSeries({(1, 1, 1): 1}, degree=d_max)
+    def lowered(arr, d_max, caps):
+        return real(arr, d_max, caps=caps) - SchurSeries({(1, 1, 1): 1}, degree=d_max)
 
     monkeypatch.setattr(cli, "intersection_ideal_character", lowered)
     cfg = JobConfig(

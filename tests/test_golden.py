@@ -48,6 +48,12 @@ CASES = {
     "two_planes_and_line": (EXIT_OK, [
         "--max-degree", "4", "--side", "both", "--oracle-check", "4", "--dim-v", "4",
     ]),
+    # the product and wedge oracles checked at n = 5, above the n each works
+    # out, min(D, m) = 3 for the product and D = 4 for the wedge: the report
+    # derives its weights at n = 5 from their series
+    "two_planes_and_line_n5": (EXIT_OK, [
+        "--max-degree", "4", "--side", "both", "--oracle-check", "4", "--dim-v", "5",
+    ]),
     # an intersection job checked at n = 4 > m = 3: its series is the
     # oracle's, read at n = min(D, m) = 3, and the intersection weights the
     # report lists at n = 4 are derived from it by Kostka numbers
@@ -117,6 +123,7 @@ DOCUMENTS = {
     "line_and_three_planes_n5": "line_and_three_planes",
     "intersection_seed1_n8": "intersection_seed1",
     "two_planes_and_line_d5": "two_planes_and_line",
+    "two_planes_and_line_n5": "two_planes_and_line",
     "two_planes_and_line_n6": "two_planes_and_line",
 }
 
@@ -125,6 +132,7 @@ ENVIRONMENTS = {
     "line_and_three_planes_n5": {"EQUISYZ_CAPS": "m=3,n=5,d=5,t=4"},
     "intersection_seed1_n8": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
     "two_planes_and_line_d5": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
+    "two_planes_and_line_n5": {"EQUISYZ_CAPS": "m=4,n=5,d=4,t=4"},
     "two_planes_and_line_n6": {"EQUISYZ_CAPS": "m=6,n=12,d=12,t=6"},
 }
 

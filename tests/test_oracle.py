@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, hilbert_product
 from equisyz.cli import EXIT_OK, EXIT_VALIDATION, main
-from equisyz.errors import SizeCapError
+from equisyz.errors import SizeCapError, check_sizes
 from equisyz.linalg import Subspace, row_reduce
 from equisyz.oracle import (
     DEFAULT_CAPS,
@@ -32,7 +32,6 @@ from helpers import (
     all_weights_span,
     assert_dominant_table,
     axes,
-    dominant_part,
     forms_per_factor,
     orbit_expanded,
     origin_copies,
@@ -135,14 +134,13 @@ def test_packed_product_and_renaming_match_the_tuple_reference(data):
 @st.composite
 def span_cases(draw):
     """A pooled arrangement of Q^m, m <= 3, of proper subspaces from the
-    zero subspace up, now and then with one member repeated, at n <= 5 and
-    degree d <= 5."""
+    zero subspace up, now and then with one member repeated, to degree
+    d <= 5."""
     m = draw(st.integers(min_value=1, max_value=3))
     subs = draw(pooled_arrangements(m=m, dims=tuple(range(m)), min_t=1, max_t=3)).subspaces
     if draw(st.booleans()):
         subs += (draw(st.sampled_from(subs)),)
-    n = draw(st.integers(min_value=1, max_value=5))
-    return Arrangement(m, subs), n, draw(st.integers(min_value=0, max_value=5))
+    return Arrangement(m, subs), draw(st.integers(min_value=0, max_value=5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,21 +148,21 @@ def span_cases(draw):
 @example(case=(Arrangement(3, (
     Subspace(3), Subspace(3, [[1, 1, 0], [0, 1, 2]]), Subspace(3, [[1, -1, 1]]),
     Subspace(3, [[1, -1, 1]]),
-)), 5, 5))
-@example(case=(Arrangement(2, (Subspace(2, [[1, 0], [0, 1]]), Subspace(2))), 2, 3))
+)), 5))
+@example(case=(Arrangement(2, (Subspace(2, [[1, 0], [0, 1]]), Subspace(2))), 3))
 def test_span_oracles_match_the_tuple_reference(case):
     """The product and wedge oracles on packed monomials give the Schur
-    coefficients of the same spanning on sorted variable tuples.  The
-    examples hold the zero subspace, a repeated line and the whole space,
-    whose ideal is zero and has no normal row."""
-    arr, n, d = case
-    m = arr.ambient_dim
+    coefficients of the same spanning on sorted variable tuples at
+    n = max(d, 1), where every partition of d is visible.  The examples
+    hold the zero subspace, a repeated line and the whole space, whose
+    ideal is zero and has no normal row."""
+    arr, d = case
+    n = max(d, 1)
     caps = OracleCaps(3, 5, 5, 4)
-    prod = product_ideal_character(arr, n, d, caps)
-    assert prod == _flat(tuple_span_coeffs(arr, n, d, min(n, m), False), d)
-    d = min(d, m * n)  # the exterior top degree
-    wedge = wedge_ideal_character(arr, n, d, caps)
-    assert wedge == _flat(tuple_span_coeffs(arr, n, d, n, True), d)
+    prod = product_ideal_character(arr, d, caps)
+    assert prod == _flat(tuple_span_coeffs(arr, n, d, False), d)
+    wedge = wedge_ideal_character(arr, d, caps)
+    assert wedge == _flat(tuple_span_coeffs(arr, n, d, True), d)
 
 
 def _flat(by_degree: dict, d: int) -> SchurSeries:
@@ -210,7 +208,7 @@ def test_echelon_keeps_primitive_rows_with_positive_pivots():
 
 
 def test_two_axes_degree_two_weights():
-    char = product_ideal_character(axes(2), 2, 2)
+    char = product_ideal_character(axes(2), 2)
     assert_dominant_table(dominant_weights(char, 2, 2), {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert char.dimension(2, 2) == 4
     assert character_to_schur(char, 2, 2) == SchurSeries(
@@ -219,13 +217,13 @@ def test_two_axes_degree_two_weights():
 
 
 def test_maximal_ideal_degree_one():
-    char = product_ideal_character(origin_copies(1), 2, 1)
+    char = product_ideal_character(origin_copies(1), 1)
     assert char.dimension(2, 1) == 2
     assert character_to_schur(char, 2, 1) == SchurSeries({(1,): 1}, degree=1)
 
 
 def test_product_vanishes_below_generation_degree():
-    char = product_ideal_character(axes(3), 2, 2)
+    char = product_ideal_character(axes(3), 2)
     for d in range(3):
         assert dominant_weights(char, 2, d) == {}
 
@@ -235,7 +233,7 @@ def test_product_matches_formula_for_worked_arrangements():
         t = len(arr)
         h = hilbert_product(arr, 3)
         for d in range(t, 4):
-            char = product_ideal_character(arr, d, d)
+            char = product_ideal_character(arr, d)
             assert character_to_schur(char, d, d) == h.graded_part(d), (name, d)
 
 
@@ -243,7 +241,7 @@ def test_product_matches_formula_for_generic_lines():
     arr = generic_lines()
     h = hilbert_product(arr, 4)
     for d in (2, 3, 4):
-        char = product_ideal_character(arr, d, d)
+        char = product_ideal_character(arr, d)
         assert character_to_schur(char, d, d) == h.graded_part(d), d
 
 
@@ -251,11 +249,9 @@ def test_product_matches_formula_for_generic_lines():
 
 
 def test_three_axes_intersection_small():
-    arr = axes(3)
-    char = intersection_ideal_character(arr, 1, 2)
+    char = intersection_ideal_character(axes(3), 2)
     assert char.dimension(1, 2) == 3  # xy, xz, yz
-    char2 = intersection_ideal_character(arr, 2, 2)
-    assert character_to_schur(char2, 2, 2) == SchurSeries(
+    assert character_to_schur(char, 2, 2) == SchurSeries(
         {(2,): 3, (1, 1): 3}, degree=2
     )
 
@@ -264,7 +260,7 @@ def test_three_axes_intersection_matches_closed_form():
     arr = axes(3)
     s = sigma(4)
     closed = s**3 - 3 * s + 2
-    char = intersection_ideal_character(arr, 4, 4)
+    char = intersection_ideal_character(arr, 4)
     for d in range(1, 5):
         assert character_to_schur(char, 4, d) == closed.graded_part(d), d
 
@@ -283,7 +279,7 @@ def test_no_quadric_vanishes_on_a_pencil_of_planes():
     """A nonzero quadric is divisible by at most two distinct linear forms,
     so it contains at most two planes: weight (2,0,0,0) is empty."""
     arr = _pencil_and_line()
-    table = dominant_weights(intersection_ideal_character(arr, 4, 2), 4, 2)
+    table = dominant_weights(intersection_ideal_character(arr, 2), 4, 2)
     assert table.get((2, 0, 0, 0), 0) == 0
     assert_dominant_table(table, reference_intersection_weights(arr, 4, 2))
 
@@ -312,16 +308,16 @@ def test_intersection_job_with_rational_planes_exits_cleanly(tmp_path, capsys):
 
 def test_single_factor_intersection_equals_product():
     arr = Arrangement(2, (Subspace(2, [[1, 1]]),))
-    inter = intersection_ideal_character(arr, 2, 2)
-    prod = product_ideal_character(arr, 2, 2)
+    inter = intersection_ideal_character(arr, 2)
+    prod = product_ideal_character(arr, 2)
     assert inter == prod
 
 
 def test_intersection_dominates_product():
     for arr in (axes(3), plane_and_normal_line(), generic_lines()):
         n = 2
-        inter = intersection_ideal_character(arr, n, 3)
-        prod = product_ideal_character(arr, n, 3)
+        inter = intersection_ideal_character(arr, 3)
+        prod = product_ideal_character(arr, 3)
         for d in range(4):
             pw = dominant_weights(prod, n, d)
             iw = dominant_weights(inter, n, d)
@@ -335,35 +331,30 @@ def test_intersection_dominates_product():
 def test_full_ring_characters_via_empty_arrangement():
     # with no factors the spanning set is the whole algebra
     empty = Arrangement(1, ())
-    sym = product_ideal_character(empty, 2, 2)
+    sym = product_ideal_character(empty, 2)
     assert character_to_schur(sym, 2, 2) == SchurSeries({(2,): 1}, degree=2)
-    ext = wedge_ideal_character(empty, 2, 2)
+    ext = wedge_ideal_character(empty, 2)
     assert character_to_schur(ext, 2, 2) == SchurSeries({(1, 1): 1}, degree=2)
-    inter = intersection_ideal_character(empty, 2, 2)
+    inter = intersection_ideal_character(empty, 2)
     assert inter == sym
 
 
 def test_two_axes_wedge_degree_two():
-    char = wedge_ideal_character(axes(2), 2, 2)
+    char = wedge_ideal_character(axes(2), 2)
     assert character_to_schur(char, 2, 2) == SchurSeries(
         {(1, 1): 1, (2,): 1}, degree=2
     )
 
 
 def test_wedge_of_maximal_ideal_degree_two():
-    char = wedge_ideal_character(origin_copies(1), 3, 2)
+    char = wedge_ideal_character(origin_copies(1), 2)
     assert character_to_schur(char, 3, 2) == SchurSeries({(1, 1): 1}, degree=2)
 
 
 def test_wedge_vanishes_below_generation_degree():
-    char = wedge_ideal_character(axes(3), 2, 2)
+    char = wedge_ideal_character(axes(3), 2)
     for d in range(3):
         assert dominant_weights(char, 2, d) == {}
-
-
-def test_wedge_top_degree_enforced():
-    with pytest.raises(ValueError):
-        wedge_ideal_character(origin_copies(1), 2, 3)  # top degree is 1*2
 
 
 def test_omega_duality_small():
@@ -372,7 +363,7 @@ def test_omega_duality_small():
         t = len(arr)
         h = hilbert_product(arr, 3)
         for d in range(t, 4):
-            char = wedge_ideal_character(arr, d, d)
+            char = wedge_ideal_character(arr, d)
             assert character_to_schur(char, d, d) == h.graded_part(d).omega(), (arr, d)
 
 
@@ -383,9 +374,9 @@ def test_rational_entries_through_both_oracles():
     arr = Arrangement(2, (l1, l2, l3))
     h = hilbert_product(arr, 4)
     for d in (3, 4):
-        pc = product_ideal_character(arr, d, d)
+        pc = product_ideal_character(arr, d)
         assert character_to_schur(pc, d, d) == h.graded_part(d), d
-        wc = wedge_ideal_character(arr, d, d)
+        wc = wedge_ideal_character(arr, d)
         assert character_to_schur(wc, d, d) == h.graded_part(d).omega(), d
 
 
@@ -393,8 +384,8 @@ def test_raised_caps_degree_five():
     caps = OracleCaps(ambient_dim=5, dim_v=5, degree=5, subspaces=5)
     arr = axes(2)
     h = hilbert_product(arr, 5)
-    pc = product_ideal_character(arr, 5, 5, caps=caps)
-    wc = wedge_ideal_character(arr, 5, 5, caps=caps)
+    pc = product_ideal_character(arr, 5, caps=caps)
+    wc = wedge_ideal_character(arr, 5, caps=caps)
     for d in range(2, 6):
         assert character_to_schur(pc, 5, d) == h.graded_part(d), d
         assert character_to_schur(wc, 5, d) == h.graded_part(d).omega(), d
@@ -413,61 +404,70 @@ def test_tilted_arrangement_same_series_as_coordinate_twin():
     h = hilbert_product(tilted, 4)
     assert h == hilbert_product(plane_and_normal_line(), 4)
     for d in (2, 3):
-        pc = product_ideal_character(tilted, d, d)
+        pc = product_ideal_character(tilted, d)
         assert character_to_schur(pc, d, d) == h.graded_part(d), d
-        wc = wedge_ideal_character(tilted, d, d)
+        wc = wedge_ideal_character(tilted, d)
         assert character_to_schur(wc, d, d) == h.graded_part(d).omega(), d
 
 
+def _assert_weights_at_every_dim_v(oracle, arr, d, max_n=None):
+    """The series ``oracle`` returns to degree d, eliminated at one dim V,
+    gives the dominant weights of the every-weight reference at every n in
+    1..d+1 (or 1..max_n, if smaller), n < d and n > m included."""
+    series = oracle(arr, d)
+    for n in range(1, min(d + 1, max_n or d + 1) + 1):
+        if oracle is intersection_ideal_character:
+            every = all_weights_intersection(arr, n, d)
+        else:
+            every = all_weights_span(arr, n, d, oracle is wedge_ideal_character)
+        for e in range(d + 1):
+            assert_dominant_table(dominant_weights(series, n, e), every[e], n, e)
+
+
 def test_intersection_series_independent_of_dim_v():
-    arr = axes(3)
-    caps = OracleCaps(dim_v=5)
-    small = intersection_ideal_character(arr, 4, 4)
-    large = intersection_ideal_character(arr, 5, 4, caps=caps)
-    for d in range(1, 5):
-        assert character_to_schur(small, 4, d) == character_to_schur(large, 5, d), d
+    """The three axes of Q^3 to degree 4, eliminated at n = 3 and read up to
+    n = 5."""
+    _assert_weights_at_every_dim_v(intersection_ideal_character, axes(3), 4)
 
 
 @settings(max_examples=20, deadline=None)
 @given(arr=pooled_arrangements(), d=st.integers(min_value=0, max_value=4))
 def test_intersection_coefficients_do_not_depend_on_dim_v(arr, d):
-    """By Cauchy, every n >= min(d, m) gives the coefficients that n = d + 1
-    gives, and read at n they give the dominant weights of the dense
-    reference at n: a job reads its series at one n and checks at another."""
-    caps = OracleCaps(dim_v=5)
-    series = intersection_ideal_character(arr, d + 1, d, caps=caps)
-    for n in range(max(min(d, arr.ambient_dim), 1), d + 2):
-        assert intersection_ideal_character(arr, n, d, caps=caps) == series, n
-        if n <= 3:
-            weights = dominant_weights(series, n, d)
-            assert weights == dominant_part(reference_intersection_weights(arr, n, d))
+    """By Cauchy, an S_lam(V) in the intersection ideal has at most m rows,
+    so the series eliminated at n = min(d, m) gives every other n: planes
+    of Q^3 up to degree 4, (2,1,1) at n = 3 included, read up to n = 4 > m
+    (the every-weight reference at n = 5 is too slow to draw here)."""
+    _assert_weights_at_every_dim_v(intersection_ideal_character, arr, d, max_n=4)
+
+
+def _planes_or_lines():
+    return st.one_of(pooled_arrangements(), pooled_arrangements(m=2, dims=(1,), min_t=1))
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.data())
-def test_product_coefficients_do_not_depend_on_dim_v(data):
+@given(arr=_planes_or_lines(), d=st.integers(min_value=0, max_value=4))
+def test_product_coefficients_do_not_depend_on_dim_v(arr, d):
     """The product ideal is a sum of S_lam W-parts tensor S_lam V as well,
-    so by Cauchy, past m the coefficients at n = min(d, m) = m are those at
-    n = d: planes of Q^3 up to degree 4 or 5, and lines of Q^2 from
-    degree 3."""
-    arr = data.draw(
-        st.one_of(pooled_arrangements(), pooled_arrangements(m=2, dims=(1,), min_t=1)),
-        label="arr",
-    )
-    m = arr.ambient_dim
-    d = data.draw(st.integers(min_value=m + 1, max_value=5), label="d")
-    caps = OracleCaps(dim_v=5, degree=5)
-    series = product_ideal_character(arr, d, d, caps=caps)
-    assert product_ideal_character(arr, min(d, m), d, caps=caps) == series
+    so the series eliminated at n = min(d, m) gives every other n: planes
+    of Q^3 and lines of Q^2, read up to n = d + 1, past m."""
+    _assert_weights_at_every_dim_v(product_ideal_character, arr, d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(arr=_planes_or_lines(), d=st.integers(min_value=0, max_value=4))
+def test_wedge_coefficients_do_not_depend_on_dim_v(arr, d):
+    """An S_lam'(V) in the wedge ideal can have d rows, so its series is
+    eliminated at n = d, and read below d it gives the smaller tables."""
+    _assert_weights_at_every_dim_v(wedge_ideal_character, arr, d)
 
 
 # -- cross checks --------------------------------------------------------------
 
 
 def _assert_oracles_match_references(arr, n, d_max):
-    prod = product_ideal_character(arr, n, d_max)
-    wedge = wedge_ideal_character(arr, n, d_max)
-    inter = intersection_ideal_character(arr, n, d_max)
+    prod = product_ideal_character(arr, d_max)
+    wedge = wedge_ideal_character(arr, d_max)
+    inter = intersection_ideal_character(arr, d_max)
     every_prod = all_weights_span(arr, n, d_max, False)
     every_wedge = all_weights_span(arr, n, d_max, True)
     every_inter = all_weights_intersection(arr, n, d_max)
@@ -527,7 +527,7 @@ def test_intersection_oracle_matches_span_nullspace_and_dense_references(arr, n)
     factors' spans, every weight eliminated, and the dense count of
     vanishing conditions; a zero subspace contributes no condition above
     degree 0, and a repeated member none that is new."""
-    inter = intersection_ideal_character(arr, n, 3)
+    inter = intersection_ideal_character(arr, 3)
     every = all_weights_intersection(arr, n, 3)
     for d in range(4):
         table = dominant_weights(inter, n, d)
@@ -538,12 +538,13 @@ def test_intersection_oracle_matches_span_nullspace_and_dense_references(arr, n)
 @settings(max_examples=20, deadline=None)
 @given(arr=pooled_arrangements())
 def test_wedge_renaming_keeps_the_sorting_sign(arr):
-    """Planes of Q^3 at n = 3, up to degree 4: (2,2,0) is spanned from the
-    basis of (2,1,0) renamed to (1,2,0), which swaps two variables of one
-    W-index, so a renamed exterior monomial must change sign.  Below
-    degree 4 no renaming reorders the variables of a monomial."""
+    """Planes of Q^3 up to degree 4, eliminated at n = 4 and read at n = 3:
+    (2,2,0,0) is spanned from the basis of (2,1,0,0) renamed to (1,2,0,0),
+    which swaps two variables of one W-index, so a renamed exterior
+    monomial must change sign.  Below degree 4 no renaming reorders the
+    variables of a monomial."""
     every = all_weights_span(arr, 3, 4, True)
-    wedge = wedge_ideal_character(arr, 3, 4)
+    wedge = wedge_ideal_character(arr, 4)
     for d in range(5):
         table = dominant_weights(wedge, 3, d)
         assert_dominant_table(table, every[d], d)
@@ -555,9 +556,9 @@ def test_weight_tables_are_symmetric():
     n, and the every-weight reference it stands for is S_n-symmetric."""
     lines = generic_lines()
     cases = (
-        (product_ideal_character(lines, 3, 3), 3, all_weights_span(lines, 3, 3, False)),
-        (wedge_ideal_character(lines, 3, 3), 3, all_weights_span(lines, 3, 3, True)),
-        (intersection_ideal_character(axes(3), 2, 3), 2, all_weights_intersection(axes(3), 2, 3)),
+        (product_ideal_character(lines, 3), 3, all_weights_span(lines, 3, 3, False)),
+        (wedge_ideal_character(lines, 3), 3, all_weights_span(lines, 3, 3, True)),
+        (intersection_ideal_character(axes(3), 3), 2, all_weights_intersection(axes(3), 2, 3)),
     )
     for series, n, every in cases:
         for d in range(series.degree + 1):
@@ -617,7 +618,7 @@ def test_dominant_and_every_weight_peels_agree(data):
 
 
 def test_dimension_cross_check():
-    char = product_ideal_character(plane_and_normal_line(), 3, 3)
+    char = product_ideal_character(plane_and_normal_line(), 3)
     for d in (2, 3):
         schur = character_to_schur(char, 3, d)
         assert char.dimension(3, d) == sum(
@@ -632,57 +633,50 @@ def _weyl(lam, n):
 
 
 def test_each_oracle_logs_its_counts_per_degree(caplog):
-    """One INFO line per oracle and degree.  At m = 3 and n = 4 the product
-    and intersection oracles fill (1,1,1,1) from Kostka numbers; the wedge
-    fills nothing.  Below t the lines count the partial products, which
-    are not reported, and nothing is eliminated when no degree is."""
+    """One INFO line per oracle and degree, counting the dominant weights at
+    the dim V the oracle works out: at m = 3 and degree 4 the product and
+    intersection oracles eliminate at n = 3 the four partitions of 4 with
+    at most 3 parts, and the wedge at n = 4 all five.  Below t the lines
+    count the partial products, which are not reported, and nothing is
+    eliminated when no degree is."""
     caplog.set_level(logging.INFO, logger="equisyz.oracle")
-    prod = product_ideal_character(axes(3), 4, 4)
-    wedge_ideal_character(axes(3), 4, 4)
-    intersection_ideal_character(axes(3), 4, 4)
+    prod = product_ideal_character(axes(3), 4)
+    wedge_ideal_character(axes(3), 4)
+    intersection_ideal_character(axes(3), 4)
     lines = [r.getMessage() for r in caplog.records if r.name == "equisyz.oracle"]
     assert len(lines) == 15
     assert lines[0] == (
-        "product oracle degree 0: 0 dominant weights eliminated, 0 filled by "
-        "Kostka, 0 rows offered, 0 kept"
+        "product oracle degree 0: 0 dominant weights eliminated, 0 rows offered, 0 kept"
     )
-    # J_1 J_2 for the first two axes: 4 monomials of weight (2,0,0,0) and 7 of
-    # weight (1,1,0,0), from 2 forms times 2 rows at each of 3 V-index steps
+    # J_1 J_2 for the first two axes: 4 monomials of weight (2,0,0) and 7 of
+    # weight (1,1,0), from 2 forms times 2 rows at each of 3 V-index steps
     assert lines[2] == (
-        "product oracle degree 2: 2 dominant weights eliminated, 0 filled by "
-        "Kostka, 12 rows offered, 11 kept"
+        "product oracle degree 2: 2 dominant weights eliminated, 12 rows offered, 11 kept"
     )
-    eliminated = [(4, 0, 0, 0), (3, 1, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0)]
-    kept = sum(dominant_weights(prod, 4, 4).get(w, 0) for w in eliminated)
-    assert lines[4].startswith(
-        "product oracle degree 4: 4 dominant weights eliminated, 1 filled by Kostka, "
-    )
+    kept = sum(dominant_weights(prod, 3, 4).values())
+    assert lines[4].startswith("product oracle degree 4: 4 dominant weights eliminated, ")
     assert lines[4].endswith(f" rows offered, {kept} kept")
-    assert lines[9].startswith(
-        "wedge oracle degree 4: 5 dominant weights eliminated, 0 filled by Kostka, "
-    )
-    assert lines[14].startswith(
-        "intersection oracle degree 4: 4 dominant weights eliminated, 1 filled by "
-    )
+    assert lines[9].startswith("wedge oracle degree 4: 5 dominant weights eliminated, ")
+    assert lines[14].startswith("intersection oracle degree 4: 4 dominant weights eliminated, ")
     caplog.clear()
-    product_ideal_character(axes(3), 4, 2)
-    wedge_ideal_character(axes(3), 4, 2)
+    product_ideal_character(axes(3), 2)
+    wedge_ideal_character(axes(3), 2)
     assert [r.getMessage().split(": ")[1] for r in caplog.records] == [
-        "0 dominant weights eliminated, 0 filled by Kostka, 0 rows offered, 0 kept"
+        "0 dominant weights eliminated, 0 rows offered, 0 kept"
     ] * 6
 
 
 def test_determinism():
-    a = product_ideal_character(generic_lines(), 3, 3)
-    b = product_ideal_character(generic_lines(), 3, 3)
+    a = product_ideal_character(generic_lines(), 3)
+    b = product_ideal_character(generic_lines(), 3)
     assert a == b
-    assert a != product_ideal_character(generic_lines(), 3, 2)
+    assert a != product_ideal_character(generic_lines(), 2)
 
 
 def test_min_degree():
-    char = wedge_ideal_character(axes(3), 2, 3)
+    char = wedge_ideal_character(axes(3), 3)
     assert char.min_degree() == 3
-    empty = product_ideal_character(axes(3), 2, 2)
+    empty = product_ideal_character(axes(3), 2)
     assert empty.min_degree() is None
 
 
@@ -693,27 +687,37 @@ def test_min_degree():
     product_ideal_character, intersection_ideal_character, wedge_ideal_character
 ])
 def test_oracles_take_int_sizes(oracle):
-    """A float or bool dim V or degree is a ValueError, not a TypeError deep
-    in the spanning or a wrong message about max_parts."""
-    for n, d in ((2.0, 2), (True, 2), (2, 2.0), (2, True)):
-        with pytest.raises(ValueError, match="must be (positive|nonnegative) and an int"):
-            oracle(axes(2), n, d)
-    with pytest.raises(ValueError, match="dim V must be positive"):
-        oracle(axes(2), 0, 2)
+    """A float, bool, negative or missing degree is a ValueError, not a
+    TypeError deep in the spanning or a wrong message about dim V."""
+    for d in (2.0, True, -1, None):
+        with pytest.raises(ValueError, match="maximum degree must be nonnegative and an int"):
+            oracle(axes(2), d)
+
+
+def test_check_sizes_takes_a_positive_int_dim_v():
+    for n in (0, 2.0, True):
+        with pytest.raises(ValueError, match="dim V must be positive and an int"):
+            check_sizes(axes(2), n, 2, DEFAULT_CAPS)
 
 
 def test_caps_rejected_with_named_size():
-    with pytest.raises(SizeCapError) as info:
-        product_ideal_character(axes(2), 5, 2)
-    assert "dim V" in str(info.value)
-    with pytest.raises(SizeCapError):
-        product_ideal_character(axes(2), 2, 5)
+    """Each oracle's dim V is checked at the n it works out: min(d, m) for
+    the product, d for the wedge."""
+    caps = OracleCaps(dim_v=3)
+    product_ideal_character(axes(2), 4, caps=caps)
+    with pytest.raises(SizeCapError, match="^dim V = 4 exceeds the oracle cap 3 "):
+        wedge_ideal_character(axes(2), 4, caps=caps)
+    with pytest.raises(SizeCapError, match="^dim V = 2 exceeds the oracle cap 1 "):
+        product_ideal_character(axes(2), 2, caps=OracleCaps(dim_v=1))
+    with pytest.raises(SizeCapError, match="^maximum degree = 5 exceeds the oracle cap 4 "):
+        product_ideal_character(axes(2), 5)
 
 
 def test_caps_can_be_raised():
-    caps = OracleCaps(dim_v=5)
-    char = product_ideal_character(axes(2), 5, 2, caps=caps)
-    assert character_to_schur(char, 5, 2).dimension(5, 2) == 25  # x V times y V
+    caps = OracleCaps(dim_v=5, degree=5)
+    for oracle in (product_ideal_character, wedge_ideal_character):
+        char = oracle(axes(2), 5, caps=caps)
+        assert char.dimension(5, 2) == 25  # x V times y V
 
 
 def test_default_caps_values():
