@@ -40,13 +40,13 @@ from .schur import SchurSeries, _cut, check_nonnegative_int, graded_index, sigma
 # subsets, rk C < rk E, so the t axis is set by how late an arrangement
 # spans.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at D = t:
 # product-wide-shaped arrangements (m = 4) take 0.06, 0.08 and 0.10 s at
-# t = 11, 12 and 13, and t lines in Q^32 0.07, 0.09 and 0.12 s.  The worst
-# case is a generic arrangement, where only the whole arrangement spans:
-# t hyperplanes of Q^32 take 1.0, 1.8 and 3.7 s, and at t = 13 the exact
-# ranks take 2.1 s of it, the subset sums 0.9 s and the parse 0.5 s.  The
-# three caps compound: at m = 32, D = 24 t hyperplanes take 0.5, 0.6, 0.6,
-# 0.9, 1.5, 2.2 and 4.1 s at t = 1, 2, 4, 8, 11, 12 and 13, so t, not D,
-# sets the joint worst case.
+# t = 11, 12 and 13, and t lines in Q^32 0.07, 0.09 and 0.12 s.  The
+# worst case is generic, of codimension 3 or 4, where the exact ranks cost
+# most: 13 subspaces of Q^32 spanned by vectors with entries in -5..5
+# take 24-29 s at codimension 3 (ranks 22.6 s, subset sums 2.3 s),
+# 28-30 s at 4, 16 s at 2 and 4.6-5.1 s as hyperplanes (Python 3.11.7,
+# 2 shared Xeon cores).  The caps compound: at m = 32 and D = 24 codim 3
+# takes 26-30 s and hyperplanes 5.6-5.9 s, so t, not D, sets the worst case.
 MAX_GROUND_SET = 13
 # Cap on the ambient dimension m, checked before a document's vectors are
 # parsed.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at

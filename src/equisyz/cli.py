@@ -45,7 +45,7 @@ from .betti import (
     regularity,
     transpose_table,
 )
-from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError, check_sizes, oracle_dim_v
+from .errors import DEFAULT_CAPS, OracleCaps, SizeCapError, check_sizes
 from .linalg import Subspace
 from .partitions import orbit
 from .schur import SchurSeries, format_terms
@@ -127,12 +127,13 @@ def parse_arrangement(document) -> Arrangement:
 
 
 def caps_from_env(environ=None) -> OracleCaps:
-    """Read size caps from EQUISYZ_CAPS, e.g. ``m=6,n=6,d=6,t=6``."""
+    """Read size caps from EQUISYZ_CAPS, e.g. ``m=6,d=6``: m caps the
+    ambient dimension and d the degree, which bounds dim V too."""
     environ = os.environ if environ is None else environ
     raw = environ.get(CAPS_ENV_VAR)
     if not raw:
         return DEFAULT_CAPS
-    fields = {"m": "ambient_dim", "n": "dim_v", "d": "degree", "t": "subspaces"}
+    fields = {"m": "ambient_dim", "d": "degree"}
     updates = {}
     for chunk in raw.split(","):
         chunk = chunk.strip()
@@ -149,14 +150,15 @@ def caps_from_env(environ=None) -> OracleCaps:
             updates[fields[key]] = int(value)
         except ValueError as exc:
             raise InputError(
-                f"cannot parse {CAPS_ENV_VAR}={raw!r}; expected entries like m=6,n=6,d=6,t=6"
+                f"cannot parse {CAPS_ENV_VAR}={raw!r}; expected the keys m and d, like m=6,d=6"
             ) from exc
     return OracleCaps(**updates)
 
 
 # ideal: product | intersection; side: symmetric | exterior | both;
 # oracle_degree 0 disables oracle checks, whose report lists weights at
-# dim V = dim_v, or at dim V = oracle_degree if dim_v is 0
+# dim V = dim_v, or at dim V = oracle_degree if dim_v is 0, both at most
+# the degree cap
 JobConfig = namedtuple(
     "JobConfig",
     "arrangement max_degree ideal side oracle_degree dim_v caps",
@@ -185,6 +187,11 @@ def _weights_doc(table: dict) -> list[list]:
 
 
 def _check_config(cfg: JobConfig):
+    for field in ("max_degree", "oracle_degree", "dim_v"):
+        if type(getattr(cfg, field)) is not int:
+            raise InputError(f"JobConfig.{field} must be an int, got {getattr(cfg, field)!r}")
+    if not isinstance(cfg.caps, OracleCaps):
+        raise InputError(f"JobConfig.caps must be an OracleCaps, got {cfg.caps!r}")
     t = len(cfg.arrangement.subspaces)
     if cfg.ideal not in ("product", "intersection"):
         raise InputError(f"unknown ideal kind {cfg.ideal!r}")
@@ -214,13 +221,16 @@ def _check_config(cfg: JobConfig):
         raise InputError(
             "faithful oracle comparison needs --dim-v >= --oracle-check degree"
         )
-    # the oracle's caps, refused before the formula side runs; an oracle
-    # check's oracles run at no larger dim V than the one its report lists
+    # the oracle's caps, refused before the formula side runs; no oracle
+    # runs at a dim V above its degree, nor does the report list weights at one
     if cfg.ideal == "intersection":
-        oracle_dim_v(cfg.arrangement, cfg.max_degree, cfg.caps)
+        check_sizes(cfg.arrangement, cfg.max_degree, cfg.caps)
     if cfg.oracle_degree > 0:
-        n = cfg.dim_v or cfg.oracle_degree
-        check_sizes(cfg.arrangement, n, cfg.oracle_degree, cfg.caps)
+        check_sizes(cfg.arrangement, cfg.oracle_degree, cfg.caps)
+        if cfg.dim_v > cfg.caps.degree:
+            raise SizeCapError(
+                f"dim V = {cfg.dim_v} exceeds the oracle's degree cap d = {cfg.caps.degree}"
+            )
     if cfg.ideal == "product" and 0 < cfg.oracle_degree < t:
         raise InputError(
             f"oracle check below generation degree: --oracle-check {cfg.oracle_degree} < t = {t}"
@@ -256,7 +266,7 @@ def _oracle_section(cfg: JobConfig, hseries: SchurSeries, validations: dict) -> 
     dlow = 1 if intersection else t
     for d in range(dlow, d_max + 1):
         entry = {"degree": d}
-        oracle_schur = character_to_schur(product, n, d)
+        oracle_schur = character_to_schur(product, d)
         formula = product_formula.graded_part(d)
         pw = oracle.dominant_weights(product, n, d)
         entry["product_weights"] = _weights_doc(pw)
@@ -266,7 +276,7 @@ def _oracle_section(cfg: JobConfig, hseries: SchurSeries, validations: dict) -> 
         entry["product_matches_formula"] = ok
         all_product_ok &= ok
         if want_wedge:
-            wedge_schur = character_to_schur(wedge, n, d)
+            wedge_schur = character_to_schur(wedge, d)
             entry["wedge_weights"] = _weights_doc(oracle.dominant_weights(wedge, n, d))
             entry["wedge_schur"] = wedge_schur.to_pairs()
             expected = formula.omega()
@@ -562,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
             "exterior side."
         ),
         epilog=(
-            f"Size caps for the oracle can be raised with {CAPS_ENV_VAR}, "
-            "e.g. EQUISYZ_CAPS=m=6,n=6,d=6,t=6."
+            "The oracle's caps on the ambient dimension m and the degree d "
+            f"can be raised with {CAPS_ENV_VAR}, e.g. {CAPS_ENV_VAR}=m=6,d=6."
         ),
     )
     parser.add_argument("--input", required=True, help="path to the arrangement JSON")

@@ -43,9 +43,9 @@ each subspace's integer echelon and normal rows and the fraction-free
 elimination kernel of ``equisyz.linalg``, which the tests check against
 the reference ``Fraction`` RREF (``row_reduce``) and the nullspace read
 off it, so it stays an independent check on the series formulas.
-``OracleCaps``, ``DEFAULT_CAPS`` and ``oracle_dim_v`` are defined in
-``equisyz.errors``, so the CLI checks an oracle's sizes without importing
-this module.
+``OracleCaps`` (caps on m and d, which bound every other size), its check
+``check_sizes`` and ``oracle_dim_v`` are defined in ``equisyz.errors``, so
+the CLI checks an oracle's caps without importing this module.
 """
 
 from __future__ import annotations
@@ -80,21 +80,15 @@ def dominant_weights(series: SchurSeries, n: int, d: int) -> dict[Weight, int]:
     return table
 
 
-def character_to_schur(series: SchurSeries, n: int, d: int) -> SchurSeries:
-    """The degree-d part of ``series``, a character in n = dim V variables,
-    as a faithful Schur expansion.  Requires n >= d so all partitions of d
-    are visible.  Raises ValueError when some coefficient is negative - i.e.
-    when it is not a polynomial character; the first negative one in
-    canonical order is named."""
-    if n < d:
-        raise ValueError(f"need n >= d for a faithful expansion, got n={n}, d={d}")
+def character_to_schur(series: SchurSeries, d: int) -> SchurSeries:
+    """The degree-d part of ``series`` as a Schur expansion.  Raises
+    ValueError when some coefficient is negative - i.e. when it is not a
+    polynomial character; the first negative one in canonical order is
+    named with its partition."""
     part = series.graded_part(d)
     for lam, c in part.items():
         if c < 0:
-            raise ValueError(
-                "not a polynomial character: multiplicity "
-                f"{c} at weight {lam + (0,) * (n - len(lam))}"
-            )
+            raise ValueError(f"not a polynomial character: coefficient {c} at partition {lam}")
     return part
 
 
@@ -143,7 +137,9 @@ def from_weight_multiplicities(weights, d: int, n: int) -> SchurSeries:
                 f"weight multiplicities are not symmetric on the orbit of {canon}"
             )
 
-    return character_to_schur(SchurSeries(kostka_peel(table, d, n), degree=d), n, d)
+    if n < d:
+        raise ValueError(f"need n >= d for a faithful expansion, got n={n}, d={d}")
+    return character_to_schur(SchurSeries(kostka_peel(table, d, n), degree=d), d)
 
 
 # -- coordinates -----------------------------------------------------------

@@ -203,7 +203,7 @@ def test_criterion_4_oracle_equivalence():
         h = hilbert_product(arr, 4) if t <= 4 else None
         for d in range(1, 5):
             char = product_ideal_character(arr, d)
-            assert character_to_schur(char, d, d) == h.graded_part(d), (name, d)
+            assert character_to_schur(char, d) == h.graded_part(d), (name, d)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
@@ -215,7 +215,7 @@ def test_criterion_5_omega_duality():
         for d in range(1, 5):
             char = wedge_ideal_character(arr, d)
             expected = h.graded_part(d).omega()
-            assert character_to_schur(char, d, d) == expected, (name, d)
+            assert character_to_schur(char, d) == expected, (name, d)
 
 
 # -- 6: regularity transfer to the exterior side ----------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equisyz import arrangements, linalg
@@ -15,9 +15,10 @@ from equisyz.arrangements import (
     p_polynomial,
     polymatroid_of,
 )
+from equisyz.betti import betti_from_series
 from equisyz.errors import SizeCapError
 from equisyz.linalg import Subspace, intersect
-from equisyz.schur import SchurSeries, sigma, zero
+from equisyz.schur import SchurSeries, sigma, times_sigma_power, zero
 
 from helpers import (
     NONZERO,
@@ -322,6 +323,68 @@ def test_hilbert_permutation_invariance():
         assert hilbert_product(arr, len(arr)) == hilbert_product(shuffled, len(arr))
 
 
+# -- metamorphic identities ----------------------------------------------------
+
+
+@st.composite
+def spanned_arrangements(draw, max_m=4, max_t=4):
+    """(m, spanning vectors of each subspace, truncation D >= t): t <= max_t
+    proper subspaces of Q^m, m <= max_m, each spanned by fewer than m
+    vectors with small integer entries."""
+    m = draw(st.integers(1, max_m))
+    vector = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    spans = draw(st.lists(st.lists(vector, max_size=m - 1), min_size=1, max_size=max_t))
+    return m, spans, len(spans) + draw(st.integers(0, 2))
+
+
+def _arrangement(m, spans) -> Arrangement:
+    return Arrangement(m, tuple(Subspace(m, vectors) for vectors in spans))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=spanned_arrangements(), data=st.data())
+def test_moving_every_subspace_by_one_g_keeps_ranks_and_series(case, data):
+    """GL(W): one invertible g applied to every spanning vector leaves the
+    polymatroid and H unchanged."""
+    m, spans, D = case
+    row = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+    g = data.draw(st.lists(row, min_size=m, max_size=m), label="g")
+    assume(Subspace(m, g).dim == m)
+    moved = [[[sum(a * x for a, x in zip(g_row, v)) for g_row in g] for v in vectors]
+             for vectors in spans]
+    arr, image = _arrangement(m, spans), _arrangement(m, moved)
+    assert polymatroid_of(image).rank_table() == polymatroid_of(arr).rank_table()
+    assert hilbert_product(image, D) == hilbert_product(arr, D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=spanned_arrangements())
+def test_adding_the_zero_subspace_truncates_the_series_one_degree_up(case):
+    """The maximal ideal times I is I_{>= t+1}, as I is generated in degree
+    t, so H(A + {0}) = [H(A)]_{>= t+1}, and its table is linear from
+    degree t + 1."""
+    m, spans, D = case
+    t = len(spans)
+    h = hilbert_product(_arrangement(m, spans), D + 1)
+    h0 = hilbert_product(_arrangement(m, spans + [[]]), D + 1)
+    assert h0 == SchurSeries({lam: c for lam, c in h.items() if sum(lam) > t}, degree=D + 1)
+    assert betti_from_series(h0, m, t + 1).t == t + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=spanned_arrangements())
+def test_the_cone_multiplies_the_series_by_sigma_and_keeps_the_table(case):
+    """Y -> Y + Q e_{m+1} in Q^(m+1) adds one variable that no generator
+    reads: H is multiplied by sigma and the Betti table does not change."""
+    m, spans, D = case
+    t = len(spans)
+    cone = [[v + [0] for v in vectors] + [[0] * m + [1]] for vectors in spans]
+    h = hilbert_product(_arrangement(m, spans), D)
+    h_cone = hilbert_product(_arrangement(m + 1, cone), D)
+    assert h_cone == times_sigma_power(h, 1)
+    assert betti_from_series(h_cone, m + 1, t) == betti_from_series(h, m, t)
+
+
 def test_defining_relation_on_all_subsets():
     """sum over C <= B of (-1)^|C| H(C) = sigma^(m - rk B) P(B), all B."""
     rng = random.Random(17)
@@ -512,7 +575,7 @@ def test_oracle_equivalence_small():
         h = hilbert_product(arr, 3) if t <= 3 else None
         for d in range(t, 4):
             char = product_ideal_character(arr, d)
-            assert character_to_schur(char, d, d) == h.graded_part(d), (arr, d)
+            assert character_to_schur(char, d) == h.graded_part(d), (arr, d)
 
 
 # -- the lines statement ---------------------------------------------------------

@@ -155,17 +155,19 @@ def test_caps_from_env_default():
 
 
 def test_caps_from_env_parses_entries():
-    caps = caps_from_env({"EQUISYZ_CAPS": "m=6, n=5,d=6,t=5"})
-    assert caps == OracleCaps(ambient_dim=6, dim_v=5, degree=6, subspaces=5)
-    assert hash(caps) == hash(OracleCaps(6, 5, 6, 5))
-    assert caps != OracleCaps(6, 5, 6, 4)
+    caps = caps_from_env({"EQUISYZ_CAPS": "m=6, d=5"})
+    assert caps == OracleCaps(ambient_dim=6, degree=5)
+    assert hash(caps) == hash(OracleCaps(6, 5))
+    assert caps != OracleCaps(6, 4)
+    assert caps_from_env({"EQUISYZ_CAPS": "d=6"}) == OracleCaps(4, 6)
 
 
 def test_caps_from_env_rejects_garbage():
     # "²" passes str.isdigit but not int(), and int() refuses more digits
-    # than the interpreter's conversion limit (4300 by default)
-    for raw in ("zz=1", "m=²", "m=" + "9" * 5000):
-        with pytest.raises(InputError, match="cannot parse EQUISYZ_CAPS"):
+    # than the interpreter's conversion limit (4300 by default); n and t
+    # are no caps: the degree cap bounds both
+    for raw in ("zz=1", "m=²", "m=" + "9" * 5000, "n=5", "m=6,t=6"):
+        with pytest.raises(InputError, match="cannot parse EQUISYZ_CAPS=.*; expected the keys m and d"):
             caps_from_env({"EQUISYZ_CAPS": raw})
 
 
@@ -199,6 +201,27 @@ def test_job_rejects_full_space_member():
     cfg = JobConfig(parse_arrangement(doc), max_degree=2)
     with pytest.raises(InputError):
         run_job(cfg)
+
+
+@pytest.mark.parametrize("ideal, field, value", [
+    ("product", "dim_v", "x"),
+    ("product", "oracle_degree", "2"),
+    ("product", "dim_v", 2.5),
+    ("product", "max_degree", True),
+    ("intersection", "caps", None),
+], ids=["dim_v-str", "oracle_degree-str", "dim_v-float", "max_degree-bool", "caps-none"])
+def test_job_config_field_of_the_wrong_type_is_input_error(monkeypatch, ideal, field, value):
+    """A library caller's JobConfig field of the wrong type is named in an
+    InputError before any work starts, not a TypeError or AttributeError
+    from deep inside, nor another check's message."""
+    started = []
+    monkeypatch.setattr(cli, "polymatroid_of", started.append)
+    cfg = JobConfig(parse_arrangement(AXES2), max_degree=3, ideal=ideal, oracle_degree=2)
+    with pytest.raises(InputError) as info:
+        run_job(cfg._replace(**{field: value}))
+    kind = "an OracleCaps" if field == "caps" else "an int"
+    assert str(info.value) == f"JobConfig.{field} must be {kind}, got {value!r}"
+    assert started == []
 
 
 def test_oracle_job_without_dim_v_checks_at_its_degree():
@@ -585,7 +608,7 @@ def test_main_product_oracle_check_below_t_is_input_error(capsys):
 def test_main_value_error_below_run_job_is_validation_failure(
     tmp_path, capsys, monkeypatch
 ):
-    def broken(series, n, d):
+    def broken(series, d):
         raise ValueError("weight table is no character")
 
     monkeypatch.setattr(cli, "character_to_schur", broken)
@@ -665,36 +688,40 @@ def test_main_intersection_job_in_degree_zero(tmp_path, capsys):
     assert json.loads(outputs[0].out)["hilbert_series"]["terms"] == [[[], 1]]
 
 
-def test_main_intersection_job_ignores_dim_v_past_the_cap(tmp_path, capsys):
+def test_main_intersection_job_ignores_dim_v_past_the_cap(tmp_path, capsys, monkeypatch):
     """Without --oracle-check an intersection job reads no --dim-v, so one
-    past the n cap exits 0; with --oracle-check it exits 3."""
+    past the degree cap exits 0; with --oracle-check it exits 3, before the
+    polymatroid is built, and the message names the value and the cap."""
     src = write_doc(tmp_path, AXES3)
     argv = ["--input", src, "--max-degree", "3", "--ideal", "intersection"]
     assert main(argv) == EXIT_OK
     plain = capsys.readouterr()
     assert main(argv + ["--dim-v", "5"]) == EXIT_OK
     assert capsys.readouterr() == plain
+    started = []
+    monkeypatch.setattr(cli, "polymatroid_of", started.append)
     assert main(argv + ["--dim-v", "5", "--oracle-check", "3"]) == EXIT_CAP
-    assert "dim V = 5 exceeds the oracle cap 4" in capsys.readouterr().err
+    assert started == []
+    assert capsys.readouterr().err == (
+        "size cap: dim V = 5 exceeds the oracle's degree cap d = 4\n"
+    )
 
 
-@pytest.mark.parametrize("n_cap, code", [(3, EXIT_OK), (2, EXIT_CAP)])
-def test_main_intersection_job_needs_an_n_cap_of_min_d_m(capsys, monkeypatch, n_cap, code):
-    """Four subspaces of Q^3 at D = 8: every partition of at most m = 3
-    parts is visible at dim V = 3, so an n cap of 3 gives the report an n
-    cap of 8 gives, and an n cap of 2 exits 3."""
+@pytest.mark.parametrize("case, doc, flags", [
+    ("two_planes_and_line_n6", "two_planes_and_line", [
+        "--max-degree", "6", "--oracle-check", "6", "--side", "both",
+    ]),
+    ("intersection_seed1_n8", "intersection_seed1", ["--max-degree", "8", "--ideal", "intersection"]),
+], ids=["product", "intersection"])
+def test_main_raising_the_degree_cap_alone_runs_the_job(capsys, monkeypatch, case, doc, flags):
+    """No oracle runs at a dim V above its degree, so EQUISYZ_CAPS=d=D
+    alone runs a job at degree D: the product and wedge oracles at D = 6,
+    with dim V = 6 derived for the report, and an intersection job at
+    D = 8, each giving its golden report."""
     golden = Path(__file__).resolve().parent / "golden"
-    monkeypatch.setenv("EQUISYZ_CAPS", f"m=6,n={n_cap},d=8,t=6")
-    argv = ["--input", str(golden / "intersection_seed1.json"), "--ideal", "intersection"]
-    assert main(argv + ["--max-degree", "8"]) == code
-    out, err = capsys.readouterr()
-    if code == EXIT_OK:
-        assert out == (golden / "intersection_seed1_n8.out.json").read_text()
-    else:
-        assert err == (
-            "size cap: dim V = 3 exceeds the oracle cap 2 "
-            "(pass explicit OracleCaps, or set EQUISYZ_CAPS for the CLI)\n"
-        )
+    monkeypatch.setenv("EQUISYZ_CAPS", f"d={flags[1]}")
+    assert main(["--input", str(golden / f"{doc}.json"), *flags]) == EXIT_OK
+    assert capsys.readouterr().out == (golden / f"{case}.out.json").read_text()
 
 
 def _line_of_digits(digits: int) -> list:
@@ -758,7 +785,7 @@ def test_main_degree_past_the_cap_exits_at_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("caps, flags, message", [
     ("", ["--ideal", "intersection", "--dim-v", "13"], "ambient dimension m = 32"),
     ("", ["--oracle-check", "2", "--dim-v", "2"], "ambient dimension m = 32"),
-    ("m=32,n=13", ["--ideal", "intersection", "--dim-v", "13", "--oracle-check", "2"],
+    ("m=32", ["--ideal", "intersection", "--dim-v", "13", "--oracle-check", "2"],
      "maximum degree = 13"),
 ])
 def test_main_oracle_cap_exits_before_the_formula_side(

@@ -86,7 +86,7 @@ CASES = {
     ]),
     # the second seed-1 document of the intersection benchmark at D = 8,
     # past the default caps: the series is read at dim V = min(D, m) = 3,
-    # whatever --dim-v says, so an n cap of 3 gives this report too
+    # whatever --dim-v says
     "intersection_seed1_n8": (EXIT_OK, [
         "--ideal", "intersection", "--max-degree", "8", "--dim-v", "8",
     ]),
@@ -127,13 +127,14 @@ DOCUMENTS = {
     "two_planes_and_line_n6": "two_planes_and_line",
 }
 
+# --dim-v 5 needs a degree cap of 5, which bounds the report's dim V too
 ENVIRONMENTS = {
-    "three_axes_n5": {"EQUISYZ_CAPS": "m=4,n=5,d=4,t=4"},
-    "line_and_three_planes_n5": {"EQUISYZ_CAPS": "m=3,n=5,d=5,t=4"},
-    "intersection_seed1_n8": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
-    "two_planes_and_line_d5": {"EQUISYZ_CAPS": "m=6,n=8,d=8,t=6"},
-    "two_planes_and_line_n5": {"EQUISYZ_CAPS": "m=4,n=5,d=4,t=4"},
-    "two_planes_and_line_n6": {"EQUISYZ_CAPS": "m=6,n=12,d=12,t=6"},
+    "three_axes_n5": {"EQUISYZ_CAPS": "m=4,d=5"},
+    "line_and_three_planes_n5": {"EQUISYZ_CAPS": "m=3,d=5"},
+    "intersection_seed1_n8": {"EQUISYZ_CAPS": "m=6,d=8"},
+    "two_planes_and_line_d5": {"EQUISYZ_CAPS": "m=6,d=8"},
+    "two_planes_and_line_n5": {"EQUISYZ_CAPS": "m=4,d=5"},
+    "two_planes_and_line_n6": {"EQUISYZ_CAPS": "m=6,d=12"},
 }
 
 FORMATS = {"json": "json", "markdown": "md", "latex": "tex"}

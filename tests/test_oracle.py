@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, hilbert_product
 from equisyz.cli import EXIT_OK, EXIT_VALIDATION, main
-from equisyz.errors import SizeCapError, check_sizes
+from equisyz.errors import SizeCapError
 from equisyz.linalg import Subspace, row_reduce
 from equisyz.oracle import (
     DEFAULT_CAPS,
@@ -158,7 +158,7 @@ def test_span_oracles_match_the_tuple_reference(case):
     ideal is zero and has no normal row."""
     arr, d = case
     n = max(d, 1)
-    caps = OracleCaps(3, 5, 5, 4)
+    caps = OracleCaps(3, 5)
     prod = product_ideal_character(arr, d, caps)
     assert prod == _flat(tuple_span_coeffs(arr, n, d, False), d)
     wedge = wedge_ideal_character(arr, d, caps)
@@ -211,7 +211,7 @@ def test_two_axes_degree_two_weights():
     char = product_ideal_character(axes(2), 2)
     assert_dominant_table(dominant_weights(char, 2, 2), {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert char.dimension(2, 2) == 4
-    assert character_to_schur(char, 2, 2) == SchurSeries(
+    assert character_to_schur(char, 2) == SchurSeries(
         {(2,): 1, (1, 1): 1}, degree=2
     )
 
@@ -219,7 +219,7 @@ def test_two_axes_degree_two_weights():
 def test_maximal_ideal_degree_one():
     char = product_ideal_character(origin_copies(1), 1)
     assert char.dimension(2, 1) == 2
-    assert character_to_schur(char, 2, 1) == SchurSeries({(1,): 1}, degree=1)
+    assert character_to_schur(char, 1) == SchurSeries({(1,): 1}, degree=1)
 
 
 def test_product_vanishes_below_generation_degree():
@@ -234,7 +234,7 @@ def test_product_matches_formula_for_worked_arrangements():
         h = hilbert_product(arr, 3)
         for d in range(t, 4):
             char = product_ideal_character(arr, d)
-            assert character_to_schur(char, d, d) == h.graded_part(d), (name, d)
+            assert character_to_schur(char, d) == h.graded_part(d), (name, d)
 
 
 def test_product_matches_formula_for_generic_lines():
@@ -242,7 +242,7 @@ def test_product_matches_formula_for_generic_lines():
     h = hilbert_product(arr, 4)
     for d in (2, 3, 4):
         char = product_ideal_character(arr, d)
-        assert character_to_schur(char, d, d) == h.graded_part(d), d
+        assert character_to_schur(char, d) == h.graded_part(d), d
 
 
 # -- intersection characters -----------------------------------------------------
@@ -251,7 +251,7 @@ def test_product_matches_formula_for_generic_lines():
 def test_three_axes_intersection_small():
     char = intersection_ideal_character(axes(3), 2)
     assert char.dimension(1, 2) == 3  # xy, xz, yz
-    assert character_to_schur(char, 2, 2) == SchurSeries(
+    assert character_to_schur(char, 2) == SchurSeries(
         {(2,): 3, (1, 1): 3}, degree=2
     )
 
@@ -262,7 +262,7 @@ def test_three_axes_intersection_matches_closed_form():
     closed = s**3 - 3 * s + 2
     char = intersection_ideal_character(arr, 4)
     for d in range(1, 5):
-        assert character_to_schur(char, 4, d) == closed.graded_part(d), d
+        assert character_to_schur(char, d) == closed.graded_part(d), d
 
 
 def _pencil_and_line() -> Arrangement:
@@ -332,23 +332,23 @@ def test_full_ring_characters_via_empty_arrangement():
     # with no factors the spanning set is the whole algebra
     empty = Arrangement(1, ())
     sym = product_ideal_character(empty, 2)
-    assert character_to_schur(sym, 2, 2) == SchurSeries({(2,): 1}, degree=2)
+    assert character_to_schur(sym, 2) == SchurSeries({(2,): 1}, degree=2)
     ext = wedge_ideal_character(empty, 2)
-    assert character_to_schur(ext, 2, 2) == SchurSeries({(1, 1): 1}, degree=2)
+    assert character_to_schur(ext, 2) == SchurSeries({(1, 1): 1}, degree=2)
     inter = intersection_ideal_character(empty, 2)
     assert inter == sym
 
 
 def test_two_axes_wedge_degree_two():
     char = wedge_ideal_character(axes(2), 2)
-    assert character_to_schur(char, 2, 2) == SchurSeries(
+    assert character_to_schur(char, 2) == SchurSeries(
         {(1, 1): 1, (2,): 1}, degree=2
     )
 
 
 def test_wedge_of_maximal_ideal_degree_two():
     char = wedge_ideal_character(origin_copies(1), 2)
-    assert character_to_schur(char, 3, 2) == SchurSeries({(1, 1): 1}, degree=2)
+    assert character_to_schur(char, 2) == SchurSeries({(1, 1): 1}, degree=2)
 
 
 def test_wedge_vanishes_below_generation_degree():
@@ -364,7 +364,7 @@ def test_omega_duality_small():
         h = hilbert_product(arr, 3)
         for d in range(t, 4):
             char = wedge_ideal_character(arr, d)
-            assert character_to_schur(char, d, d) == h.graded_part(d).omega(), (arr, d)
+            assert character_to_schur(char, d) == h.graded_part(d).omega(), (arr, d)
 
 
 def test_rational_entries_through_both_oracles():
@@ -375,20 +375,20 @@ def test_rational_entries_through_both_oracles():
     h = hilbert_product(arr, 4)
     for d in (3, 4):
         pc = product_ideal_character(arr, d)
-        assert character_to_schur(pc, d, d) == h.graded_part(d), d
+        assert character_to_schur(pc, d) == h.graded_part(d), d
         wc = wedge_ideal_character(arr, d)
-        assert character_to_schur(wc, d, d) == h.graded_part(d).omega(), d
+        assert character_to_schur(wc, d) == h.graded_part(d).omega(), d
 
 
 def test_raised_caps_degree_five():
-    caps = OracleCaps(ambient_dim=5, dim_v=5, degree=5, subspaces=5)
+    caps = OracleCaps(ambient_dim=5, degree=5)
     arr = axes(2)
     h = hilbert_product(arr, 5)
     pc = product_ideal_character(arr, 5, caps=caps)
     wc = wedge_ideal_character(arr, 5, caps=caps)
     for d in range(2, 6):
-        assert character_to_schur(pc, 5, d) == h.graded_part(d), d
-        assert character_to_schur(wc, 5, d) == h.graded_part(d).omega(), d
+        assert character_to_schur(pc, d) == h.graded_part(d), d
+        assert character_to_schur(wc, d) == h.graded_part(d).omega(), d
 
 
 def test_tilted_arrangement_same_series_as_coordinate_twin():
@@ -405,9 +405,9 @@ def test_tilted_arrangement_same_series_as_coordinate_twin():
     assert h == hilbert_product(plane_and_normal_line(), 4)
     for d in (2, 3):
         pc = product_ideal_character(tilted, d)
-        assert character_to_schur(pc, d, d) == h.graded_part(d), d
+        assert character_to_schur(pc, d) == h.graded_part(d), d
         wc = wedge_ideal_character(tilted, d)
-        assert character_to_schur(wc, d, d) == h.graded_part(d).omega(), d
+        assert character_to_schur(wc, d) == h.graded_part(d).omega(), d
 
 
 def _assert_weights_at_every_dim_v(oracle, arr, d, max_n=None):
@@ -582,9 +582,9 @@ def test_dominant_and_every_weight_peels_agree(data):
     """A series of drawn Schur coefficients derives the dominant table that
     tableau counting gives; ``character_to_schur`` and
     ``from_weight_multiplicities`` on that table's orbit expansion give the
-    same series for a nonnegative combination, the same error for a
-    negative coefficient or for n < d, and the dimension is the size of
-    the expanded table."""
+    same series for a nonnegative combination and the same error, naming
+    the partition, for a negative coefficient; the second alone refuses
+    n < d, and the dimension is the size of the expanded table."""
     n = data.draw(st.integers(min_value=1, max_value=5), label="n")
     d = data.draw(st.integers(min_value=0, max_value=6), label="d")
     shapes = partitions_of(d, max_parts=n)
@@ -602,17 +602,13 @@ def test_dominant_and_every_weight_peels_agree(data):
     assert dominant_weights(series, n, d) == dominant
     every = orbit_expanded(dominant)
     negative = [lam for lam in shapes if coeffs.get(lam, 0) < 0]
+    expected = SchurSeries(coeffs, degree=d)
+    if negative:
+        lam = negative[0]
+        expected = f"not a polynomial character: coefficient {coeffs[lam]} at partition {lam}"
+    assert _outcome(character_to_schur, series, d) == expected
     if n < d:
         expected = f"need n >= d for a faithful expansion, got n={n}, d={d}"
-    elif negative:
-        lam = negative[0]
-        expected = (
-            f"not a polynomial character: multiplicity {coeffs[lam]} at weight "
-            f"{lam + (0,) * (n - len(lam))}"
-        )
-    else:
-        expected = SchurSeries(coeffs, degree=d)
-    assert _outcome(character_to_schur, series, n, d) == expected
     assert _outcome(from_weight_multiplicities, every, d, n) == expected
     assert series.dimension(n, d) == sum(every.values())
 
@@ -620,7 +616,7 @@ def test_dominant_and_every_weight_peels_agree(data):
 def test_dimension_cross_check():
     char = product_ideal_character(plane_and_normal_line(), 3)
     for d in (2, 3):
-        schur = character_to_schur(char, 3, d)
+        schur = character_to_schur(char, d)
         assert char.dimension(3, d) == sum(
             c * _weyl(lam, 3) for lam, c in schur.coeffs.items()
         )
@@ -694,33 +690,31 @@ def test_oracles_take_int_sizes(oracle):
             oracle(axes(2), d)
 
 
-def test_check_sizes_takes_a_positive_int_dim_v():
-    for n in (0, 2.0, True):
-        with pytest.raises(ValueError, match="dim V must be positive and an int"):
-            check_sizes(axes(2), n, 2, DEFAULT_CAPS)
-
-
 def test_caps_rejected_with_named_size():
-    """Each oracle's dim V is checked at the n it works out: min(d, m) for
-    the product, d for the wedge."""
-    caps = OracleCaps(dim_v=3)
-    product_ideal_character(axes(2), 4, caps=caps)
-    with pytest.raises(SizeCapError, match="^dim V = 4 exceeds the oracle cap 3 "):
-        wedge_ideal_character(axes(2), 4, caps=caps)
-    with pytest.raises(SizeCapError, match="^dim V = 2 exceeds the oracle cap 1 "):
-        product_ideal_character(axes(2), 2, caps=OracleCaps(dim_v=1))
-    with pytest.raises(SizeCapError, match="^maximum degree = 5 exceeds the oracle cap 4 "):
-        product_ideal_character(axes(2), 5)
+    """Each oracle refuses an ambient dimension or a degree past its cap,
+    by name.  Only m and d are capped: at the degree cap the wedge runs at
+    dim V = 4, and five factors run at a degree below five."""
+    for oracle in (product_ideal_character, intersection_ideal_character, wedge_ideal_character):
+        with pytest.raises(SizeCapError, match="^ambient dimension m = 3 exceeds the oracle cap 2 "):
+            oracle(axes(3), 3, caps=OracleCaps(ambient_dim=2))
+        with pytest.raises(SizeCapError, match="^maximum degree = 5 exceeds the oracle cap 4 "):
+            oracle(axes(2), 5)
+        assert oracle(axes(2), 4).min_degree() == 2
+    # the product and wedge span nothing below t; the intersection is the maximal ideal
+    assert product_ideal_character(origin_copies(5), 4).min_degree() is None
+    assert wedge_ideal_character(origin_copies(5), 4).min_degree() is None
+    assert intersection_ideal_character(origin_copies(5), 4).min_degree() == 1
 
 
 def test_caps_can_be_raised():
-    caps = OracleCaps(dim_v=5, degree=5)
+    caps = OracleCaps(degree=5)
     for oracle in (product_ideal_character, wedge_ideal_character):
         char = oracle(axes(2), 5, caps=caps)
         assert char.dimension(5, 2) == 25  # x V times y V
 
 
 def test_default_caps_values():
-    assert DEFAULT_CAPS == OracleCaps(4, 4, 4, 4)
-    assert hash(DEFAULT_CAPS) == hash(OracleCaps(4, 4, 4, 4))
-    assert DEFAULT_CAPS != OracleCaps(dim_v=5)
+    assert DEFAULT_CAPS == OracleCaps(4, 4)
+    assert OracleCaps._fields == ("ambient_dim", "degree")
+    assert hash(DEFAULT_CAPS) == hash(OracleCaps(4, 4))
+    assert DEFAULT_CAPS != OracleCaps(degree=5)

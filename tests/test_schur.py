@@ -454,13 +454,13 @@ def test_from_weights_rejects_asymmetric():
 
 
 def test_from_weights_rejects_negative():
-    with pytest.raises(ValueError, match=r"multiplicity -1 at weight \(2, 0\)$"):
+    with pytest.raises(ValueError, match=r"coefficient -1 at partition \(2,\)$"):
         from_weight_multiplicities({(2, 0): -1, (0, 2): -1, (1, 1): -1}, 2, 2)
 
 
 def test_from_weights_rejects_late_negative():
     # symmetric, top weight fine, goes negative only after the first peel
-    with pytest.raises(ValueError, match=r"multiplicity -2 at weight \(1, 1\)$"):
+    with pytest.raises(ValueError, match=r"coefficient -2 at partition \(1, 1\)$"):
         from_weight_multiplicities({(2, 0): 1, (0, 2): 1, (1, 1): -1}, 2, 2)
 
 
@@ -473,7 +473,7 @@ def test_from_weights_rejects_a_multiplicity_that_is_not_an_integer(mult):
 
 
 def test_from_weights_rejects_small_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need n >= d for a faithful expansion, got n=1, d=2$"):
         from_weight_multiplicities({(2,): 1}, 2, 1)
 
 
