@@ -102,14 +102,6 @@ class Arrangement:
     def __hash__(self):
         return hash((self.ambient_dim, self.subspaces))
 
-    def __len__(self) -> int:
-        return len(self.subspaces)
-
-    def subarrangement(self, indices) -> "Arrangement":
-        return Arrangement(
-            self.ambient_dim, tuple(self.subspaces[i] for i in indices)
-        )
-
 
 class Polymatroid:
     """Rank function on the subsets of {0, .., t-1}, indexed by bitmask.
@@ -153,9 +145,6 @@ class Polymatroid:
         if not 0 <= mask < (1 << self.ground_size):
             raise ValueError(f"subset {subset!r} outside ground set of size {self.ground_size}")
         return mask
-
-    def rank(self, subset) -> int:
-        return self.ranks[self.as_mask(subset)]
 
     def rank_table(self) -> list[tuple[tuple[int, ...], int]]:
         """All (subset, rank) pairs ordered by size then lexicographically;

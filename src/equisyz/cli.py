@@ -187,6 +187,8 @@ def _weights_doc(table: dict) -> list[list]:
 
 
 def _check_config(cfg: JobConfig):
+    if not isinstance(cfg.arrangement, Arrangement):
+        raise InputError(f"JobConfig.arrangement must be an Arrangement, got {cfg.arrangement!r}")
     for field in ("max_degree", "oracle_degree", "dim_v"):
         if type(getattr(cfg, field)) is not int:
             raise InputError(f"JobConfig.{field} must be an int, got {getattr(cfg, field)!r}")
@@ -507,8 +509,7 @@ def render_markdown(report: dict) -> str:
             lines.append(f"### Degree {entry['degree']}")
             lines.append("")
             lines.append(f"- product character: `{format_terms(entry['product_schur'])}`")
-            if "product_matches_formula" in entry:
-                lines.append(f"- matches formula: {entry['product_matches_formula']}")
+            lines.append(f"- matches formula: {entry['product_matches_formula']}")
             if "wedge_schur" in entry:
                 lines.append(f"- wedge character: `{format_terms(entry['wedge_schur'])}`")
                 lines.append(f"- matches transposed formula: {entry['wedge_matches_transpose']}")

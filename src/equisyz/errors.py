@@ -24,11 +24,16 @@ DEFAULT_CAPS = OracleCaps()
 
 def check_sizes(arr, d_max: int, caps: OracleCaps):
     """Refuse an oracle run on the arrangement ``arr`` up to degree d_max:
-    a degree that is not a nonnegative int is a ValueError, a size past
-    its cap a SizeCapError naming it.  The CLI calls this before the
-    formula side runs."""
-    if type(d_max) is not int or d_max < 0:
-        raise ValueError(f"maximum degree must be nonnegative and an int, got {d_max!r}")
+    a degree or a cap that is not a nonnegative int is a ValueError, a
+    size past its cap a SizeCapError naming it.  The CLI calls this before
+    the formula side runs."""
+    for label, value in (
+        ("maximum degree", d_max),
+        ("OracleCaps.ambient_dim", caps.ambient_dim),
+        ("OracleCaps.degree", caps.degree),
+    ):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{label} must be nonnegative and an int, got {value!r}")
     for label, value, cap in (
         ("ambient dimension m", arr.ambient_dim, caps.ambient_dim),
         ("maximum degree", d_max, caps.degree),

@@ -310,9 +310,6 @@ class Subspace:
             self._basis = tuple(basis)
         return self._basis
 
-    def contains(self, vector) -> bool:
-        return Subspace(self.ambient_dim, self.echelon + (vector,)).dim == self.dim
-
     def normal_rows(self) -> list[dict]:
         """A basis of the annihilator as primitive integer rows {index: entry},
         one per free column of ``echelon``: its unit vector less that column

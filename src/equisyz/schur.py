@@ -39,7 +39,6 @@ from .partitions import (
     lr_coefficient,
     partitions_of,
     strips,
-    weyl_dimension,
 )
 
 
@@ -171,10 +170,6 @@ class SchurSeries:
         """The nonzero coefficients as a read-only mapping, in canonical order."""
         return MappingProxyType(dict(self.items()))
 
-    def coefficient(self, lam) -> int:
-        i = _reach(self.vec)[2].get(check_partition(lam), len(self.vec))
-        return self.vec[i] if i < len(self.vec) else 0
-
     def min_degree(self) -> int | None:
         """Lowest degree with a nonzero coefficient, or None for the zero series."""
         return next((sum(lam) for lam, _ in self.items()), None)
@@ -261,34 +256,11 @@ class SchurSeries:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return self.invert() ** (-k)
+            raise ValueError(f"exponent must be nonnegative, got {k}")
         out = SchurSeries._make([1], self.degree)
         for _ in range(k):
             out = out * self
         return out
-
-    def invert(self) -> "SchurSeries":
-        """Multiplicative inverse up to the truncation degree.
-
-        Only defined when the constant term is +1 or -1 (the units of the
-        integer coefficient ring); computed degree by degree.
-        """
-        c0 = self.coefficient(())
-        if c0 not in (1, -1):
-            raise ValueError(
-                "series is not invertible: constant term must be +1 or -1, "
-                f"got {c0}"
-            )
-        D = self.degree
-        f_parts = [self.graded_part(d) for d in range(D + 1)]
-        g_parts = [SchurSeries._make([c0], D)]
-        for d in range(1, D + 1):
-            s = SchurSeries._make([], D)
-            for e in range(1, d + 1):
-                if f_parts[e]:
-                    s = s + f_parts[e] * g_parts[d - e]
-            g_parts.append((-c0) * s)
-        return sum(g_parts[1:], g_parts[0])
 
     # -- structural operations ---------------------------------------------
 
@@ -299,32 +271,12 @@ class SchurSeries:
         vec = self.vec + [0] * (offsets[-1] - len(self.vec))
         return SchurSeries._make([vec[j] for j in conjugates], self.degree)
 
-    def truncate(self, k: int) -> "SchurSeries":
-        """Sub-series of degree <= k; the truncation window stays at D."""
-        if type(k) is not int or not 0 <= k <= self.degree:
-            raise ValueError(f"truncation bound must be an int in 0..{self.degree}, got {k!r}")
-        return SchurSeries._make(_upto(self.vec, k), self.degree)
-
     def graded_part(self, d: int) -> "SchurSeries":
         """Homogeneous degree-d component: the slice of degree d."""
         if type(d) is not int or not 0 <= d <= self.degree:
             raise ValueError(f"degree must be an int in 0..{self.degree}, got {d!r}")
         low = len(_upto(self.vec, d - 1))
         return SchurSeries._make([0] * low + _upto(self.vec, d)[low:], self.degree)
-
-    def dimension(self, n: int, d: int) -> int:
-        """Dimension of the degree-d part evaluated in n variables."""
-        if type(n) is not int or n < 1:
-            raise ValueError(f"n must be positive and an int, got {n!r}")
-        return sum(c * weyl_dimension(lam, n) for lam, c in self.graded_part(d).items())
-
-
-def zero(degree: int) -> SchurSeries:
-    return SchurSeries({}, degree=degree)
-
-
-def one(degree: int) -> SchurSeries:
-    return SchurSeries({(): 1}, degree=degree)
 
 
 def sigma(degree: int) -> SchurSeries:

@@ -42,9 +42,9 @@ from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, Polymatroid, hilbert_product, polymatroid_of
 from equisyz.linalg import Subspace, _Echelon, row_reduce
-from equisyz.oracle import _dominant_weights, kostka_peel
+from equisyz.oracle import _dominant_weights, dominant_weights, kostka_peel
 from equisyz.partitions import conjugate
-from equisyz.schur import SchurSeries, one, sigma, times_sigma_power
+from equisyz.schur import SchurSeries, sigma, times_sigma_power
 
 
 # -- arrangements used throughout ------------------------------------------
@@ -744,11 +744,12 @@ def reference_times_sigma_power(series: SchurSeries, k: int) -> SchurSeries:
 @cache
 def reference_sigma_power(degree: int, k: int) -> SchurSeries:
     """sigma(degree) ** k as a chain of general Littlewood-Richardson
-    products; negative k goes through the degree-by-degree inverse."""
+    products; negative k goes through the closed form of the inverse,
+    sigma^-1 = sum_j (-1)^j s_(1^j) (Macdonald I.2, H(t) E(-t) = 1)."""
     if k == 0:
-        return one(degree)
+        return SchurSeries({(): 1}, degree=degree)
     if k == -1:
-        return sigma(degree).invert()
+        return SchurSeries({(1,) * j: (-1) ** j for j in range(degree + 1)}, degree=degree)
     if k < 0:
         return reference_sigma_power(degree, k + 1) * reference_sigma_power(degree, -1)
     return reference_sigma_power(degree, k - 1) * sigma(degree)
@@ -758,7 +759,31 @@ def reference_sigma_power(degree: int, k: int) -> SchurSeries:
 def sigma_power(degree: int, k: int) -> SchurSeries:
     """Cached sigma(degree) ** k by the Pieri kernel; negative k means
     powers of the inverse."""
-    return times_sigma_power(one(degree), k)
+    return times_sigma_power(SchurSeries({(): 1}, degree=degree), k)
+
+
+def low_part(series: SchurSeries, k: int) -> SchurSeries:
+    """The terms of degree <= k, as the sum of the graded parts 0..k; the
+    window stays that of ``series``."""
+    return sum((series.graded_part(d) for d in range(1, k + 1)), series.graded_part(0))
+
+
+def weight_dimension(series: SchurSeries, n: int, d: int) -> int:
+    """Dimension of the degree-d part in n variables: the multiplicities of
+    every weight, each dominant weight's orbit expanded."""
+    return sum(orbit_expanded(dominant_weights(series, n, d)).values())
+
+
+def reference_unit_inverse(unit: SchurSeries) -> SchurSeries:
+    """The inverse of a series with constant term c = +1 or -1, up to its
+    window D, by the geometric series c * sum_k (-c r)^k with r = unit - c:
+    r has no constant term, so k <= D suffices (Horner in -c r)."""
+    c = unit.graded_part(0)
+    step = -c * (unit - c)
+    acc = c
+    for _ in range(unit.degree):
+        acc = c + step * acc
+    return acc
 
 
 def lines_first_disagreement(arr: Arrangement, truncation: int) -> int | None:
@@ -799,15 +824,15 @@ def reference_p(pm: Polymatroid, mask: int, D: int, memo=None) -> SchurSeries:
       - sum over proper subsets C of (-1)^(|B|-|C|) sigma^(rk B - rk C) P(C)."""
     memo = {} if memo is None else memo
     if mask == 0:
-        return one(D)
+        return SchurSeries({(): 1}, degree=D)
     if mask in memo:
         return memo[mask]
     size = mask.bit_count()
-    rank_b = pm.rank(mask)
+    rank_b = pm.ranks[mask]
     total = SchurSeries({}, degree=D)
     sub = (mask - 1) & mask
     while True:
-        term = reference_sigma_power(D, rank_b - pm.rank(sub)) * reference_p(
+        term = reference_sigma_power(D, rank_b - pm.ranks[sub]) * reference_p(
             pm, sub, D, memo
         )
         if (size - sub.bit_count()) % 2:
@@ -817,7 +842,7 @@ def reference_p(pm: Polymatroid, mask: int, D: int, memo=None) -> SchurSeries:
         if sub == 0:
             break
         sub = (sub - 1) & mask
-    memo[mask] = total.truncate(size - 1)
+    memo[mask] = low_part(total, size - 1)
     return memo[mask]
 
 
@@ -835,7 +860,7 @@ def reference_hilbert_product(arr: Arrangement, D: int) -> SchurSeries:
             return reference_sigma_power(D, m)
         if mask in memo:
             return memo[mask]
-        acc = reference_sigma_power(D, m - pm.rank(mask)) * reference_p(
+        acc = reference_sigma_power(D, m - pm.ranks[mask]) * reference_p(
             pm, mask, D, p_memo
         )
         sub = (mask - 1) & mask

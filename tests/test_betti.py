@@ -231,7 +231,7 @@ def test_roundtrip_at_the_degree_cap():
 
 def test_roundtrip_for_every_product_series():
     for arr in (axes(2), axes(3), plane_and_normal_line(), origin_copies(3)):
-        t = len(arr)
+        t = len(arr.subspaces)
         h = hilbert_product(arr, t + 2)
         table = betti_from_series(h, arr.ambient_dim, t)
         assert series_from_betti(table, arr.ambient_dim) == h

@@ -209,7 +209,9 @@ def test_job_rejects_full_space_member():
     ("product", "dim_v", 2.5),
     ("product", "max_degree", True),
     ("intersection", "caps", None),
-], ids=["dim_v-str", "oracle_degree-str", "dim_v-float", "max_degree-bool", "caps-none"])
+    ("product", "arrangement", None),
+], ids=["dim_v-str", "oracle_degree-str", "dim_v-float", "max_degree-bool", "caps-none",
+        "arrangement-none"])
 def test_job_config_field_of_the_wrong_type_is_input_error(monkeypatch, ideal, field, value):
     """A library caller's JobConfig field of the wrong type is named in an
     InputError before any work starts, not a TypeError or AttributeError
@@ -219,8 +221,29 @@ def test_job_config_field_of_the_wrong_type_is_input_error(monkeypatch, ideal, f
     cfg = JobConfig(parse_arrangement(AXES2), max_degree=3, ideal=ideal, oracle_degree=2)
     with pytest.raises(InputError) as info:
         run_job(cfg._replace(**{field: value}))
-    kind = "an OracleCaps" if field == "caps" else "an int"
+    kind = {"caps": "an OracleCaps", "arrangement": "an Arrangement"}.get(field, "an int")
     assert str(info.value) == f"JobConfig.{field} must be {kind}, got {value!r}"
+    assert started == []
+
+
+@pytest.mark.parametrize("caps, field, value", [
+    (OracleCaps(degree="5"), "degree", "'5'"),
+    (OracleCaps(-1, 4), "ambient_dim", "-1"),
+    (OracleCaps(True, 4), "ambient_dim", "True"),
+    (OracleCaps(4, 3.5), "degree", "3.5"),
+], ids=["degree-str", "ambient_dim-negative", "ambient_dim-bool", "degree-float"])
+def test_an_oracle_cap_that_is_no_nonnegative_int_is_refused(monkeypatch, caps, field, value):
+    """A str cap raised a TypeError from the comparison, -1 and True refused
+    every oracle job as a size past the cap, and 3.5 let the oracle run."""
+    started = []
+    monkeypatch.setattr(cli, "polymatroid_of", started.append)
+    monkeypatch.setattr(oracle, "_Echelon", lambda: started.append("echelon"))
+    arr = parse_arrangement({"ambient_dim": 3, "subspaces": [[[1, 0, 0]], [[0, 1, 0]]]})
+    message = f"^OracleCaps.{field} must be nonnegative and an int, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        run_job(JobConfig(arr, 3, oracle_degree=2, caps=caps))
+    with pytest.raises(ValueError, match=message):
+        oracle.product_ideal_character(arr, 3, caps)
     assert started == []
 
 
@@ -822,7 +845,7 @@ def test_main_subspace_count_past_the_cap_exits_before_parsing(tmp_path, capsys,
     """One subspace past MAX_GROUND_SET exits 3 before any subspace is
     built, so before any entry is read."""
     origins = {"ambient_dim": 1, "subspaces": [[]] * MAX_GROUND_SET}
-    assert len(parse_arrangement(origins)) == MAX_GROUND_SET
+    assert len(parse_arrangement(origins).subspaces) == MAX_GROUND_SET
     parsed = []
     monkeypatch.setattr(cli, "Subspace", lambda *args: parsed.append(args))
     t = MAX_GROUND_SET + 1

@@ -138,7 +138,8 @@ def test_no_function_in_src_calls_row_reduce(monkeypatch):
     plane = Subspace(3, [[0, 1, "1/2"], [0, 0, 0], [1, 1, 1], [2, 3, "5/2"]])
     line = Subspace(3, [[1, "-1/3", 0]])
     assert intersect([plane, line]).dim == 0
-    assert plane.contains([1, 0, "1/2"]) and plane.annihilator().dim == 1
+    assert Subspace(3, [*plane.echelon, [1, 0, "1/2"]]) == plane
+    assert plane.annihilator().dim == 1
     golden = Path(__file__).resolve().parent / "golden"
     product = cli.JobConfig(
         cli.parse_arrangement(json.loads((golden / "redundant_spanning.json").read_text())),
@@ -268,11 +269,12 @@ def test_ambient_dimension_must_be_a_positive_int(size, vectors):
 
 
 def test_contains():
+    """A vector lies in a subspace when adding it leaves the span unchanged."""
     s = Subspace(3, [[1, 1, 0]])
-    assert s.contains([2, 2, 0])
-    assert not s.contains([1, 0, 0])
+    assert Subspace(3, [*s.echelon, [2, 2, 0]]) == s
+    assert Subspace(3, [*s.echelon, [1, 0, 0]]) != s
     with pytest.raises(ValueError, match="differs from ambient dimension"):
-        s.contains([1, 1])
+        Subspace(3, [*s.echelon, [1, 1]])
 
 
 # -- annihilators ------------------------------------------------------------
