@@ -158,7 +158,8 @@ def caps_from_env(environ=None) -> OracleCaps:
 # ideal: product | intersection; side: symmetric | exterior | both;
 # oracle_degree 0 disables oracle checks, whose report lists weights at
 # dim V = dim_v, or at dim V = oracle_degree if dim_v is 0, both at most
-# the degree cap
+# the degree cap; each oracle eliminates at its own dim V, so dim_v may
+# lie below oracle_degree
 JobConfig = namedtuple(
     "JobConfig",
     "arrangement max_degree ideal side oracle_degree dim_v caps",
@@ -203,6 +204,9 @@ def _check_config(cfg: JobConfig):
         raise InputError(
             f"truncation below generation degree: max degree {cfg.max_degree} < t = {t}"
         )
+    if cfg.arrangement.ambient_dim > MAX_AMBIENT_DIM:
+        m = cfg.arrangement.ambient_dim
+        raise SizeCapError(f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}")
     if cfg.max_degree > MAX_DEGREE:
         raise SizeCapError(
             f"max degree {cfg.max_degree} exceeds the truncation cap {MAX_DEGREE}"
@@ -219,10 +223,6 @@ def _check_config(cfg: JobConfig):
         raise InputError(f"--dim-v must be nonnegative (0 derives it), got {cfg.dim_v}")
     if cfg.oracle_degree > cfg.max_degree:
         raise InputError("--oracle-check degree cannot exceed --max-degree")
-    if 0 < cfg.dim_v < cfg.oracle_degree:
-        raise InputError(
-            "faithful oracle comparison needs --dim-v >= --oracle-check degree"
-        )
     # the oracle's caps, refused before the formula side runs; no oracle
     # runs at a dim V above its degree, nor does the report list weights at one
     if cfg.ideal == "intersection":

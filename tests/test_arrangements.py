@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from equisyz import arrangements, linalg
 from equisyz.arrangements import (
+    MAX_AMBIENT_DIM,
     MAX_GROUND_SET,
     Arrangement,
     Polymatroid,
@@ -398,6 +399,98 @@ def test_a_direct_sum_multiplies_the_series_and_p(a, b):
         p_polynomial(polymatroid_of(arr), (1 << len(arr.subspaces)) - 1, D) for arr in (A, B, E)
     )
     assert p_e == p_a * p_b
+
+
+# -- the identities at the caps -------------------------------------------------
+# Fixed cases at m = 32, where no oracle reaches.  Each subspace
+# is spanned by vectors with entries in -5..5, and one g moves the spanning
+# vectors, not the echelon, whose entries would pass the digit cap.
+
+
+def _spans(m, t, codim, seed):
+    """Spanning vectors of t generic subspaces of codimension ``codim`` in Q^m."""
+    rng = random.Random(seed)
+    return [[[rng.randint(-5, 5) for _ in range(m)] for _ in range(m - codim)] for _ in range(t)]
+
+
+def _moved(spans, m, seed):
+    """The spans moved by g: the unit upper bidiagonal matrix with a random
+    superdiagonal of +-1, its rows reversed.  g^-1 has entries in -1..1, so
+    the normal rows stay small too."""
+    rng = random.Random(seed)
+    c = [rng.choice((-1, 1)) for _ in range(m - 1)] + [0]
+
+    def g(v):
+        return [x + k * y for x, k, y in zip(v, c, v[1:] + [0])][::-1]
+
+    return [[g(v) for v in vectors] for vectors in spans]
+
+
+CAP_D = 13
+BASE_SPANS = _spans(MAX_AMBIENT_DIM - 1, 12, 1, seed=1)
+
+
+@pytest.fixture(scope="module")
+def cap_hyperplanes():
+    """12 hyperplanes of Q^32 and H at D = 13.  They are the cones of 12
+    generic hyperplanes of Q^31, so that (d) reads its base within the
+    ambient cap; their normals are in general position all the same."""
+    m = MAX_AMBIENT_DIM
+    spans = [[v + [0] for v in vectors] + [[0] * (m - 1) + [1]] for vectors in BASE_SPANS]
+    arr = _arrangement(m, spans)
+    assert all(r == bin(mask).count("1") for mask, r in enumerate(polymatroid_of(arr).ranks))
+    return spans, arr, hilbert_product(arr, CAP_D)
+
+
+def test_moving_twelve_hyperplanes_of_q32_by_one_g(cap_hyperplanes):
+    """(a) GL(W) at the caps."""
+    spans, arr, h = cap_hyperplanes
+    image = _arrangement(MAX_AMBIENT_DIM, _moved(spans, MAX_AMBIENT_DIM, seed=2))
+    assert polymatroid_of(image).rank_table() == polymatroid_of(arr).rank_table()
+    assert hilbert_product(image, CAP_D) == h
+
+
+def test_reordering_twelve_hyperplanes_of_q32(cap_hyperplanes):
+    """(b) Order at the caps: the rank table is permuted, H is unchanged."""
+    _, arr, h = cap_hyperplanes
+    order = list(range(12))
+    random.Random(3).shuffle(order)
+    shuffled = Arrangement(MAX_AMBIENT_DIM, tuple(arr.subspaces[i] for i in order))
+    pm, pm_shuffled = polymatroid_of(arr), polymatroid_of(shuffled)
+    for subset, rank in pm_shuffled.rank_table():
+        assert pm.ranks[pm.as_mask([order[i] for i in subset])] == rank
+    assert hilbert_product(shuffled, CAP_D) == h
+
+
+def test_the_zero_subspace_with_twelve_hyperplanes_of_q32(cap_hyperplanes):
+    """(c) Zero subspace at the caps: t = 13 and H(A + {0}) is the degree-13
+    part of H(A), whose table is linear in degree 13."""
+    _, arr, h = cap_hyperplanes
+    m = MAX_AMBIENT_DIM
+    h0 = hilbert_product(Arrangement(m, arr.subspaces + (Subspace(m),)), CAP_D)
+    assert h0 == SchurSeries({lam: c for lam, c in h.items() if sum(lam) == CAP_D}, degree=CAP_D)
+    assert betti_from_series(h0, m, CAP_D).t == CAP_D
+
+
+def test_the_cone_of_twelve_hyperplanes_of_q31(cap_hyperplanes):
+    """(d) Cone at the caps: Q^31 -> Q^32 multiplies H by sigma and keeps
+    the Betti table."""
+    _, _, h = cap_hyperplanes
+    m = MAX_AMBIENT_DIM - 1
+    h_base = hilbert_product(_arrangement(m, BASE_SPANS), CAP_D)
+    assert h == times_sigma_power(h_base, 1)
+    assert betti_from_series(h, m + 1, 12) == betti_from_series(h_base, m, 12)
+
+
+def test_moving_nine_codimension_three_subspaces_of_q32_by_one_g():
+    """(a) GL(W) on generic codim-3 members at t = D = 9, where the ranks
+    step by 3."""
+    m = MAX_AMBIENT_DIM
+    spans = _spans(m, 9, 3, seed=4)
+    arr, image = _arrangement(m, spans), _arrangement(m, _moved(spans, m, seed=5))
+    assert polymatroid_of(image).rank_table() == polymatroid_of(arr).rank_table()
+    assert set(polymatroid_of(arr).ranks) == set(range(0, 28, 3))
+    assert hilbert_product(image, 9) == hilbert_product(arr, 9)
 
 
 def test_defining_relation_on_all_subsets():

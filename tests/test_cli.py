@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equisyz
 from equisyz import cli, linalg, oracle
-from equisyz.arrangements import MAX_AMBIENT_DIM, MAX_DEGREE, MAX_GROUND_SET, polymatroid_of
+from equisyz.arrangements import (
+    MAX_AMBIENT_DIM,
+    MAX_DEGREE,
+    MAX_GROUND_SET,
+    Arrangement,
+    polymatroid_of,
+)
 from equisyz.cli import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -462,6 +469,24 @@ def python(*args):
     )
 
 
+def test_the_package_root_exports_the_quickstart_and_loads_no_oracle():
+    """``equisyz`` exports the README quickstart's functions and the types
+    and errors they take, return or raise, and importing it in a fresh
+    interpreter loads neither the oracle nor the CLI."""
+    assert sorted(equisyz.__all__) == [
+        "Arrangement", "BettiTable", "GenerationDegreeError", "LinearityError",
+        "SchurSeries", "SizeCapError", "Subspace", "betti_from_series",
+        "hilbert_product", "regularity", "sigma", "transpose_table",
+    ]
+    for name in equisyz.__all__:
+        assert getattr(equisyz, name) is not None
+    run = python("-c", "import sys, equisyz; print(*sorted(sys.modules))")
+    loaded = set(run.stdout.split())
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "equisyz" in loaded
+    assert not loaded & {"equisyz.oracle", "equisyz.cli"}
+
+
 def test_start_up_imports_and_verbose_logging(tmp_path):
     """``import equisyz.cli`` loads none of dataclasses, inspect and logging
     beyond a bare interpreter's modules; ``--verbose`` loads logging, writes
@@ -730,6 +755,30 @@ def test_main_intersection_job_ignores_dim_v_past_the_cap(tmp_path, capsys, monk
     )
 
 
+def test_main_lists_weights_at_a_dim_v_below_the_oracle_degree(capsys):
+    """Each oracle eliminates at its own dim V and every verdict compares
+    Schur series, so --dim-v below --oracle-check only lists the weights at
+    that n: the job exits 0 with every validation true."""
+    golden = Path(__file__).resolve().parent / "golden"
+    argv = ["--input", str(golden / "two_planes_and_line.json"), "--max-degree", "4",
+            "--side", "both", "--oracle-check", "4"]
+    assert main(argv + ["--dim-v", "2"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["validations"] == {
+        "linear_resolution": True, "oracle_product_match": True, "oracle_wedge_match": True,
+    }
+    section = report["oracle"]
+    assert section["dim_v"] == 2
+    weights = [w for entry in section["degrees"]
+               for key in ("product_weights", "wedge_weights") for w, _ in entry[key]]
+    assert weights and {len(w) for w in weights} == {2}
+    assert main(argv) == EXIT_OK
+    full = json.loads(capsys.readouterr().out)["oracle"]["degrees"]
+    for entry, wide in zip(section["degrees"], full):
+        assert entry["product_schur"] == wide["product_schur"]
+        assert entry["wedge_schur"] == wide["wedge_schur"]
+
+
 @pytest.mark.parametrize("case, doc, flags", [
     ("two_planes_and_line_n6", "two_planes_and_line", [
         "--max-degree", "6", "--oracle-check", "6", "--side", "both",
@@ -839,6 +888,19 @@ def test_main_ambient_dim_past_the_cap_exits_before_parsing(tmp_path, capsys, mo
     assert main(["--input", src, "--max-degree", "1"]) == EXIT_CAP
     assert parsed == []
     assert f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}" in capsys.readouterr().err
+
+
+def test_run_job_refuses_an_ambient_dim_past_the_cap(monkeypatch):
+    """A library caller's arrangement past MAX_AMBIENT_DIM is refused by
+    ``run_job`` with the parse's message, before the polymatroid is built."""
+    started = []
+    monkeypatch.setattr(cli, "polymatroid_of", started.append)
+    m = 2 * MAX_AMBIENT_DIM
+    arr = Arrangement(m, (Subspace(m, [[1] + [0] * (m - 1)]),))
+    with pytest.raises(SizeCapError) as exc:
+        run_job(JobConfig(arr, 12))
+    assert str(exc.value) == f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}"
+    assert started == []
 
 
 def test_main_subspace_count_past_the_cap_exits_before_parsing(tmp_path, capsys, monkeypatch):
