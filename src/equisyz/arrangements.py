@@ -25,7 +25,6 @@ sigma per unit of rank, however many buckets there are.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from operator import add, sub as subtract
 
@@ -49,19 +48,21 @@ from .schur import SchurSeries, _cut, check_nonnegative_int, graded_index, sigma
 # takes 26-30 s and hyperplanes 5.6-5.9 s, so t, not D, sets the worst case.
 MAX_GROUND_SET = 13
 # Cap on the ambient dimension m, checked before a document's vectors are
-# parsed.  Python 3.11 on 2 shared x86-64 cores, single cold jobs at
-# D = 24: a line in Q^24 takes 1.2 s, a line in Q^32 1.4 s and a
-# hyperplane of Q^32 1.2 s (0.9 s in Q^24).  About two thirds of it is the
-# m passes of sigma in hilbert_product and the m passes of sigma^-1 in
-# betti_from_series, over a vector of every partition of size <= D, and
-# most of the rest is writing the 4.7 MB report.
+# parsed and by Arrangement.  Python 3.11.7 on 2 shared Xeon cores, single
+# cold jobs at D = 24: a line in Q^24 or Q^32 and a hyperplane of Q^24 or
+# Q^32 each take 0.6-0.9 s.  Nearly all of it is the m passes of sigma in
+# hilbert_product and the m passes of sigma^-1 in betti_from_series, over
+# a vector of every partition of size <= D; writing the 1.0 MB report of a
+# line in Q^24 takes 0.03 s.
 MAX_AMBIENT_DIM = 32
-# Cap on the truncation degree D.  Python 3.11 on 2 shared x86-64 cores,
-# single cold jobs: at D = 24 a product job on m = t = 4 takes 0.4 s
-# (2.3 s at D = 30, the cap raised), one on a line in Q^24 1.2 s, with a
-# 4.6 MB report.  A pass of sigma costs one term per horizontal strip
-# between two partitions of size <= D: 7338 partitions and 0.32 million
-# strips at D = 24, against 508 and 7059 at D = 14.
+# Cap on the truncation degree D, checked by a job before it runs and by
+# hilbert_product, p_polynomial and betti_from_series.  Python 3.11.7 on
+# 2 shared Xeon cores, single cold jobs: at D = 24 a product job on
+# m = t = 4 takes 0.3 s (run_job 1.4 s at D = 30, the cap raised), one on
+# a line in Q^24 0.6-0.9 s, with a 1.0 MB report.  A pass of sigma costs
+# one term per horizontal strip between two partitions of size <= D: 7338
+# partitions and 0.32 million strips at D = 24, against 508 and 7059 at
+# D = 14.
 MAX_DEGREE = 24
 
 
@@ -74,12 +75,26 @@ def check_ground_set(t: int):
         )
 
 
+def check_ambient_dim(m: int):
+    """Refuse an ambient dimension above MAX_AMBIENT_DIM."""
+    if m > MAX_AMBIENT_DIM:
+        raise SizeCapError(f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}")
+
+
+def check_truncation(truncation: int):
+    """Refuse a truncation degree that is not an int >= 0, or is above MAX_DEGREE."""
+    check_nonnegative_int(truncation, "truncation degree")
+    if truncation > MAX_DEGREE:
+        raise SizeCapError(f"max degree {truncation} exceeds the truncation cap {MAX_DEGREE}")
+
+
 class Arrangement:
     """An ordered list of subspaces of a common ambient space.
 
     Duplicates are allowed (t copies of the origin is a legitimate and
-    useful arrangement).  Compared and hashed by value, so it keys the
-    ``polymatroid_of`` cache; never mutated.
+    useful arrangement).  More than MAX_GROUND_SET subspaces, or an ambient
+    dimension above MAX_AMBIENT_DIM, is a SizeCapError.  Compared and
+    hashed by value, so it keys the ``polymatroid_of`` cache; never mutated.
     """
 
     __slots__ = ("ambient_dim", "subspaces")
@@ -91,6 +106,7 @@ class Arrangement:
             if s.ambient_dim != ambient_dim:
                 raise ValueError("subspace ambient dimension mismatch")
         check_ground_set(len(subspaces))
+        check_ambient_dim(ambient_dim)
         self.ambient_dim = ambient_dim
         self.subspaces = subspaces
 
@@ -146,17 +162,6 @@ class Polymatroid:
             raise ValueError(f"subset {subset!r} outside ground set of size {self.ground_size}")
         return mask
 
-    def rank_table(self) -> list[tuple[tuple[int, ...], int]]:
-        """All (subset, rank) pairs ordered by size then lexicographically;
-        each subset's mask is the sum of the same combination of its bits."""
-        t = self.ground_size
-        bits = [1 << i for i in range(t)]
-        return [
-            (subset, self.ranks[mask])
-            for k in range(t + 1)
-            for subset, mask in zip(combinations(range(t), k), map(sum, combinations(bits, k)))
-        ]
-
 
 @lru_cache(maxsize=4)
 def polymatroid_of(arr: Arrangement) -> Polymatroid:
@@ -195,14 +200,14 @@ def polymatroid_of(arr: Arrangement) -> Polymatroid:
 
 def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
     """Correction polynomial P(B) of the polymatroid, in a window of degree
-    ``truncation``.
+    ``truncation``, at most MAX_DEGREE.
 
     P of the empty set is 1; otherwise P(B) is the degree <= |B|-1 part of
       - sum over proper subsets C of (-1)^(|B|-|C|) sigma^(rk B - rk C) P(C).
     A non-spanning B has its P in ``_p_table``; a spanning one takes
     ``_spanning_p``, or is 1 when its rank is 0.
     """
-    check_nonnegative_int(truncation, "truncation degree")
+    check_truncation(truncation)
     if truncation < pm.ground_size:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
@@ -318,11 +323,11 @@ def hilbert_product(arr: Arrangement, truncation: int) -> SchurSeries:
     >= t of the sum over the C in the P table of (-1)^|C| sigma^(rho - rk C)
     P(C).  That sum is the table's rank buckets over every subset of E,
     taken by ``_horner`` on the dense vector of ``graded_index(truncation)``,
-    which must be at least the generation degree t: rho passes of sigma,
-    the degrees below t cleared, then m - rho more passes.
+    whose degree lies between the generation degree t and MAX_DEGREE: rho
+    passes of sigma, the degrees below t cleared, then m - rho more passes.
     """
     t = len(arr.subspaces)
-    check_nonnegative_int(truncation, "truncation degree")
+    check_truncation(truncation)
     if truncation < t:
         raise ValueError(
             f"truncation degree {truncation} below generation degree {t}"

@@ -11,6 +11,7 @@ column is the signed slice of one degree of the series' dense vector over
 
 from __future__ import annotations
 
+from .arrangements import check_truncation
 from .schur import SchurSeries, check_nonnegative_int, graded_index, times_sigma_power
 
 
@@ -78,11 +79,13 @@ def betti_from_series(series: SchurSeries, ambient_dim: int, t: int) -> BettiTab
     that the degree-d coefficients all carry sign (-1)^(d-t), then stores
     column i as (-1)^i times the slice of degree i + t, so every kept
     multiplicity is nonnegative.  The slice is in the canonical order, so a
-    LinearityError names the first wrong sign in that order.
+    LinearityError names the first wrong sign in that order.  A series
+    truncated above MAX_DEGREE is a SizeCapError.
     """
     check_nonnegative_int(t, "generation degree")
     check_nonnegative_int(ambient_dim, "ambient dimension")
     D = series.degree
+    check_truncation(D)
     if D < t:
         raise ValueError(f"series truncation {D} below generation degree {t}")
     parts, offsets, _, _, _ = graded_index(D)

@@ -26,14 +26,14 @@ import json
 import os
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
+from itertools import combinations
 from math import gcd
 
 from .arrangements import (
-    MAX_AMBIENT_DIM,
-    MAX_DEGREE,
     Arrangement,
+    check_ambient_dim,
     check_ground_set,
+    check_truncation,
     hilbert_product,
     p_polynomial,
     polymatroid_of,
@@ -102,8 +102,7 @@ def parse_arrangement(document) -> Arrangement:
         raise InputError(f"arrangement document is missing key {exc}") from exc
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InputError("ambient_dim must be a positive integer")
-    if m > MAX_AMBIENT_DIM:
-        raise SizeCapError(f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}")
+    check_ambient_dim(m)
     if not isinstance(raw_subspaces, list):
         raise InputError("subspaces must be a list of vector lists")
     check_ground_set(len(raw_subspaces))
@@ -204,13 +203,8 @@ def _check_config(cfg: JobConfig):
         raise InputError(
             f"truncation below generation degree: max degree {cfg.max_degree} < t = {t}"
         )
-    if cfg.arrangement.ambient_dim > MAX_AMBIENT_DIM:
-        m = cfg.arrangement.ambient_dim
-        raise SizeCapError(f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}")
-    if cfg.max_degree > MAX_DEGREE:
-        raise SizeCapError(
-            f"max degree {cfg.max_degree} exceeds the truncation cap {MAX_DEGREE}"
-        )
+    # the formula side refuses it too, but an intersection job's oracle runs first
+    check_truncation(cfg.max_degree)
     if any(s.dim == cfg.arrangement.ambient_dim for s in cfg.arrangement.subspaces):
         raise InputError(
             "arrangement contains the whole ambient space; its vanishing ideal is zero"
@@ -312,9 +306,6 @@ def run_job(cfg: JobConfig) -> dict:
     D = cfg.max_degree
 
     pm = polymatroid_of(arr)
-    rank_rows = [
-        {"subset": list(subset), "rank": rank} for subset, rank in pm.rank_table()
-    ]
     p_series = p_polynomial(pm, (1 << t) - 1, D)
 
     if cfg.ideal == "product":
@@ -329,7 +320,7 @@ def run_job(cfg: JobConfig) -> dict:
             )
 
     report = {
-        "schema": "equisyz-report/1",
+        "schema": "equisyz-report/2",
         "input": {
             "ambient_dim": m,
             "subspaces": [_subspace_doc(s) for s in arr.subspaces],
@@ -337,7 +328,7 @@ def run_job(cfg: JobConfig) -> dict:
             "side": cfg.side,
             "max_degree": D,
         },
-        "polymatroid": {"ground_size": t, "ranks": rank_rows},
+        "polymatroid": {"ground_size": t, "ranks": list(pm.ranks)},
         "p_polynomial": p_series.to_pairs(),
         "hilbert_series": {"truncation_degree": D, "terms": hseries.to_pairs()},
         "generation_degree": generation_degree,
@@ -376,78 +367,10 @@ def run_job(cfg: JobConfig) -> dict:
 # -- rendering ----------------------------------------------------------------
 
 
-def _json(value, pad: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
-    at the line prefix ``pad``; the ints of a list are written in line."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if type(value) is list and type(value[0]) in (list, dict):
-            text = _rows_json(value, pad)
-            if text is not None:
-                return text
-        items = [int.__repr__(x) if type(x) is int else _json(x, inner) for x in value]
-        return f"[{inner}{sep.join(items)}{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
-            for key in sorted(value)
-        ]
-        return f"{{{inner}{sep.join(items)}{pad}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-_RANK_ROW = {"rank", "subset"}
-
-
-def _rows_json(rows: list, pad: str) -> str | None:
-    """``rows`` as ``_json`` writes it at ``pad``, one template per row, when
-    it is a list of [list of ints, int] pairs (Schur terms, weights) or of
-    {"rank": int, "subset": list of ints} rows (the polymatroid's ranks);
-    None for any other list."""
-    i1 = pad + "  "
-    i2 = i1 + "  "
-    i3 = i2 + "  "
-    sep = "," + i3
-    out = []
-    for row in rows:
-        if type(row) is list and len(row) == 2:
-            ints, c = row
-        elif type(row) is dict and row.keys() == _RANK_ROW:
-            c, ints = row["rank"], row["subset"]
-        else:
-            return None
-        if type(c) is not int or type(ints) is not list or not all(type(x) is int for x in ints):
-            return None
-        body = f"[{i3}{sep.join(map(str, ints))}{i2}]" if ints else "[]"
-        if type(row) is list:
-            out.append(f"[{i2}{body},{i2}{c}{i1}]")
-        else:
-            out.append(f'{{{i2}"rank": {c},{i2}"subset": {body}{i1}}}')
-    return f"[{i1}{(',' + i1).join(out)}{pad}]"
-
-
 def render_json(report: dict) -> str:
-    """The report as ``json.dumps(report, indent=2, sort_keys=True)`` writes
-    it, plus a newline, byte for byte.  With ``indent`` set the standard
-    library takes its pure-Python encoder, so the layout is written here:
-    dicts with str keys, lists, tuples, str, int, bool and None; anything
-    else is a TypeError."""
-    return _json(report, "\n") + "\n"
+    """The report as one line of JSON with sorted keys, plus a newline,
+    written by the standard library's C encoder."""
+    return json.dumps(report, sort_keys=True) + "\n"
 
 
 def _betti_tables(report: dict):
@@ -470,9 +393,11 @@ def render_markdown(report: dict) -> str:
     lines.append("")
     lines.append("| subset | rank |")
     lines.append("|---|---|")
-    for row in report["polymatroid"]["ranks"]:
-        label = "{" + ",".join(map(str, row["subset"])) + "}"
-        lines.append(f"| {label} | {row['rank']} |")
+    t, ranks = report["polymatroid"]["ground_size"], report["polymatroid"]["ranks"]
+    for k in range(t + 1):  # by size, then lexicographically
+        for subset in combinations(range(t), k):
+            label = "{" + ",".join(map(str, subset)) + "}"
+            lines.append(f"| {label} | {ranks[sum(1 << i for i in subset)]} |")
     lines.append("")
     lines.append("## Correction polynomial P")
     lines.append("")

@@ -17,6 +17,7 @@ from equisyz.arrangements import (
     polymatroid_of,
 )
 from equisyz.betti import betti_from_series
+from equisyz.cli import JobConfig, render_markdown, run_job
 from equisyz.errors import SizeCapError
 from equisyz.linalg import Subspace, intersect
 from equisyz.schur import SchurSeries, sigma, times_sigma_power
@@ -194,10 +195,12 @@ def test_pipeline_builds_no_annihilator(monkeypatch):
 
 
 def test_rank_table_ordering():
-    pm = polymatroid_of(axes(2))
-    assert [s for s, _ in pm.rank_table()] == [(), (0,), (1,), (0, 1)]
-    # the rows read the ranks at masks built beside the subsets: on t = 6
-    # subspaces whose subsets take every rank 0-4 they are the ranks at the masks
+    """The Markdown report lists the ranks, which the report holds by mask,
+    by subset size and then lexicographically."""
+    rows = _markdown_rank_rows(axes(2))
+    assert rows == ["| {} | 0 |", "| {0} | 1 |", "| {1} | 1 |", "| {0,1} | 2 |"]
+    # each row reads the rank at its subset's mask: on t = 6 subspaces whose
+    # subsets take every rank 0-4 they are the ranks at the masks
     spans = (
         [],
         [[1, 0, 0, 0]],
@@ -206,11 +209,18 @@ def test_rank_table_ordering():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
         [[0, 0, 0, 1], [1, 2, 3, 0]],
     )
-    pm = polymatroid_of(Arrangement(4, tuple(Subspace(4, vecs) for vecs in spans)))
+    arr = Arrangement(4, tuple(Subspace(4, vecs) for vecs in spans))
+    pm = polymatroid_of(arr)
     subsets = [s for k in range(7) for s in combinations(range(6), k)]
-    table = pm.rank_table()
-    assert table == [(s, pm.ranks[pm.as_mask(s)]) for s in subsets]
-    assert {rank for _, rank in table} == {0, 1, 2, 3, 4}
+    ranks = [pm.ranks[pm.as_mask(s)] for s in subsets]
+    labels = ["{" + ",".join(map(str, s)) + "}" for s in subsets]
+    assert _markdown_rank_rows(arr) == [f"| {a} | {r} |" for a, r in zip(labels, ranks)]
+    assert set(ranks) == {0, 1, 2, 3, 4}
+
+
+def _markdown_rank_rows(arr: Arrangement) -> list[str]:
+    report = run_job(JobConfig(arr, len(arr.subspaces)))
+    return [line for line in render_markdown(report).splitlines() if line.startswith("| {")]
 
 
 def test_mask_validation():
@@ -350,7 +360,7 @@ def test_moving_every_subspace_by_one_g_keeps_ranks_and_series(case, data):
     moved = [[[sum(a * x for a, x in zip(g_row, v)) for g_row in g] for v in vectors]
              for vectors in spans]
     arr, image = _arrangement(m, spans), _arrangement(m, moved)
-    assert polymatroid_of(image).rank_table() == polymatroid_of(arr).rank_table()
+    assert polymatroid_of(image).ranks == polymatroid_of(arr).ranks
     assert hilbert_product(image, D) == hilbert_product(arr, D)
 
 
@@ -446,7 +456,7 @@ def test_moving_twelve_hyperplanes_of_q32_by_one_g(cap_hyperplanes):
     """(a) GL(W) at the caps."""
     spans, arr, h = cap_hyperplanes
     image = _arrangement(MAX_AMBIENT_DIM, _moved(spans, MAX_AMBIENT_DIM, seed=2))
-    assert polymatroid_of(image).rank_table() == polymatroid_of(arr).rank_table()
+    assert polymatroid_of(image).ranks == polymatroid_of(arr).ranks
     assert hilbert_product(image, CAP_D) == h
 
 
@@ -457,8 +467,8 @@ def test_reordering_twelve_hyperplanes_of_q32(cap_hyperplanes):
     random.Random(3).shuffle(order)
     shuffled = Arrangement(MAX_AMBIENT_DIM, tuple(arr.subspaces[i] for i in order))
     pm, pm_shuffled = polymatroid_of(arr), polymatroid_of(shuffled)
-    for subset, rank in pm_shuffled.rank_table():
-        assert pm.ranks[pm.as_mask([order[i] for i in subset])] == rank
+    for mask, rank in enumerate(pm_shuffled.ranks):
+        assert pm.ranks[pm.as_mask([order[i] for i in range(12) if mask >> i & 1])] == rank
     assert hilbert_product(shuffled, CAP_D) == h
 
 
@@ -488,7 +498,7 @@ def test_moving_nine_codimension_three_subspaces_of_q32_by_one_g():
     m = MAX_AMBIENT_DIM
     spans = _spans(m, 9, 3, seed=4)
     arr, image = _arrangement(m, spans), _arrangement(m, _moved(spans, m, seed=5))
-    assert polymatroid_of(image).rank_table() == polymatroid_of(arr).rank_table()
+    assert polymatroid_of(image).ranks == polymatroid_of(arr).ranks
     assert set(polymatroid_of(arr).ranks) == set(range(0, 28, 3))
     assert hilbert_product(image, 9) == hilbert_product(arr, 9)
 

@@ -1,6 +1,12 @@
 import pytest
 
-from equisyz.arrangements import MAX_DEGREE, Arrangement, hilbert_product
+from equisyz.arrangements import (
+    MAX_DEGREE,
+    Arrangement,
+    hilbert_product,
+    p_polynomial,
+    polymatroid_of,
+)
 from equisyz.betti import (
     BettiTable,
     GenerationDegreeError,
@@ -10,6 +16,7 @@ from equisyz.betti import (
     series_from_betti,
     transpose_table,
 )
+from equisyz.errors import SizeCapError
 from equisyz.linalg import Subspace
 from equisyz.schur import SchurSeries, sigma
 
@@ -227,6 +234,20 @@ def test_roundtrip_at_the_degree_cap():
     table = betti_from_series(h, 4, 4)
     assert series_from_betti(table, 4) == h
     assert transpose_table(transpose_table(table)) == table
+
+
+def test_a_truncation_past_the_degree_cap_is_refused():
+    """hilbert_product, p_polynomial and betti_from_series refuse a window
+    above MAX_DEGREE with the job's message, for a library caller too."""
+    line = Arrangement(2, (Subspace(2, [[1, 0]]),))
+    D = MAX_DEGREE + 1
+    message = f"max degree {D} exceeds the truncation cap {MAX_DEGREE}"
+    with pytest.raises(SizeCapError, match=message):
+        hilbert_product(line, D)
+    with pytest.raises(SizeCapError, match=message):
+        p_polynomial(polymatroid_of(line), 1, D)
+    with pytest.raises(SizeCapError, match=message):
+        betti_from_series(SchurSeries({(1,): 1}, degree=D), 2, 1)
 
 
 def test_roundtrip_for_every_product_series():

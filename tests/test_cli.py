@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import equisyz
@@ -42,6 +42,8 @@ from equisyz.linalg import (
 )
 from equisyz.oracle import OracleCaps
 from equisyz.schur import SchurSeries
+
+from helpers import pooled_arrangements
 
 AXES2 = {"ambient_dim": 2, "subspaces": [[[1, 0]], [[0, 1]]]}
 ORIGIN2 = {"ambient_dim": 1, "subspaces": [[], []]}
@@ -340,6 +342,20 @@ def test_reports_are_deterministic():
     assert md == render_report(run_job(cfg), "markdown")
 
 
+def test_json_report_is_one_sorted_line_with_ranks_by_mask():
+    """equisyz-report/2: the standard encoder's one line with sorted keys,
+    and the polymatroid's ranks one list indexed by mask, bit i for
+    subspace i: a line, a plane through it and the origin of Q^3."""
+    doc = {"ambient_dim": 3, "subspaces": [[[1, 0, 0]], [[1, 0, 0], [0, 1, 0]], []]}
+    report = run_job(JobConfig(parse_arrangement(doc), max_degree=3))
+    text = render_json(report)
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    assert text.count("\n") == 1
+    assert report["schema"] == "equisyz-report/2"
+    ranks = [0, 2, 1, 2, 3, 3, 3, 3]
+    assert json.loads(text)["polymatroid"] == {"ground_size": 3, "ranks": ranks}
+
+
 def test_renderers_cover_all_formats():
     cfg = JobConfig(parse_arrangement(AXES2), max_degree=3)
     report = run_job(cfg)
@@ -348,84 +364,77 @@ def test_renderers_cover_all_formats():
     assert "\\begin{tabular}" in render_report(report, "latex")
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+# -- identities (a) and (b) through the whole job ---------------------------------
 
 
-def test_json_writer_matches_json_dumps_on_every_report(monkeypatch, tmp_path):
-    """Every golden job and every seed 1-3 benchmark document: the report
-    that main builds is written exactly as json.dumps writes it."""
-    import test_golden
+def _without_subspaces(report: dict) -> dict:
+    return {**report, "input": {**report["input"], "subspaces": None}}
 
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import run as bench
 
-    jobs = [
-        (
-            test_golden.GOLDEN / f"{test_golden.DOCUMENTS.get(case, case)}.json",
-            flags,
-            test_golden.ENVIRONMENTS.get(case, {}),
-        )
-        for case, (_, flags) in test_golden.CASES.items()
+def _moved_by(g, arr: Arrangement) -> Arrangement:
+    """g applied to the spanning vectors of every subspace."""
+    m = arr.ambient_dim
+    return Arrangement(m, tuple(
+        Subspace(m, [[sum(a * x for a, x in zip(row, v)) for row in g] for v in s.echelon])
+        for s in arr.subspaces
+    ))
+
+
+@st.composite
+def product_jobs(draw):
+    """A pooled arrangement of at most four proper subspaces of Q^m, m <= 4,
+    and a truncation degree from t to 5."""
+    m = draw(st.integers(1, 4))
+    arr = draw(pooled_arrangements(m=m, dims=tuple(range(m)), min_t=1, max_t=4))
+    return arr, draw(st.integers(len(arr.subspaces), 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(job=product_jobs(), data=st.data())
+def test_moving_every_subspace_by_one_g_keeps_the_report(job, data):
+    """(a) GL(W) through run_job: the report of g.A is that of A in every
+    field but the input's subspaces, both Betti tables included."""
+    arr, D = job
+    m = arr.ambient_dim
+    row = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+    g = data.draw(st.lists(row, min_size=m, max_size=m), label="g")
+    assume(Subspace(m, g).dim == m)
+    report = run_job(JobConfig(arr, D))
+    moved = run_job(JobConfig(_moved_by(g, arr), D))
+    assert _without_subspaces(moved) == _without_subspaces(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(job=product_jobs(), data=st.data())
+def test_reordering_the_subspaces_permutes_the_ranks_and_keeps_the_report(job, data):
+    """(b) Order through run_job: subspace i of the reordered arrangement is
+    subspace order[i] of A, so its rank at a mask is A's at the mask with
+    each bit i moved to order[i]; every other field but the subspaces is
+    equal."""
+    arr, D = job
+    t = len(arr.subspaces)
+    order = data.draw(st.permutations(range(t)), label="order")
+    shuffled = Arrangement(arr.ambient_dim, tuple(arr.subspaces[i] for i in order))
+    report, moved = run_job(JobConfig(arr, D)), run_job(JobConfig(shuffled, D))
+    ranks = report["polymatroid"]["ranks"]
+    assert moved["polymatroid"]["ranks"] == [
+        ranks[sum(1 << order[i] for i in range(t) if mask >> i & 1)] for mask in range(1 << t)
     ]
-    for name, workload in bench.WORKLOADS.items():
-        for seed in (1, 2, 3):
-            for i, doc in enumerate(bench.documents(name, workload, seed)):
-                path = write_doc(tmp_path, doc, f"{name}-{seed}-{i}.json")
-                jobs.append((path, workload.flags, {}))
-    reports = []
-    monkeypatch.setattr(cli, "run_job", lambda cfg: reports.append(run_job(cfg)) or reports[-1])
-    for path, flags, env in jobs:
-        with monkeypatch.context() as job_env:
-            for var, value in env.items():
-                job_env.setenv(var, value)
-            main(["--input", str(path), *flags, "--output", str(tmp_path / "report")])
-    assert len(reports) == len(jobs) == len(test_golden.CASES) + 99
-    for report in reports:
-        assert render_json(report) == _dumps(report)
+    assert moved["input"]["subspaces"] == [report["input"]["subspaces"][i] for i in order]
+    for r in (report, moved):
+        r["polymatroid"]["ranks"] = None
+    assert _without_subspaces(moved) == _without_subspaces(report)
 
 
-_JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**40), max_value=-(10**18))
-    | st.text()
-)
-# lists shaped like Schur terms and rank rows, and near misses to them: a
-# bool, None or str for an int, a tuple for a list, a third item or key
-_ALMOST_INT = st.integers(min_value=-3, max_value=12) | st.sampled_from([True, False, None, "1"])
-_ALMOST_INTS = st.lists(st.integers(min_value=0, max_value=9), max_size=3) | st.lists(
-    _ALMOST_INT, max_size=3
-) | st.tuples(st.integers())
-_ROW_SHAPED = st.lists(
-    st.lists(_ALMOST_INTS | _ALMOST_INT, min_size=1, max_size=3)
-    | st.fixed_dictionaries({"rank": _ALMOST_INT, "subset": _ALMOST_INTS})
-    | st.dictionaries(st.sampled_from(["rank", "subset", "x"]), _ALMOST_INTS | _ALMOST_INT),
-    min_size=1,
-    max_size=4,
-)
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS | _ROW_SHAPED,
-    lambda inner: st.lists(inner)
-    | st.tuples(inner, inner)
-    | st.dictionaries(st.text(), inner),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_JSON_VALUES)
-def test_json_writer_matches_json_dumps_on_nested_values(value):
-    # non-ASCII and control characters, empty containers, large negative
-    # ints, bools beside ints, and lists the row templates nearly fit
-    assert render_json(value) == _dumps(value)
-
-
-@pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": [set()]}, b"x"])
-def test_json_writer_rejects_what_reports_never_hold(value):
-    with pytest.raises(TypeError):
-        render_json(value)
+def test_three_axes_moved_by_one_g_keep_the_intersection_report():
+    """(a) on an intersection job, whose series the oracle computes."""
+    arr = parse_arrangement(AXES3)
+    g = [[1, 1, 0], [0, 1, 1], [1, 0, 2]]  # det 3
+    report = run_job(JobConfig(arr, 3, ideal="intersection"))
+    moved = run_job(JobConfig(_moved_by(g, arr), 3, ideal="intersection"))
+    assert report["status"] == "ok"
+    assert moved["input"]["subspaces"] != report["input"]["subspaces"]
+    assert _without_subspaces(moved) == _without_subspaces(report)
 
 
 # -- entry point ----------------------------------------------------------------
@@ -890,17 +899,14 @@ def test_main_ambient_dim_past_the_cap_exits_before_parsing(tmp_path, capsys, mo
     assert f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}" in capsys.readouterr().err
 
 
-def test_run_job_refuses_an_ambient_dim_past_the_cap(monkeypatch):
-    """A library caller's arrangement past MAX_AMBIENT_DIM is refused by
-    ``run_job`` with the parse's message, before the polymatroid is built."""
-    started = []
-    monkeypatch.setattr(cli, "polymatroid_of", started.append)
+def test_run_job_refuses_an_ambient_dim_past_the_cap():
+    """A library caller's arrangement past MAX_AMBIENT_DIM is refused when
+    it is built, with the parse's message, so no job can be configured."""
     m = 2 * MAX_AMBIENT_DIM
-    arr = Arrangement(m, (Subspace(m, [[1] + [0] * (m - 1)]),))
+    line = Subspace(m, [[1] + [0] * (m - 1)])
     with pytest.raises(SizeCapError) as exc:
-        run_job(JobConfig(arr, 12))
+        Arrangement(m, (line,))
     assert str(exc.value) == f"ambient dimension {m} exceeds the cap {MAX_AMBIENT_DIM}"
-    assert started == []
 
 
 def test_main_subspace_count_past_the_cap_exits_before_parsing(tmp_path, capsys, monkeypatch):

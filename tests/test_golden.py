@@ -115,6 +115,10 @@ CASES = {
     "redundant_spanning": (EXIT_OK, [
         "--max-degree", "6", "--side", "both", "--oracle-check", "4", "--dim-v", "4",
     ]),
+    # no subspace, t = 0: the unit ideal, whose H is sigma^m to degree 2 and
+    # whose Betti table is one column in degree 0 followed by zero columns;
+    # the polymatroid's rank table is the one row of the empty set
+    "empty_arrangement": (EXIT_OK, ["--max-degree", "2"]),
 }
 
 DOCUMENTS = {
