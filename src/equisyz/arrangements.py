@@ -122,17 +122,19 @@ class Arrangement:
 class Polymatroid:
     """Rank function on the subsets of {0, .., t-1}, indexed by bitmask.
 
-    ``ranks[mask]`` is evaluated for every mask at construction, and must
-    be 0 on the empty set and monotone, so no subset outranks a superset.
-    The table of correction polynomials P, one dense vector per
-    non-spanning mask (see ``_p_table``), is built on first use and shared
-    by ``p_polynomial`` and ``hilbert_product``.
+    ``ranks[mask]`` is the rank of every mask, a list of 2^t ints, so t
+    comes from its length; the ranks must be 0 on the empty set and
+    monotone, so no subset outranks a superset.  The table of correction
+    polynomials P, one dense vector per non-spanning mask (see
+    ``_p_table``), is built on first use and shared by ``p_polynomial``
+    and ``hilbert_product``.
     """
 
-    def __init__(self, ground_size: int, rank_source):
-        if type(ground_size) is not int or ground_size < 0:  # a bool is no size
-            raise ValueError(f"ground size must be a nonnegative int, got {ground_size!r}")
-        ranks = [rank_source(mask) for mask in range(1 << ground_size)]
+    def __init__(self, ranks: list[int]):
+        size = len(ranks)
+        if size & (size - 1) or not size:
+            raise ValueError(f"rank list length must be a power of two, got {size}")
+        ground_size = size.bit_length() - 1
         for mask, rank in enumerate(ranks):
             if type(rank) is not int:  # a float or bool rank is no rank
                 raise ValueError(f"rank of mask {mask} must be an int, got {rank!r}")
@@ -146,21 +148,6 @@ class Polymatroid:
         self.ground_size = ground_size
         self.ranks = ranks
         self._p_values: list | None = None
-
-    def as_mask(self, subset) -> int:
-        if type(subset) is int:  # a bool is no mask: iterating it is a TypeError
-            mask = subset
-        else:
-            mask = 0
-            for i in subset:
-                if type(i) is not int or not 0 <= i < self.ground_size:
-                    raise ValueError(
-                        f"subset element {i!r} outside ground set of size {self.ground_size}"
-                    )
-                mask |= 1 << i
-        if not 0 <= mask < (1 << self.ground_size):
-            raise ValueError(f"subset {subset!r} outside ground set of size {self.ground_size}")
-        return mask
 
 
 @lru_cache(maxsize=4)
@@ -195,12 +182,12 @@ def polymatroid_of(arr: Arrangement) -> Polymatroid:
             walk(child, grown)
 
     walk(0, {})
-    return Polymatroid(t, ranks.__getitem__)
+    return Polymatroid(ranks)
 
 
-def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
-    """Correction polynomial P(B) of the polymatroid, in a window of degree
-    ``truncation``, at most MAX_DEGREE.
+def p_polynomial(pm: Polymatroid, mask: int, truncation: int) -> SchurSeries:
+    """Correction polynomial P(B) of the polymatroid at the bitmask B, in a
+    window of degree ``truncation``, at most MAX_DEGREE.
 
     P of the empty set is 1; otherwise P(B) is the degree <= |B|-1 part of
       - sum over proper subsets C of (-1)^(|B|-|C|) sigma^(rk B - rk C) P(C).
@@ -212,7 +199,8 @@ def p_polynomial(pm: Polymatroid, subset, truncation: int) -> SchurSeries:
         raise ValueError(
             f"truncation degree {truncation} below ground-set size {pm.ground_size}"
         )
-    mask = pm.as_mask(subset)
+    if type(mask) is not int or not 0 <= mask < len(pm.ranks):  # a bool is no mask
+        raise ValueError(f"mask {mask!r} outside ground set of size {pm.ground_size}")
     p = _p_table(pm)[mask]
     if p is None:
         p = _spanning_p(pm, mask) if pm.ranks[mask] else [1]

@@ -12,8 +12,8 @@ span it by every form combo times every monomial, are kept too, to
 certify the dominant tables and their orbits, the Kostka fill past m parts
 and the spanning of each degree from the previous one.  The first
 intersection loop takes each factor's nullspace and ranks their stack
-with ``FractionEchelon`` and the ``Fraction`` RREF of ``equisyz.linalg``,
-so it shares no elimination code with the oracle's restriction ranks.  The
+with ``FractionEchelon``, so it shares no elimination code with the
+oracle's restriction ranks.  The
 formula side keeps its first implementation here too: the polymatroid
 ranks by the ``Fraction`` RREF of the stacked nullspaces, the subset
 recursions for P and H at full truncation degree, and powers of sigma as
@@ -273,7 +273,8 @@ def symmetric_orbit_ok(table, n) -> bool:
 class FractionEchelon:
     """Incremental echelon form over sparse Fraction rows with unit pivots,
     the slow counterpart of the oracle's fraction-free elimination.  Its
-    rank is read, and its rows as a row basis of what was added."""
+    rank is read, its rows as a row basis of what was added, and its
+    nullspace."""
 
     def __init__(self):
         self.rows = {}
@@ -295,6 +296,30 @@ class FractionEchelon:
                 else:
                     work.pop(k, None)
         return False
+
+    def nullspace(self, ncols: int) -> list[dict]:
+        """Basis of the vectors of Q^ncols orthogonal to every row added,
+        one per free column.  The rows are first fully reduced, last pivot
+        first, so that each holds no other pivot column; the vector of free
+        column f is then e_f minus the sum over pivots p of row_p[f] e_p."""
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            for q, row in rows.items():
+                f = row.get(p) if q < p else None
+                if f:
+                    for k, v in rows[p].items():
+                        w = row.get(k, 0) - f * v
+                        if w:
+                            row[k] = w
+                        else:
+                            del row[k]
+        out = []
+        for free in range(ncols):
+            if free not in rows:
+                vec = {free: Fraction(1)}
+                vec.update((p, -row[free]) for p, row in rows.items() if free in row)
+                out.append(vec)
+        return out
 
 
 def _nullspace(rref_rows, ncols: int) -> list[tuple]:
@@ -484,9 +509,9 @@ def all_weights_span(arr: Arrangement, n: int, d_max: int, exterior: bool) -> di
 def all_weights_intersection(arr: Arrangement, n: int, d_max: int) -> dict:
     """Weight tables by degree of the intersection ideal as the oracle
     first computed them: every weight of every degree, each the common
-    nullspace of the factors' spans.  Each span's row basis comes from
-    :class:`FractionEchelon`, its nullspace from the RREF of
-    ``equisyz.linalg``, which also ranks the stacked nullspaces."""
+    nullspace of the factors' spans.  Each span is eliminated by
+    :class:`FractionEchelon`, which reads off its nullspace, and a second
+    one ranks the stacked nullspaces."""
     m = arr.ambient_dim
     forms = forms_per_factor(arr, n)
     weights = {}
@@ -494,21 +519,22 @@ def all_weights_intersection(arr: Arrangement, n: int, d_max: int) -> dict:
         table = {}
         for w in compositions(d, n):
             column = {mono: k for k, mono in enumerate(_weight_monomials(w, m, n))}
-            stack = []
+            last = len(column) - 1
+            stack = FractionEchelon()
             for factor_forms in forms:
-                # a row basis first, so that the dense RREF stays small
+                # the span takes the columns in reverse, so the free column
+                # of each nullspace vector, the last of its support there,
+                # leads it in the stack: distinct free columns reduce nothing
                 span = FractionEchelon()
                 for i, form in factor_forms:
                     if w[i]:
                         w_minus = tuple(x - (k == i) for k, x in enumerate(w))
                         for mono in _weight_monomials(w_minus, m, n):
                             poly = _times_form({mono: 1}, form, exterior=False)
-                            span.add({column[key]: c for key, c in poly.items()})
-                if len(span.rows) < len(column):  # else its nullspace is zero
-                    labels = range(len(column))
-                    basis = [[r.get(k, 0) for k in labels] for r in span.rows.values()]
-                    stack += _nullspace(row_reduce(basis)[0], len(column))
-            dim = len(column) - row_reduce(stack)[1]
+                            span.add({last - column[key]: c for key, c in poly.items()})
+                for vec in span.nullspace(len(column)):
+                    stack.add({last - k: c for k, c in vec.items()})
+            dim = len(column) - len(stack.rows)
             if dim:
                 table[w] = dim
         weights[d] = table
@@ -876,3 +902,36 @@ def reference_hilbert_product(arr: Arrangement, D: int) -> SchurSeries:
         return memo[mask]
 
     return series((1 << len(arr.subspaces)) - 1)
+
+
+def transversal_intersection_series(arr: Arrangement, D: int) -> SchurSeries | None:
+    """Series of the intersection ideal to degree D from the polymatroid,
+    where the reduced arrangement is transversal; None where it is not.
+
+    Each subspace contained in another is dropped, Y_i in Y_j exactly when
+    rk{i,j} = rk{i}, and of equal subspaces the first is kept.  When the
+    rest M is transversal, rk M = sum over i in M of rk{i}, the J_i(V) of M
+    are generated by disjoint sets of variables in suitable coordinates, so
+    they meet in their product: sigma^(m - rk M) times the product over M
+    of (sigma^rk{i} - 1), that is the sum over B in M of
+    (-1)^|B| sigma^(m - rk B).  A dropped Y_i in Y_j adds nothing to that
+    sum over the whole ground set E: toggling j pairs off the sets that
+    hold i, as they have the same rank.  So the sum runs over E.
+    """
+    ranks = reference_ranks(arr)
+    t = len(arr.subspaces)
+
+    def contained(i: int, j: int) -> bool:
+        return ranks[1 << i | 1 << j] == ranks[1 << i]
+
+    kept = [
+        i for i in range(t)
+        if not any(contained(i, j) and (j < i or not contained(j, i)) for j in range(t) if j != i)
+    ]
+    if ranks[sum(1 << i for i in kept)] != sum(ranks[1 << i] for i in kept):
+        return None
+    m = arr.ambient_dim
+    return sum(
+        ((-1) ** mask.bit_count() * sigma_power(D, m - rank) for mask, rank in enumerate(ranks)),
+        SchurSeries({}, degree=D),
+    )

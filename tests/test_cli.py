@@ -592,6 +592,15 @@ def test_main_deeply_nested_json_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_main_decimal_entry_is_input_error(tmp_path, capsys):
+    """A decimal string exits 2 with the entry named and no traceback."""
+    src = write_doc(tmp_path, {"ambient_dim": 2, "subspaces": [[["0.5", 1]]]})
+    assert main(["--input", src, "--max-degree", "1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: entry '0.5' is not a rational number (use integers or 'p/q' strings)\n"
+    )
+
+
 @pytest.mark.parametrize("target", ["missing/dir/r.json", "."])
 def test_main_unwritable_output_is_input_error(tmp_path, capsys, target):
     """A missing directory, or a directory in place of a file, exits 2."""
@@ -767,7 +776,9 @@ def test_main_intersection_job_ignores_dim_v_past_the_cap(tmp_path, capsys, monk
 def test_main_lists_weights_at_a_dim_v_below_the_oracle_degree(capsys):
     """Each oracle eliminates at its own dim V and every verdict compares
     Schur series, so --dim-v below --oracle-check only lists the weights at
-    that n: the job exits 0 with every validation true."""
+    that n: the job exits 0 with every validation true.  Without --dim-v it
+    lists them at the check degree n = 4 and writes the golden report of
+    --dim-v 4."""
     golden = Path(__file__).resolve().parent / "golden"
     argv = ["--input", str(golden / "two_planes_and_line.json"), "--max-degree", "4",
             "--side", "both", "--oracle-check", "4"]
@@ -782,7 +793,9 @@ def test_main_lists_weights_at_a_dim_v_below_the_oracle_degree(capsys):
                for key in ("product_weights", "wedge_weights") for w, _ in entry[key]]
     assert weights and {len(w) for w in weights} == {2}
     assert main(argv) == EXIT_OK
-    full = json.loads(capsys.readouterr().out)["oracle"]["degrees"]
+    derived = capsys.readouterr().out
+    assert derived == (golden / "two_planes_and_line.out.json").read_text()
+    full = json.loads(derived)["oracle"]["degrees"]
     for entry, wide in zip(section["degrees"], full):
         assert entry["product_schur"] == wide["product_schur"]
         assert entry["wedge_schur"] == wide["wedge_schur"]

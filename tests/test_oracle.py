@@ -1,13 +1,14 @@
 import json
 import logging
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from equisyz.arrangements import Arrangement, hilbert_product
-from equisyz.cli import EXIT_OK, EXIT_VALIDATION, main
+from equisyz.cli import EXIT_OK, EXIT_VALIDATION, main, parse_arrangement
 from equisyz.errors import SizeCapError
 from equisyz.linalg import Subspace, row_reduce
 from equisyz.oracle import (
@@ -24,7 +25,7 @@ from equisyz.oracle import (
     wedge_ideal_character,
 )
 from equisyz.partitions import partitions_of
-from equisyz.schur import SchurSeries, sigma
+from equisyz.schur import SchurSeries, sigma, times_sigma_power
 
 from helpers import (
     _times_form as reference_times_form,
@@ -43,11 +44,14 @@ from helpers import (
     reference_span_weights,
     ssyt_count,
     symmetric_orbit_ok,
+    transversal_intersection_series,
     tuple_renamed,
     tuple_span_coeffs,
     tuple_times_form,
     weight_dimension,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def generic_lines():
@@ -411,18 +415,50 @@ def test_tilted_arrangement_same_series_as_coordinate_twin():
         assert character_to_schur(wc, d) == h.graded_part(d).omega(), d
 
 
+def _every_weight_reference(oracle, arr, n, d):
+    if oracle is intersection_ideal_character:
+        return all_weights_intersection(arr, n, d)
+    return all_weights_span(arr, n, d, oracle is wedge_ideal_character)
+
+
+def _zero_padded(table, n) -> dict:
+    """The weights of ``table`` whose parts past the first n are 0, cut to n."""
+    return {w[:n]: c for w, c in table.items() if not any(w[n:])}
+
+
 def _assert_weights_at_every_dim_v(oracle, arr, d, max_n=None):
     """The series ``oracle`` returns to degree d, eliminated at one dim V,
     gives the dominant weights of the every-weight reference at every n in
-    1..d+1 (or 1..max_n, if smaller), n < d and n > m included."""
+    1..d+1 (or 1..max_n, if smaller), n < d and n > m included.  The
+    reference is computed once, at the largest n, and read at each smaller
+    n through its zero-padded weights, as the next test shows it may be."""
     series = oracle(arr, d)
-    for n in range(1, min(d + 1, max_n or d + 1) + 1):
-        if oracle is intersection_ideal_character:
-            every = all_weights_intersection(arr, n, d)
-        else:
-            every = all_weights_span(arr, n, d, oracle is wedge_ideal_character)
+    top = min(d + 1, max_n or d + 1)
+    every = _every_weight_reference(oracle, arr, top, d)
+    for n in range(1, top + 1):
         for e in range(d + 1):
-            assert_dominant_table(dominant_weights(series, n, e), every[e], n, e)
+            table = _zero_padded(every[e], n)
+            assert_dominant_table(dominant_weights(series, n, e), table, n, e)
+
+
+@pytest.mark.parametrize(
+    "oracle", [product_ideal_character, wedge_ideal_character, intersection_ideal_character],
+    ids=["product", "wedge", "intersection"],
+)
+@pytest.mark.parametrize("arr", [plane_and_normal_line(), axes(3), generic_lines()],
+                         ids=["plane and line", "three axes", "two lines"])
+def test_zero_padded_weights_are_the_smaller_dim_v(oracle, arr):
+    """The weight-(w, 0) space of I(V + Q) is the weight-w space of I(V):
+    each generator, and each vanishing condition on Y_k tensor (V + Q), is
+    homogeneous in every V-weight, so a part of last weight 0 reads no
+    variable of the new column.  The every-weight references to degree 3
+    at n = 1..4 agree on it, past m and past d."""
+    smaller = _every_weight_reference(oracle, arr, 1, 3)
+    for n in range(2, 5):
+        every = _every_weight_reference(oracle, arr, n, 3)
+        for d in range(4):
+            assert _zero_padded(every[d], n - 1) == smaller[d], (n, d)
+        smaller = every
 
 
 def test_intersection_series_independent_of_dim_v():
@@ -534,6 +570,99 @@ def test_intersection_oracle_matches_span_nullspace_and_dense_references(arr, n)
         table = dominant_weights(inter, n, d)
         assert_dominant_table(table, every[d], d)
         assert_dominant_table(table, reference_intersection_weights(arr, n, d), d)
+
+
+# -- intersections that a theorem gives ----------------------------------------
+
+
+def _golden(name: str) -> Arrangement:
+    return parse_arrangement(json.loads((GOLDEN / f"{name}.json").read_text()))
+
+
+XY_PLANE, Z_LINE = [[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arr=mixed_arrangements(), D=st.integers(min_value=0, max_value=4))
+def test_a_transversal_reduced_arrangement_takes_the_closed_form(arr, D):
+    """Zero subspaces, lines and planes of Q^3 from one pool, now and then a
+    member repeated: wherever the members not contained in another are
+    transversal, the weight oracle gives the sum over B of
+    (-1)^|B| sigma^(m - rk B)."""
+    closed = transversal_intersection_series(arr, D)
+    event("transversal" if closed is not None else "not transversal")
+    if closed is not None:
+        assert intersection_ideal_character(arr, D) == closed
+
+
+@pytest.mark.parametrize("arr", [
+    Arrangement(3, tuple(Subspace(3, v) for v in (XY_PLANE, Z_LINE, XY_PLANE))),
+    Arrangement(3, tuple(Subspace(3, v) for v in ([[1, 0, 0]], XY_PLANE, [[1, 1, 1]]))),
+    Arrangement(3, tuple(Subspace(3, v) for v in ([], XY_PLANE, Z_LINE))),
+    _golden("intersection_seed1"),
+    _golden("plane_and_line"),
+], ids=["a repeated plane", "a line inside a plane", "the zero subspace",
+        "intersection_seed1", "plane_and_line"])
+def test_the_closed_form_applies_after_dropping_contained_members(arr):
+    closed = transversal_intersection_series(arr, 4)
+    assert closed is not None
+    assert closed == intersection_ideal_character(arr, 4)
+
+
+def test_the_closed_form_gives_the_intersection_golden_past_the_caps():
+    """intersection_seed1's report at D = 8, past the oracle's default caps,
+    holds the closed form's series."""
+    report = json.loads((GOLDEN / "intersection_seed1_n8.out.json").read_text())
+    closed = transversal_intersection_series(_golden("intersection_seed1"), 8)
+    assert json.loads(json.dumps(closed.to_pairs())) == report["hilbert_series"]["terms"]
+
+
+@pytest.mark.parametrize("name", ["three_axes", "no_common_line"])
+def test_the_closed_form_refuses_what_is_not_transversal(name):
+    """Three axes of Q^3 have rank 3 against 2 + 2 + 2; in no_common_line
+    no member lies in another, and four members of Q^3 have rank at most 3."""
+    assert transversal_intersection_series(_golden(name), 4) is None
+
+
+# -- intersection identities -----------------------------------------------------
+
+IDENTITY_CASES = [
+    "three_axes", "no_common_line", "line_and_three_planes", "lines_in_plane",
+    "two_planes_and_line", "intersection_seed1",
+]
+
+
+@pytest.mark.parametrize("name", IDENTITY_CASES)
+def test_adding_the_zero_subspace_keeps_the_intersection(name):
+    """The zero subspace lies in every member, and t >= 1."""
+    arr = _golden(name)
+    grown = Arrangement(arr.ambient_dim, arr.subspaces + (Subspace(arr.ambient_dim),))
+    assert intersection_ideal_character(grown, 4) == intersection_ideal_character(arr, 4)
+
+
+@pytest.mark.parametrize("name", IDENTITY_CASES)
+def test_adding_a_contained_subspace_keeps_the_intersection(name):
+    """The line through the first basis vector of a largest member; a
+    repeat where every member is a line."""
+    arr = _golden(name)
+    largest = max(arr.subspaces, key=lambda sub: sub.dim)
+    line = Subspace(arr.ambient_dim, [largest.basis[0]])
+    grown = Arrangement(arr.ambient_dim, arr.subspaces + (line,))
+    assert intersection_ideal_character(grown, 4) == intersection_ideal_character(arr, 4)
+
+
+@pytest.mark.parametrize("name", IDENTITY_CASES)
+def test_the_cone_multiplies_the_intersection_by_sigma(name):
+    """Y -> Y + Q e_{m+1} in Q^(m+1) for every member: each J_k(V) gains no
+    generator, and the new variables are free over their intersection."""
+    arr = _golden(name)
+    m = arr.ambient_dim
+    cone = Arrangement(m + 1, tuple(
+        Subspace(m + 1, [list(v) + [0] for v in sub.basis] + [[0] * m + [1]])
+        for sub in arr.subspaces
+    ))
+    inter = intersection_ideal_character(arr, 4)
+    assert intersection_ideal_character(cone, 4) == times_sigma_power(inter, 1)
 
 
 @settings(max_examples=20, deadline=None)
